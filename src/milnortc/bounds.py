@@ -138,7 +138,7 @@ def _top_class_certificate(space, n: int) -> Certificate | None:
     )
 
 
-def cat_bounds(space, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) -> BoundReport:
+def cat_bounds(space, n: int) -> BoundReport:
     """Category of the n-fold power: top-class witness below, dimension above."""
     space = _as_space(space)
     if n < 1:
@@ -288,7 +288,7 @@ def tc_bounds(
                 continue
             if isinstance(cert, SearchFailure):
                 continue
-            report = verify_certificate(cert)
+            report = verify_certificate(cert, presentation=P)
             if report.verdict == "Verified":
                 val = report.verified_cup + 1
                 trace.append(
@@ -304,7 +304,7 @@ def tc_bounds(
                 verified.append(val)
         cat_prev = _top_class_certificate(space, n - 1)
         if cat_prev is not None:
-            report = verify_certificate(cat_prev)
+            report = verify_certificate(cat_prev, presentation=P)
             if report.verdict == "Verified":
                 val = report.verified_cup + 1
                 trace.append(
@@ -354,7 +354,7 @@ def tc_bounds(
             ),
         ),
         (
-            cat_bounds(space, n, max_slice=max_slice).upper,
+            n * dim + 1,
             RuleTrace(
                 "category-of-power-upper",
                 "category of the n-th power dominates",

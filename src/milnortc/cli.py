@@ -260,7 +260,7 @@ def _cmd_bounds(args) -> int:
         max_slice=args.max_slice,
     )
     if args.quantity == "cat":
-        report = cat_bounds(args.space, args.n, max_slice=args.max_slice)
+        report = cat_bounds(args.space, args.n)
     elif args.quantity == "tc":
         report = tc_bounds(args.space, args.n, **options)
     else:
@@ -347,37 +347,24 @@ def _cmd_gen_cert(args) -> int:
 
 def _cmd_table(args) -> int:
     n_range = _parse_range(args.n)
-    reports = []
     if args.family in ("rh", "ch"):
         if not args.r or not args.s:
             raise ValueError("--r and --s ranges are required for Milnor families")
-        for r in _parse_range(args.r):
-            for s in _parse_range(args.s):
-                if not 0 <= s <= r:
-                    continue
-                space = f"{args.family}:{r},{s}"
-                for n in n_range:
-                    reports.append(
-                        tc_bounds(
-                            space,
-                            n,
-                            use_oracle=args.use_oracle,
-                            max_slice=args.max_slice,
-                        )
-                    )
+        spaces = [
+            f"{args.family}:{r},{s}"
+            for r in _parse_range(args.r)
+            for s in _parse_range(args.s)
+            if 0 <= s <= r
+        ]
     else:
         if not args.r:
             raise ValueError("--r (dimension range) is required for rp")
-        for m in _parse_range(args.r):
-            for n in n_range:
-                reports.append(
-                    tc_bounds(
-                        f"rp:{m}",
-                        n,
-                        use_oracle=args.use_oracle,
-                        max_slice=args.max_slice,
-                    )
-                )
+        spaces = [f"rp:{m}" for m in _parse_range(args.r)]
+    reports = [
+        tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)
+        for space in spaces
+        for n in n_range
+    ]
     _write_out(emit_table(reports, args.format), args.out)
     return 0
 

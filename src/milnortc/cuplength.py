@@ -7,8 +7,8 @@ kernel elements.  K is an ideal, and it is generated as an ideal by the
 adjacent slot differences g_i + g_{i+1} of the algebra generators (the
 quotient by those differences is the base ring itself), so each power is
 obtained from the previous one by multiplying with that short generator
-list; the slow route that multiplies by a full kernel basis is kept as
-``generators="kernel-basis"`` for cross-checking.
+list.  The tests keep the slower route that multiplies by a full kernel
+basis as the reference this oracle is checked against.
 """
 
 from __future__ import annotations
@@ -133,24 +133,6 @@ def verify_certificate(
 _CUP_CACHE: dict = {}
 
 
-def _packed_from_elements(P, n, d, elements):
-    slc = tensor_slice(P, n, d)
-    index = {tup: i for i, tup in enumerate(slc)}
-    dense = np.zeros((len(elements), len(slc)), dtype=np.uint8)
-    for row, el in enumerate(elements):
-        for tup in el.support:
-            dense[row, index[tup]] = 1
-    return gf2.pack_rows(dense)
-
-
-def _elements_from_packed(P, n, d, packed):
-    slc = tensor_slice(P, n, d)
-    return [
-        TensorElement(P, n, frozenset(slc[j] for j in np.nonzero(row)[0]))
-        for row in gf2.unpack_rows(packed, len(slc))
-    ]
-
-
 def _ideal_generators(P: Presentation, n: int):
     gens = []
     for name in P.gen_names:
@@ -180,35 +162,25 @@ def _mult_matrix(P, n, gen_el, d_from, d_to, cache):
     return mat
 
 
-def _kernel_rows(P, n, max_slice):
-    """Packed kernel basis per positive degree."""
-    nd = n * P.top_degree
-    rows = {}
-    for d in range(1, nd + 1):
-        kb = kernel_basis(P, n, d, max_slice=max_slice)
-        if kb.elements:
-            rows[d] = _packed_from_elements(P, n, d, kb.elements)
-    return rows
-
-
 def cup_exact(
     P: Presentation,
     n: int,
     *,
     max_slice: int = DEFAULT_MAX_SLICE,
-    generators: str = "ideal",
     collect_chain: bool = False,
 ):
     """Largest m with K^m != 0 for K the kernel of the diagonal map."""
     if n < 1:
         raise ValueError("arity must be >= 1")
-    cache_key = (P.cache_key, n, generators)
+    cache_key = (P.cache_key, n)
     if not collect_chain and cache_key in _CUP_CACHE:
         return _CUP_CACHE[cache_key]
 
     if not P.basis:
         return (0, []) if collect_chain else 0
     nd = n * P.top_degree
+    # refuse before building any slice: slices grow towards the middle
+    # degree, so those below the first one over the cap can be huge too
     for d in range(nd + 1):
         dim = slice_dimension(P, n, d)
         if dim > max_slice:
@@ -217,51 +189,41 @@ def cup_exact(
                 dimension=dim,
                 cap=max_slice,
             )
-
-    V = _kernel_rows(P, n, max_slice)
+    V = {}
+    for d in range(1, nd + 1):
+        kb = kernel_basis(P, n, d, max_slice=max_slice)
+        if len(kb):
+            V[d] = kb.rows
     chain = [dict(V)]
-    if not V:
-        result = 0
-    else:
-        if generators == "ideal":
-            gen_list = [(g, g.degree) for g in _ideal_generators(P, n)]
-        elif generators == "kernel-basis":
-            gen_list = []
-            for d, rows in V.items():
-                for el in _elements_from_packed(P, n, d, rows):
-                    gen_list.append((el, d))
-        else:
-            raise ValueError(f"unknown generator mode {generators!r}")
-        mat_cache: dict = {}
-        m = 1
-        while True:
-            nxt: dict = {}
-            for gen_el, dg in gen_list:
-                for d2, rows in V.items():
-                    dt = d2 + dg
-                    if dt > nd:
-                        continue
-                    mat = _mult_matrix(P, n, gen_el, d2, dt, mat_cache)
-                    prods = gf2.matmul(rows, len(tensor_slice(P, n, d2)), mat)
-                    if gf2.is_zero_rows(prods):
-                        continue
-                    nxt[dt] = (
-                        np.vstack([nxt[dt], prods]) if dt in nxt else prods
-                    )
-            reduced = {}
-            for dt, rows in nxt.items():
-                basis = gf2.row_space(rows, len(tensor_slice(P, n, dt)))
-                if basis.shape[0]:
-                    reduced[dt] = basis
-            if not reduced:
-                result = m
-                break
-            V = reduced
+    result = 0
+    gen_list = [(g, g.degree) for g in _ideal_generators(P, n)]
+    mat_cache: dict = {}
+    while V:
+        result += 1
+        nxt: dict = {}
+        for gen_el, dg in gen_list:
+            for d2, rows in V.items():
+                dt = d2 + dg
+                if dt > nd:
+                    continue
+                mat = _mult_matrix(P, n, gen_el, d2, dt, mat_cache)
+                prods = gf2.matmul(rows, len(tensor_slice(P, n, d2)), mat)
+                if gf2.is_zero_rows(prods):
+                    continue
+                nxt[dt] = np.vstack([nxt[dt], prods]) if dt in nxt else prods
+        V = {}
+        for dt, rows in nxt.items():
+            basis = gf2.row_space(rows, len(tensor_slice(P, n, dt)))
+            if basis.shape[0]:
+                V[dt] = basis
+        if V:
             chain.append(dict(V))
-            m += 1
 
-    min_gen_degree = min(P.gen_degrees)
-    assert result <= nd // min_gen_degree, "degree bound violated"
+    degree_bound = nd // min(P.gen_degrees)
+    if result > degree_bound:
+        raise RuntimeError(
+            f"cup-length {result} exceeds the degree bound {degree_bound}"
+        )
     _CUP_CACHE[cache_key] = result
     return (result, chain) if collect_chain else result
 

@@ -16,11 +16,8 @@ freely across workers.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from itertools import product as iproduct
-
-logger = logging.getLogger(__name__)
 
 _PRESENTATION_CACHE: dict = {}
 
@@ -84,9 +81,6 @@ class Presentation:
 
     def monomial_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
-
-    def is_basic(self, exps) -> bool:
-        return tuple(exps) in self.rank_of
 
     # -- normal form ----------------------------------------------------
 
@@ -314,12 +308,10 @@ def poincare_series(P: Presentation) -> list:
     return [len(P.degree_slices.get(d, ())) for d in range(P.top_degree + 1)]
 
 
-def binom_mod2(n: int, k: int, *, debug: bool = False) -> int:
+def binom_mod2(n: int, k: int) -> int:
     """Parity of C(n, k) via bitwise containment (Lucas)."""
     if n < 0 or k < 0:
         raise ValueError("binom_mod2 requires non-negative arguments")
     if k > n:
-        if debug:
-            logger.warning("binom_mod2 called with k=%d > n=%d; returning 0", k, n)
         return 0
     return 1 if (n & k) == k else 0

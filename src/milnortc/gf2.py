@@ -1,19 +1,17 @@
 """Exact GF(2) linear algebra on bit-packed matrices.
 
 Rows are packed 64 columns per ``uint64`` word (column ``c`` lives in word
-``c >> 6``, bit ``c & 63``).  The two hot kernels -- in-place Gauss--Jordan
-elimination and packed matrix multiply -- exist in two interchangeable
-implementations: a numba ``@njit`` version and a pure-numpy one.  The active
-backend is chosen once at import time; set ``MILNORTC_NO_NUMBA=1`` to force
-the numpy path (it is also used automatically when numba is missing).
-Both implementations are importable directly for benchmarking.
+``c >> 6``, bit ``c & 63``).  The one backend is numpy: in-place
+Gauss--Jordan elimination over packed words, and a matrix product on the
+unpacked 0/1 matrices.  ``perfbench/README.md`` describes how its speed is
+measured.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
+
+BACKEND = "numpy"
 
 _U1 = np.uint64(1)
 
@@ -59,7 +57,7 @@ def set_bit(row: np.ndarray, col: int) -> None:
 # --- elimination kernels -----------------------------------------------------
 
 
-def _eliminate_numpy(mat: np.ndarray, ncols: int, pivots: np.ndarray) -> int:
+def _eliminate(mat: np.ndarray, ncols: int, pivots: np.ndarray) -> int:
     nrows = mat.shape[0]
     r = 0
     for col in range(ncols):
@@ -81,88 +79,6 @@ def _eliminate_numpy(mat: np.ndarray, ncols: int, pivots: np.ndarray) -> int:
         pivots[r] = col
         r += 1
     return r
-
-
-def _matmul_numpy(a: np.ndarray, a_cols: int, b: np.ndarray) -> np.ndarray:
-    """Product of packed matrices a (m x a_cols) and b (a_cols x *) over GF(2)."""
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        return np.zeros((a.shape[0], b.shape[1] if b.ndim == 2 else 1), dtype=np.uint64)
-    a_dense = unpack_rows(a, a_cols)
-    b_dense = unpack_rows(b, b.shape[1] * 64)
-    # uint8 matmul wraps mod 256, which preserves parity
-    prod = (a_dense @ b_dense) & 1
-    return pack_rows(prod)[:, : b.shape[1]]
-
-
-_FORCE_NUMPY = os.environ.get("MILNORTC_NO_NUMBA", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-)
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - environment dependent
-    _HAVE_NUMBA = False
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _eliminate_njit(mat, ncols, pivots):  # pragma: no cover - compiled
-        nrows, nw = mat.shape
-        one = np.uint64(1)
-        r = 0
-        for col in range(ncols):
-            if r == nrows:
-                break
-            w = col >> 6
-            b = np.uint64(col & 63)
-            piv = -1
-            for i in range(r, nrows):
-                if (mat[i, w] >> b) & one:
-                    piv = i
-                    break
-            if piv < 0:
-                continue
-            if piv != r:
-                for t in range(nw):
-                    tmp = mat[r, t]
-                    mat[r, t] = mat[piv, t]
-                    mat[piv, t] = tmp
-            for i in range(nrows):
-                if i != r and ((mat[i, w] >> b) & one):
-                    for t in range(nw):
-                        mat[i, t] ^= mat[r, t]
-            pivots[r] = col
-            r += 1
-        return r
-
-    @njit(cache=True)
-    def _matmul_njit(a, a_cols, b):  # pragma: no cover - compiled
-        m = a.shape[0]
-        out = np.zeros((m, b.shape[1]), dtype=np.uint64)
-        one = np.uint64(1)
-        for i in range(m):
-            for j in range(a_cols):
-                if (a[i, j >> 6] >> np.uint64(j & 63)) & one:
-                    for t in range(b.shape[1]):
-                        out[i, t] ^= b[j, t]
-        return out
-
-else:
-    _eliminate_njit = None
-    _matmul_njit = None
-
-if _FORCE_NUMPY or not _HAVE_NUMBA:
-    BACKEND = "numpy"
-    _eliminate = _eliminate_numpy
-    _matmul_impl = _matmul_numpy
-else:
-    BACKEND = "numba"
-    _eliminate = _eliminate_njit
-    _matmul_impl = _matmul_njit
 
 
 # --- public operations -------------------------------------------------------
@@ -206,15 +122,13 @@ def matmul(a: np.ndarray, a_cols: int, b: np.ndarray) -> np.ndarray:
     """GF(2) product of packed a (m x a_cols) with packed b (a_cols x *)."""
     if a.shape[0] == 0 or b.shape[0] == 0:
         return np.zeros((a.shape[0], b.shape[1] if b.ndim == 2 else 1), dtype=np.uint64)
-    return _matmul_impl(np.ascontiguousarray(a), a_cols, np.ascontiguousarray(b))
+    a_dense = unpack_rows(a, a_cols)
+    b_dense = unpack_rows(b, b.shape[1] * 64)
+    # uint8 matmul wraps mod 256, which preserves parity
+    prod = (a_dense @ b_dense) & 1
+    return pack_rows(prod)[:, : b.shape[1]]
 
 
 def is_zero_rows(mat: np.ndarray) -> bool:
     return mat.size == 0 or not mat.any()
 
-
-def warmup() -> None:
-    """Trigger kernel compilation so later timings exclude it."""
-    m = pack_rows(np.eye(4, dtype=np.uint8))
-    rref(m, 4)
-    matmul(m, 4, m)

@@ -86,10 +86,6 @@ def _check_rs(r, s):
         raise ValueError(f"Milnor manifold requires 0 <= s <= r, got r={r}, s={s}")
 
 
-def dimension(space) -> int:
-    return space.dimension
-
-
 def cohomology_of(space) -> Presentation:
     """Mod-2 cohomology presentation of the space."""
     if isinstance(space, RealMilnor):

@@ -191,18 +191,30 @@ def tensor_slice(P: Presentation, n: int, d: int):
     return result
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBasis:
-    """Nullspace basis of the diagonal map on one degree slice."""
+    """Nullspace basis of the diagonal map on one degree slice, as packed
+    rows over the slice's tensor monomials in :func:`tensor_slice` order."""
 
+    presentation: Presentation
     n: int
     degree: int
-    elements: tuple
+    rows: np.ndarray
     slice_dim: int
     image_rank: int
 
     def __len__(self):
-        return len(self.elements)
+        return self.rows.shape[0]
+
+    @property
+    def elements(self) -> tuple:
+        """The basis decoded into tensor elements."""
+        P, n = self.presentation, self.n
+        slc = tensor_slice(P, n, self.degree)
+        return tuple(
+            TensorElement(P, n, frozenset(slc[j] for j in np.nonzero(row)[0]))
+            for row in gf2.unpack_rows(self.rows, len(slc))
+        )
 
 
 def kernel_basis(
@@ -219,25 +231,15 @@ def kernel_basis(
             cap=max_slice,
         )
     slc = tensor_slice(P, n, d)
+    if len(slc) == 0:
+        return KernelBasis(P, n, d, gf2.zeros(0, 0), 0, 0)
     target = P.degree_slices.get(d, ())
     target_pos = {rank: i for i, rank in enumerate(target)}
     # matrix of the map, transposed: rows = target basis, cols = slice
-    dense = np.zeros((len(target), max(1, len(slc))), dtype=np.uint8)
+    dense = np.zeros((len(target), len(slc)), dtype=np.uint8)
     for col, tup in enumerate(slc):
         total = tuple(sum(x) for x in zip(*tup))
         for mono in P.reduce(total):
             dense[target_pos[P.rank_of[mono]], col] ^= 1
-    if len(slc) == 0:
-        return KernelBasis(n, d, (), 0, 0)
-    packed = gf2.pack_rows(dense)
-    null = gf2.nullspace(packed, len(slc))
-    image_rank = len(slc) - null.shape[0]
-    elements = tuple(
-        TensorElement(
-            P,
-            n,
-            frozenset(slc[j] for j in np.nonzero(row)[0]),
-        )
-        for row in gf2.unpack_rows(null, len(slc))
-    )
-    return KernelBasis(n, d, elements, len(slc), image_rank)
+    null = gf2.nullspace(gf2.pack_rows(dense), len(slc))
+    return KernelBasis(P, n, d, null, len(slc), len(slc) - null.shape[0])

@@ -276,7 +276,7 @@ def test_criterion_9_property_suite():
             s, r = rng.choice(small)
             n = rng.randint(2, 3)
             P = milnor(s, r)
-            _CUP_CACHE.pop((P.cache_key, n, "ideal"), None)
+            _CUP_CACHE.pop((P.cache_key, n), None)
             value, chain = cup_exact(P, n, collect_chain=True)
             assert len(chain) == max(1, value)
             cert = cup_search(P, n, default_pool(P, n), space_label=f"rh:{r},{s}")

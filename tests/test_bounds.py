@@ -1,5 +1,6 @@
 import pytest
 
+import milnortc.bounds
 from milnortc.bounds import (
     CIRCLE,
     Z2,
@@ -123,6 +124,22 @@ def test_tc_source_toggles():
     assert bare.lower == 1
     no_claims = tc_bounds("rh:4,3", 2, use_monotonicity=False)
     assert no_claims.lower == no_claims.verified_lower == 11
+
+
+def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
+    # the generated certificates are labelled rh:, but must be checked in
+    # the ring of the complex Milnor manifold the report is about
+    seen = []
+    verify = milnortc.bounds.verify_certificate
+
+    def spy(cert, *, presentation=None):
+        seen.append((cert.space, presentation))
+        return verify(cert, presentation=presentation)
+
+    monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
+    tc_bounds("ch:4,3", 2)
+    assert any(space.startswith("rh:") for space, _ in seen)
+    assert all(P is not None and P.gen_degrees == (2, 2) for _, P in seen)
 
 
 def test_tc_verified_lower_nondecreasing_in_n():

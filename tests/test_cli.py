@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -124,6 +128,30 @@ def test_bounds_eqtc_requires_group(capsys):
 def test_cup_command(capsys):
     assert main(["cup", "--space", "rp:2", "--n", "2"]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
+    # perfbench/tracer.py wraps these names from outside; renaming one
+    # silently empties a per-layer metric of the traced benchmark run.
+    # This checks names and counts only, not the oracle-cache key the
+    # tracer also reads.
+    root = Path(__file__).resolve().parents[1]
+    mark, trace = tmp_path / "mark", tmp_path / "trace.json"
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(mark), str(trace),
+         "cup", "--space", "rp:2", "--n", "2"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "3\n"
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    for name in ("cuplength.cup_exact", "gf2.matmul", "gf2.row_space",
+                 "tensorpower.kernel_basis"):
+        assert name in doc["functions"]
+    assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 
 
 def test_cup_resource_limit_exit_3():

@@ -1,7 +1,10 @@
+import numpy as np
 import pytest
 
+from milnortc import gf2
 from milnortc.cuplength import (
     Certificate,
+    _mult_matrix,
     cup_exact,
     cup_search,
     default_pool,
@@ -12,6 +15,7 @@ from milnortc.errors import ResourceLimitError
 from milnortc.exprs import evaluate_text
 from milnortc.f2algebra import make_presentation
 from milnortc.spaces import cohomology_of, parse_space
+from milnortc.tensorpower import kernel_basis, tensor_slice
 
 
 def ring(text):
@@ -107,12 +111,37 @@ def test_oracle_klein_bottle():
     assert cup_exact(P, 3) == 6
 
 
+def cup_by_kernel_basis(P, n):
+    """Reference oracle: each power K^(m+1) is spanned by the products of
+    K^m with every element of a kernel basis, not only with the ideal
+    generators g_i + g_{i+1} that cup_exact uses."""
+    nd = n * P.top_degree
+    width = {d: len(tensor_slice(P, n, d)) for d in range(nd + 1)}
+    kernels = [kernel_basis(P, n, d) for d in range(1, nd + 1)]
+    gens = [(el, kb.degree) for kb in kernels for el in kb.elements]
+    V = {kb.degree: kb.rows for kb in kernels if len(kb)}
+    mat_cache = {}
+    m = 0
+    while V:
+        m += 1
+        products = {}
+        for el, dg in gens:
+            for d, rows in V.items():
+                if d + dg <= nd:
+                    mat = _mult_matrix(P, n, el, d, d + dg, mat_cache)
+                    products.setdefault(d + dg, []).append(gf2.matmul(rows, width[d], mat))
+        V = {}
+        for d, blocks in products.items():
+            basis = gf2.row_space(np.vstack(blocks), width[d])
+            if basis.shape[0]:
+                V[d] = basis
+    return m
+
+
 def test_oracle_generator_modes_agree():
     for space, n in (("rp:2", 2), ("rp:2", 3), ("rh:2,1", 2), ("rh:3,2", 2)):
         P = ring(space)
-        assert cup_exact(P, n, generators="ideal") == cup_exact(
-            P, n, generators="kernel-basis"
-        )
+        assert cup_exact(P, n) == cup_by_kernel_basis(P, n)
 
 
 def test_oracle_zero_and_trivial_rings():
@@ -138,9 +167,22 @@ def test_oracle_chain_containment():
             assert gf2.rank(stacked, ncols) == gf2.rank(lvl[d], ncols)
 
 
-def test_oracle_resource_limit():
-    with pytest.raises(ResourceLimitError):
-        cup_exact(ring("rp:4"), 3, max_slice=4)
+def test_oracle_resource_limit(monkeypatch):
+    # rp:4 at n=3 has slices 1, 3, 6, 10, ...: degrees 1 and 2 fit a cap of
+    # 6, degree 3 does not, and the oracle must refuse before building any
+    import milnortc.cuplength as cuplength
+    import milnortc.tensorpower as tensorpower
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a slice was built before the cap check")
+
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(cuplength, "kernel_basis", forbidden)
+    monkeypatch.setattr(cuplength, "tensor_slice", forbidden)
+    monkeypatch.setattr(tensorpower, "tensor_slice", forbidden)
+    with pytest.raises(ResourceLimitError) as err:
+        cup_exact(ring("rp:4"), 3, max_slice=6)
+    assert err.value.dimension == 10
 
 
 def test_oracle_caches():

@@ -77,26 +77,6 @@ def test_matmul_matches_dense(rng):
         assert np.array_equal(got, (a.astype(np.int64) @ b) % 2)
 
 
-@pytest.mark.skipif(gf2._eliminate_njit is None, reason="numba unavailable")
-def test_backends_agree(rng):
-    for _ in range(10):
-        rows, cols = rng.integers(1, 50, size=2)
-        dense = rng.integers(0, 2, size=(rows, cols), dtype=np.uint8)
-        packed = gf2.pack_rows(dense)
-        w1, w2 = packed.copy(), packed.copy()
-        p1 = np.full(rows, -1, dtype=np.int64)
-        p2 = np.full(rows, -1, dtype=np.int64)
-        r1 = gf2._eliminate_numpy(w1, int(cols), p1)
-        r2 = gf2._eliminate_njit(w2, int(cols), p2)
-        assert r1 == r2
-        assert np.array_equal(w1, w2)
-        b = gf2.pack_rows(rng.integers(0, 2, size=(cols, 17), dtype=np.uint8))
-        assert np.array_equal(
-            gf2._matmul_numpy(packed, int(cols), b),
-            gf2._matmul_njit(packed, int(cols), b),
-        )
-
-
 def test_row_space_is_canonical(rng):
     dense = rng.integers(0, 2, size=(8, 12), dtype=np.uint8)
     packed = gf2.pack_rows(dense)
