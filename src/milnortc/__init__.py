@@ -38,7 +38,7 @@ from .spaces import (
     format_space,
     parse_space,
 )
-from .tensorpower import TensorElement, diagonal_eval, inject, kernel_basis
+from .tensorpower import diagonal_eval, inject, kernel_basis, tensor_power
 
 __version__ = "1.0.0"
 
@@ -60,7 +60,6 @@ __all__ = [
     "ResourceLimitError",
     "RuleTrace",
     "SearchFailure",
-    "TensorElement",
     "VerificationReport",
     "Z2",
     "admits_free_circle",
@@ -88,6 +87,7 @@ __all__ = [
     "parse_factor_expr",
     "parse_space",
     "tc_bounds",
+    "tensor_power",
     "to_string",
     "verify_certificate",
 ]

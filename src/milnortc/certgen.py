@@ -80,6 +80,7 @@ def cert_case2(p1: int, p2: int, n: int):
     narrow = [
         _pair(g, 2 * i, 2 * i + 2) for i in range(1, k) for g in ("a", "b")
     ]
+    narrow_set = set(narrow)
     wide = [
         _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
@@ -90,6 +91,8 @@ def cert_case2(p1: int, p2: int, n: int):
         else:
             choices = combinations_with_replacement(sorted(set(pool)), k - 1)
         for combo in choices:
+            if pool is wide and narrow_set.issuperset(combo):
+                continue  # the narrow pass verified and rejected it
             factors = list(base)
             for expr in combo:
                 factors.append((expr, 2))

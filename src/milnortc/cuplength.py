@@ -20,23 +20,20 @@ import numpy as np
 from . import gf2
 from .errors import ResourceLimitError
 from .exprs import evaluate, parse_factor_expr, to_string
-from .f2algebra import Presentation, generator
+from .f2algebra import Element, Presentation, generator, multiply, power, unit
 from .spaces import cohomology_of, parse_space
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
-    TensorElement,
     diagonal_eval,
     inject,
     kernel_basis,
     slice_dimension,
-    t_multiply,
-    t_power,
-    t_unit,
+    tensor_power,
     tensor_slice,
 )
 
 
-def is_zero_divisor(u: TensorElement) -> bool:
+def is_zero_divisor(u: Element) -> bool:
     """True iff u lies in the kernel of the diagonal map."""
     return diagonal_eval(u).is_zero
 
@@ -101,7 +98,7 @@ def verify_certificate(
     P = _resolve(cert, presentation)
     n = cert.n
     checks = []
-    product = t_unit(P, n)
+    product = unit(tensor_power(P, n))
     all_zero_divisors = True
     for text, mult in cert.factors:
         el = evaluate(parse_factor_expr(text, n, P), P, n)
@@ -109,7 +106,7 @@ def verify_certificate(
         all_zero_divisors = all_zero_divisors and zd
         checks.append(FactorCheck(text, zd, el.degree))
         if not product.is_zero:
-            product = t_multiply(product, t_power(el, mult))
+            product = multiply(product, power(el, mult))
     nonzero = not product.is_zero
     factors_ok = all_zero_divisors or cert.cat_witness
     if not factors_ok:
@@ -152,10 +149,9 @@ def _mult_matrix(P, n, gen_el, d_from, d_to, cache):
     dst = tensor_slice(P, n, d_to)
     index = {tup: i for i, tup in enumerate(dst)}
     dense = np.zeros((max(1, len(src)), max(1, len(dst))), dtype=np.uint8)
+    mul_supports, gen_support = gen_el.algebra.mul_supports, gen_el.support
     for row, tup in enumerate(src):
-        mono_el = TensorElement(P, n, frozenset((tup,)))
-        prod = t_multiply(gen_el, mono_el)
-        for out in prod.support:
+        for out in mul_supports(gen_support, (tup,)):
             dense[row, index[out]] ^= 1
     mat = gf2.pack_rows(dense)[: len(src)]
     cache[key] = mat
@@ -311,7 +307,7 @@ def cup_search(
             if len(indices) >= max_len:
                 return
             for idx in range(start, len(entries)):
-                nxt = t_multiply(product, entries[idx][1])
+                nxt = multiply(product, entries[idx][1])
                 if nxt.is_zero:
                     continue
                 indices.append(idx)
@@ -319,15 +315,15 @@ def cup_search(
                 dfs(idx, indices, nxt)
                 indices.pop()
 
-        dfs(0, [], t_unit(P, n))
+        dfs(0, [], unit(tensor_power(P, n)))
     elif strategy == "greedy-beam":
-        level = [((), t_unit(P, n))]
+        level = [((), unit(tensor_power(P, n)))]
         while level:
             candidates = {}
             for indices, product in level:
                 start = indices[-1] if indices else 0
                 for idx in range(start, len(entries)):
-                    nxt = t_multiply(product, entries[idx][1])
+                    nxt = multiply(product, entries[idx][1])
                     if nxt.is_zero:
                         continue
                     new_indices = indices + (idx,)

@@ -18,8 +18,8 @@ import re
 from dataclasses import dataclass
 
 from .errors import ExprSyntaxError
-from .f2algebra import Presentation, generator
-from .tensorpower import TensorElement, inject, t_multiply, t_power, t_unit
+from .f2algebra import Element, Presentation, generator, multiply, power, unit
+from .tensorpower import inject, tensor_power
 
 
 @dataclass(frozen=True)
@@ -201,14 +201,12 @@ def parse_factor_expr(text: str, arity: int, presentation: Presentation | None =
     return node
 
 
-def evaluate(node, P: Presentation, n: int) -> TensorElement:
+def evaluate(node, P: Presentation, n: int) -> Element:
     """Evaluate an expression AST in the n-fold tensor power of P."""
     if isinstance(node, Gen):
-        if not 1 <= node.position <= n:
-            raise ValueError(f"position {node.position} out of range 1..{n}")
         return inject(P, n, node.position, generator(P, _resolve_gen(P, node.name)))
     if isinstance(node, Unit):
-        return t_unit(P, n)
+        return unit(tensor_power(P, n))
     if isinstance(node, Sum):
         acc = evaluate(node.terms[0], P, n)
         for t in node.terms[1:]:
@@ -217,12 +215,12 @@ def evaluate(node, P: Presentation, n: int) -> TensorElement:
     if isinstance(node, Prod):
         acc = evaluate(node.factors[0], P, n)
         for f in node.factors[1:]:
-            acc = t_multiply(acc, evaluate(f, P, n))
+            acc = multiply(acc, evaluate(f, P, n))
         return acc
     if isinstance(node, Pow):
-        return t_power(evaluate(node.base, P, n), node.exponent)
+        return power(evaluate(node.base, P, n), node.exponent)
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def evaluate_text(text: str, P: Presentation, n: int) -> TensorElement:
+def evaluate_text(text: str, P: Presentation, n: int) -> Element:
     return evaluate(parse_factor_expr(text, n, P), P, n)

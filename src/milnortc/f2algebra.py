@@ -1,5 +1,12 @@
 """Exact arithmetic in finite-dimensional graded mod-2 algebras.
 
+An algebra here is a :class:`Presentation` or a tensor power of one
+(:class:`milnortc.tensorpower.TensorPower`); :class:`Element`,
+:func:`multiply`, :func:`power`, :func:`unit` and :func:`zero` serve both.
+Each algebra supplies ``one`` (its unit monomial, or None in the zero
+ring), ``is_basic``, ``monomial_degree``, ``format_monomial`` and
+``mul_supports``, its loop multiplying two supports.
+
 Three presentation kinds are supported:
 
 * ``milnor`` -- two generators a, b with ``a^(s+1) = 0`` and
@@ -67,9 +74,10 @@ class Presentation:
             slices.setdefault(self.monomial_degree(mono), []).append(i)
         self.degree_slices = {d: tuple(v) for d, v in slices.items()}
         self.top_degree = max(self.degree_slices) if self.basis else 0
+        one = (0,) * self.ngens
+        self.one = one if one in self.rank_of else None
         self._nf_cache: dict = {}
         self._mul_cache: dict = {}
-        self._tensor_slices: dict = {}
 
     @property
     def cache_key(self):
@@ -81,6 +89,15 @@ class Presentation:
 
     def monomial_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
+
+    def is_basic(self, mono) -> bool:
+        return mono in self.rank_of
+
+    def format_monomial(self, mono) -> str:
+        factors = [
+            f"{g}^{e}" if e > 1 else g for g, e in zip(self.gen_names, mono) if e
+        ]
+        return "*".join(factors) or "1"
 
     # -- normal form ----------------------------------------------------
 
@@ -152,6 +169,14 @@ class Presentation:
             self._mul_cache[key] = cached
         return cached
 
+    def mul_supports(self, xs, ys) -> set:
+        """Product of two supports, one memoised monomial product per pair."""
+        out: set = set()
+        for mx in xs:
+            for my in ys:
+                out ^= self.mono_mul(mx, my)
+        return out
+
     def __repr__(self):
         return f"Presentation{self.cache_key}"
 
@@ -207,15 +232,25 @@ def make_presentation(spec=None, **kwargs) -> Presentation:
 
 @dataclass(frozen=True)
 class Element:
-    """Mod-2 sum of basic monomials of one presentation."""
+    """Mod-2 sum of basic monomials of one algebra: a presentation or a
+    tensor power of one."""
 
-    presentation: Presentation
+    algebra: object
     support: frozenset
 
     def __post_init__(self):
         for mono in self.support:
-            if mono not in self.presentation.rank_of:
+            if not self.algebra.is_basic(mono):
                 raise ValueError(f"non-basic monomial in support: {mono}")
+
+    @classmethod
+    def computed(cls, algebra, support: frozenset) -> "Element":
+        """An element whose support the engine computed from basic
+        monomials, so it is not checked again."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "algebra", algebra)
+        object.__setattr__(el, "support", support)
+        return el
 
     @property
     def is_zero(self) -> bool:
@@ -224,12 +259,12 @@ class Element:
     @property
     def degree(self):
         """Common degree of the support, or None if zero/inhomogeneous."""
-        degs = {self.presentation.monomial_degree(m) for m in self.support}
+        degs = {self.algebra.monomial_degree(m) for m in self.support}
         return degs.pop() if len(degs) == 1 else None
 
     def __add__(self, other: "Element") -> "Element":
         _check_same(self, other)
-        return Element(self.presentation, self.support ^ other.support)
+        return Element.computed(self.algebra, self.support ^ other.support)
 
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
@@ -238,31 +273,22 @@ class Element:
         return power(self, e)
 
     def __repr__(self):
-        if not self.support:
-            return "Element(0)"
-        names = self.presentation.gen_names
-        terms = []
-        for mono in sorted(self.support):
-            factors = [
-                f"{g}^{e}" if e > 1 else g for g, e in zip(names, mono) if e
-            ]
-            terms.append("*".join(factors) or "1")
-        return "Element(" + " + ".join(terms) + ")"
+        terms = map(self.algebra.format_monomial, sorted(self.support))
+        return "Element(" + (" + ".join(terms) or "0") + ")"
 
 
 def _check_same(x: Element, y: Element):
-    if x.presentation is not y.presentation:
-        raise ValueError("elements belong to different presentations")
+    if x.algebra is not y.algebra:
+        raise ValueError("elements belong to different algebras")
 
 
-def zero(P: Presentation) -> Element:
-    return Element(P, frozenset())
+def zero(A) -> Element:
+    return Element.computed(A, frozenset())
 
 
-def unit(P: Presentation) -> Element:
+def unit(A) -> Element:
     """The multiplicative unit (zero in the zero ring)."""
-    one = (0,) * P.ngens
-    return Element(P, frozenset((one,)) if one in P.rank_of else frozenset())
+    return Element.computed(A, frozenset() if A.one is None else frozenset((A.one,)))
 
 
 def generator(P: Presentation, name: str) -> Element:
@@ -280,18 +306,14 @@ def normal_form(P: Presentation, raw_exps) -> Element:
 
 def multiply(x: Element, y: Element) -> Element:
     _check_same(x, y)
-    P = x.presentation
-    out: set = set()
-    for mx in x.support:
-        for my in y.support:
-            out ^= P.mono_mul(mx, my)
-    return Element(P, frozenset(out))
+    A = x.algebra
+    return Element.computed(A, frozenset(A.mul_supports(x.support, y.support)))
 
 
 def power(x: Element, e: int) -> Element:
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    result = unit(x.presentation)
+    result = unit(x.algebra)
     base = x
     while e:
         if e & 1:

@@ -82,8 +82,10 @@ class ProductSpace:
 def _check_rs(r, s):
     if not (isinstance(r, int) and isinstance(s, int)):
         raise ValueError("r and s must be integers")
-    if not 0 <= s <= r:
-        raise ValueError(f"Milnor manifold requires 0 <= s <= r, got r={r}, s={s}")
+    if not 0 <= s <= r or r < 1:
+        raise ValueError(
+            f"Milnor manifold requires r >= 1 and 0 <= s <= r, got r={r}, s={s}"
+        )
 
 
 def cohomology_of(space) -> Presentation:

@@ -1,10 +1,14 @@
 """Künneth tensor powers, the diagonal homomorphism, and exact kernels.
 
-A tensor monomial is an n-tuple of basic monomials of the base
-presentation; a tensor element is a mod-2 set of such tuples.  The
-diagonal map evaluates a tensor monomial to the product of its components
-in the base ring; :func:`kernel_basis` computes an exact nullspace basis
-of that map on a single degree slice.
+:func:`tensor_power` gives the n-fold tensor power of a presentation as an
+algebra that :class:`~milnortc.f2algebra.Element` and the f2algebra
+arithmetic accept.  Its monomials are n-tuples of basic monomials of the
+base presentation.  Its basis is never enumerated whole: degree slices are
+built on demand by :func:`tensor_slice` and kept on the power, and its
+products are computed slot by slot, not memoised.  The diagonal map
+evaluates a tensor monomial to the product of its components in the base
+ring; :func:`kernel_basis` computes an exact nullspace basis of that map
+on a single degree slice.
 """
 
 from __future__ import annotations
@@ -20,120 +24,79 @@ from .f2algebra import Element, Presentation, poincare_series
 
 DEFAULT_MAX_SLICE = 1 << 20
 
-
-@dataclass(frozen=True)
-class TensorElement:
-    """Mod-2 sum of n-tuples of basic monomials of one base presentation."""
-
-    presentation: Presentation
-    n: int
-    support: frozenset
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
-    @property
-    def degree(self):
-        P = self.presentation
-        degs = {
-            sum(P.monomial_degree(c) for c in tup) for tup in self.support
-        }
-        return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other: "TensorElement") -> "TensorElement":
-        _check_compatible(self, other)
-        return TensorElement(self.presentation, self.n, self.support ^ other.support)
-
-    def __mul__(self, other: "TensorElement") -> "TensorElement":
-        return t_multiply(self, other)
-
-    def __pow__(self, e: int) -> "TensorElement":
-        return t_power(self, e)
-
-    def __repr__(self):
-        if not self.support:
-            return "TensorElement(0)"
-        names = self.presentation.gen_names
-        terms = []
-        for tup in sorted(self.support):
-            slots = []
-            for mono in tup:
-                factors = [
-                    f"{g}^{e}" if e > 1 else g for g, e in zip(names, mono) if e
-                ]
-                slots.append("*".join(factors) or "1")
-            terms.append("(" + "⊗".join(slots) + ")")
-        return "TensorElement(" + " + ".join(terms) + ")"
+_POWER_CACHE: dict = {}
 
 
-def _check_compatible(u: TensorElement, v: TensorElement):
-    if u.presentation is not v.presentation:
-        raise ValueError("tensor elements over different presentations")
-    if u.n != v.n:
-        raise ValueError(f"arity mismatch: {u.n} vs {v.n}")
+class TensorPower:
+    """The n-fold tensor power of a base presentation.
+
+    Construct via :func:`tensor_power`, which interns instances so equal
+    (presentation, n) pairs share one object.
+    """
+
+    def __init__(self, base: Presentation, n: int):
+        self.base = base
+        self.n = n
+        self.one = None if base.one is None else (base.one,) * n
+        self._slices: dict = {}
+
+    def monomial_degree(self, tup) -> int:
+        return sum(self.base.monomial_degree(c) for c in tup)
+
+    def is_basic(self, tup) -> bool:
+        return (
+            isinstance(tup, tuple)
+            and len(tup) == self.n
+            and all(self.base.is_basic(c) for c in tup)
+        )
+
+    def format_monomial(self, tup) -> str:
+        return "(" + "⊗".join(map(self.base.format_monomial, tup)) + ")"
+
+    def mul_supports(self, xs, ys) -> set:
+        """Product of two supports: each pair of tensor monomials multiplies
+        slot by slot in the base ring, then expands the tensor of the slot
+        supports."""
+        P = self.base
+        out: set = set()
+        for mu in xs:
+            for mv in ys:
+                slot_supports = []
+                for cu, cv in zip(mu, mv):
+                    sup = P.mono_mul(cu, cv)
+                    if not sup:
+                        break
+                    slot_supports.append(sup)
+                else:
+                    out ^= set(iproduct(*slot_supports))
+        return out
 
 
-def t_zero(P: Presentation, n: int) -> TensorElement:
-    return TensorElement(P, n, frozenset())
+def tensor_power(P: Presentation, n: int) -> TensorPower:
+    """The interned n-fold tensor power of P."""
+    T = _POWER_CACHE.get((P, n))
+    if T is None:
+        T = _POWER_CACHE[(P, n)] = TensorPower(P, n)
+    return T
 
 
-def t_unit(P: Presentation, n: int) -> TensorElement:
-    one = (0,) * P.ngens
-    if one not in P.rank_of:
-        return t_zero(P, n)
-    return TensorElement(P, n, frozenset(((one,) * n,)))
-
-
-def inject(P: Presentation, n: int, i: int, x: Element) -> TensorElement:
+def inject(P: Presentation, n: int, i: int, x: Element) -> Element:
     """Image of x under the i-th projection pullback: units in all other slots."""
     if not 1 <= i <= n:
         raise ValueError(f"position {i} out of range 1..{n}")
-    if x.presentation is not P:
+    if x.algebra is not P:
         raise ValueError("element is not over the given presentation")
-    one = (0,) * P.ngens
-    if one not in P.rank_of:
-        return t_zero(P, n)
+    # the zero ring has no unit, but then x.support is empty too
     support = frozenset(
-        tuple(mono if k == i - 1 else one for k in range(n)) for mono in x.support
+        tuple(mono if k == i - 1 else P.one for k in range(n)) for mono in x.support
     )
-    return TensorElement(P, n, support)
+    return Element.computed(tensor_power(P, n), support)
 
 
-def t_multiply(u: TensorElement, v: TensorElement) -> TensorElement:
-    _check_compatible(u, v)
-    P = u.presentation
-    out: set = set()
-    for mu in u.support:
-        for mv in v.support:
-            slot_supports = []
-            for cu, cv in zip(mu, mv):
-                sup = P.mono_mul(cu, cv)
-                if not sup:
-                    break
-                slot_supports.append(sup)
-            else:
-                out ^= set(iproduct(*slot_supports))
-    return TensorElement(P, u.n, frozenset(out))
-
-
-def t_power(u: TensorElement, e: int) -> TensorElement:
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    result = t_unit(u.presentation, u.n)
-    base = u
-    while e:
-        if e & 1:
-            result = t_multiply(result, base)
-        base = t_multiply(base, base) if e > 1 else base
-        e >>= 1
-    return result
-
-
-def diagonal_eval(u: TensorElement) -> Element:
+def diagonal_eval(u: Element) -> Element:
     """Ring homomorphism replacing each tensor monomial by the product of
     its components in the base ring."""
-    P = u.presentation
+    P = u.algebra.base
     out: set = set()
     for tup in u.support:
         total = tuple(sum(col) for col in zip(*tup))
@@ -159,8 +122,8 @@ def slice_dimension(P: Presentation, n: int, d: int) -> int:
 
 def tensor_slice(P: Presentation, n: int, d: int):
     """All degree-d tensor monomials, sorted componentwise by basis rank."""
-    key = (n, d)
-    cached = P._tensor_slices.get(key)
+    slices = tensor_power(P, n)._slices
+    cached = slices.get(d)
     if cached is not None:
         return cached
     out = []
@@ -187,7 +150,7 @@ def tensor_slice(P: Presentation, n: int, d: int):
     # order must follow component ranks, not raw exponent tuples
     out.sort(key=lambda tup: tuple(P.rank_of[c] for c in tup))
     result = tuple(out)
-    P._tensor_slices[key] = result
+    slices[d] = result
     return result
 
 
@@ -208,11 +171,11 @@ class KernelBasis:
 
     @property
     def elements(self) -> tuple:
-        """The basis decoded into tensor elements."""
+        """The basis decoded into elements of the tensor power."""
         P, n = self.presentation, self.n
-        slc = tensor_slice(P, n, self.degree)
+        T, slc = tensor_power(P, n), tensor_slice(P, n, self.degree)
         return tuple(
-            TensorElement(P, n, frozenset(slc[j] for j in np.nonzero(row)[0]))
+            Element.computed(T, frozenset(slc[j] for j in np.nonzero(row)[0]))
             for row in gf2.unpack_rows(self.rows, len(slc))
         )
 

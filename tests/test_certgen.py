@@ -1,5 +1,6 @@
 import pytest
 
+from milnortc import certgen
 from milnortc.certgen import (
     cert_case1,
     cert_case2,
@@ -116,3 +117,19 @@ def test_cat_topclass_from_string():
 def test_generation_is_deterministic():
     assert cert_case1(1, 2, 3) == cert_case1(1, 2, 3)
     assert cert_proj(2, 4) == cert_proj(2, 4)
+
+
+def test_case2_verifies_each_combination_once(monkeypatch):
+    # the wide pool contains the narrow one; the wide pass must skip the
+    # combinations the narrow pass has already verified and rejected
+    verified = []
+
+    def spy(cert, **kwargs):
+        verified.append(cert.factors)
+        return verify_certificate(cert, **kwargs)
+
+    monkeypatch.setattr(certgen, "verify_certificate", spy)
+    result = cert_case2(2, 3, 4)
+    assert isinstance(result, SearchFailure)
+    assert result.reason == "no bridging classes gave a nonzero product"
+    assert len(verified) == len(set(verified)) == 12

@@ -154,6 +154,27 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 
 
+def test_benchmark_tracer_traces_a_verify_run(tmp_path):
+    # tensor products run in f2algebra.multiply; the traced certify run
+    # relies on the tracer wrapping it and dumping the trace afterwards
+    root = Path(__file__).resolve().parents[1]
+    mark, trace, cert = tmp_path / "mark", tmp_path / "trace.json", tmp_path / "c.json"
+    cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, str(root / "perfbench" / "tracer.py"), str(mark), str(trace),
+         "verify", "--cert", str(cert)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "verdict: Verified" in proc.stdout
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    for name in ("f2algebra.multiply", "cuplength.verify_certificate"):
+        assert name in doc["functions"]
+
+
 def test_cup_resource_limit_exit_3():
     assert main(["cup", "--space", "rp:4", "--n", "3", "--max-slice", "4"]) == 3
 
@@ -165,6 +186,15 @@ def test_invalid_input_exit_2(capsys):
     assert main(["bounds", "--space", "rh:4,3", "--quantity", "eqtc", "--n", "2",
                  "--group", "s1"]) == 2  # refusal: no free action
     capsys.readouterr()
+
+
+def test_milnor_r_zero_exit_2(capsys):
+    # r = 0 is the zero ring, not a manifold; refuse it before any rule runs
+    assert main(["bounds", "--space", "rh:0,0", "--quantity", "cat", "--n", "2"]) == 2
+    assert "requires r >= 1" in capsys.readouterr().err
+    assert main(["table", "--family", "rh", "--r", "0..1", "--s", "0..1",
+                 "--n", "2"]) == 2
+    assert "requires r >= 1" in capsys.readouterr().err
 
 
 def test_verify_command_exit_codes(tmp_path, capsys):

@@ -36,6 +36,12 @@ def test_zero_ring():
     assert unit(P).is_zero
 
 
+def test_element_rejects_non_basic_monomial():
+    P = milnor(1, 2)
+    with pytest.raises(ValueError, match="non-basic"):
+        Element(P, frozenset({(2, 0)}))  # a^2 = 0 when s = 1
+
+
 @pytest.mark.parametrize("s,r", [(1, 2), (2, 3), (3, 4), (2, 4)])
 def test_relation_reduces_to_zero(s, r):
     P = milnor(s, r)

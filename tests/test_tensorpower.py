@@ -3,15 +3,21 @@ import random
 import pytest
 
 from milnortc.errors import ResourceLimitError
-from milnortc.f2algebra import Element, generator, make_presentation, multiply, zero
+from milnortc.f2algebra import (
+    Element,
+    generator,
+    make_presentation,
+    multiply,
+    power,
+    unit,
+    zero,
+)
 from milnortc.tensorpower import (
     diagonal_eval,
     inject,
     kernel_basis,
     slice_dimension,
-    t_multiply,
-    t_power,
-    t_unit,
+    tensor_power,
     tensor_slice,
 )
 
@@ -30,9 +36,9 @@ def rand_element(P, rng, max_terms=3):
 
 
 def rand_tensor(P, n, rng):
-    u = t_unit(P, n)
+    u = unit(tensor_power(P, n))
     for i in range(1, n + 1):
-        u = t_multiply(u, inject(P, n, i, rand_element(P, rng)))
+        u = multiply(u, inject(P, n, i, rand_element(P, rng)))
     return u
 
 
@@ -50,7 +56,7 @@ def test_diagonal_eval_multiplicative(P):
     for n in (2, 3):
         for _ in range(30):
             u, v = rand_tensor(P, n, rng), rand_tensor(P, n, rng)
-            assert diagonal_eval(t_multiply(u, v)) == multiply(
+            assert diagonal_eval(multiply(u, v)) == multiply(
                 diagonal_eval(u), diagonal_eval(v)
             )
 
@@ -80,10 +86,28 @@ def test_multiplication_commutes_and_distributes(P):
     rng = random.Random(17)
     for _ in range(25):
         u, v, w = (rand_tensor(P, 2, rng) for _ in range(3))
-        assert t_multiply(u, v) == t_multiply(v, u)
-        assert t_multiply(u, v + w) == t_multiply(u, v) + t_multiply(u, w)
+        assert multiply(u, v) == multiply(v, u)
+        assert multiply(u, v + w) == multiply(u, v) + multiply(u, w)
     u = rand_tensor(P, 2, rng)
-    assert t_power(u, 3) == t_multiply(u, t_multiply(u, u))
+    assert power(u, 3) == multiply(u, multiply(u, u))
+
+
+def test_element_rejects_non_basic_tensor_monomial(P):
+    T = tensor_power(P, 2)
+    one, top = P.basis[0], P.basis[-1]
+    assert Element(T, frozenset({(one, top)})).degree == P.top_degree
+    with pytest.raises(ValueError, match="non-basic"):
+        Element(T, frozenset({(one, (P.s + 1, 0))}))  # a^(s+1) = 0
+    with pytest.raises(ValueError, match="non-basic"):
+        Element(T, frozenset({(one, one, one)}))  # a monomial of the cube
+
+
+def test_product_needs_one_algebra(P):
+    a = generator(P, "a")
+    with pytest.raises(ValueError, match="different algebras"):
+        multiply(inject(P, 2, 1, a), inject(P, 3, 1, a))
+    with pytest.raises(ValueError, match="different algebras"):
+        multiply(a, inject(P, 2, 1, a))
 
 
 def test_kernel_basis_rank_nullity(P):
@@ -102,9 +126,8 @@ def test_kernel_trivial_in_degree_zero(P):
 
 
 def test_degree_zero_slice_is_unit(P):
-    assert tensor_slice(P, 2, 0) == [tuple(P.basis[0] for _ in range(2))] or (
-        slice_dimension(P, 2, 0) == 1
-    )
+    assert tensor_slice(P, 2, 0) == ((P.basis[0],) * 2,)
+    assert slice_dimension(P, 2, 0) == 1
 
 
 def test_resource_limit_fires(P):
