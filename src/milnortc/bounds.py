@@ -4,21 +4,20 @@ interval reports with per-rule provenance.
 Every trace entry is tagged ``machine-verified`` (backed by a verified
 certificate or the exact oracle) or ``claimed`` (a closed-form bound taken
 from the literature).  The two are never merged: a report carries both the
-overall lower bound and the best machine-verified one.
+overall lower bound and the best machine-verified one.  Every number of a
+report is read off its trace rows.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .certgen import cert_case1, cert_case2, cert_cat_topclass, cert_proj, cert_r2t
-from .cuplength import Certificate, SearchFailure, cup_exact, verify_certificate
+from .cuplength import SearchFailure, cup_exact, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
 from .spaces import (
     ComplexMilnor,
-    ComplexProj,
-    ProductSpace,
     RealMilnor,
     RealProj,
     cohomology_of,
@@ -74,11 +73,47 @@ class BoundReport:
     group: str | None = None
     verified_lower: int | None = None
     trace: tuple = field(default_factory=tuple)
-    inconsistent: bool = False
+
+    @property
+    def inconsistent(self) -> bool:
+        return self.lower > self.upper
 
 
 def _as_space(space):
     return parse_space(space) if isinstance(space, str) else space
+
+
+def _report(space, quantity: str, n: int, trace: list) -> BoundReport:
+    """The interval read off the trace: the largest lower row (1 when there
+    is none), the smallest upper row, and the largest machine-verified
+    lower row.  None entries, certificates that did not verify, are
+    dropped."""
+    trace = [t for t in trace if t is not None]
+    return BoundReport(
+        space=format_space(space),
+        quantity=quantity,
+        n=n,
+        lower=max((t.value for t in trace if t.bound == "lower"), default=1),
+        upper=min(t.value for t in trace if t.bound == "upper"),
+        verified_lower=max(
+            (
+                t.value
+                for t in trace
+                if t.bound == "lower" and t.status == "machine-verified"
+            ),
+            default=None,
+        ),
+        trace=tuple(trace),
+    )
+
+
+def _verified_row(cert, P, rule: str, source: str) -> RuleTrace | None:
+    """The machine-verified lower row of a certificate checked in the ring
+    P, or None when it does not verify."""
+    report = verify_certificate(cert, presentation=P)
+    if report.verdict != "Verified":
+        return None
+    return RuleTrace(rule, source, "lower", report.verified_cup + 1, "machine-verified")
 
 
 def _largest_power_of_two_at_most(x: int):
@@ -108,79 +143,27 @@ def admits_free_circle(r: int, s: int) -> FreeAction:
 # --- category ----------------------------------------------------------------
 
 
-def _gen_expr(name: str, pos: int) -> str:
-    if "." in name:
-        base, factor = name.split(".")
-        return f"{base}.{factor}.{pos}"
-    return f"{name}{pos}"
-
-
-def _top_class_certificate(space, n: int) -> Certificate | None:
-    """Product of top-monomial generator powers in every slot; witnesses the
-    cup-length of the ring of the n-fold power."""
-    if isinstance(space, (RealMilnor, ComplexMilnor)):
-        return cert_cat_topclass(space, n)
-    P = cohomology_of(space)
-    if not P.basis:
-        return None
-    top_ranks = P.degree_slices[P.top_degree]
-    top = P.basis[top_ranks[0]]
-    factors = []
-    for i in range(1, n + 1):
-        for name, e in zip(P.gen_names, top):
-            if e > 0:
-                factors.append((_gen_expr(name, i), e))
-    claimed = n * sum(top)
-    if claimed == 0:
-        return None
-    return Certificate(
-        format_space(space), n, tuple(factors), claimed, claimed + 1, cat_witness=True
-    )
-
-
 def cat_bounds(space, n: int) -> BoundReport:
     """Category of the n-fold power: top-class witness below, dimension above."""
     space = _as_space(space)
     if n < 1:
         raise ValueError("n must be >= 1")
-    dim = space.dimension
     trace = [
         RuleTrace(
             "dimension-upper",
             "dimension of the n-fold power plus one",
             "upper",
-            n * dim + 1,
+            n * space.dimension + 1,
             "claimed",
-        )
+        ),
+        _verified_row(
+            cert_cat_topclass(space, n),
+            cohomology_of(space),
+            "top-class-witness",
+            "verified nonzero product of generator top powers",
+        ),
     ]
-    lower = 1
-    verified_lower = None
-    cert = _top_class_certificate(space, n)
-    if cert is not None:
-        report = verify_certificate(cert)
-        if report.verdict == "Verified":
-            lower = report.verified_cup + 1
-            verified_lower = lower
-            trace.append(
-                RuleTrace(
-                    "top-class-witness",
-                    "verified nonzero product of generator top powers",
-                    "lower",
-                    lower,
-                    "machine-verified",
-                )
-            )
-    upper = n * dim + 1
-    return BoundReport(
-        space=format_space(space),
-        quantity="cat",
-        n=n,
-        lower=lower,
-        upper=upper,
-        verified_lower=verified_lower,
-        trace=tuple(trace),
-        inconsistent=lower > upper,
-    )
+    return _report(space, "cat", n, trace)
 
 
 # --- higher topological complexity -------------------------------------------
@@ -277,8 +260,6 @@ def tc_bounds(
     P = cohomology_of(space)
     dim = space.dimension
     trace = []
-    lowers = [(1, None)]
-    verified = []
 
     if use_certs:
         for rule, builder in _applicable_certificates(space, n):
@@ -286,113 +267,67 @@ def tc_bounds(
                 cert = builder()
             except ValueError:
                 continue
-            if isinstance(cert, SearchFailure):
-                continue
-            report = verify_certificate(cert, presentation=P)
-            if report.verdict == "Verified":
-                val = report.verified_cup + 1
+            if not isinstance(cert, SearchFailure):
                 trace.append(
-                    RuleTrace(
-                        rule,
-                        "verified zero-divisor certificate",
-                        "lower",
-                        val,
-                        "machine-verified",
-                    )
+                    _verified_row(cert, P, rule, "verified zero-divisor certificate")
                 )
-                lowers.append((val, rule))
-                verified.append(val)
-        cat_prev = _top_class_certificate(space, n - 1)
-        if cat_prev is not None:
-            report = verify_certificate(cat_prev, presentation=P)
-            if report.verdict == "Verified":
-                val = report.verified_cup + 1
-                trace.append(
-                    RuleTrace(
-                        "category-of-lower-power",
-                        "verified category of the (n-1)-st power",
-                        "lower",
-                        val,
-                        "machine-verified",
-                    )
-                )
-                lowers.append((val, "cat"))
-                verified.append(val)
+        trace.append(
+            _verified_row(
+                cert_cat_topclass(space, n - 1),
+                P,
+                "category-of-lower-power",
+                "verified category of the (n-1)-st power",
+            )
+        )
 
     if use_oracle:
         try:
-            cup = cup_exact(P, n, max_slice=max_slice)
-            val = cup + 1
             trace.append(
                 RuleTrace(
                     "ideal-power-oracle",
                     "exact mod-2 zero-divisor cup-length plus one",
                     "lower",
-                    val,
+                    cup_exact(P, n, max_slice=max_slice) + 1,
                     "machine-verified",
                 )
             )
-            lowers.append((val, "oracle"))
-            verified.append(val)
         except ResourceLimitError:
             pass
 
     if use_monotonicity:
         for rule, source, val in _monotonicity_rules(space, n):
             trace.append(RuleTrace(rule, source, "lower", val, "claimed"))
-            lowers.append((val, rule))
 
-    uppers = [
-        (
+    trace.append(
+        RuleTrace(
+            "dimension-upper",
+            "dimension of the n-fold power plus one",
+            "upper",
             n * dim + 1,
-            RuleTrace(
-                "dimension-upper",
-                "dimension of the n-fold power plus one",
-                "upper",
-                n * dim + 1,
-                "claimed",
-            ),
-        ),
-        (
+            "claimed",
+        )
+    )
+    trace.append(
+        RuleTrace(
+            "category-of-power-upper",
+            "category of the n-th power dominates",
+            "upper",
             n * dim + 1,
-            RuleTrace(
-                "category-of-power-upper",
-                "category of the n-th power dominates",
-                "upper",
-                n * dim + 1,
-                "claimed",
-            ),
-        ),
-    ]
+            "claimed",
+        )
+    )
     if isinstance(space, RealMilnor) and space.s >= 1:
         if admits_free_circle(space.r, space.s) is FreeAction.YES:
-            uppers.append(
-                (
+            trace.append(
+                RuleTrace(
+                    "free-circle-upper",
+                    "free circle action improves the dimension bound",
+                    "upper",
                     n * dim,
-                    RuleTrace(
-                        "free-circle-upper",
-                        "free circle action improves the dimension bound",
-                        "upper",
-                        n * dim,
-                        "claimed",
-                    ),
+                    "claimed",
                 )
             )
-    for _, entry in uppers:
-        trace.append(entry)
-
-    lower = max(v for v, _ in lowers)
-    upper = min(v for v, _ in uppers)
-    return BoundReport(
-        space=format_space(space),
-        quantity="tc",
-        n=n,
-        lower=lower,
-        upper=upper,
-        verified_lower=max(verified) if verified else None,
-        trace=tuple(trace),
-        inconsistent=lower > upper,
-    )
+    return _report(space, "tc", n, trace)
 
 
 # --- equivariant -------------------------------------------------------------
@@ -447,32 +382,29 @@ def eqtc_bounds(
         use_monotonicity=use_monotonicity,
         max_slice=max_slice,
     )
-    dim = space.dimension
-    upper = n * dim - group.dim + 1
-    trace = list(tc.trace) + [
-        RuleTrace(
-            "equivariant-dominates-ordinary",
-            "ordinary complexity is a lower bound for the equivariant one",
-            "lower",
-            tc.lower,
-            "claimed",
-        ),
-        RuleTrace(
-            "free-action-orbit-dimension",
-            "orbit-space dimension bound for a free action",
-            "upper",
-            upper,
-            "claimed",
-        ),
-    ]
-    return BoundReport(
-        space=format_space(space),
+    upper = n * space.dimension - group.dim + 1
+    # the orbit bound alone is the upper end: the TC_n upper rows inherited
+    # from the trace do not bound the equivariant complexity
+    return replace(
+        tc,
         quantity="eqtc",
-        n=n,
         group=group.name,
-        lower=tc.lower,
         upper=upper,
-        verified_lower=tc.verified_lower,
-        trace=tuple(trace),
-        inconsistent=tc.lower > upper,
+        trace=tc.trace
+        + (
+            RuleTrace(
+                "equivariant-dominates-ordinary",
+                "ordinary complexity is a lower bound for the equivariant one",
+                "lower",
+                tc.lower,
+                "claimed",
+            ),
+            RuleTrace(
+                "free-action-orbit-dimension",
+                "orbit-space dimension bound for a free action",
+                "upper",
+                upper,
+                "claimed",
+            ),
+        ),
     )

@@ -11,11 +11,8 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .cuplength import Certificate, SearchFailure, verify_certificate
-from .spaces import ComplexMilnor, RealMilnor, format_space, parse_space
-
-
-def _is_power_of_two(x: int) -> bool:
-    return x >= 1 and (x & (x - 1)) == 0
+from .exprs import Gen, to_string
+from .spaces import RealMilnor, cohomology_of, format_space, parse_space
 
 
 def _pair(name: str, i: int, j: int) -> str:
@@ -46,8 +43,7 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
         factors.append((_pair("a", 2 * i - 1, 2 * i + 1), 2))
     if n % 2 == 1:
         factors.append((_pair("a", 2 * k, 2 * k + 1), s))
-        if r - 1 > 0:
-            factors.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
+        factors.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
     claimed = n * (s + r - 1) - 2
     return Certificate(format_space(RealMilnor(r, s)), n, tuple(factors), claimed, claimed + 1)
 
@@ -72,8 +68,7 @@ def cert_case2(p1: int, p2: int, n: int):
         base.append((_pair("b", 2 * i - 1, 2 * i), 2 * (r - 1) - 1))
     if n % 2 == 1:
         base.append((_pair("a", 2 * k, 2 * k + 1), s))
-        if r - 1 > 0:
-            base.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
+        base.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
     space = format_space(RealMilnor(r, s))
     claimed = n * (s + r - 1) - 2
 
@@ -86,11 +81,7 @@ def cert_case2(p1: int, p2: int, n: int):
     ]
     log = []
     for pool in (narrow, wide):
-        if k - 1 == 0:
-            choices = [()]
-        else:
-            choices = combinations_with_replacement(sorted(set(pool)), k - 1)
-        for combo in choices:
+        for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
             if pool is wide and narrow_set.issuperset(combo):
                 continue  # the narrow pass verified and rejected it
             factors = list(base)
@@ -101,8 +92,6 @@ def cert_case2(p1: int, p2: int, n: int):
             log.append((combo, report.verdict))
             if report.verdict == "Verified":
                 return cert
-        if k - 1 == 0:
-            break
     return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
 
 
@@ -115,8 +104,6 @@ def cert_r2t(s: int, t: int, n: int) -> Certificate:
     if n < 2:
         raise ValueError("arity must be >= 2")
     r = 2**t
-    if not _is_power_of_two(r):
-        raise ValueError("r must be a power of two")
     # s = 0 makes the claimed count exceed the top degree, so the
     # construction is only meaningful for s >= 1
     if not 1 <= s <= r:
@@ -124,15 +111,13 @@ def cert_r2t(s: int, t: int, n: int) -> Certificate:
     k = n // 2
     factors = []
     for i in range(1, k + 1):
-        if s > 0:
-            factors.append((_pair("a", 2 * i - 1, 2 * i), s))
+        factors.append((_pair("a", 2 * i - 1, 2 * i), s))
         factors.append((_pair("b", 2 * i - 1, 2 * i), 2 * r - 1))
     for i in range(1, k):
         if s - 1 > 0:
             factors.append((_pair("a", 2 * i, 2 * i + 2), s - 1))
     if n % 2 == 1:
-        if s > 0:
-            factors.append((_pair("a", 2 * k, 2 * k + 1), s))
+        factors.append((_pair("a", 2 * k, 2 * k + 1), s))
         if r - 1 > 0:
             factors.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
     claimed = n * (r + s - 1) - s + 1
@@ -161,29 +146,24 @@ def cert_proj(t: int, n: int) -> Certificate:
 
 
 def cert_cat_topclass(space, n: int) -> Certificate:
-    """Top-class witness for the category of the n-fold power: the product
-    of every generator of every slot raised to its top exponent.  The
-    factors are not zero divisors; the certificate is flagged accordingly
-    and witnesses the ring cup-length, giving cat >= count + 1."""
+    """Top-class witness for the category of the n-fold power: every
+    generator of every slot raised to its exponent in the top basis
+    monomial (a point gives the empty product).  The factors are not zero
+    divisors; the certificate is flagged accordingly and witnesses the ring
+    cup-length, giving cat >= count + 1."""
     if isinstance(space, str):
         space = parse_space(space)
-    if not isinstance(space, (RealMilnor, ComplexMilnor)):
-        raise ValueError("top-class certificate is defined for Milnor spaces only")
     if n < 1:
         raise ValueError("arity must be >= 1")
-    r, s = space.r, space.s
-    factors = []
-    for i in range(1, n + 1):
-        if s > 0:
-            factors.append((f"a{i}", s))
-        if r - 1 > 0:
-            factors.append((f"b{i}", r - 1))
-    claimed = n * (s + r - 1)
+    P = cohomology_of(space)
+    top = P.basis[-1]  # the top degree of a closed manifold's ring is one class
+    factors = tuple(
+        (to_string(Gen(name, i)), e)
+        for i in range(1, n + 1)
+        for name, e in zip(P.gen_names, top)
+        if e > 0
+    )
+    claimed = n * sum(top)
     return Certificate(
-        format_space(space),
-        n,
-        tuple(factors),
-        claimed,
-        claimed + 1,
-        cat_witness=True,
+        format_space(space), n, factors, claimed, claimed + 1, cat_witness=True
     )

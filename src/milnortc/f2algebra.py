@@ -81,11 +81,9 @@ class Presentation:
 
     @property
     def cache_key(self):
-        if self.kind == "milnor":
-            return ("milnor", self.s, self.r, self.gen_degree)
-        if self.kind == "truncated":
-            return ("truncated", self.m, self.gen_degree)
-        return ("product",) + tuple(f.cache_key for f in self.factors)
+        return _cache_key(
+            self.kind, self.s, self.r, self.m, self.gen_degree, self.factors
+        )
 
     def monomial_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
@@ -181,53 +179,42 @@ class Presentation:
         return f"Presentation{self.cache_key}"
 
 
-def make_presentation(spec=None, **kwargs) -> Presentation:
-    """Validate and intern a presentation.
+def _cache_key(kind, s, r, m, gen_degree, factors):
+    if kind == "milnor":
+        return ("milnor", s, r, gen_degree)
+    if kind == "truncated":
+        return ("truncated", m, gen_degree)
+    return ("product",) + tuple(f.cache_key for f in factors)
 
-    Accepts either a spec dict (``{"kind": "milnor", "s": 1, "r": 2, ...}``)
-    or the same fields as keyword arguments.
-    """
-    if spec is not None:
-        kwargs = {**spec, **kwargs}
-    kind = kwargs.get("kind")
-    gen_degree = kwargs.get("gen_degree", kwargs.get("genDegree", 1))
+
+def make_presentation(
+    *, kind, s=None, r=None, m=None, gen_degree=1, factors=None
+) -> Presentation:
+    """Validate and intern a presentation; equal fields give one object.
+    A product ignores gen_degree and takes its generator degrees from its
+    factors."""
     if gen_degree not in (1, 2):
         raise ValueError(f"gen_degree must be 1 or 2, got {gen_degree}")
-
     if kind == "milnor":
-        s, r = kwargs.get("s"), kwargs.get("r")
         if not isinstance(s, int) or not isinstance(r, int) or s < 0 or r < 0:
             raise ValueError("milnor presentation needs integers s, r >= 0")
         if s > r:
             raise ValueError(f"milnor presentation requires s <= r, got s={s}, r={r}")
-        key = ("milnor", s, r, gen_degree)
-        if key not in _PRESENTATION_CACHE:
-            _PRESENTATION_CACHE[key] = Presentation(
-                "milnor", s=s, r=r, gen_degree=gen_degree
-            )
-        return _PRESENTATION_CACHE[key]
-    if kind == "truncated":
-        m = kwargs.get("m")
+    elif kind == "truncated":
         if not isinstance(m, int) or m < 0:
             raise ValueError("truncated presentation needs an integer m >= 0")
-        key = ("truncated", m, gen_degree)
-        if key not in _PRESENTATION_CACHE:
-            _PRESENTATION_CACHE[key] = Presentation(
-                "truncated", m=m, gen_degree=gen_degree
-            )
-        return _PRESENTATION_CACHE[key]
-    if kind == "product":
-        factors = kwargs.get("factors")
-        if not factors:
-            raise ValueError("product presentation needs a non-empty factor list")
-        factors = tuple(
-            f if isinstance(f, Presentation) else make_presentation(f) for f in factors
+    elif kind == "product":
+        if not factors or not all(isinstance(f, Presentation) for f in factors):
+            raise ValueError("product presentation needs a list of presentations")
+        factors = tuple(factors)
+    else:
+        raise ValueError(f"unknown presentation kind: {kind!r}")
+    key = _cache_key(kind, s, r, m, gen_degree, factors)
+    if key not in _PRESENTATION_CACHE:
+        _PRESENTATION_CACHE[key] = Presentation(
+            kind, s=s, r=r, m=m, gen_degree=gen_degree, factors=factors
         )
-        key = ("product",) + tuple(f.cache_key for f in factors)
-        if key not in _PRESENTATION_CACHE:
-            _PRESENTATION_CACHE[key] = Presentation("product", factors=factors)
-        return _PRESENTATION_CACHE[key]
-    raise ValueError(f"unknown presentation kind: {kind!r}")
+    return _PRESENTATION_CACHE[key]
 
 
 @dataclass(frozen=True)

@@ -164,7 +164,6 @@ class KernelBasis:
     degree: int
     rows: np.ndarray
     slice_dim: int
-    image_rank: int
 
     def __len__(self):
         return self.rows.shape[0]
@@ -195,7 +194,7 @@ def kernel_basis(
         )
     slc = tensor_slice(P, n, d)
     if len(slc) == 0:
-        return KernelBasis(P, n, d, gf2.zeros(0, 0), 0, 0)
+        return KernelBasis(P, n, d, gf2.zeros(0, 0), 0)
     target = P.degree_slices.get(d, ())
     target_pos = {rank: i for i, rank in enumerate(target)}
     # matrix of the map, transposed: rows = target basis, cols = slice
@@ -205,4 +204,4 @@ def kernel_basis(
         for mono in P.reduce(total):
             dense[target_pos[P.rank_of[mono]], col] ^= 1
     null = gf2.nullspace(gf2.pack_rows(dense), len(slc))
-    return KernelBasis(P, n, d, null, len(slc), len(slc) - null.shape[0])
+    return KernelBasis(P, n, d, null, len(slc))

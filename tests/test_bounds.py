@@ -202,3 +202,25 @@ def test_eqtc_trace_has_both_statuses():
     report = eqtc_bounds("rh:5,3", Z2, 2)
     statuses = {t.status for t in report.trace}
     assert statuses == {"machine-verified", "claimed"}
+
+
+def test_point_spaces_agree():
+    # a Milnor manifold with r = 1, s = 0, the 0-dimensional projective
+    # spaces and their product are all a point: one 0-factor witness row
+    # below, the dimension rows above, the same values everywhere
+    points = ("rh:1,0", "rp:0", "cp:0", "prod:rp0,cp0")
+    for n in (1, 2, 3):
+        for bound in (cat_bounds, tc_bounds) if n >= 2 else (cat_bounds,):
+            reports = [bound(space, n) for space in points]
+            traces = {
+                tuple((t.rule, t.bound, t.value, t.status) for t in r.trace)
+                for r in reports
+            }
+            assert len(traces) == 1
+            rules = {t.rule for t in reports[0].trace if t.bound == "lower"}
+            if bound is cat_bounds:
+                assert rules == {"top-class-witness"}
+            else:
+                assert rules == {"category-of-lower-power"}
+            for r in reports:
+                assert (r.lower, r.upper, r.verified_lower) == (1, 1, 1)

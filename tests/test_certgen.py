@@ -114,6 +114,15 @@ def test_cat_topclass_from_string():
     assert verify_certificate(cert).verdict == "Verified"
 
 
+def test_cat_topclass_any_space():
+    cert = cert_cat_topclass("prod:rp3,rp2", 2)
+    assert cert.factors == (("x.1.1", 3), ("x.2.1", 2), ("x.1.2", 3), ("x.2.2", 2))
+    for space, n, cup in (("rp:5", 2, 10), ("cp:2", 3, 6), ("rp:0", 2, 0)):
+        cert = cert_cat_topclass(space, n)
+        assert cert.cat_witness and cert.claimed_cup == cup
+        assert verify_certificate(cert).verdict == "Verified"
+
+
 def test_generation_is_deterministic():
     assert cert_case1(1, 2, 3) == cert_case1(1, 2, 3)
     assert cert_proj(2, 4) == cert_proj(2, 4)

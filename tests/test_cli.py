@@ -229,6 +229,10 @@ def test_gen_cert_cat_method(tmp_path, capsys):
     cert = certificate_from_json(out.read_text(encoding="utf-8"))
     assert cert.cat_witness
     assert main(["verify", "--cert", str(out)]) == 0
+    # any space, not only a Milnor manifold
+    assert main(["gen-cert", "--method", "cat", "--params", "space=prod:rp3,cp1",
+                 "--n", "2", "--out", str(out)]) == 0
+    assert main(["verify", "--cert", str(out)]) == 0
     capsys.readouterr()
 
 

@@ -107,11 +107,16 @@ def test_product_presentation():
     x2 = generator(P, "x.2")
     assert power(x1, 4).is_zero
     assert not multiply(power(x1, 3), power(x2, 2)).is_zero
+    with pytest.raises(ValueError, match="list of presentations"):
+        make_presentation(kind="product", factors=[{"kind": "truncated", "m": 2}])
 
 
 def test_presentations_are_interned():
     assert milnor(2, 3) is milnor(2, 3)
     assert milnor(2, 3) is not milnor(2, 3, gen_degree=2)
+    P = make_presentation(kind="product", factors=[truncated(3), truncated(2)])
+    assert P is make_presentation(kind="product", factors=(truncated(3), truncated(2)))
+    assert P.cache_key == ("product", ("truncated", 3, 1), ("truncated", 2, 1))
 
 
 def test_algebra_laws_random():

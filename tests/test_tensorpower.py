@@ -114,7 +114,8 @@ def test_kernel_basis_rank_nullity(P):
     for n in (2, 3):
         for d in range(1, n * P.top_degree + 1):
             kb = kernel_basis(P, n, d)
-            assert len(kb) == kb.slice_dim - kb.image_rank
+            # the diagonal is onto the degree-d slice of P: (m, 1, ..., 1) -> m
+            assert len(kb) == kb.slice_dim - len(P.degree_slices.get(d, ()))
             for el in kb.elements:
                 assert diagonal_eval(el).is_zero
                 assert el.degree == d
