@@ -20,8 +20,7 @@ from .cuplength import (
     SearchFailure,
     VerificationReport,
     cup_exact,
-    cup_search,
-    default_pool,
+    cup_witness,
     is_zero_divisor,
     verify_certificate,
 )
@@ -73,8 +72,7 @@ __all__ = [
     "cert_r2t",
     "cohomology_of",
     "cup_exact",
-    "cup_search",
-    "default_pool",
+    "cup_witness",
     "diagonal_eval",
     "eqtc_bounds",
     "evaluate_text",

@@ -2,10 +2,10 @@
 interval reports with per-rule provenance.
 
 Every trace entry is tagged ``machine-verified`` (backed by a verified
-certificate or the exact oracle) or ``claimed`` (a closed-form bound taken
-from the literature).  The two are never merged: a report carries both the
-overall lower bound and the best machine-verified one.  Every number of a
-report is read off its trace rows.
+certificate, the exact oracle's witness included) or ``claimed`` (a
+closed-form bound taken from the literature).  The two are never merged: a
+report carries both the overall lower bound and the best machine-verified
+one.  Every number of a report is read off its trace rows.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import enum
 from dataclasses import dataclass, field, replace
 
 from .certgen import cert_case1, cert_case2, cert_cat_topclass, cert_proj, cert_r2t
-from .cuplength import SearchFailure, cup_exact, verify_certificate
+from .cuplength import Certificate, SearchFailure, cup_witness, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
 from .spaces import (
     ComplexMilnor,
@@ -249,10 +249,12 @@ def tc_bounds(
     """Interval for the n-th topological complexity.
 
     Lower bound sources (max over the enabled ones): verified generated
-    certificates, the exact ideal-power oracle, the verified category of the
-    (n-1)-st power, and the claimed closed-form monotonicity rules.  Upper
-    bound sources (min): dimension, category of the n-th power, and the free
-    circle action improvement.  A failing source never blocks the others.
+    certificates, the exact ideal-power oracle (its witness verified like
+    any certificate), the verified category of the (n-1)-st power, and the
+    claimed closed-form monotonicity rules.  Upper bound sources (min):
+    dimension, category of the n-th power, and the free circle action
+    improvement.  A failing source never blocks the others; an oracle
+    witness that does not verify is a fault and raises RuntimeError.
     """
     space = _as_space(space)
     if n < 2:
@@ -282,17 +284,21 @@ def tc_bounds(
 
     if use_oracle:
         try:
-            trace.append(
-                RuleTrace(
-                    "ideal-power-oracle",
-                    "exact mod-2 zero-divisor cup-length plus one",
-                    "lower",
-                    cup_exact(P, n, max_slice=max_slice) + 1,
-                    "machine-verified",
-                )
-            )
+            factors = cup_witness(P, n, max_slice=max_slice)
         except ResourceLimitError:
             pass
+        else:
+            value = sum(mult for _, mult in factors)
+            cert = Certificate(format_space(space), n, factors, value, value + 1)
+            row = _verified_row(
+                cert,
+                P,
+                "ideal-power-oracle",
+                "exact mod-2 zero-divisor cup-length plus one",
+            )
+            if row is None:
+                raise RuntimeError(f"the oracle's witness {factors!r} does not verify")
+            trace.append(row)
 
     if use_monotonicity:
         for rule, source, val in _monotonicity_rules(space, n):

@@ -9,6 +9,8 @@ produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 
@@ -102,7 +104,8 @@ def _report_dict(report: BoundReport) -> dict:
 
 _MAIN_HEADER = "| space | n | quantity | lower | upper |\n|---|---|---|---|---|"
 _TRACE_HEADER = "| rule | bound | value | status |\n|---|---|---|---|"
-_CSV_HEADER = "space,n,quantity,group,lower,upper,rule,bound,value,status"
+_CSV_HEADER = ("space", "n", "quantity", "group", "lower", "upper",
+               "rule", "bound", "value", "status")
 
 
 def _main_row(report: BoundReport) -> str:
@@ -110,17 +113,17 @@ def _main_row(report: BoundReport) -> str:
     return f"| {report.space} | {report.n} | {label} | {report.lower} | {report.upper} |"
 
 
-def _csv_rows(report: BoundReport):
-    base = [
-        report.space,
-        str(report.n),
-        _QUANTITY_LABEL[report.quantity],
-        report.group or "",
-        str(report.lower),
-        str(report.upper),
-    ]
-    for t in report.trace:
-        yield ",".join(base + [t.rule, t.bound, str(t.value), t.status])
+def _csv_text(reports) -> str:
+    """The header and one row per trace entry, quoted where a field holds
+    a comma (space strings such as rh:5,3 do)."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_CSV_HEADER)
+    for r in reports:
+        label = _QUANTITY_LABEL[r.quantity]
+        base = [r.space, r.n, label, r.group or "", r.lower, r.upper]
+        writer.writerows(base + [t.rule, t.bound, t.value, t.status] for t in r.trace)
+    return out.getvalue()
 
 
 def emit_report(report: BoundReport, fmt: str = "md") -> str:
@@ -133,7 +136,7 @@ def emit_report(report: BoundReport, fmt: str = "md") -> str:
             lines.append("**inconsistent: lower exceeds upper**")
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        return "\n".join([_CSV_HEADER, *_csv_rows(report)]) + "\n"
+        return _csv_text([report])
     if fmt == "json":
         return json.dumps(_report_dict(report), indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
@@ -145,10 +148,7 @@ def emit_table(reports, fmt: str = "md") -> str:
         lines = [_MAIN_HEADER] + [_main_row(r) for r in reports]
         return "\n".join(lines) + "\n"
     if fmt == "csv":
-        lines = [_CSV_HEADER]
-        for r in reports:
-            lines.extend(_csv_rows(r))
-        return "\n".join(lines) + "\n"
+        return _csv_text(reports)
     if fmt == "json":
         return json.dumps([_report_dict(r) for r in reports], indent=2) + "\n"
     raise ValueError(f"unknown format {fmt!r}")

@@ -1,14 +1,20 @@
-"""Zero-divisor cup-length: certificates, verification, oracle, search.
+"""Zero-divisor cup-length: certificates, verification, and the exact oracle.
 
 The oracle computes the largest m with K^m != 0 where K is the kernel of
-the diagonal ring map on the n-fold tensor power -- an exact value for the
-mod-2 zero-divisor cup-length, since K^m is spanned by m-fold products of
-kernel elements.  K is an ideal, and it is generated as an ideal by the
-adjacent slot differences g_i + g_{i+1} of the algebra generators (the
-quotient by those differences is the base ring itself), so each power is
-obtained from the previous one by multiplying with that short generator
-list.  The tests keep the slower route that multiplies by a full kernel
-basis as the reference this oracle is checked against.
+the diagonal ring map on the n-fold tensor power -- the exact mod-2
+zero-divisor cup-length.  K is generated as an ideal by the adjacent slot
+differences z = g_i + g_{i+1} of the algebra generators (the quotient by
+those differences is the base ring itself), so K^m != 0 exactly when some
+product of m such z is nonzero.  The oracle follows the chain W_0 = span{1},
+W_m = span(z * W_(m-1)) over those z and stops at the first W_m = 0.
+
+Each level keeps an independent subset of the actual product rows, each
+tagged with the generators it is a product of, so a row that survives the
+last level is a nonzero product of ``value`` zero divisors: the witness
+that :func:`cup_witness` returns and :func:`verify_certificate` checks by
+a route that shares nothing with the oracle's GF(2) linear algebra.  The
+tests keep a slower route that multiplies full kernel bases as the
+reference this oracle is checked against.
 """
 
 from __future__ import annotations
@@ -19,14 +25,13 @@ import numpy as np
 
 from . import gf2
 from .errors import ResourceLimitError
-from .exprs import evaluate, parse_factor_expr, to_string
+from .exprs import Gen, Sum, evaluate, parse_factor_expr, to_string
 from .f2algebra import Element, Presentation, generator, multiply, power, unit
 from .spaces import cohomology_of, parse_space
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
     diagonal_eval,
     inject,
-    kernel_basis,
     slice_dimension,
     tensor_power,
     tensor_slice,
@@ -125,18 +130,31 @@ def verify_certificate(
     )
 
 
+@dataclass
+class SearchFailure:
+    """Search could not realize the requested certificate."""
+
+    reason: str
+    log: tuple = field(default_factory=tuple)
+
+
 # --- exact ideal-power oracle ------------------------------------------------
 
 _CUP_CACHE: dict = {}
 
 
 def _ideal_generators(P: Presentation, n: int):
+    """The nonzero adjacent slot differences g_i + g_{i+1}, each with its
+    factor expression."""
     gens = []
     for name in P.gen_names:
         g = generator(P, name)
         for i in range(1, n):
-            gens.append(inject(P, n, i, g) + inject(P, n, i + 1, g))
-    return [g for g in gens if not g.is_zero]
+            z = inject(P, n, i, g) + inject(P, n, i + 1, g)
+            if not z.is_zero:
+                text = to_string(Sum((Gen(name, i), Gen(name, i + 1))))
+                gens.append((f"({text})", z))
+    return gens
 
 
 def _mult_matrix(P, n, gen_el, d_from, d_to, cache):
@@ -158,22 +176,12 @@ def _mult_matrix(P, n, gen_el, d_from, d_to, cache):
     return mat
 
 
-def cup_exact(
-    P: Presentation,
-    n: int,
-    *,
-    max_slice: int = DEFAULT_MAX_SLICE,
-    collect_chain: bool = False,
-):
-    """Largest m with K^m != 0 for K the kernel of the diagonal map."""
-    if n < 1:
-        raise ValueError("arity must be >= 1")
-    cache_key = (P.cache_key, n)
-    if not collect_chain and cache_key in _CUP_CACHE:
-        return _CUP_CACHE[cache_key]
-
+def _oracle(P: Presentation, n: int, max_slice: int):
+    """(value, factors) of the chain W_0 = span{1}, W_m = span(z * W_(m-1))
+    over the ideal generators z: value is the largest m with W_m != 0, and
+    factors collapse the generators of one nonzero product in W_value."""
     if not P.basis:
-        return (0, []) if collect_chain else 0
+        return 0, ()
     nd = n * P.top_degree
     # refuse before building any slice: slices grow towards the middle
     # degree, so those below the first one over the cap can be huge too
@@ -185,166 +193,61 @@ def cup_exact(
                 dimension=dim,
                 cap=max_slice,
             )
-    V = {}
-    for d in range(1, nd + 1):
-        kb = kernel_basis(P, n, d, max_slice=max_slice)
-        if len(kb):
-            V[d] = kb.rows
-    chain = [dict(V)]
-    result = 0
-    gen_list = [(g, g.degree) for g in _ideal_generators(P, n)]
+    gens = _ideal_generators(P, n)
     mat_cache: dict = {}
-    while V:
-        result += 1
-        nxt: dict = {}
-        for gen_el, dg in gen_list:
-            for d2, rows in V.items():
-                dt = d2 + dg
+    # per degree: independent product rows, each tagged with the indices
+    # of the generators it is a product of
+    level = {0: (gf2.pack_rows([[1]]), [()])}
+    value = 0
+    while True:
+        products: dict = {}
+        for j, (_, z) in enumerate(gens):
+            for d, (rows, tags) in level.items():
+                dt = d + z.degree
                 if dt > nd:
                     continue
-                mat = _mult_matrix(P, n, gen_el, d2, dt, mat_cache)
-                prods = gf2.matmul(rows, len(tensor_slice(P, n, d2)), mat)
+                mat = _mult_matrix(P, n, z, d, dt, mat_cache)
+                prods = gf2.matmul(rows, len(tensor_slice(P, n, d)), mat)
                 if gf2.is_zero_rows(prods):
                     continue
-                nxt[dt] = np.vstack([nxt[dt], prods]) if dt in nxt else prods
-        V = {}
-        for dt, rows in nxt.items():
-            basis = gf2.row_space(rows, len(tensor_slice(P, n, dt)))
-            if basis.shape[0]:
-                V[dt] = basis
-        if V:
-            chain.append(dict(V))
+                blocks, block_tags = products.setdefault(dt, ([], []))
+                blocks.append(prods)
+                block_tags.extend(t + (j,) for t in tags)
+        if not products:
+            break
+        level = {}
+        for dt, (blocks, tags) in products.items():
+            rows = np.vstack(blocks)
+            keep = gf2.independent_rows(rows, len(tensor_slice(P, n, dt)))
+            level[dt] = (rows[keep], [tags[i] for i in keep])
+        value += 1
 
     degree_bound = nd // min(P.gen_degrees)
-    if result > degree_bound:
+    if value > degree_bound:
         raise RuntimeError(
-            f"cup-length {result} exceeds the degree bound {degree_bound}"
+            f"cup-length {value} exceeds the degree bound {degree_bound}"
         )
-    _CUP_CACHE[cache_key] = result
-    return (result, chain) if collect_chain else result
+    witness = level[min(level)][1][0]
+    factors = tuple(
+        (gens[j][0], witness.count(j)) for j in sorted(set(witness))
+    )
+    return value, factors
 
 
-# --- heuristic search --------------------------------------------------------
+def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) -> int:
+    """Largest m with K^m != 0 for K the kernel of the diagonal map."""
+    if n < 1:
+        raise ValueError("arity must be >= 1")
+    key = (P.cache_key, n)
+    if key not in _CUP_CACHE:
+        _CUP_CACHE[key] = _oracle(P, n, max_slice)
+    return _CUP_CACHE[key][0]
 
 
-@dataclass
-class SearchFailure:
-    """Search could not realize the requested certificate."""
-
-    reason: str
-    log: tuple = field(default_factory=tuple)
-
-
-def _expr_key(text: str) -> tuple:
-    return (len(text), text)
-
-
-def default_pool(P: Presentation, n: int, exponents=(1, 2)) -> list:
-    """Sums of one generator over two positions, optionally raised to small
-    powers: the shape of every hand construction."""
-    pool = []
-    for name in P.gen_names:
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                base = f"({name}{i}+{name}{j})"
-                for e in exponents:
-                    pool.append(base if e == 1 else f"{base}^{e}")
-    return pool
-
-
-def cup_search(
-    P: Presentation,
-    n: int,
-    pool,
-    *,
-    strategy: str = "greedy-beam",
-    width: int = 32,
-    space_label: str | None = None,
-) -> Certificate:
-    """Best verified-nonzero product found over the pool; a lower bound only."""
-    label = space_label or repr(P.cache_key)
-    entries = []
-    for item in pool:
-        text = item if isinstance(item, str) else to_string(item)
-        el = evaluate(parse_factor_expr(text, n, P), P, n)
-        if el.is_zero:
-            continue
-        if not is_zero_divisor(el):
-            raise ValueError(f"pool element {text!r} is not a zero divisor")
-        entries.append((text, el))
-    entries.sort(key=lambda e: (e[1].degree or 0, _expr_key(e[0])))
-
-    empty = Certificate(label, n, (), 0, 1)
-    if not entries:
-        return empty
-
-    nd = n * P.top_degree
-    min_deg = min(el.degree or 1 for _, el in entries)
-    max_len = nd // max(1, min_deg)
-
-    def collapse(indices):
-        factors = []
-        for idx in indices:
-            if factors and factors[-1][0] == entries[idx][0]:
-                factors[-1] = (factors[-1][0], factors[-1][1] + 1)
-            else:
-                factors.append((entries[idx][0], 1))
-        return tuple(factors)
-
-    best: tuple | None = None  # (length, total_degree, expr tuple, indices)
-
-    def consider(indices, product):
-        nonlocal best
-        length = len(indices)
-        exprs = tuple(entries[i][0] for i in indices)
-        key = (-length, product.degree or 0, exprs)
-        if best is None or key < (-best[0], best[1], best[2]):
-            best = (length, product.degree or 0, exprs, tuple(indices))
-
-    if strategy == "exhaustive":
-
-        def dfs(start, indices, product):
-            if len(indices) >= max_len:
-                return
-            for idx in range(start, len(entries)):
-                nxt = multiply(product, entries[idx][1])
-                if nxt.is_zero:
-                    continue
-                indices.append(idx)
-                consider(indices, nxt)
-                dfs(idx, indices, nxt)
-                indices.pop()
-
-        dfs(0, [], unit(tensor_power(P, n)))
-    elif strategy == "greedy-beam":
-        level = [((), unit(tensor_power(P, n)))]
-        while level:
-            candidates = {}
-            for indices, product in level:
-                start = indices[-1] if indices else 0
-                for idx in range(start, len(entries)):
-                    nxt = multiply(product, entries[idx][1])
-                    if nxt.is_zero:
-                        continue
-                    new_indices = indices + (idx,)
-                    if new_indices not in candidates:
-                        candidates[new_indices] = nxt
-            if not candidates:
-                break
-            ranked = sorted(
-                candidates.items(),
-                key=lambda kv: (
-                    kv[1].degree or 0,
-                    tuple(entries[i][0] for i in kv[0]),
-                ),
-            )[:width]
-            for indices, product in ranked:
-                consider(indices, product)
-            level = ranked
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-
-    if best is None:
-        return empty
-    length, _, _, indices = best
-    return Certificate(label, n, collapse(indices), length, length + 1)
+def cup_witness(
+    P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE
+) -> tuple:
+    """Factors ((expression, multiplicity), ...) of a nonzero product of
+    cup_exact(P, n) ideal generators, from the same cached oracle run."""
+    cup_exact(P, n, max_slice=max_slice)
+    return _CUP_CACHE[(P.cache_key, n)][1]

@@ -104,6 +104,16 @@ def row_space(mat: np.ndarray, ncols: int) -> np.ndarray:
     return red[: len(piv)].copy()
 
 
+def independent_rows(mat: np.ndarray, ncols: int) -> list:
+    """Indices of a maximal linearly independent subset of the rows, each
+    row kept when it is independent of the rows before it: the pivot
+    columns of the transpose."""
+    nrows = mat.shape[0]
+    if nrows == 0:
+        return []
+    return rref(pack_rows(unpack_rows(mat, ncols).T), nrows)[1]
+
+
 def nullspace(mat: np.ndarray, ncols: int) -> np.ndarray:
     """Packed basis of {x : mat @ x = 0}; vectors have ``ncols`` columns."""
     red, piv = rref(mat, ncols)

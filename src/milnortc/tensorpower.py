@@ -8,7 +8,9 @@ built on demand by :func:`tensor_slice` and kept on the power, and its
 products are computed slot by slot, not memoised.  The diagonal map
 evaluates a tensor monomial to the product of its components in the base
 ring; :func:`kernel_basis` computes an exact nullspace basis of that map
-on a single degree slice.
+on a single degree slice.  The oracle in :mod:`milnortc.cuplength` never
+needs that basis: the tests use it as the independent reference the
+oracle is checked against.
 """
 
 from __future__ import annotations

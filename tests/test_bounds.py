@@ -12,6 +12,7 @@ from milnortc.bounds import (
     resolve_group,
     tc_bounds,
 )
+from milnortc.cuplength import VerificationReport
 from milnortc.errors import NoFreeActionError
 from milnortc.spaces import RealMilnor, RealProj
 
@@ -110,6 +111,25 @@ def test_tc_klein_bottle_oracle_vs_claims():
     assert not report.inconsistent
     oracle = [t for t in report.trace if t.rule == "ideal-power-oracle"]
     assert oracle and oracle[0].value == 4 and oracle[0].status == "machine-verified"
+
+
+@pytest.mark.parametrize("n", (3, 4, 5))
+def test_tc_klein_bottle_maximal_from_n3(n):
+    # the oracle's verified witness reaches zcl = n*dim, so TC_n(K) is the
+    # maximal n*dim + 1 = 2n + 1.  At n = 2 mod-2 methods stop at 4; TC(K)
+    # = 5 is known only by non-mod-2 methods (Cohen and Vandembroucq,
+    # "Topological complexity of the Klein bottle", 2017).
+    report = tc_bounds("rh:2,1", n, use_oracle=True)
+    assert report.lower == report.upper == report.verified_lower == 2 * n + 1
+
+
+def test_tc_oracle_witness_that_fails_raises(monkeypatch):
+    def vanishes(cert, presentation=None):
+        return VerificationReport((), False, None, "ProductVanishes")
+
+    monkeypatch.setattr(milnortc.bounds, "verify_certificate", vanishes)
+    with pytest.raises(RuntimeError, match="does not verify"):
+        tc_bounds("rh:2,1", 2, use_oracle=True, use_certs=False)
 
 
 def test_tc_product_space():

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -76,6 +78,21 @@ def test_emit_csv_header_and_rows():
     assert all(line.startswith("rp:2,2,TC,,4,5,") for line in lines[1:])
 
 
+def test_csv_fields_survive_commas_in_space_names(capsys):
+    # Milnor space strings hold a comma; every row must still read as the
+    # header's ten fields
+    assert main(["bounds", "--space", "rh:5,3", "--quantity", "eqtc", "--group",
+                 "z2", "--n", "2", "--format", "csv"]) == 0
+    assert main(["table", "--family", "rh", "--r", "2..3", "--s", "1..2",
+                 "--n", "2..2", "--format", "csv"]) == 0
+    text = capsys.readouterr().out
+    header = "space,n,quantity,group,lower,upper,rule,bound,value,status"
+    assert text.count(header) == 2
+    rows = [row for row in csv.reader(io.StringIO(text)) if row != header.split(",")]
+    assert rows and all(len(row) == 10 for row in rows)
+    assert {row[0] for row in rows} == {"rh:5,3", "rh:2,1", "rh:2,2", "rh:3,1", "rh:3,2"}
+
+
 def test_emit_deterministic():
     report = tc_bounds("rh:4,3", 2)
     for fmt in ("md", "csv", "json"):
@@ -148,8 +165,8 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3\n"
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    for name in ("cuplength.cup_exact", "gf2.matmul", "gf2.row_space",
-                 "tensorpower.kernel_basis"):
+    for name in ("cuplength.cup_exact", "gf2.matmul", "gf2.independent_rows",
+                 "tensorpower.tensor_slice"):
         assert name in doc["functions"]
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 

@@ -86,3 +86,20 @@ def test_row_space_is_canonical(rng):
     # shuffling the rows gives the same canonical basis
     perm = rng.permutation(8)
     assert np.array_equal(gf2.row_space(packed[perm], 12), basis)
+
+
+def test_independent_rows_keeps_each_row_independent_of_earlier_ones(rng):
+    for ncols in (5, 70):
+        base = rng.integers(0, 2, size=(4, ncols), dtype=np.uint8)
+        # interleave zero rows, repeats and sums of earlier rows
+        rows = [base[0], base[0] * 0, base[1], base[0] ^ base[1], base[2], base[0],
+                base[3] ^ base[2]]
+        packed = gf2.pack_rows(np.array(rows))
+        keep = gf2.independent_rows(packed, ncols)
+        want = []
+        for i in range(len(rows)):
+            if gf2.rank(packed[want + [i]], ncols) > len(want):
+                want.append(i)
+        assert keep == want
+        assert gf2.rank(packed[keep], ncols) == gf2.rank(packed, ncols) == len(keep)
+    assert gf2.independent_rows(gf2.zeros(0, 9), 9) == []
