@@ -260,6 +260,13 @@ def _cmd_bounds(args) -> int:
         max_slice=args.max_slice,
     )
     if args.quantity == "cat":
+        for flag, given in (
+            ("--no-certs", args.no_certs),
+            ("--no-monotonicity", args.no_monotonicity),
+            ("--use-oracle", args.use_oracle),
+        ):
+            if given:
+                raise ValueError(f"{flag} does not apply to --quantity cat")
         report = cat_bounds(args.space, args.n)
     elif args.quantity == "tc":
         report = tc_bounds(args.space, args.n, **options)

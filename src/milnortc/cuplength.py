@@ -7,6 +7,9 @@ differences z = g_i + g_{i+1} of the algebra generators (the quotient by
 those differences is the base ring itself), so K^m != 0 exactly when some
 product of m such z is nonzero.  The oracle follows the chain W_0 = span{1},
 W_m = span(z * W_(m-1)) over those z and stops at the first W_m = 0.
+Its rows are :mod:`milnortc.gf2` int bitsets over the monomials of one
+degree slice, and multiplication by each z is stored as the bitset of the
+targets of each source monomial, so a product row is a XOR of target rows.
 
 Each level keeps an independent subset of the actual product rows, each
 tagged with the generators it is a product of, so a row that survives the
@@ -20,8 +23,6 @@ reference this oracle is checked against.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import gf2
 from .errors import ResourceLimitError
@@ -157,23 +158,23 @@ def _ideal_generators(P: Presentation, n: int):
     return gens
 
 
-def _mult_matrix(P, n, gen_el, d_from, d_to, cache):
-    """Packed matrix of multiplication by gen_el: slice(d_from) -> slice(d_to)."""
+def _mult_map(P, n, gen_el, d_from, d_to, cache):
+    """Multiplication by gen_el from slice(d_from) to slice(d_to): for each
+    source monomial, the int bitset of its targets in slice(d_to)."""
     key = (id(gen_el), d_from)
-    mat = cache.get(key)
-    if mat is not None:
-        return mat
-    src = tensor_slice(P, n, d_from)
-    dst = tensor_slice(P, n, d_to)
-    index = {tup: i for i, tup in enumerate(dst)}
-    dense = np.zeros((max(1, len(src)), max(1, len(dst))), dtype=np.uint8)
+    targets = cache.get(key)
+    if targets is not None:
+        return targets
+    index = {tup: i for i, tup in enumerate(tensor_slice(P, n, d_to))}
     mul_supports, gen_support = gen_el.algebra.mul_supports, gen_el.support
-    for row, tup in enumerate(src):
+    targets = []
+    for tup in tensor_slice(P, n, d_from):
+        bits = 0
         for out in mul_supports(gen_support, (tup,)):
-            dense[row, index[out]] ^= 1
-    mat = gf2.pack_rows(dense)[: len(src)]
-    cache[key] = mat
-    return mat
+            bits ^= 1 << index[out]
+        targets.append(bits)
+    cache[key] = targets
+    return targets
 
 
 def _oracle(P: Presentation, n: int, max_slice: int):
@@ -194,10 +195,10 @@ def _oracle(P: Presentation, n: int, max_slice: int):
                 cap=max_slice,
             )
     gens = _ideal_generators(P, n)
-    mat_cache: dict = {}
+    map_cache: dict = {}
     # per degree: independent product rows, each tagged with the indices
     # of the generators it is a product of
-    level = {0: (gf2.pack_rows([[1]]), [()])}
+    level = {0: ([1], [()])}
     value = 0
     while True:
         products: dict = {}
@@ -206,20 +207,19 @@ def _oracle(P: Presentation, n: int, max_slice: int):
                 dt = d + z.degree
                 if dt > nd:
                     continue
-                mat = _mult_matrix(P, n, z, d, dt, mat_cache)
-                prods = gf2.matmul(rows, len(tensor_slice(P, n, d)), mat)
-                if gf2.is_zero_rows(prods):
+                targets = _mult_map(P, n, z, d, dt, map_cache)
+                prods = gf2.image(targets, rows)
+                if not any(prods):
                     continue
-                blocks, block_tags = products.setdefault(dt, ([], []))
-                blocks.append(prods)
-                block_tags.extend(t + (j,) for t in tags)
+                prod_rows, prod_tags = products.setdefault(dt, ([], []))
+                prod_rows.extend(prods)
+                prod_tags.extend(t + (j,) for t in tags)
         if not products:
             break
         level = {}
-        for dt, (blocks, tags) in products.items():
-            rows = np.vstack(blocks)
-            keep = gf2.independent_rows(rows, len(tensor_slice(P, n, dt)))
-            level[dt] = (rows[keep], [tags[i] for i in keep])
+        for dt, (rows, tags) in products.items():
+            keep = gf2.independent_rows(rows)
+            level[dt] = ([rows[i] for i in keep], [tags[i] for i in keep])
         value += 1
 
     degree_bound = nd // min(P.gen_degrees)

@@ -8,17 +8,15 @@ built on demand by :func:`tensor_slice` and kept on the power, and its
 products are computed slot by slot, not memoised.  The diagonal map
 evaluates a tensor monomial to the product of its components in the base
 ring; :func:`kernel_basis` computes an exact nullspace basis of that map
-on a single degree slice.  The oracle in :mod:`milnortc.cuplength` never
-needs that basis: the tests use it as the independent reference the
-oracle is checked against.
+on a single degree slice, as :mod:`milnortc.gf2` int rows.  The oracle in
+:mod:`milnortc.cuplength` never needs that basis: the tests use it as the
+independent reference the oracle is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iproduct
-
-import numpy as np
 
 from . import gf2
 from .errors import ResourceLimitError
@@ -113,13 +111,14 @@ def slice_dimension(P: Presentation, n: int, d: int) -> int:
     """Dimension of the degree-d slice: coefficient of the n-th power of
     the Poincaré series."""
     series = poincare_series(P)
-    if not series:
-        return 0
-    coeffs = np.array([1], dtype=object)
-    base = np.array(series, dtype=object)
+    coeffs = [1]
     for _ in range(n):
-        coeffs = np.convolve(coeffs, base)
-    return int(coeffs[d]) if d < len(coeffs) else 0
+        nxt = [0] * (len(coeffs) + len(series) - 1)
+        for i, a in enumerate(coeffs):
+            for j, b in enumerate(series):
+                nxt[i + j] += a * b
+        coeffs = nxt
+    return coeffs[d] if 0 <= d < len(coeffs) else 0
 
 
 def tensor_slice(P: Presentation, n: int, d: int):
@@ -158,17 +157,18 @@ def tensor_slice(P: Presentation, n: int, d: int):
 
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
-    """Nullspace basis of the diagonal map on one degree slice, as packed
-    rows over the slice's tensor monomials in :func:`tensor_slice` order."""
+    """Nullspace basis of the diagonal map on one degree slice, as
+    :mod:`milnortc.gf2` int rows whose bit j is the j-th tensor monomial
+    of the slice in :func:`tensor_slice` order."""
 
     presentation: Presentation
     n: int
     degree: int
-    rows: np.ndarray
+    rows: list
     slice_dim: int
 
     def __len__(self):
-        return self.rows.shape[0]
+        return len(self.rows)
 
     @property
     def elements(self) -> tuple:
@@ -176,8 +176,8 @@ class KernelBasis:
         P, n = self.presentation, self.n
         T, slc = tensor_power(P, n), tensor_slice(P, n, self.degree)
         return tuple(
-            Element.computed(T, frozenset(slc[j] for j in np.nonzero(row)[0]))
-            for row in gf2.unpack_rows(self.rows, len(slc))
+            Element.computed(T, frozenset(m for j, m in enumerate(slc) if row >> j & 1))
+            for row in self.rows
         )
 
 
@@ -195,15 +195,12 @@ def kernel_basis(
             cap=max_slice,
         )
     slc = tensor_slice(P, n, d)
-    if len(slc) == 0:
-        return KernelBasis(P, n, d, gf2.zeros(0, 0), 0)
-    target = P.degree_slices.get(d, ())
-    target_pos = {rank: i for i, rank in enumerate(target)}
-    # matrix of the map, transposed: rows = target basis, cols = slice
-    dense = np.zeros((len(target), len(slc)), dtype=np.uint8)
+    target_pos = {rank: i for i, rank in enumerate(P.degree_slices.get(d, ()))}
+    # the map transposed: one row per target basis monomial, bit j for the
+    # j-th slice monomial
+    rows = [0] * len(target_pos)
     for col, tup in enumerate(slc):
         total = tuple(sum(x) for x in zip(*tup))
         for mono in P.reduce(total):
-            dense[target_pos[P.rank_of[mono]], col] ^= 1
-    null = gf2.nullspace(gf2.pack_rows(dense), len(slc))
-    return KernelBasis(P, n, d, null, len(slc))
+            rows[target_pos[P.rank_of[mono]]] ^= 1 << col
+    return KernelBasis(P, n, d, gf2.nullspace(rows, len(slc)), len(slc))

@@ -162,6 +162,29 @@ def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
     assert all(P is not None and P.gen_degrees == (2, 2) for _, P in seen)
 
 
+def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
+    # cert_case2 verifies what it returns in the real Milnor ring, so an rh:
+    # report does not check it again; a ch: report still checks it in the
+    # complex ring
+    seen = []
+    verify = milnortc.bounds.verify_certificate
+
+    def spy(cert, *, presentation=None):
+        seen.append(presentation.gen_degrees)
+        return verify(cert, presentation=presentation)
+
+    monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
+    report = tc_bounds("rh:3,2", 3)
+    row = next(t for t in report.trace if t.rule == "certificate-searched-bridges")
+    assert (row.value, row.status) == (11, "machine-verified")
+    # only the category-of-lower-power certificate is verified here
+    assert seen == [(1, 1)]
+    seen.clear()
+    report = tc_bounds("ch:3,2", 3)
+    assert any(t.rule == "certificate-searched-bridges" for t in report.trace)
+    assert seen == [(2, 2), (2, 2)]
+
+
 def test_tc_verified_lower_nondecreasing_in_n():
     prev = 0
     for n in (2, 3, 4):

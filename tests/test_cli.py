@@ -147,6 +147,31 @@ def test_cup_command(capsys):
     assert capsys.readouterr().out == "3\n"
 
 
+@pytest.mark.parametrize("flag", ["--no-certs", "--no-monotonicity", "--use-oracle"])
+def test_cat_refuses_the_tc_source_flags(flag, capsys):
+    # cat has one lower-bound source and no oracle: these flags would be
+    # silently ignored, so they are refused
+    argv = ["bounds", "--space", "rp:2", "--quantity", "cat", "--n", "2", flag]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
+def test_cli_import_loads_no_numpy():
+    # the package has no third-party runtime dependency
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import milnortc.cli, sys; assert 'numpy' not in sys.modules"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     # perfbench/tracer.py wraps these names from outside; renaming one
     # silently empties a per-layer metric of the traced benchmark run.
@@ -165,7 +190,7 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3\n"
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    for name in ("cuplength.cup_exact", "gf2.matmul", "gf2.independent_rows",
+    for name in ("cuplength.cup_exact", "gf2.image", "gf2.independent_rows",
                  "tensorpower.tensor_slice"):
         assert name in doc["functions"]
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
