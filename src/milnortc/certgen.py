@@ -10,9 +10,17 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .cuplength import Certificate, SearchFailure, verify_certificate
+from .cuplength import (
+    Certificate,
+    SearchFailure,
+    _factor_product,
+    _verdict,
+    verify_certificate,
+)
 from .exprs import Gen, to_string
+from .f2algebra import unit
 from .spaces import RealMilnor, cohomology_of, format_space, parse_space
+from .tensorpower import tensor_power
 
 
 def _pair(name: str, i: int, j: int) -> str:
@@ -52,7 +60,10 @@ def cert_case2(p1: int, p2: int, n: int):
     """Certificate for s = 2^p1, r = 2^p2 + 1; the k-1 squared bridging
     classes are not written down in closed form, so they are searched for
     over adjacent even-position sums (widened to all position pairs on
-    failure).  Returns a verified Certificate or a SearchFailure."""
+    failure).  The fixed block factors are multiplied once per search and
+    each combination of bridges onto that product; the first combination
+    whose product is nonzero is passed through verify_certificate before
+    it is returned.  Returns a verified Certificate or a SearchFailure."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -69,7 +80,8 @@ def cert_case2(p1: int, p2: int, n: int):
     if n % 2 == 1:
         base.append((_pair("a", 2 * k, 2 * k + 1), s))
         base.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
-    space = format_space(RealMilnor(r, s))
+    milnor = RealMilnor(r, s)
+    space = format_space(milnor)
     claimed = n * (s + r - 1) - 2
 
     narrow = [
@@ -79,18 +91,23 @@ def cert_case2(p1: int, p2: int, n: int):
     wide = [
         _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
+    P = cohomology_of(milnor)
+    base_product, base_checks = _factor_product(P, n, base, unit(tensor_power(P, n)))
     log = []
     for pool in (narrow, wide):
         for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
             if pool is wide and narrow_set.issuperset(combo):
-                continue  # the narrow pass verified and rejected it
-            factors = list(base)
-            for expr in combo:
-                factors.append((expr, 2))
-            cert = Certificate(space, n, tuple(factors), claimed, claimed + 1)
-            report = verify_certificate(cert)
-            log.append((combo, report.verdict))
-            if report.verdict == "Verified":
+                continue  # the narrow pass checked and rejected it
+            bridges = [(expr, 2) for expr in combo]
+            product, checks = _factor_product(P, n, bridges, base_product)
+            verdict = _verdict(base_checks + checks, product, False)
+            if verdict == "Verified":
+                # a certificate is returned only on the verifier's word
+                factors = tuple(base + bridges)
+                cert = Certificate(space, n, factors, claimed, claimed + 1)
+                verdict = verify_certificate(cert).verdict
+            log.append((combo, verdict))
+            if verdict == "Verified":
                 return cert
     return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
 

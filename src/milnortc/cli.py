@@ -209,7 +209,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--use-oracle", action="store_true")
     p.add_argument("--no-certs", action="store_true")
     p.add_argument("--no-monotonicity", action="store_true")
-    p.add_argument("--max-slice", type=int, default=DEFAULT_MAX_SLICE)
+    # no default here, so that cat can tell the flag was given
+    p.add_argument("--max-slice", type=int)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out")
 
@@ -257,13 +258,14 @@ def _cmd_bounds(args) -> int:
         use_oracle=args.use_oracle,
         use_certs=not args.no_certs,
         use_monotonicity=not args.no_monotonicity,
-        max_slice=args.max_slice,
+        max_slice=DEFAULT_MAX_SLICE if args.max_slice is None else args.max_slice,
     )
     if args.quantity == "cat":
         for flag, given in (
             ("--no-certs", args.no_certs),
             ("--no-monotonicity", args.no_monotonicity),
             ("--use-oracle", args.use_oracle),
+            ("--max-slice", args.max_slice is not None),
         ):
             if given:
                 raise ValueError(f"{flag} does not apply to --quantity cat")

@@ -95,6 +95,26 @@ def _resolve(cert: Certificate, presentation: Presentation | None):
     return cohomology_of(parse_space(cert.space))
 
 
+def _factor_product(P: Presentation, n: int, factors, start: Element):
+    """start times each (expression, multiplicity) of factors in turn, with
+    one check per factor; once the product is zero the rest are only
+    checked."""
+    checks = []
+    product = start
+    for text, mult in factors:
+        el = evaluate(parse_factor_expr(text, n, P), P, n)
+        checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
+        if not product.is_zero:
+            product = multiply(product, power(el, mult))
+    return product, checks
+
+
+def _verdict(checks, product: Element, cat_witness: bool) -> str:
+    if not (cat_witness or all(c.is_zero_divisor for c in checks)):
+        return "FactorNotZeroDivisor"
+    return "Verified" if not product.is_zero else "ProductVanishes"
+
+
 def verify_certificate(
     cert: Certificate,
     *,
@@ -102,29 +122,14 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check every factor and the full product; never consults the claims."""
     P = _resolve(cert, presentation)
-    n = cert.n
-    checks = []
-    product = unit(tensor_power(P, n))
-    all_zero_divisors = True
-    for text, mult in cert.factors:
-        el = evaluate(parse_factor_expr(text, n, P), P, n)
-        zd = is_zero_divisor(el)
-        all_zero_divisors = all_zero_divisors and zd
-        checks.append(FactorCheck(text, zd, el.degree))
-        if not product.is_zero:
-            product = multiply(product, power(el, mult))
-    nonzero = not product.is_zero
-    factors_ok = all_zero_divisors or cert.cat_witness
-    if not factors_ok:
-        verdict = "FactorNotZeroDivisor"
-    elif not nonzero:
-        verdict = "ProductVanishes"
-    else:
-        verdict = "Verified"
+    product, checks = _factor_product(
+        P, cert.n, cert.factors, unit(tensor_power(P, cert.n))
+    )
+    verdict = _verdict(checks, product, cert.cat_witness)
     verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
     return VerificationReport(
         per_factor=tuple(checks),
-        product_nonzero=nonzero,
+        product_nonzero=not product.is_zero,
         verified_cup=verified,
         verdict=verdict,
         zero_divisors_required=not cert.cat_witness,
@@ -160,18 +165,36 @@ def _ideal_generators(P: Presentation, n: int):
 
 def _mult_map(P, n, gen_el, d_from, d_to, cache):
     """Multiplication by gen_el from slice(d_from) to slice(d_to): for each
-    source monomial, the int bitset of its targets in slice(d_to)."""
+    source monomial, the int bitset of its targets in slice(d_to).  A
+    monomial of gen_el that is the unit in all slots but k sends a source
+    monomial to the monomials with slot k replaced by each term of the
+    slot-k product; any other monomial of gen_el goes through the general
+    product."""
     key = (id(gen_el), d_from)
     targets = cache.get(key)
     if targets is not None:
         return targets
     index = {tup: i for i, tup in enumerate(tensor_slice(P, n, d_to))}
-    mul_supports, gen_support = gen_el.algebra.mul_supports, gen_el.support
+    # (slot k, the product by its factor of each basic monomial)
+    one_slot, general = [], []
+    for zm in gen_el.support:
+        slots = [k for k, c in enumerate(zm) if c != P.one]
+        if len(slots) == 1:
+            (k,) = slots
+            one_slot.append((k, {m: P.mono_mul(m, zm[k]) for m in P.basis}))
+        else:
+            general.append(zm)
+    mul_supports = gen_el.algebra.mul_supports
     targets = []
     for tup in tensor_slice(P, n, d_from):
         bits = 0
-        for out in mul_supports(gen_support, (tup,)):
-            bits ^= 1 << index[out]
+        for k, products in one_slot:
+            head, tail = tup[:k], tup[k + 1 :]
+            for mono in products[tup[k]]:
+                bits ^= 1 << index[head + (mono,) + tail]
+        if general:
+            for out in mul_supports(general, (tup,)):
+                bits ^= 1 << index[out]
         targets.append(bits)
     cache[key] = targets
     return targets

@@ -4,11 +4,14 @@
 algebra that :class:`~milnortc.f2algebra.Element` and the f2algebra
 arithmetic accept.  Its monomials are n-tuples of basic monomials of the
 base presentation.  Its basis is never enumerated whole: degree slices are
-built on demand by :func:`tensor_slice` and kept on the power, and its
-products are computed slot by slot, not memoised.  The diagonal map
-evaluates a tensor monomial to the product of its components in the base
-ring; :func:`kernel_basis` computes an exact nullspace basis of that map
-on a single degree slice, as :mod:`milnortc.gf2` int rows.  The oracle in
+built on demand by :func:`tensor_slice` and kept on the power.  Its
+products are not memoised: a pair of tensor monomials is multiplied in the
+base ring only in the slots where the sparser operand is not the unit,
+which for a certificate factor (a sum of classes injected in one or two
+slots) is one or two of the n slots.  The diagonal map evaluates a tensor
+monomial to the product of its components in the base ring;
+:func:`kernel_basis` computes an exact nullspace basis of that map on a
+single degree slice, as :mod:`milnortc.gf2` int rows.  The oracle in
 :mod:`milnortc.cuplength` never needs that basis: the tests use it as the
 independent reference the oracle is checked against.
 """
@@ -54,21 +57,45 @@ class TensorPower:
         return "(" + "⊗".join(map(self.base.format_monomial, tup)) + ")"
 
     def mul_supports(self, xs, ys) -> set:
-        """Product of two supports: each pair of tensor monomials multiplies
-        slot by slot in the base ring, then expands the tensor of the slot
-        supports."""
-        P = self.base
+        """Product of two supports.  A pair of tensor monomials multiplies
+        in the base ring only in the slots where the sparser side (the one
+        with more unit slots per monomial) is not the unit; every other
+        slot keeps the other side's monomial, since the unit times m is m.
+        Each slot product is looked up once per value it meets, and the
+        tensor of the slot supports is expanded only over the slots whose
+        product has several terms."""
+        P, one = self.base, self.base.one
+        if sum(mu.count(one) for mu in xs) * len(ys) < sum(
+            mv.count(one) for mv in ys
+        ) * len(xs):
+            xs, ys = ys, xs
+        mono_mul = P.mono_mul
         out: set = set()
         for mu in xs:
+            # (slot, factor, its products by the values met in that slot)
+            slots = [(k, c, {}) for k, c in enumerate(mu) if c != one]
             for mv in ys:
-                slot_supports = []
-                for cu, cv in zip(mu, mv):
-                    sup = P.mono_mul(cu, cv)
-                    if not sup:
+                prod = list(mv)
+                multi = []
+                for k, c, seen in slots:
+                    sup = seen.get(mv[k])
+                    if sup is None:
+                        sup = seen[mv[k]] = mono_mul(c, mv[k])
+                    if len(sup) == 1:
+                        (prod[k],) = sup
+                    elif sup:
+                        multi.append((k, sup))
+                    else:
                         break
-                    slot_supports.append(sup)
                 else:
-                    out ^= set(iproduct(*slot_supports))
+                    if not multi:
+                        out ^= {tuple(prod)}
+                        continue
+                    ks = [k for k, _ in multi]
+                    for terms in iproduct(*(sup for _, sup in multi)):
+                        for k, c in zip(ks, terms):
+                            prod[k] = c
+                        out ^= {tuple(prod)}
         return out
 
 

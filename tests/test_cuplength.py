@@ -3,6 +3,7 @@ import pytest
 from milnortc import gf2
 from milnortc.cuplength import (
     Certificate,
+    _ideal_generators,
     _mult_map,
     cup_exact,
     cup_witness,
@@ -13,7 +14,7 @@ from milnortc.errors import ResourceLimitError
 from milnortc.exprs import evaluate_text
 from milnortc.f2algebra import make_presentation
 from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import kernel_basis
+from milnortc.tensorpower import kernel_basis, tensor_slice
 
 
 def ring(text):
@@ -154,6 +155,25 @@ def test_oracle_generator_modes_agree():
     for space, n in ORACLE_BOX:
         P = ring(space)
         assert cup_exact(P, n) == cup_by_kernel_basis(P, n), (space, n)
+
+
+def test_mult_maps_match_the_per_monomial_product():
+    # the maps multiply only the one slot each generator monomial occupies;
+    # the general product of each source monomial is the reference
+    for space, n in ORACLE_BOX:
+        P = ring(space)
+        nd = n * P.top_degree
+        for _, z in _ideal_generators(P, n):
+            for d in range(nd - z.degree + 1):
+                index = {t: i for i, t in enumerate(tensor_slice(P, n, d + z.degree))}
+                expected = []
+                for tup in tensor_slice(P, n, d):
+                    bits = 0
+                    for out in z.algebra.mul_supports(z.support, (tup,)):
+                        bits ^= 1 << index[out]
+                    expected.append(bits)
+                got = _mult_map(P, n, z, d, d + z.degree, {})
+                assert got == expected, (space, n, d)
 
 
 def test_oracle_witness_verifies():

@@ -1,10 +1,12 @@
 import random
+from itertools import product as iproduct
 
 import pytest
 
 from milnortc.errors import ResourceLimitError
 from milnortc.f2algebra import (
     Element,
+    Presentation,
     generator,
     make_presentation,
     multiply,
@@ -12,6 +14,7 @@ from milnortc.f2algebra import (
     unit,
     zero,
 )
+from milnortc.spaces import cohomology_of, parse_space
 from milnortc.tensorpower import (
     diagonal_eval,
     inject,
@@ -40,6 +43,109 @@ def rand_tensor(P, n, rng):
     for i in range(1, n + 1):
         u = multiply(u, inject(P, n, i, rand_element(P, rng)))
     return u
+
+
+def slotwise_mul_supports(T, xs, ys):
+    """The reference product: every pair of tensor monomials multiplied in
+    the base ring in all n slots, then the tensor of the slot supports
+    expanded whole."""
+    P = T.base
+    out = set()
+    for mu in xs:
+        for mv in ys:
+            slot_supports = []
+            for cu, cv in zip(mu, mv):
+                sup = P.mono_mul(cu, cv)
+                if not sup:
+                    break
+                slot_supports.append(sup)
+            else:
+                out ^= set(iproduct(*slot_supports))
+    return out
+
+
+def rand_dense(P, n, rng, max_terms=6):
+    """A sum of random tensor monomials: most slots are not the unit."""
+    support = {
+        tuple(rng.choice(P.basis) for _ in range(n))
+        for _ in range(rng.randint(0, max_terms))
+    }
+    return Element.computed(tensor_power(P, n), frozenset(support))
+
+
+def rand_sparse(P, n, rng):
+    """A power of a sum of injected classes, the shape of a certificate
+    factor such as (b1+b2)^3: one or two slots are not the unit."""
+    u = zero(tensor_power(P, n))
+    for _ in range(rng.randint(1, 2)):
+        u = u + inject(P, n, rng.randint(1, n), rand_element(P, rng))
+    return power(u, rng.randint(1, 3))
+
+
+@pytest.mark.parametrize("space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1"])
+def test_multiply_matches_the_slotwise_product(space):
+    P = cohomology_of(parse_space(space))
+    rng = random.Random(space)
+    for n in range(1, 5):
+        T = tensor_power(P, n)
+        for _ in range(12):
+            d1, d2 = rand_dense(P, n, rng), rand_dense(P, n, rng)
+            s1 = rand_sparse(P, n, rng)
+            for u, v in ((d1, d2), (s1, d1), (d1, s1), (s1, s1)):
+                assert multiply(u, v).support == slotwise_mul_supports(
+                    T, u.support, v.support
+                ), (n, u, v)
+
+
+def test_multiply_matches_the_slotwise_product_on_several_term_slots():
+    # in rh:3,2 the Milnor rewrite gives b^3 = a*b^2 + a^2*b: one slot
+    # product with two terms, which the product expands
+    P = cohomology_of(parse_space("rh:3,2"))
+    assert len(P.mono_mul((0, 1), (0, 2))) == 2
+    b = generator(P, "b")
+    rng = random.Random(19)
+    for n in range(1, 5):
+        T = tensor_power(P, n)
+        factor = power(inject(P, n, 1, b) + inject(P, n, n, b), 3)
+        for u in (rand_dense(P, n, rng, 20), factor):
+            for x, y in ((u, factor), (factor, u)):
+                assert multiply(x, y).support == slotwise_mul_supports(
+                    T, x.support, y.support
+                )
+
+
+def test_multiply_in_the_zero_ring():
+    P = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
+    for n in range(1, 5):
+        T = tensor_power(P, n)
+        # no unit: unit(T) is zero too
+        for u, v in ((zero(T), unit(T)), (unit(T), unit(T))):
+            got = multiply(u, v).support
+            assert got == slotwise_mul_supports(T, u.support, v.support) == set()
+
+
+def test_injected_factor_multiplies_only_its_own_slots(monkeypatch):
+    # a count, not a time: an element times a sum of classes injected in
+    # slots 1 and 2 multiplies in the base ring at most once per pair of
+    # monomials, in the one slot the injected class occupies, not in all n
+    P = cohomology_of(parse_space("rh:3,2"))
+    n = 6
+    u = rand_dense(P, n, random.Random(23), max_terms=40)
+    a = generator(P, "a")
+    z = inject(P, n, 1, a) + inject(P, n, 2, a)
+    expected = slotwise_mul_supports(tensor_power(P, n), u.support, z.support)
+    calls = []
+    mono_mul = Presentation.mono_mul
+
+    def spy(self, m1, m2):
+        calls.append((m1, m2))
+        return mono_mul(self, m1, m2)
+
+    monkeypatch.setattr(Presentation, "mono_mul", spy)
+    for x, y in ((u, z), (z, u)):
+        calls.clear()
+        assert multiply(x, y).support == expected
+        assert 0 < len(calls) <= len(u.support) * 2
 
 
 def test_diagonal_of_inject_is_identity(P):
