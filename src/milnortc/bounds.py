@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from .certgen import cert_case1, cert_case2, cert_cat_topclass, cert_proj, cert_r2t
+from .certgen import cert_cat_topclass, certificates_for
 from .cuplength import Certificate, SearchFailure, cup_witness, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
 from .spaces import (
@@ -169,42 +169,6 @@ def cat_bounds(space, n: int) -> BoundReport:
 # --- higher topological complexity -------------------------------------------
 
 
-def _applicable_certificates(space, n: int):
-    """Generators whose hypotheses the space satisfies, as (rule, builder,
-    verified), where verified is true when the builder returns only
-    certificates it has verified in the space's own ring."""
-    out = []
-    if isinstance(space, (RealMilnor, ComplexMilnor)):
-        r, s = space.r, space.s
-        if s >= 2 and (s - 1) & (s - 2) == 0 and r >= 1 and r & (r - 1) == 0:
-            t1 = (s - 1).bit_length() - 1
-            t2 = r.bit_length() - 1
-            out.append(
-                ("certificate-odd-power-blocks", lambda: cert_case1(t1, t2, n), False)
-            )
-        if s >= 1 and s & (s - 1) == 0 and r >= 2 and (r - 1) & (r - 2) == 0:
-            p1 = s.bit_length() - 1
-            p2 = (r - 1).bit_length() - 1
-            # cert_case2 verifies in the ring of its rh: label, which is this
-            # space's ring only when the space is real
-            out.append(
-                (
-                    "certificate-searched-bridges",
-                    lambda: cert_case2(p1, p2, n),
-                    isinstance(space, RealMilnor),
-                )
-            )
-        if r >= 1 and r & (r - 1) == 0 and s >= 1:
-            t = r.bit_length() - 1
-            out.append(("certificate-power-of-two-r", lambda: cert_r2t(s, t, n), False))
-    elif isinstance(space, RealProj):
-        m = space.m
-        if m >= 1 and m & (m - 1) == 0:
-            t = m.bit_length() - 1
-            out.append(("certificate-projective", lambda: cert_proj(t, n), False))
-    return out
-
-
 def _monotonicity_rules(space, n: int):
     """Closed-form lower bounds via containment of smaller rings; claimed."""
     rules = []
@@ -277,11 +241,7 @@ def tc_bounds(
 
     if use_certs:
         source = "verified zero-divisor certificate"
-        for rule, builder, verified in _applicable_certificates(space, n):
-            try:
-                cert = builder()
-            except ValueError:
-                continue
+        for rule, cert, verified in certificates_for(space, n):
             if isinstance(cert, SearchFailure):
                 continue
             if verified:

@@ -4,6 +4,11 @@ Each construction emits a :class:`Certificate` whose total factor count
 matches the corresponding closed-form cup value; nonzeroness is never
 asserted here -- verification is a separate step in :mod:`cuplength`.
 Generation is deterministic: identical parameters give identical output.
+
+This module alone knows the families: :data:`GENERATORS` maps each
+``gen-cert`` method to its builder and parameter names, and
+:func:`certificates_for` maps a space to the families whose hypotheses it
+satisfies, for :func:`milnortc.bounds.tc_bounds`.
 """
 
 from __future__ import annotations
@@ -19,12 +24,42 @@ from .cuplength import (
 )
 from .exprs import Gen, to_string
 from .f2algebra import unit
-from .spaces import RealMilnor, cohomology_of, format_space, parse_space
+from .spaces import (
+    ComplexMilnor,
+    RealMilnor,
+    RealProj,
+    cohomology_of,
+    format_space,
+    parse_space,
+)
 from .tensorpower import tensor_power
 
 
 def _pair(name: str, i: int, j: int) -> str:
     return f"({name}{i}+{name}{j})"
+
+
+def _log2(x: int):
+    """The t with x = 2^t, or None when x is not a power of two."""
+    if x < 1 or x & (x - 1):
+        return None
+    return x.bit_length() - 1
+
+
+def _blocks(n: int, block=(), bridges=(), tail=()) -> tuple:
+    """Adjacent sums laid out over n slots, with k = n // 2: each (g, e) of
+    block on slots (2i-1, 2i) of every block i, each (g, o, e) of bridges
+    on slots (2i+o, 2i+2+o) between blocks i and i+1, and for odd n each
+    (g, e) of tail on slots (2k, 2k+1).  Factors of exponent 0 are left
+    out."""
+    k = n // 2
+    factors = [(_pair(g, 2 * i - 1, 2 * i), e) for i in range(1, k + 1) for g, e in block]
+    factors += [
+        (_pair(g, 2 * i + o, 2 * i + 2 + o), e) for i in range(1, k) for g, o, e in bridges
+    ]
+    if n % 2 == 1:
+        factors += [(_pair(g, 2 * k, 2 * k + 1), e) for g, e in tail]
+    return tuple((expr, e) for expr, e in factors if e > 0)
 
 
 def cert_case1(t1: int, t2: int, n: int) -> Certificate:
@@ -42,18 +77,14 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
     r = 2**t2
     if s > r:
         raise ValueError(f"hypothesis violated: s = {s} > r = {r}")
-    k = n // 2
-    factors = []
-    for i in range(1, k + 1):
-        factors.append((_pair("a", 2 * i - 1, 2 * i), 2 * (s - 1) - 1))
-        factors.append((_pair("b", 2 * i - 1, 2 * i), 2 * r - 1))
-    for i in range(1, k):
-        factors.append((_pair("a", 2 * i - 1, 2 * i + 1), 2))
-    if n % 2 == 1:
-        factors.append((_pair("a", 2 * k, 2 * k + 1), s))
-        factors.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
+    factors = _blocks(
+        n,
+        block=(("a", 2 * (s - 1) - 1), ("b", 2 * r - 1)),
+        bridges=(("a", -1, 2),),
+        tail=(("a", s), ("b", r - 1)),
+    )
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(RealMilnor(r, s)), n, tuple(factors), claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
 
 
 def cert_case2(p1: int, p2: int, n: int):
@@ -73,20 +104,16 @@ def cert_case2(p1: int, p2: int, n: int):
     if s > r:
         raise ValueError(f"hypothesis violated: s = {s} > r = {r}")
     k = n // 2
-    base = []
-    for i in range(1, k + 1):
-        base.append((_pair("a", 2 * i - 1, 2 * i), 2 * s - 1))
-        base.append((_pair("b", 2 * i - 1, 2 * i), 2 * (r - 1) - 1))
-    if n % 2 == 1:
-        base.append((_pair("a", 2 * k, 2 * k + 1), s))
-        base.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
+    base = _blocks(
+        n,
+        block=(("a", 2 * s - 1), ("b", 2 * (r - 1) - 1)),
+        tail=(("a", s), ("b", r - 1)),
+    )
     milnor = RealMilnor(r, s)
     space = format_space(milnor)
     claimed = n * (s + r - 1) - 2
 
-    narrow = [
-        _pair(g, 2 * i, 2 * i + 2) for i in range(1, k) for g in ("a", "b")
-    ]
+    narrow = [expr for expr, _ in _blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
     narrow_set = set(narrow)
     wide = [
         _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
@@ -98,13 +125,12 @@ def cert_case2(p1: int, p2: int, n: int):
         for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
             if pool is wide and narrow_set.issuperset(combo):
                 continue  # the narrow pass checked and rejected it
-            bridges = [(expr, 2) for expr in combo]
+            bridges = tuple((expr, 2) for expr in combo)
             product, checks = _factor_product(P, n, bridges, base_product)
             verdict = _verdict(base_checks + checks, product, False)
             if verdict == "Verified":
                 # a certificate is returned only on the verifier's word
-                factors = tuple(base + bridges)
-                cert = Certificate(space, n, factors, claimed, claimed + 1)
+                cert = Certificate(space, n, base + bridges, claimed, claimed + 1)
                 verdict = verify_certificate(cert).verdict
             log.append((combo, verdict))
             if verdict == "Verified":
@@ -113,7 +139,7 @@ def cert_case2(p1: int, p2: int, n: int):
 
 
 def cert_r2t(s: int, t: int, n: int) -> Certificate:
-    """Certificate for r = 2^t and any 0 <= s <= r: per even block an a-sum
+    """Certificate for r = 2^t and any 1 <= s <= r: per even block an a-sum
     to the s-th and a b-sum to the (2r-1)-st power, with (s-1)-st powers of
     even-position a sums bridging blocks."""
     if t < 0:
@@ -125,20 +151,14 @@ def cert_r2t(s: int, t: int, n: int) -> Certificate:
     # construction is only meaningful for s >= 1
     if not 1 <= s <= r:
         raise ValueError(f"requires 1 <= s <= r = {r}, got s = {s}")
-    k = n // 2
-    factors = []
-    for i in range(1, k + 1):
-        factors.append((_pair("a", 2 * i - 1, 2 * i), s))
-        factors.append((_pair("b", 2 * i - 1, 2 * i), 2 * r - 1))
-    for i in range(1, k):
-        if s - 1 > 0:
-            factors.append((_pair("a", 2 * i, 2 * i + 2), s - 1))
-    if n % 2 == 1:
-        factors.append((_pair("a", 2 * k, 2 * k + 1), s))
-        if r - 1 > 0:
-            factors.append((_pair("b", 2 * k, 2 * k + 1), r - 1))
+    factors = _blocks(
+        n,
+        block=(("a", s), ("b", 2 * r - 1)),
+        bridges=(("a", 0, s - 1),),
+        tail=(("a", s), ("b", r - 1)),
+    )
     claimed = n * (r + s - 1) - s + 1
-    return Certificate(format_space(RealMilnor(r, s)), n, tuple(factors), claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
 
 
 def cert_proj(t: int, n: int) -> Certificate:
@@ -149,17 +169,46 @@ def cert_proj(t: int, n: int) -> Certificate:
         raise ValueError("t must be non-negative")
     if n < 2:
         raise ValueError("arity must be >= 2")
-    m = 2**t
-    k = n // 2
-    factors = []
-    for i in range(1, k + 1):
-        factors.append((_pair("x", 2 * i - 1, 2 * i), 2 ** (t + 1) - 1))
-    for j in range(1, k):
-        factors.append((_pair("x", 2 * j, 2 * j + 2), 1))
-    if n % 2 == 1:
-        factors.append((_pair("x", 2 * k, 2 * k + 1), 2**t))
+    factors = _blocks(
+        n, block=(("x", 2 ** (t + 1) - 1),), bridges=(("x", 0, 1),), tail=(("x", 2**t),)
+    )
     claimed = n * 2**t - 1
-    return Certificate(f"rp:{m}", n, tuple(factors), claimed, claimed + 1)
+    return Certificate(f"rp:{2**t}", n, factors, claimed, claimed + 1)
+
+
+# method name of gen-cert -> (builder, names of its parameters before n)
+GENERATORS = {
+    "case1": (cert_case1, ("t1", "t2")),
+    "case2": (cert_case2, ("p1", "p2")),
+    "r2t": (cert_r2t, ("s", "t")),
+    "proj": (cert_proj, ("t",)),
+}
+
+
+def certificates_for(space, n: int) -> list:
+    """The families whose hypotheses the space satisfies, as (rule,
+    Certificate | SearchFailure, verified) rows, where verified is true
+    when the builder returns only certificates it has verified in the
+    space's own ring."""
+    rows = []
+    if isinstance(space, (RealMilnor, ComplexMilnor)):
+        r, s = space.r, space.s
+        t1, t2 = _log2(s - 1), _log2(r)
+        if t1 is not None and t2 is not None:
+            rows.append(("certificate-odd-power-blocks", cert_case1(t1, t2, n), False))
+        p1, p2 = _log2(s), _log2(r - 1)
+        if p1 is not None and p2 is not None:
+            # cert_case2 verifies in the ring of its rh: label, which is this
+            # space's ring only when the space is real
+            verified = isinstance(space, RealMilnor)
+            rows.append(("certificate-searched-bridges", cert_case2(p1, p2, n), verified))
+        if t2 is not None and s >= 1:
+            rows.append(("certificate-power-of-two-r", cert_r2t(s, t2, n), False))
+    elif isinstance(space, RealProj):
+        t = _log2(space.m)
+        if t is not None:
+            rows.append(("certificate-projective", cert_proj(t, n), False))
+    return rows
 
 
 def cert_cat_topclass(space, n: int) -> Certificate:

@@ -15,7 +15,7 @@ import json
 import sys
 
 from .bounds import BoundReport, cat_bounds, eqtc_bounds, tc_bounds
-from .certgen import cert_case1, cert_case2, cert_cat_topclass, cert_proj, cert_r2t
+from .certgen import GENERATORS, cert_cat_topclass
 from .cuplength import Certificate, SearchFailure, cup_exact, verify_certificate
 from .errors import ExprSyntaxError, NoFreeActionError, ResourceLimitError
 from .f2algebra import binom_mod2
@@ -226,9 +226,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("gen-cert", help="generate a certificate file")
-    p.add_argument(
-        "--method", choices=("case1", "case2", "r2t", "proj", "cat"), required=True
-    )
+    p.add_argument("--method", choices=(*GENERATORS, "cat"), required=True)
     p.add_argument("--params", action="append", default=[])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -331,22 +329,12 @@ def _require_params(params: dict, *names) -> list:
 
 def _cmd_gen_cert(args) -> int:
     params = _parse_params(args.params)
-    n = args.n
-    if args.method == "case1":
-        t1, t2 = map(int, _require_params(params, "t1", "t2"))
-        cert = cert_case1(t1, t2, n)
-    elif args.method == "case2":
-        p1, p2 = map(int, _require_params(params, "p1", "p2"))
-        cert = cert_case2(p1, p2, n)
-    elif args.method == "r2t":
-        s, t = map(int, _require_params(params, "s", "t"))
-        cert = cert_r2t(s, t, n)
-    elif args.method == "proj":
-        (t,) = map(int, _require_params(params, "t"))
-        cert = cert_proj(t, n)
-    else:
+    if args.method == "cat":
         (space,) = _require_params(params, "space")
-        cert = cert_cat_topclass(space, n)
+        cert = cert_cat_topclass(space, args.n)
+    else:
+        build, names = GENERATORS[args.method]
+        cert = build(*map(int, _require_params(params, *names)), args.n)
     if isinstance(cert, SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1

@@ -165,26 +165,20 @@ def _ideal_generators(P: Presentation, n: int):
 
 def _mult_map(P, n, gen_el, d_from, d_to, cache):
     """Multiplication by gen_el from slice(d_from) to slice(d_to): for each
-    source monomial, the int bitset of its targets in slice(d_to).  A
-    monomial of gen_el that is the unit in all slots but k sends a source
-    monomial to the monomials with slot k replaced by each term of the
-    slot-k product; any other monomial of gen_el goes through the general
-    product."""
+    source monomial, the int bitset of its targets in slice(d_to).  Every
+    monomial of an ideal generator is the unit in all slots but one, k, so
+    a source monomial goes to the monomials with slot k replaced by each
+    term of the slot-k product."""
     key = (id(gen_el), d_from)
     targets = cache.get(key)
     if targets is not None:
         return targets
     index = {tup: i for i, tup in enumerate(tensor_slice(P, n, d_to))}
     # (slot k, the product by its factor of each basic monomial)
-    one_slot, general = [], []
+    one_slot = []
     for zm in gen_el.support:
-        slots = [k for k, c in enumerate(zm) if c != P.one]
-        if len(slots) == 1:
-            (k,) = slots
-            one_slot.append((k, {m: P.mono_mul(m, zm[k]) for m in P.basis}))
-        else:
-            general.append(zm)
-    mul_supports = gen_el.algebra.mul_supports
+        (k,) = [k for k, c in enumerate(zm) if c != P.one]
+        one_slot.append((k, {m: P.mono_mul(m, zm[k]) for m in P.basis}))
     targets = []
     for tup in tensor_slice(P, n, d_from):
         bits = 0
@@ -192,9 +186,6 @@ def _mult_map(P, n, gen_el, d_from, d_to, cache):
             head, tail = tup[:k], tup[k + 1 :]
             for mono in products[tup[k]]:
                 bits ^= 1 << index[head + (mono,) + tail]
-        if general:
-            for out in mul_supports(general, (tup,)):
-                bits ^= 1 << index[out]
         targets.append(bits)
     cache[key] = targets
     return targets

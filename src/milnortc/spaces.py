@@ -149,15 +149,7 @@ def format_space(space) -> str:
     if isinstance(space, ComplexProj):
         return f"cp:{space.m}"
     if isinstance(space, ProductSpace):
-        inner = []
-        for f in space.factors:
-            if isinstance(f, RealMilnor):
-                inner.append(f"rh{f.r}.{f.s}")
-            elif isinstance(f, ComplexMilnor):
-                inner.append(f"ch{f.r}.{f.s}")
-            elif isinstance(f, RealProj):
-                inner.append(f"rp{f.m}")
-            else:
-                inner.append(f"cp{f.m}")
+        # factors compactly: rh:4,3 -> rh4.3, rp:3 -> rp3
+        inner = (format_space(f).replace(":", "").replace(",", ".") for f in space.factors)
         return "prod:" + ",".join(inner)
     raise ValueError(f"unknown space descriptor: {space!r}")

@@ -175,8 +175,6 @@ def tensor_slice(P: Presentation, n: int, d: int):
 
     if P.basis:
         rec(0, d, [])
-    # order must follow component ranks, not raw exponent tuples
-    out.sort(key=lambda tup: tuple(P.rank_of[c] for c in tup))
     result = tuple(out)
     slices[d] = result
     return result

@@ -57,9 +57,9 @@ def test_case2_search_verifies():
 
 def test_case2_odd_arity():
     cert = cert_case2(p1=0, p2=1, n=3)  # (s, r) = (1, 3)
-    assert isinstance(cert, (Certificate, SearchFailure))
-    if isinstance(cert, Certificate):
-        assert verify_certificate(cert).verdict == "Verified"
+    assert isinstance(cert, Certificate)
+    assert cert.space == "rh:3,1"
+    assert verify_certificate(cert).verdict == "Verified"
 
 
 def test_r2t_counts_and_space():

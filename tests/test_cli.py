@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from milnortc.certgen import cert_case1, cert_proj
+from milnortc.certgen import GENERATORS, cert_case1, cert_proj
 from milnortc.cli import (
     certificate_from_json,
     certificate_to_json,
@@ -264,6 +264,23 @@ def test_gen_cert_round_trip(tmp_path):
     text = out.read_text(encoding="utf-8")
     assert certificate_from_json(text) == cert_case1(1, 2, 2)
     assert certificate_to_json(certificate_from_json(text)) == text
+
+
+# one value for each parameter name of the table, inside every hypothesis;
+# the builders are called by keyword, so a name or an order the table gets
+# wrong writes a different file
+GENERATOR_PARAMS = {"t1": 1, "t2": 2, "p1": 0, "p2": 1, "s": 3, "t": 2}
+
+
+@pytest.mark.parametrize("method", list(GENERATORS))
+def test_gen_cert_writes_each_table_generator(method, tmp_path):
+    build, names = GENERATORS[method]
+    kwargs = {name: GENERATOR_PARAMS[name] for name in names}
+    params = ",".join(f"{name}={v}" for name, v in kwargs.items())
+    out = tmp_path / "c.json"
+    assert main(["gen-cert", "--method", method, "--params", params,
+                 "--n", "3", "--out", str(out)]) == 0
+    assert out.read_text(encoding="utf-8") == certificate_to_json(build(**kwargs, n=3))
 
 
 def test_gen_cert_cat_method(tmp_path, capsys):

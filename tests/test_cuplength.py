@@ -110,6 +110,20 @@ def test_oracle_klein_bottle():
     assert cup_exact(P, 3) == 6
 
 
+def per_monomial_map(P, n, el, d_from, d_to):
+    """Reference for cuplength._mult_map: the general product of el with
+    each source monomial of slice(d_from), as the int bitset of its targets
+    in slice(d_to).  el may have monomials in several non-unit slots."""
+    index = {t: i for i, t in enumerate(tensor_slice(P, n, d_to))}
+    targets = []
+    for tup in tensor_slice(P, n, d_from):
+        bits = 0
+        for out in el.algebra.mul_supports(el.support, (tup,)):
+            bits ^= 1 << index[out]
+        targets.append(bits)
+    return targets
+
+
 def kernel_powers(P, n):
     """Reference chain [K^1, K^2, ...] of the nonzero powers of K, each a
     dict degree -> basis rows (gf2 int bitsets).  Each power K^(m+1) is
@@ -124,10 +138,12 @@ def kernel_powers(P, n):
     while V:
         chain.append(V)
         products = {}
-        for el, dg in gens:
+        for j, (el, dg) in enumerate(gens):
             for d, rows in V.items():
                 if d + dg <= nd:
-                    targets = _mult_map(P, n, el, d, d + dg, map_cache)
+                    if (j, d) not in map_cache:
+                        map_cache[j, d] = per_monomial_map(P, n, el, d, d + dg)
+                    targets = map_cache[j, d]
                     products.setdefault(d + dg, []).extend(gf2.image(targets, rows))
         V = {}
         for d, rows in products.items():
@@ -165,13 +181,7 @@ def test_mult_maps_match_the_per_monomial_product():
         nd = n * P.top_degree
         for _, z in _ideal_generators(P, n):
             for d in range(nd - z.degree + 1):
-                index = {t: i for i, t in enumerate(tensor_slice(P, n, d + z.degree))}
-                expected = []
-                for tup in tensor_slice(P, n, d):
-                    bits = 0
-                    for out in z.algebra.mul_supports(z.support, (tup,)):
-                        bits ^= 1 << index[out]
-                    expected.append(bits)
+                expected = per_monomial_map(P, n, z, d, d + z.degree)
                 got = _mult_map(P, n, z, d, d + z.degree, {})
                 assert got == expected, (space, n, d)
 
