@@ -11,11 +11,11 @@ one.  Every number of a report is read off its trace rows.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
 
 from .certgen import cert_cat_topclass, certificates_for
 from .cuplength import Certificate, SearchFailure, cup_witness, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
+from .record import Record
 from .spaces import (
     ComplexMilnor,
     RealMilnor,
@@ -33,10 +33,8 @@ class FreeAction(enum.Enum):
     OUT_OF_HYPOTHESIS = "out-of-hypothesis"
 
 
-@dataclass(frozen=True)
-class Group:
-    name: str
-    dim: int
+class Group(Record):
+    __slots__ = ("name", "dim")
 
 
 Z2 = Group("z2", 0)
@@ -54,25 +52,28 @@ def resolve_group(group) -> Group:
         raise ValueError(f"unknown group {group!r}; expected z2 or s1") from None
 
 
-@dataclass(frozen=True)
-class RuleTrace:
-    rule: str
-    source: str
-    bound: str  # "lower" | "upper"
-    value: int
-    status: str  # "machine-verified" | "claimed"
+class RuleTrace(Record):
+    __slots__ = (
+        "rule",
+        "source",
+        "bound",  # "lower" | "upper"
+        "value",
+        "status",  # "machine-verified" | "claimed"
+    )
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    space: str
-    quantity: str  # "cat" | "tc" | "eqtc"
-    n: int
-    lower: int
-    upper: int
-    group: str | None = None
-    verified_lower: int | None = None
-    trace: tuple = field(default_factory=tuple)
+class BoundReport(Record):
+    __slots__ = (
+        "space",
+        "quantity",  # "cat" | "tc" | "eqtc"
+        "n",
+        "lower",
+        "upper",
+        "group",
+        "verified_lower",
+        "trace",
+    )
+    _defaults = {"group": None, "verified_lower": None, "trace": ()}
 
     @property
     def inconsistent(self) -> bool:
@@ -369,8 +370,7 @@ def eqtc_bounds(
     upper = n * space.dimension - group.dim + 1
     # the orbit bound alone is the upper end: the TC_n upper rows inherited
     # from the trace do not bound the equivariant complexity
-    return replace(
-        tc,
+    return tc.replace(
         quantity="eqtc",
         group=group.name,
         upper=upper,

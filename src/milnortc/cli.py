@@ -50,6 +50,21 @@ def certificate_to_json(cert: Certificate) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_JSON_TYPE = {bool: "boolean", int: "integer", list: "array", str: "string"}
+
+
+def _typed(doc: dict, key: str, kind: type):
+    """doc[key], which must have exactly the JSON type kind: nothing is
+    coerced, so true is not an integer and "2" or 1.5 not a multiplicity."""
+    value = doc[key]
+    if type(value) is not kind:
+        raise ValueError(
+            f"certificate field {key!r} must be a JSON {_JSON_TYPE[kind]}, "
+            f"got {json.dumps(value)}"
+        )
+    return value
+
+
 def certificate_from_json(text: str) -> Certificate:
     try:
         doc = json.loads(text)
@@ -61,16 +76,17 @@ def certificate_from_json(text: str) -> Certificate:
         raise ValueError(f"unsupported schema version {doc.get('schemaVersion')!r}")
     try:
         factors = tuple(
-            (f["expr"], int(f["multiplicity"])) for f in doc["factors"]
+            (_typed(f, "expr", str), _typed(f, "multiplicity", int))
+            for f in _typed(doc, "factors", list)
         )
         return Certificate(
-            space=doc["space"],
-            n=int(doc["n"]),
+            space=_typed(doc, "space", str),
+            n=_typed(doc, "n", int),
             factors=factors,
-            claimed_cup=int(doc["claimedCup"]),
-            claimed_tc_lower=int(doc["claimedTcLower"]),
-            note=doc.get("note"),
-            cat_witness=bool(doc.get("catWitness", False)),
+            claimed_cup=_typed(doc, "claimedCup", int),
+            claimed_tc_lower=_typed(doc, "claimedTcLower", int),
+            note=_typed(doc, "note", str) if "note" in doc else None,
+            cat_witness="catWitness" in doc and _typed(doc, "catWitness", bool),
         )
     except (KeyError, TypeError) as exc:
         raise ValueError(f"certificate file missing or bad field: {exc}") from None
@@ -258,6 +274,8 @@ def _cmd_bounds(args) -> int:
         use_monotonicity=not args.no_monotonicity,
         max_slice=DEFAULT_MAX_SLICE if args.max_slice is None else args.max_slice,
     )
+    if args.group and args.quantity != "eqtc":
+        raise ValueError(f"--group does not apply to --quantity {args.quantity}")
     if args.quantity == "cat":
         for flag, given in (
             ("--no-certs", args.no_certs),
@@ -356,6 +374,8 @@ def _cmd_table(args) -> int:
     else:
         if not args.r:
             raise ValueError("--r (dimension range) is required for rp")
+        if args.s is not None:
+            raise ValueError("--s does not apply to --family rp")
         spaces = [f"rp:{m}" for m in _parse_range(args.r)]
     reports = [
         tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)

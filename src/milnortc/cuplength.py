@@ -22,12 +22,11 @@ reference this oracle is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import gf2
 from .errors import ResourceLimitError
 from .exprs import Gen, Sum, evaluate, parse_factor_expr, to_string
 from .f2algebra import Element, Presentation, generator, multiply, power, unit
+from .record import Record
 from .spaces import cohomology_of, parse_space
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
@@ -44,19 +43,23 @@ def is_zero_divisor(u: Element) -> bool:
     return diagonal_eval(u).is_zero
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """A claimed cup-length witness: factors with multiplicities."""
 
-    space: str
-    n: int
-    factors: tuple  # ((expression string, multiplicity), ...)
-    claimed_cup: int
-    claimed_tc_lower: int
-    note: str | None = None
-    cat_witness: bool = False
+    __slots__ = (
+        "space",
+        "n",
+        "factors",  # ((expression string, multiplicity), ...)
+        "claimed_cup",
+        "claimed_tc_lower",
+        "note",
+        "cat_witness",
+    )
+    _defaults = {"note": None, "cat_witness": False}
 
-    def __post_init__(self):
+    def _check(self):
+        if self.n < 1:
+            raise ValueError("arity must be >= 1")
         if self.claimed_tc_lower != self.claimed_cup + 1:
             raise ValueError("claimed TC lower bound must be claimed cup + 1")
         total = sum(mult for _, mult in self.factors)
@@ -69,20 +72,19 @@ class Certificate:
                 raise ValueError("factor multiplicities must be positive")
 
 
-@dataclass(frozen=True)
-class FactorCheck:
-    expression: str
-    is_zero_divisor: bool
-    degree: int | None
+class FactorCheck(Record):
+    __slots__ = ("expression", "is_zero_divisor", "degree")
 
 
-@dataclass(frozen=True)
-class VerificationReport:
-    per_factor: tuple
-    product_nonzero: bool
-    verified_cup: int | None
-    verdict: str  # Verified | FactorNotZeroDivisor | ProductVanishes
-    zero_divisors_required: bool = True
+class VerificationReport(Record):
+    __slots__ = (
+        "per_factor",
+        "product_nonzero",
+        "verified_cup",
+        "verdict",  # Verified | FactorNotZeroDivisor | ProductVanishes
+        "zero_divisors_required",
+    )
+    _defaults = {"zero_divisors_required": True}
 
     @property
     def verified_tc_lower(self) -> int | None:
@@ -136,12 +138,11 @@ def verify_certificate(
     )
 
 
-@dataclass
-class SearchFailure:
+class SearchFailure(Record):
     """Search could not realize the requested certificate."""
 
-    reason: str
-    log: tuple = field(default_factory=tuple)
+    __slots__ = ("reason", "log")
+    _defaults = {"log": ()}
 
 
 # --- exact ideal-power oracle ------------------------------------------------

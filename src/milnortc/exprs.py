@@ -15,38 +15,31 @@ Grammar (whitespace insensitive, single-token lookahead):
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import ExprSyntaxError
 from .f2algebra import Element, Presentation, generator, multiply, power, unit
+from .record import Record
 from .tensorpower import inject, tensor_power
 
 
-@dataclass(frozen=True)
-class Gen:
-    name: str
-    position: int
+class Gen(Record):
+    __slots__ = ("name", "position")
 
 
-@dataclass(frozen=True)
-class Unit:
-    pass
+class Unit(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Sum:
-    terms: tuple
+class Sum(Record):
+    __slots__ = ("terms",)
 
 
-@dataclass(frozen=True)
-class Prod:
-    factors: tuple
+class Prod(Record):
+    __slots__ = ("factors",)
 
 
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
+class Pow(Record):
+    __slots__ = ("base", "exponent")
 
 
 _TOKEN_RE = re.compile(

@@ -23,8 +23,9 @@ freely across workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
+
+from .record import Record
 
 _PRESENTATION_CACHE: dict = {}
 
@@ -217,15 +218,13 @@ def make_presentation(
     return _PRESENTATION_CACHE[key]
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(Record):
     """Mod-2 sum of basic monomials of one algebra: a presentation or a
     tensor power of one."""
 
-    algebra: object
-    support: frozenset
+    __slots__ = ("algebra", "support")
 
-    def __post_init__(self):
+    def _check(self):
         for mono in self.support:
             if not self.algebra.is_basic(mono):
                 raise ValueError(f"non-basic monomial in support: {mono}")

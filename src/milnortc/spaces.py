@@ -9,17 +9,15 @@ products (factors written compactly, e.g. ``rh4.3``, ``rp3``).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .f2algebra import Presentation, make_presentation
+from .record import Record
 
 
-@dataclass(frozen=True)
-class RealMilnor:
-    r: int
-    s: int
+class RealMilnor(Record):
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
+    def _check(self):
         _check_rs(self.r, self.s)
 
     @property
@@ -27,12 +25,10 @@ class RealMilnor:
         return self.r + self.s - 1
 
 
-@dataclass(frozen=True)
-class ComplexMilnor:
-    r: int
-    s: int
+class ComplexMilnor(Record):
+    __slots__ = ("r", "s")
 
-    def __post_init__(self):
+    def _check(self):
         _check_rs(self.r, self.s)
 
     @property
@@ -40,11 +36,10 @@ class ComplexMilnor:
         return 2 * (self.r + self.s - 1)
 
 
-@dataclass(frozen=True)
-class RealProj:
-    m: int
+class RealProj(Record):
+    __slots__ = ("m",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 0:
             raise ValueError("projective space dimension must be >= 0")
 
@@ -53,11 +48,10 @@ class RealProj:
         return self.m
 
 
-@dataclass(frozen=True)
-class ComplexProj:
-    m: int
+class ComplexProj(Record):
+    __slots__ = ("m",)
 
-    def __post_init__(self):
+    def _check(self):
         if self.m < 0:
             raise ValueError("projective space dimension must be >= 0")
 
@@ -66,11 +60,10 @@ class ComplexProj:
         return 2 * self.m
 
 
-@dataclass(frozen=True)
-class ProductSpace:
-    factors: tuple
+class ProductSpace(Record):
+    __slots__ = ("factors",)
 
-    def __post_init__(self):
+    def _check(self):
         if not self.factors:
             raise ValueError("product space needs at least one factor")
 

@@ -18,12 +18,12 @@ independent reference the oracle is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from . import gf2
 from .errors import ResourceLimitError
 from .f2algebra import Element, Presentation, poincare_series
+from .record import Record
 
 DEFAULT_MAX_SLICE = 1 << 20
 
@@ -180,17 +180,14 @@ def tensor_slice(P: Presentation, n: int, d: int):
     return result
 
 
-@dataclass(frozen=True, eq=False)
-class KernelBasis:
+class KernelBasis(Record):
     """Nullspace basis of the diagonal map on one degree slice, as
     :mod:`milnortc.gf2` int rows whose bit j is the j-th tensor monomial
-    of the slice in :func:`tensor_slice` order."""
+    of the slice in :func:`tensor_slice` order.  Equal only to itself."""
 
-    presentation: Presentation
-    n: int
-    degree: int
-    rows: list
-    slice_dim: int
+    __slots__ = ("presentation", "n", "degree", "rows", "slice_dim")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
 
     def __len__(self):
         return len(self.rows)

@@ -44,6 +44,44 @@ def test_certificate_schema_rejections():
         certificate_from_json('{"schemaVersion": 1}')
 
 
+_RP2 = {"schemaVersion": 1, "space": "rp:2", "n": 2, "claimedCup": 3,
+        "claimedTcLower": 4, "factors": [{"expr": "(x1+x2)", "multiplicity": 3}]}
+_EMPTY = dict(_RP2, factors=[], claimedCup=0, claimedTcLower=1)
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # x1 is no zero divisor, so only a genuine cat witness may carry it
+        dict(_RP2, factors=[{"expr": "x1", "multiplicity": 2}], claimedCup=2,
+             claimedTcLower=3, catWitness="no"),
+        dict(_EMPTY, n=True),
+        dict(_EMPTY, n=0),
+        dict(_EMPTY, n=-1),
+        dict(_RP2, factors=[{"expr": "(x1+x2)", "multiplicity": "3"}]),
+        dict(_RP2, factors=[{"expr": "(x1+x2)", "multiplicity": 1.5},
+                            {"expr": "(x1+x2)", "multiplicity": 2}]),
+        dict(_RP2, claimedCup=3.0),
+        dict(_RP2, claimedTcLower="4"),
+        dict(_RP2, factors=[{"expr": 5, "multiplicity": 3}]),
+        dict(_RP2, space=7),
+        dict(_RP2, note=5),
+    ],
+    ids=["catWitness-str", "n-bool", "n-zero", "n-negative", "multiplicity-str",
+         "multiplicity-float", "claimedCup-float", "claimedTcLower-str", "expr-int",
+         "space-int", "note-int"],
+)
+def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
+    # nothing in a certificate file is coerced: a mistyped field is invalid
+    # input, never a verdict
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--cert", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 # -- report emission ----------------------------------------------------------
 
 
@@ -148,7 +186,8 @@ def test_cup_command(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag", ["--no-certs", "--no-monotonicity", "--use-oracle", "--max-slice=1"]
+    "flag",
+    ["--no-certs", "--no-monotonicity", "--use-oracle", "--max-slice=1", "--group=s1"],
 )
 def test_cat_refuses_the_tc_source_flags(flag, capsys):
     # cat has one lower-bound source and no oracle: these flags would be
@@ -160,12 +199,32 @@ def test_cat_refuses_the_tc_source_flags(flag, capsys):
     assert flag.partition("=")[0] in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2",
+          "--group", "z2"], "--group"),
+        (["table", "--family", "rp", "--r", "2..3", "--s", "1..3", "--n", "2"], "--s"),
+    ],
+)
+def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
+    # tc takes no group and the rp family no s range; cat's refusals are
+    # checked above
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+
+
 def test_cli_import_loads_no_numpy():
-    # the package has no third-party runtime dependency
+    # the package has no third-party runtime dependency, and its value
+    # records import neither dataclasses nor what that pulls in
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import milnortc.cli, sys; assert 'numpy' not in sys.modules"],
+         "import milnortc.cli, sys; "
+         "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); "
+         "assert not loaded, loaded"],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True,
         text=True,

@@ -1,0 +1,161 @@
+"""Value semantics of the immutable records: equality by type and fields, a
+hash that agrees with it, defaults, keyword construction, validation,
+refused assignment and the ``Name(field=value, ...)`` repr."""
+
+import pytest
+
+from milnortc.bounds import BoundReport, Group, RuleTrace, eqtc_bounds
+from milnortc.cuplength import Certificate, FactorCheck, SearchFailure, VerificationReport
+from milnortc.exprs import Gen, Pow, Prod, Sum, Unit
+from milnortc.f2algebra import Element, generator, make_presentation
+from milnortc.spaces import (
+    ComplexMilnor,
+    ComplexProj,
+    ProductSpace,
+    RealMilnor,
+    RealProj,
+    parse_space,
+)
+from milnortc.tensorpower import KernelBasis, kernel_basis
+
+P = make_presentation(kind="truncated", m=2, gen_degree=1)
+g, h = Gen("a", 1), Gen("b", 2)
+
+# one constructor per record class, called twice for two equal instances
+RECORDS = {
+    "Group": lambda: Group("x", 3),
+    "RuleTrace": lambda: RuleTrace("r", "a source", "lower", 3, "claimed"),
+    "BoundReport": lambda: BoundReport("rp:2", "tc", 2, 3, 5),
+    "Certificate": lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4),
+    "FactorCheck": lambda: FactorCheck("x1", False, 1),
+    "VerificationReport": lambda: VerificationReport((), True, 3, "Verified"),
+    "SearchFailure": lambda: SearchFailure("no product", (("c", "v"),)),
+    "Gen": lambda: Gen("a", 1),
+    "Unit": Unit,
+    "Sum": lambda: Sum((g, h)),
+    "Prod": lambda: Prod((g, h)),
+    "Pow": lambda: Pow(g, 2),
+    "Element": lambda: generator(P, "x"),
+    "RealMilnor": lambda: RealMilnor(4, 3),
+    "ComplexMilnor": lambda: ComplexMilnor(4, 3),
+    "RealProj": lambda: RealProj(2),
+    "ComplexProj": lambda: ComplexProj(2),
+    "ProductSpace": lambda: ProductSpace((RealProj(2), ComplexProj(1))),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_equal_fields_give_equal_records_and_hashes(name):
+    a, b = RECORDS[name](), RECORDS[name]()
+    assert type(a).__name__ == name
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
+@pytest.mark.parametrize("name", [*RECORDS, "KernelBasis"])
+def test_fields_cannot_be_assigned_or_deleted(name):
+    rec = kernel_basis(P, 2, 1) if name == "KernelBasis" else RECORDS[name]()
+    for field in type(rec).__slots__:
+        with pytest.raises(AttributeError):
+            setattr(rec, field, None)
+        with pytest.raises(AttributeError):
+            delattr(rec, field)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+
+
+def test_equality_needs_the_same_type():
+    assert Sum((g, h)) != Prod((g, h))
+    assert Gen("a", 1) != ("a", 1)
+    assert RealProj(2) != ComplexProj(2)
+    assert RealMilnor(4, 3) != ComplexMilnor(4, 3)
+    assert Gen("a", 1) != Gen("a", 2)
+    assert Unit() == Unit() and Unit() != Sum(())
+    assert Pow(Sum((g, h)), 2) == Pow(Sum((Gen("a", 1), Gen("b", 2))), 2)
+
+
+def test_defaults_and_keyword_construction():
+    cert = Certificate(space="rp:2", n=2, factors=(("(x1+x2)", 3),),
+                       claimed_cup=3, claimed_tc_lower=4)
+    assert cert.note is None and cert.cat_witness is False
+    assert cert == Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4, None, False)
+    assert Certificate("rp:2", 2, (("x1", 1),), 1, 2, cat_witness=True).cat_witness
+    report = BoundReport("rp:2", "tc", 2, 3, 5)
+    assert (report.group, report.verified_lower, report.trace) == (None, None, ())
+    assert VerificationReport((), True, 3, "Verified").zero_divisors_required is True
+    assert SearchFailure("why").log == ()
+    assert Gen(position=1, name="a") == g
+
+
+def test_missing_repeated_and_unknown_arguments_raise_type_error():
+    with pytest.raises(TypeError, match="missing argument 'dim'"):
+        Group("x")
+    with pytest.raises(TypeError, match="unexpected arguments colour"):
+        Group("x", 3, colour="red")
+    with pytest.raises(TypeError, match="unexpected arguments name"):
+        Group("x", 3, name="y")
+    with pytest.raises(TypeError, match="takes 2 arguments, got 3"):
+        Group("x", 3, 4)
+
+
+def test_replace_changes_fields_and_validates_again():
+    report = BoundReport("rp:2", "tc", 2, 3, 5)
+    eq = report.replace(quantity="eqtc", group="z2")
+    assert (eq.quantity, eq.group, eq.lower) == ("eqtc", "z2", 3)
+    assert report.quantity == "tc"
+    with pytest.raises(ValueError, match="requires r >= 1"):
+        RealMilnor(4, 3).replace(s=5)
+    with pytest.raises(TypeError):
+        report.replace(colour="red")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Certificate("rp:2", 2, (("x1", 3),), 3, 5), "claimed cup \\+ 1"),
+        (lambda: Certificate("rp:2", 2, (("x1", 2),), 3, 4), "total factor count 2"),
+        (lambda: Certificate("rp:2", 2, (("x1", 3), ("x2", 0)), 3, 4), "positive"),
+        (lambda: Certificate("rp:2", 0, (), 0, 1), "arity must be >= 1"),
+        (lambda: RealMilnor(2, 3), "requires r >= 1 and 0 <= s <= r"),
+        (lambda: ComplexMilnor(0, 0), "requires r >= 1"),
+        (lambda: RealMilnor(2.0, 1), "must be integers"),
+        (lambda: parse_space("rp:-1"), "dimension must be >= 0"),
+        (lambda: ComplexProj(-1), "dimension must be >= 0"),
+        (lambda: ProductSpace(()), "at least one factor"),
+        (lambda: Element(P, frozenset({(3,)})), "non-basic"),
+    ],
+)
+def test_validation_runs_at_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_computed_elements_skip_validation():
+    # the engine's own products are basic by construction
+    el = Element.computed(P, frozenset({(3,)}))
+    assert el.support == frozenset({(3,)})
+    assert el == Element.computed(P, frozenset({(3,)}))
+
+
+def test_kernel_basis_is_equal_only_to_itself():
+    a, b = kernel_basis(P, 2, 1), kernel_basis(P, 2, 1)
+    assert a == a and a != b
+    assert (a.rows, a.slice_dim) == (b.rows, b.slice_dim)
+    assert len({a, b}) == 2
+    assert isinstance(a, KernelBasis) and len(a) == 1
+
+
+def test_repr_names_each_field():
+    assert repr(Group("x", 3)) == "Group(name='x', dim=3)"
+    assert repr(Unit()) == "Unit()"
+    assert repr(Sum((g, h))) == (
+        "Sum(terms=(Gen(name='a', position=1), Gen(name='b', position=2)))"
+    )
+    assert repr(RealMilnor(4, 3)) == "RealMilnor(r=4, s=3)"
+    assert repr(SearchFailure("why")) == "SearchFailure(reason='why', log=())"
+    # Element keeps its own repr, in the terms of its algebra
+    assert repr(generator(P, "x")) == "Element(x)"
+    with pytest.raises(ValueError, match=r"unsupported group Group\(name='x', dim=3\)"):
+        eqtc_bounds("rh:5,3", Group("x", 3), 2)
