@@ -242,16 +242,9 @@ def tc_bounds(
 
     if use_certs:
         source = "verified zero-divisor certificate"
-        for rule, cert, verified in certificates_for(space, n):
-            if isinstance(cert, SearchFailure):
-                continue
-            if verified:
-                row = RuleTrace(
-                    rule, source, "lower", cert.claimed_tc_lower, "machine-verified"
-                )
-            else:
-                row = _verified_row(cert, P, rule, source)
-            trace.append(row)
+        for rule, cert in certificates_for(space, n):
+            if not isinstance(cert, SearchFailure):
+                trace.append(_verified_row(cert, P, rule, source))
         trace.append(
             _verified_row(
                 cert_cat_topclass(space, n - 1),

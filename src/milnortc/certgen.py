@@ -15,13 +15,7 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .cuplength import (
-    Certificate,
-    SearchFailure,
-    _factor_product,
-    _verdict,
-    verify_certificate,
-)
+from .cuplength import Certificate, SearchFailure, _factor_product, _verdict
 from .exprs import Gen, to_string
 from .f2algebra import unit
 from .spaces import (
@@ -93,8 +87,8 @@ def cert_case2(p1: int, p2: int, n: int):
     over adjacent even-position sums (widened to all position pairs on
     failure).  The fixed block factors are multiplied once per search and
     each combination of bridges onto that product; the first combination
-    whose product is nonzero is passed through verify_certificate before
-    it is returned.  Returns a verified Certificate or a SearchFailure."""
+    whose product is nonzero is returned.  Returns a Certificate or a
+    SearchFailure."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -128,13 +122,9 @@ def cert_case2(p1: int, p2: int, n: int):
             bridges = tuple((expr, 2) for expr in combo)
             product, checks = _factor_product(P, n, bridges, base_product)
             verdict = _verdict(base_checks + checks, product, False)
-            if verdict == "Verified":
-                # a certificate is returned only on the verifier's word
-                cert = Certificate(space, n, base + bridges, claimed, claimed + 1)
-                verdict = verify_certificate(cert).verdict
             log.append((combo, verdict))
             if verdict == "Verified":
-                return cert
+                return Certificate(space, n, base + bridges, claimed, claimed + 1)
     return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
 
 
@@ -187,27 +177,22 @@ GENERATORS = {
 
 def certificates_for(space, n: int) -> list:
     """The families whose hypotheses the space satisfies, as (rule,
-    Certificate | SearchFailure, verified) rows, where verified is true
-    when the builder returns only certificates it has verified in the
-    space's own ring."""
+    Certificate | SearchFailure) rows."""
     rows = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
         t1, t2 = _log2(s - 1), _log2(r)
         if t1 is not None and t2 is not None:
-            rows.append(("certificate-odd-power-blocks", cert_case1(t1, t2, n), False))
+            rows.append(("certificate-odd-power-blocks", cert_case1(t1, t2, n)))
         p1, p2 = _log2(s), _log2(r - 1)
         if p1 is not None and p2 is not None:
-            # cert_case2 verifies in the ring of its rh: label, which is this
-            # space's ring only when the space is real
-            verified = isinstance(space, RealMilnor)
-            rows.append(("certificate-searched-bridges", cert_case2(p1, p2, n), verified))
+            rows.append(("certificate-searched-bridges", cert_case2(p1, p2, n)))
         if t2 is not None and s >= 1:
-            rows.append(("certificate-power-of-two-r", cert_r2t(s, t2, n), False))
+            rows.append(("certificate-power-of-two-r", cert_r2t(s, t2, n)))
     elif isinstance(space, RealProj):
         t = _log2(space.m)
         if t is not None:
-            rows.append(("certificate-projective", cert_proj(t, n), False))
+            rows.append(("certificate-projective", cert_proj(t, n)))
     return rows
 
 

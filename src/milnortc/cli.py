@@ -192,13 +192,20 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _parse_range(text: str):
-    """'A..B' inclusive, or a single integer."""
-    if ".." in text:
-        lo, _, hi = text.partition("..")
-        return range(int(lo), int(hi) + 1)
-    v = int(text)
-    return range(v, v + 1)
+def _parse_range(text: str, flag: str):
+    """'A..B' inclusive, or a single integer; an empty range is refused."""
+    lo, dots, hi = text.partition("..")
+    values = range(int(lo), int(hi if dots else lo) + 1)
+    if not values:
+        raise ValueError(f"{flag} range {text!r} is empty")
+    return values
+
+
+def _slice_cap(text: str) -> int:
+    cap = int(text)
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {cap}")
+    return cap
 
 
 def _write_out(text: str, out: str | None):
@@ -226,14 +233,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-certs", action="store_true")
     p.add_argument("--no-monotonicity", action="store_true")
     # no default here, so that cat can tell the flag was given
-    p.add_argument("--max-slice", type=int)
+    p.add_argument("--max-slice", type=_slice_cap)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out")
 
     p = sub.add_parser("cup", help="exact zero-divisor cup-length oracle")
     p.add_argument("--space", required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-slice", type=int, default=DEFAULT_MAX_SLICE)
+    p.add_argument("--max-slice", type=_slice_cap, default=DEFAULT_MAX_SLICE)
     p.add_argument("--out")
 
     p = sub.add_parser("verify", help="verify a certificate file")
@@ -253,7 +260,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", help="range C..D")
     p.add_argument("--n", required=True, help="range E..F")
     p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--max-slice", type=int, default=DEFAULT_MAX_SLICE)
+    p.add_argument("--max-slice", type=_slice_cap, default=DEFAULT_MAX_SLICE)
     p.add_argument("--format", choices=("md", "csv", "json"), default="md")
     p.add_argument("--out")
 
@@ -338,21 +345,28 @@ def _cmd_verify(args) -> int:
     return 0 if report.verdict == "Verified" else 1
 
 
-def _require_params(params: dict, *names) -> list:
+def _require_params(params: dict, method: str, *names) -> list:
+    """The values of exactly the keys names: a missing key and a key the
+    method does not take are both refused."""
     missing = [k for k in names if k not in params]
     if missing:
         raise ValueError(f"missing --params keys: {', '.join(missing)}")
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise ValueError(
+            f"--params keys not taken by --method {method}: {', '.join(unknown)}"
+        )
     return [params[k] for k in names]
 
 
 def _cmd_gen_cert(args) -> int:
     params = _parse_params(args.params)
     if args.method == "cat":
-        (space,) = _require_params(params, "space")
+        (space,) = _require_params(params, "cat", "space")
         cert = cert_cat_topclass(space, args.n)
     else:
         build, names = GENERATORS[args.method]
-        cert = build(*map(int, _require_params(params, *names)), args.n)
+        cert = build(*map(int, _require_params(params, args.method, *names)), args.n)
     if isinstance(cert, SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1
@@ -361,14 +375,14 @@ def _cmd_gen_cert(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    n_range = _parse_range(args.n)
+    n_range = _parse_range(args.n, "--n")
     if args.family in ("rh", "ch"):
         if not args.r or not args.s:
             raise ValueError("--r and --s ranges are required for Milnor families")
         spaces = [
             f"{args.family}:{r},{s}"
-            for r in _parse_range(args.r)
-            for s in _parse_range(args.s)
+            for r in _parse_range(args.r, "--r")
+            for s in _parse_range(args.s, "--s")
             if 0 <= s <= r
         ]
     else:
@@ -376,7 +390,7 @@ def _cmd_table(args) -> int:
             raise ValueError("--r (dimension range) is required for rp")
         if args.s is not None:
             raise ValueError("--s does not apply to --family rp")
-        spaces = [f"rp:{m}" for m in _parse_range(args.r)]
+        spaces = [f"rp:{m}" for m in _parse_range(args.r, "--r")]
     reports = [
         tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)
         for space in spaces

@@ -6,10 +6,13 @@ zero-divisor cup-length.  K is generated as an ideal by the adjacent slot
 differences z = g_i + g_{i+1} of the algebra generators (the quotient by
 those differences is the base ring itself), so K^m != 0 exactly when some
 product of m such z is nonzero.  The oracle follows the chain W_0 = span{1},
-W_m = span(z * W_(m-1)) over those z and stops at the first W_m = 0.
-Its rows are :mod:`milnortc.gf2` int bitsets over the monomials of one
-degree slice, and multiplication by each z is stored as the bitset of the
+W_m = span(z * W_(m-1)) over those z up to the last W_m != 0.  Its rows
+are :mod:`milnortc.gf2` int bitsets over the monomials of one degree
+slice, and multiplication by each z is a map holding the bitset of the
 targets of each source monomial, so a product row is a XOR of target rows.
+The chain is graded, so the oracle walks it by degree: each map is built
+once, applied to every level that reads it, and dropped, and at most
+(largest generator degree + 1) degrees of the chain are held at a time.
 
 Each level keeps an independent subset of the actual product rows, each
 tagged with the generators it is a product of, so a row that survives the
@@ -164,17 +167,12 @@ def _ideal_generators(P: Presentation, n: int):
     return gens
 
 
-def _mult_map(P, n, gen_el, d_from, d_to, cache):
-    """Multiplication by gen_el from slice(d_from) to slice(d_to): for each
-    source monomial, the int bitset of its targets in slice(d_to).  Every
-    monomial of an ideal generator is the unit in all slots but one, k, so
-    a source monomial goes to the monomials with slot k replaced by each
-    term of the slot-k product."""
-    key = (id(gen_el), d_from)
-    targets = cache.get(key)
-    if targets is not None:
-        return targets
-    index = {tup: i for i, tup in enumerate(tensor_slice(P, n, d_to))}
+def _mult_map(P, n, gen_el, d_from, index):
+    """Multiplication by gen_el from slice(d_from) into the target slice
+    whose monomials index numbers: for each source monomial, the int bitset
+    of its targets.  Every monomial of an ideal generator is the unit in all
+    slots but one, k, so a source monomial goes to the monomials with slot
+    k replaced by each term of the slot-k product."""
     # (slot k, the product by its factor of each basic monomial)
     one_slot = []
     for zm in gen_el.support:
@@ -188,14 +186,18 @@ def _mult_map(P, n, gen_el, d_from, d_to, cache):
             for mono in products[tup[k]]:
                 bits ^= 1 << index[head + (mono,) + tail]
         targets.append(bits)
-    cache[key] = targets
     return targets
 
 
 def _oracle(P: Presentation, n: int, max_slice: int):
     """(value, factors) of the chain W_0 = span{1}, W_m = span(z * W_(m-1))
     over the ideal generators z: value is the largest m with W_m != 0, and
-    factors collapse the generators of one nonzero product in W_value."""
+    factors collapse the generators of one nonzero product in W_value.
+
+    The chain is walked by degree: the degree-dt part of every W_m is
+    spanned by the z times the degree-(dt - deg z) part of W_(m-1), so each
+    map (z, dt - deg z) is built once, applied to the rows of every m and
+    dropped, and a degree is dropped once no later degree reads it."""
     if not P.basis:
         return 0, ()
     nd = n * P.top_degree
@@ -210,39 +212,39 @@ def _oracle(P: Presentation, n: int, max_slice: int):
                 cap=max_slice,
             )
     gens = _ideal_generators(P, n)
-    map_cache: dict = {}
-    # per degree: independent product rows, each tagged with the indices
-    # of the generators it is a product of
-    level = {0: ([1], [()])}
-    value = 0
-    while True:
+    # per degree, per m: independent rows of W_m in that degree, each tagged
+    # with the indices of the generators it is a product of
+    spans = {0: {0: ([1], [()])}}
+    value, witness = 0, ()
+    for dt in range(1, nd + 1):
+        index = None
         products: dict = {}
         for j, (_, z) in enumerate(gens):
-            for d, (rows, tags) in level.items():
-                dt = d + z.degree
-                if dt > nd:
-                    continue
-                targets = _mult_map(P, n, z, d, dt, map_cache)
-                prods = gf2.image(targets, rows)
-                if not any(prods):
-                    continue
-                prod_rows, prod_tags = products.setdefault(dt, ([], []))
-                prod_rows.extend(prods)
+            sources = spans.get(dt - z.degree)
+            if not sources:
+                continue
+            if index is None:
+                index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt))}
+            targets = _mult_map(P, n, z, dt - z.degree, index)
+            for m, (rows, tags) in sources.items():
+                prod_rows, prod_tags = products.setdefault(m + 1, ([], []))
+                prod_rows.extend(gf2.image(targets, rows))
                 prod_tags.extend(t + (j,) for t in tags)
-        if not products:
-            break
-        level = {}
-        for dt, (rows, tags) in products.items():
+        spans.pop(dt - max(P.gen_degrees), None)
+        level = spans[dt] = {}
+        for m, (rows, tags) in products.items():
             keep = gf2.independent_rows(rows)
-            level[dt] = ([rows[i] for i in keep], [tags[i] for i in keep])
-        value += 1
+            if keep:
+                level[m] = ([rows[i] for i in keep], [tags[i] for i in keep])
+                # dt ascends, so this is the lowest degree of W_m
+                if m > value:
+                    value, witness = m, tags[keep[0]]
 
     degree_bound = nd // min(P.gen_degrees)
     if value > degree_bound:
         raise RuntimeError(
             f"cup-length {value} exceeds the degree bound {degree_bound}"
         )
-    witness = level[min(level)][1][0]
     factors = tuple(
         (gens[j][0], witness.count(j)) for j in sorted(set(witness))
     )

@@ -12,6 +12,7 @@ from milnortc.bounds import (
     resolve_group,
     tc_bounds,
 )
+from milnortc.certgen import cert_case2, cert_cat_topclass
 from milnortc.cuplength import VerificationReport
 from milnortc.errors import NoFreeActionError
 from milnortc.spaces import RealMilnor, RealProj
@@ -163,26 +164,25 @@ def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
 
 
 def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
-    # cert_case2 verifies what it returns in the real Milnor ring, so an rh:
-    # report does not check it again; a ch: report still checks it in the
-    # complex ring
+    # cert_case2 returns its search's certificate unverified; the report
+    # verifies it once, in the ring of the space it is about, as it does
+    # the category-of-lower-power certificate after it
     seen = []
     verify = milnortc.bounds.verify_certificate
 
     def spy(cert, *, presentation=None):
-        seen.append(presentation.gen_degrees)
+        seen.append((cert.factors, presentation.gen_degrees))
         return verify(cert, presentation=presentation)
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
-    report = tc_bounds("rh:3,2", 3)
-    row = next(t for t in report.trace if t.rule == "certificate-searched-bridges")
-    assert (row.value, row.status) == (11, "machine-verified")
-    # only the category-of-lower-power certificate is verified here
-    assert seen == [(1, 1)]
-    seen.clear()
-    report = tc_bounds("ch:3,2", 3)
-    assert any(t.rule == "certificate-searched-bridges" for t in report.trace)
-    assert seen == [(2, 2), (2, 2)]
+    searched = cert_case2(1, 1, 3).factors
+    lower_power = cert_cat_topclass("rh:3,2", 2).factors
+    for space, degrees in (("rh:3,2", (1, 1)), ("ch:3,2", (2, 2))):
+        seen.clear()
+        report = tc_bounds(space, 3)
+        row = next(t for t in report.trace if t.rule == "certificate-searched-bridges")
+        assert (row.value, row.status) == (11, "machine-verified")
+        assert seen == [(searched, degrees), (lower_power, degrees)], space
 
 
 def test_tc_verified_lower_nondecreasing_in_n():

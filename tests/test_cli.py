@@ -216,6 +216,35 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
     assert flag in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["gen-cert", "--method", "proj", "--params", "t=1,s=5,bogus=2", "--n", "2",
+          "--out", "x.json"], "bogus"),
+        (["gen-cert", "--method", "cat", "--params", "space=rp:2,depth=1", "--n", "2",
+          "--out", "x.json"], "depth"),
+        (["table", "--family", "rh", "--r", "5..2", "--s", "1", "--n", "2"], "--r"),
+        (["table", "--family", "rp", "--r", "5..2", "--n", "2"], "--r"),
+        (["table", "--family", "rh", "--r", "2..3", "--s", "3..1", "--n", "2"], "--s"),
+        (["table", "--family", "rp", "--r", "2", "--n", "3..2"], "--n"),
+        (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "-5"], "--max-slice"),
+        (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2",
+          "--max-slice=-1"], "--max-slice"),
+        (["table", "--family", "rp", "--r", "2", "--n", "2", "--max-slice", "-1"],
+         "--max-slice"),
+    ],
+)
+def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
+    # a key the method does not take, an empty range and a negative slice
+    # cap are invalid input: exit 2 naming it, with no output and no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cli_import_loads_no_numpy():
     # the package has no third-party runtime dependency, and its value
     # records import neither dataclasses nor what that pulls in

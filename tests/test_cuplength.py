@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import pytest
 
 from milnortc import gf2
@@ -182,8 +185,30 @@ def test_mult_maps_match_the_per_monomial_product():
         for _, z in _ideal_generators(P, n):
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
-                got = _mult_map(P, n, z, d, d + z.degree, {})
+                target = tensor_slice(P, n, d + z.degree)
+                got = _mult_map(P, n, z, d, {t: i for i, t in enumerate(target)})
                 assert got == expected, (space, n, d)
+
+
+def test_each_mult_map_is_built_once_per_run(monkeypatch):
+    # the oracle walks the chain by degree and applies each map (generator,
+    # source degree) to every level that reads it, so no map is built
+    # twice; the box's mixed-degree products would request some again
+    import milnortc.cuplength as cuplength
+
+    requests = []
+    mult_map = cuplength._mult_map
+
+    def spy(P, n, gen_el, d_from, *rest):
+        requests.append((id(gen_el), d_from))
+        return mult_map(P, n, gen_el, d_from, *rest)
+
+    monkeypatch.setattr(cuplength, "_mult_map", spy)
+    for space, n in ORACLE_BOX:
+        monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+        requests.clear()
+        cup_exact(ring(space), n)
+        assert requests and len(requests) == len(set(requests)), (space, n)
 
 
 def test_oracle_witness_verifies():
@@ -194,6 +219,25 @@ def test_oracle_witness_verifies():
         report = verify_certificate(cert)
         assert report.verdict == "Verified", (space, n)
         assert report.verified_cup == value
+
+
+# ROADMAP item 1's box: rh and ch with r <= 5 and every s, rp:0..9,
+# cp:0..4 and five products, at n = 2 and 3 where the largest slice has at
+# most 600 monomials.  The values were recorded once, from the oracle that
+# multiplied level by level; the test never writes the file
+ORACLE_BOX_VALUES = Path(__file__).parent / "artifacts" / "oracle_box.json"
+
+
+def test_oracle_box_values_and_witnesses():
+    cases = json.loads(ORACLE_BOX_VALUES.read_text(encoding="utf-8"))
+    assert len(cases) == 112
+    for space, n, value in cases:
+        P = ring(space)
+        assert cup_exact(P, n) == value, (space, n)
+        factors = cup_witness(P, n)
+        assert sum(mult for _, mult in factors) == value, (space, n)
+        cert = Certificate(space, n, factors, value, value + 1)
+        assert verify_certificate(cert, presentation=P).verdict == "Verified", (space, n)
 
 
 def test_oracle_zero_and_trivial_rings():
