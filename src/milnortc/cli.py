@@ -385,6 +385,10 @@ def _cmd_table(args) -> int:
             for s in _parse_range(args.s, "--s")
             if 0 <= s <= r
         ]
+        if not spaces:
+            raise ValueError(
+                f"--s range {args.s!r} has no s with 0 <= s <= r for --r {args.r!r}"
+            )
     else:
         if not args.r:
             raise ValueError("--r (dimension range) is required for rp")

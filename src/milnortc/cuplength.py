@@ -13,6 +13,12 @@ targets of each source monomial, so a product row is a XOR of target rows.
 The chain is graded, so the oracle walks it by degree: each map is built
 once, applied to every level that reads it, and dropped, and at most
 (largest generator degree + 1) degrees of the chain are held at a time.
+The z commute, so the oracle forms only the products z_j1 ... z_jm with
+j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
+at most j.  Products are appended generator by generator and rows are kept
+greedily in that order, so those rows are a prefix of the kept rows, and
+they span every sorted product that ends at or below j.  Each map is built
+only on the source columns that the rows it multiplies have set.
 
 Each level keeps an independent subset of the actual product rows, each
 tagged with the generators it is a product of, so a row that survives the
@@ -24,6 +30,8 @@ reference this oracle is checked against.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 from . import gf2
 from .errors import ResourceLimitError
@@ -167,26 +175,40 @@ def _ideal_generators(P: Presentation, n: int):
     return gens
 
 
-def _mult_map(P, n, gen_el, d_from, index):
+def _mult_map(P, n, gen_el, d_from, index, mask):
     """Multiplication by gen_el from slice(d_from) into the target slice
-    whose monomials index numbers: for each source monomial, the int bitset
-    of its targets.  Every monomial of an ideal generator is the unit in all
-    slots but one, k, so a source monomial goes to the monomials with slot
-    k replaced by each term of the slot-k product."""
+    whose monomials index numbers: for each source monomial whose bit is
+    set in mask, the int bitset of its targets, and 0 for every other one.
+    The mask is the OR of the rows the map will multiply, and
+    :func:`milnortc.gf2.image` reads a target only for a set bit of a row,
+    so no product sees a missing column.  Every monomial of an ideal
+    generator is the unit in all slots but one, k, so a source monomial
+    goes to the monomials with slot k replaced by each term of the slot-k
+    product."""
     # (slot k, the product by its factor of each basic monomial)
     one_slot = []
     for zm in gen_el.support:
         (k,) = [k for k, c in enumerate(zm) if c != P.one]
         one_slot.append((k, {m: P.mono_mul(m, zm[k]) for m in P.basis}))
-    targets = []
-    for tup in tensor_slice(P, n, d_from):
+    source = tensor_slice(P, n, d_from)
+    targets = [0] * len(source)
+    digits = bin(mask)[:1:-1]  # bit 0 first
+    i = digits.find("1")
+    while i >= 0:
+        tup = source[i]
         bits = 0
         for k, products in one_slot:
             head, tail = tup[:k], tup[k + 1 :]
             for mono in products[tup[k]]:
                 bits ^= 1 << index[head + (mono,) + tail]
-        targets.append(bits)
+        targets[i] = bits
+        i = digits.find("1", i + 1)
     return targets
+
+
+def _last_generator(tag) -> int:
+    """The index of a row's last generator; -1 for the unit of W_0."""
+    return tag[-1] if tag else -1
 
 
 def _oracle(P: Presentation, n: int, max_slice: int):
@@ -197,7 +219,16 @@ def _oracle(P: Presentation, n: int, max_slice: int):
     The chain is walked by degree: the degree-dt part of every W_m is
     spanned by the z times the degree-(dt - deg z) part of W_(m-1), so each
     map (z, dt - deg z) is built once, applied to the rows of every m and
-    dropped, and a degree is dropped once no later degree reads it."""
+    dropped, and a degree is dropped once no later degree reads it.
+
+    Products are taken in sorted order.  The z commute, so W_m is spanned
+    by the products z_j1 ... z_jm with j1 <= ... <= jm; let W_m^(<=j) be
+    the span of those with jm <= j.  Then W_m^(<=j) is the sum over j' <= j
+    of z_j' * W_(m-1)^(<=j'), so z_j multiplies only the kept rows whose
+    last generator is at most j.  Those rows are a prefix of the kept rows
+    and span W_(m-1)^(<=j): each level's products are appended generator by
+    generator, and gf2.independent_rows keeps rows greedily in input order,
+    so the kept rows of any prefix of the products span that prefix."""
     if not P.basis:
         return 0, ()
     nd = n * P.top_degree
@@ -213,20 +244,30 @@ def _oracle(P: Presentation, n: int, max_slice: int):
             )
     gens = _ideal_generators(P, n)
     # per degree, per m: independent rows of W_m in that degree, each tagged
-    # with the indices of the generators it is a product of
+    # with the indices of the generators it is a product of, in ascending
+    # order of the tags' last generator
     spans = {0: {0: ([1], [()])}}
     value, witness = 0, ()
     for dt in range(1, nd + 1):
         index = None
         products: dict = {}
         for j, (_, z) in enumerate(gens):
-            sources = spans.get(dt - z.degree)
-            if not sources:
+            # per m: the kept rows of W_m that z_j multiplies
+            prefixes = []
+            mask = 0
+            for m, (rows, tags) in spans.get(dt - z.degree, {}).items():
+                k = bisect_right(tags, j, key=_last_generator)
+                if k:
+                    rows, tags = rows[:k], tags[:k]
+                    prefixes.append((m, rows, tags))
+                    for row in rows:
+                        mask |= row
+            if not prefixes:
                 continue
             if index is None:
                 index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt))}
-            targets = _mult_map(P, n, z, dt - z.degree, index)
-            for m, (rows, tags) in sources.items():
+            targets = _mult_map(P, n, z, dt - z.degree, index, mask)
+            for m, rows, tags in prefixes:
                 prod_rows, prod_tags = products.setdefault(m + 1, ([], []))
                 prod_rows.extend(gf2.image(targets, rows))
                 prod_tags.extend(t + (j,) for t in tags)

@@ -136,9 +136,10 @@ def diagonal_eval(u: Element) -> Element:
 
 def slice_dimension(P: Presentation, n: int, d: int) -> int:
     """Dimension of the degree-d slice: coefficient of the n-th power of
-    the Poincaré series."""
+    the Poincaré series.  As in :func:`tensor_slice`, the zero ring has no
+    monomial in any power, n = 0 included."""
     series = poincare_series(P)
-    coeffs = [1]
+    coeffs = [1 if P.basis else 0]
     for _ in range(n):
         nxt = [0] * (len(coeffs) + len(series) - 1)
         for i, a in enumerate(coeffs):
@@ -149,33 +150,26 @@ def slice_dimension(P: Presentation, n: int, d: int) -> int:
 
 
 def tensor_slice(P: Presentation, n: int, d: int):
-    """All degree-d tensor monomials, sorted componentwise by basis rank."""
+    """All degree-d tensor monomials, sorted componentwise by basis rank:
+    the first slot runs over the basis in rank order (so by ascending
+    degree), and the other n - 1 slots over the degree-(d - deg) slice of
+    the next-lower power, cached on that power.  The n = 0 power has the
+    empty tuple in degree 0, except over the zero ring, which has no
+    monomial in any power."""
     slices = tensor_power(P, n)._slices
     cached = slices.get(d)
     if cached is not None:
         return cached
-    out = []
-    mono_by_degree = {
-        deg: [P.basis[r] for r in ranks] for deg, ranks in P.degree_slices.items()
-    }
-
-    def rec(slot, remaining, prefix):
-        if slot == n:
-            if remaining == 0:
-                out.append(tuple(prefix))
-            return
-        max_rest = P.top_degree * (n - slot - 1)
-        for deg in sorted(mono_by_degree):
-            if deg > remaining or remaining - deg > max_rest:
-                continue
-            for mono in mono_by_degree[deg]:
-                prefix.append(mono)
-                rec(slot + 1, remaining - deg, prefix)
-                prefix.pop()
-
-    if P.basis:
-        rec(0, d, [])
-    result = tuple(out)
+    if n == 0:
+        result = ((),) if d == 0 and P.basis else ()
+    else:
+        result = tuple(
+            (P.basis[r],) + rest
+            for deg in sorted(P.degree_slices)
+            if deg <= d
+            for r in P.degree_slices[deg]
+            for rest in tensor_slice(P, n - 1, d - deg)
+        )
     slices[d] = result
     return result
 

@@ -232,11 +232,13 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
           "--max-slice=-1"], "--max-slice"),
         (["table", "--family", "rp", "--r", "2", "--n", "2", "--max-slice", "-1"],
          "--max-slice"),
+        (["table", "--family", "rh", "--r", "2", "--s", "3", "--n", "2"], "--s"),
     ],
 )
 def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
-    # a key the method does not take, an empty range and a negative slice
-    # cap are invalid input: exit 2 naming it, with no output and no file
+    # a key the method does not take, an empty range, an --r/--s pair with
+    # no cell s <= r and a negative slice cap are invalid input: exit 2
+    # naming it, with no output and no file
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()

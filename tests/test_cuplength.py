@@ -1,4 +1,5 @@
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -178,7 +179,9 @@ def test_oracle_generator_modes_agree():
 
 def test_mult_maps_match_the_per_monomial_product():
     # the maps multiply only the one slot each generator monomial occupies;
-    # the general product of each source monomial is the reference
+    # the general product of each source monomial is the reference.  A map
+    # is built only on the columns of its mask and is 0 on every other one
+    rng = random.Random(29)
     for space, n in ORACLE_BOX:
         P = ring(space)
         nd = n * P.top_degree
@@ -186,8 +189,13 @@ def test_mult_maps_match_the_per_monomial_product():
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
                 target = tensor_slice(P, n, d + z.degree)
-                got = _mult_map(P, n, z, d, {t: i for i, t in enumerate(target)})
-                assert got == expected, (space, n, d)
+                index = {t: i for i, t in enumerate(target)}
+                width = len(expected)
+                for mask in ((1 << width) - 1, rng.getrandbits(width)):
+                    got = _mult_map(P, n, z, d, index, mask)
+                    assert got == [
+                        t if mask >> i & 1 else 0 for i, t in enumerate(expected)
+                    ], (space, n, d, mask)
 
 
 def test_each_mult_map_is_built_once_per_run(monkeypatch):
@@ -209,6 +217,33 @@ def test_each_mult_map_is_built_once_per_run(monkeypatch):
         requests.clear()
         cup_exact(ring(space), n)
         assert requests and len(requests) == len(set(requests)), (space, n)
+
+
+def test_oracle_multiplies_in_sorted_order(monkeypatch):
+    # counts, not times: z_j multiplies only the rows whose last generator
+    # is at most j, and each map is built only on the columns those rows
+    # read.  Multiplying every z onto every row passes 2868 rows to image
+    # and builds 6504 nonzero map entries here
+    import milnortc.cuplength as cuplength
+
+    rows_multiplied, entries_built = [], []
+    image, mult_map = cuplength.gf2.image, cuplength._mult_map
+
+    def image_spy(targets, rows):
+        rows_multiplied.append(len(rows))
+        return image(targets, rows)
+
+    def mult_map_spy(*args):
+        targets = mult_map(*args)
+        entries_built.append(sum(1 for t in targets if t))
+        return targets
+
+    monkeypatch.setattr(cuplength.gf2, "image", image_spy)
+    monkeypatch.setattr(cuplength, "_mult_map", mult_map_spy)
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    assert cup_exact(ring("rh:4,2"), 3) == 15
+    assert sum(rows_multiplied) <= 900
+    assert sum(entries_built) <= 2100
 
 
 def test_oracle_witness_verifies():

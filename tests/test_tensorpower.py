@@ -188,6 +188,40 @@ def test_tensor_slice_sorted_and_graded(P):
             assert sum(P.monomial_degree(exps) for exps in tup) == d
 
 
+def brute_force_slice(P, n, d):
+    """Every n-tuple of basis monomials of total degree d, in rank order
+    slot by slot.  The zero ring has no monomial in any power, n = 0
+    included."""
+    if not P.basis:
+        return ()
+    key = lambda tup: tuple(P.rank_of[exps] for exps in tup)
+    return tuple(
+        sorted(
+            (
+                tup
+                for tup in iproduct(P.basis, repeat=n)
+                if sum(P.monomial_degree(exps) for exps in tup) == d
+            ),
+            key=key,
+        )
+    )
+
+
+@pytest.mark.parametrize(
+    "space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1", "zero"]
+)
+def test_tensor_slice_matches_the_brute_force_slice(space):
+    if space == "zero":
+        P = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
+    else:
+        P = cohomology_of(parse_space(space))
+    for n in range(5):
+        for d in range(n * P.top_degree + 2):
+            slc = tensor_slice(P, n, d)
+            assert slc == brute_force_slice(P, n, d), (n, d)
+            assert len(slc) == slice_dimension(P, n, d), (n, d)
+
+
 def test_multiplication_commutes_and_distributes(P):
     rng = random.Random(17)
     for _ in range(25):
