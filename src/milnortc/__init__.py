@@ -37,7 +37,7 @@ from .spaces import (
     format_space,
     parse_space,
 )
-from .tensorpower import diagonal_eval, inject, kernel_basis, tensor_power
+from .tensorpower import diagonal_eval, inject, tensor_power
 
 __version__ = "1.0.0"
 
@@ -80,7 +80,6 @@ __all__ = [
     "generator",
     "inject",
     "is_zero_divisor",
-    "kernel_basis",
     "make_presentation",
     "parse_factor_expr",
     "parse_space",

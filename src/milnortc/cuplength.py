@@ -1,5 +1,15 @@
 """Zero-divisor cup-length: certificates, verification, and the exact oracle.
 
+A certificate lists factors with multiplicities.  :func:`verify_certificate`
+evaluates and checks each factor in that order, then multiplies their
+powers in slot-overlap order: each step takes the pending factor that
+shares the most non-unit tensor slots with the product so far.  The ring
+is commutative, so the product, and with it every verdict, is that of any
+other order.  Certificates list their blocks, on disjoint slots, before
+the bridges that link them; multiplied in that order the blocks form their
+whole tensor product, with nothing to cancel, before a bridge can make it
+vanish.
+
 The oracle computes the largest m with K^m != 0 where K is the kernel of
 the diagonal ring map on the n-fold tensor power -- the exact mod-2
 zero-divisor cup-length.  K is generated as an ideal by the adjacent slot
@@ -108,17 +118,36 @@ def _resolve(cert: Certificate, presentation: Presentation | None):
     return cohomology_of(parse_space(cert.space))
 
 
+def _slots(el: Element) -> set:
+    """The slots in which some monomial of the tensor element el is not
+    the unit."""
+    one, support = el.algebra.base.one, el.support
+    return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
+
+
 def _factor_product(P: Presentation, n: int, factors, start: Element):
-    """start times each (expression, multiplicity) of factors in turn, with
-    one check per factor; once the product is zero the rest are only
-    checked."""
-    checks = []
-    product = start
+    """start times the power of each (expression, multiplicity) of factors,
+    with one check per factor in the order given.
+
+    The powers are multiplied in slot-overlap order: next comes the pending
+    factor that shares the most non-unit slots with the product so far,
+    ties going to the order given, and each power is formed only when its
+    factor is taken.  The ring is commutative, so any order gives the same
+    product; this one avoids forming the product of factors on disjoint
+    slots, which is their whole tensor product with nothing to cancel,
+    before a factor that links them can make it vanish.  Once the product
+    is zero the remaining powers are not formed."""
+    checks, pending = [], []
     for text, mult in factors:
         el = evaluate(parse_factor_expr(text, n, P), P, n)
         checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
-        if not product.is_zero:
-            product = multiply(product, power(el, mult))
+        pending.append((_slots(el), el, mult))
+    product, covered = start, _slots(start)
+    while pending and not product.is_zero:
+        i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
+        slots, el, mult = pending.pop(i)
+        product = multiply(product, power(el, mult))
+        covered |= slots
     return product, checks
 
 
@@ -211,7 +240,7 @@ def _last_generator(tag) -> int:
     return tag[-1] if tag else -1
 
 
-def _oracle(P: Presentation, n: int, max_slice: int):
+def _oracle(P: Presentation, n: int):
     """(value, factors) of the chain W_0 = span{1}, W_m = span(z * W_(m-1))
     over the ideal generators z: value is the largest m with W_m != 0, and
     factors collapse the generators of one nonzero product in W_value.
@@ -232,16 +261,6 @@ def _oracle(P: Presentation, n: int, max_slice: int):
     if not P.basis:
         return 0, ()
     nd = n * P.top_degree
-    # refuse before building any slice: slices grow towards the middle
-    # degree, so those below the first one over the cap can be huge too
-    for d in range(nd + 1):
-        dim = slice_dimension(P, n, d)
-        if dim > max_slice:
-            raise ResourceLimitError(
-                f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
-                dimension=dim,
-                cap=max_slice,
-            )
     gens = _ideal_generators(P, n)
     # per degree, per m: independent rows of W_m in that degree, each tagged
     # with the indices of the generators it is a product of, in ascending
@@ -296,9 +315,21 @@ def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) ->
     """Largest m with K^m != 0 for K the kernel of the diagonal map."""
     if n < 1:
         raise ValueError("arity must be >= 1")
+    # refuse before reading the cache, so that a value cached under a
+    # larger cap does not answer this call, and before building any slice:
+    # slices grow towards the middle degree, so those below the first one
+    # over the cap can be huge too
+    for d in range(n * P.top_degree + 1):
+        dim = slice_dimension(P, n, d)
+        if dim > max_slice:
+            raise ResourceLimitError(
+                f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
+                dimension=dim,
+                cap=max_slice,
+            )
     key = (P.cache_key, n)
     if key not in _CUP_CACHE:
-        _CUP_CACHE[key] = _oracle(P, n, max_slice)
+        _CUP_CACHE[key] = _oracle(P, n)
     return _CUP_CACHE[key][0]
 
 

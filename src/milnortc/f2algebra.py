@@ -285,11 +285,6 @@ def generator(P: Presentation, name: str) -> Element:
     return Element(P, P.reduce(exps))
 
 
-def normal_form(P: Presentation, raw_exps) -> Element:
-    """Unique mod-2 sum of basic monomials equal to the raw monomial."""
-    return Element(P, P.reduce(raw_exps))
-
-
 def multiply(x: Element, y: Element) -> Element:
     _check_same(x, y)
     A = x.algebra

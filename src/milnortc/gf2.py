@@ -28,10 +28,6 @@ def independent_rows(rows) -> list:
     return keep
 
 
-def rank(rows) -> int:
-    return len(independent_rows(rows))
-
-
 def image(targets, rows) -> list:
     """Images of the rows under the linear map that sends column ``i`` to
     the row ``targets[i]``: each row becomes the XOR of ``targets[i]``
@@ -47,35 +43,3 @@ def image(targets, rows) -> list:
         out.append(acc)
     return out
 
-
-def _rref(rows) -> dict:
-    """Reduced row-echelon form as {pivot column: row}: each row's lowest
-    set bit is its pivot, and no other row has that bit set."""
-    reduced: dict = {}
-    for row in rows:
-        for col, pivot in reduced.items():
-            if row >> col & 1:
-                row ^= pivot
-        if row:
-            col = (row & -row).bit_length() - 1
-            for other, pivot in reduced.items():
-                if pivot >> col & 1:
-                    reduced[other] = pivot ^ row
-            reduced[col] = row
-    return reduced
-
-
-def nullspace(rows, ncols: int) -> list:
-    """Basis of {x : row . x = 0 for every row}, vectors over ``ncols``
-    columns, one per free column in increasing order."""
-    reduced = _rref(rows)
-    basis = []
-    for free in range(ncols):
-        if free in reduced:
-            continue
-        vec = 1 << free
-        for col, row in reduced.items():
-            if row >> free & 1:
-                vec |= 1 << col
-        basis.append(vec)
-    return basis

@@ -1,4 +1,4 @@
-"""Künneth tensor powers, the diagonal homomorphism, and exact kernels.
+"""Künneth tensor powers, the diagonal homomorphism, and degree slices.
 
 :func:`tensor_power` gives the n-fold tensor power of a presentation as an
 algebra that :class:`~milnortc.f2algebra.Element` and the f2algebra
@@ -9,21 +9,14 @@ products are not memoised: a pair of tensor monomials is multiplied in the
 base ring only in the slots where the sparser operand is not the unit,
 which for a certificate factor (a sum of classes injected in one or two
 slots) is one or two of the n slots.  The diagonal map evaluates a tensor
-monomial to the product of its components in the base ring;
-:func:`kernel_basis` computes an exact nullspace basis of that map on a
-single degree slice, as :mod:`milnortc.gf2` int rows.  The oracle in
-:mod:`milnortc.cuplength` never needs that basis: the tests use it as the
-independent reference the oracle is checked against.
+monomial to the product of its components in the base ring.
 """
 
 from __future__ import annotations
 
 from itertools import product as iproduct
 
-from . import gf2
-from .errors import ResourceLimitError
 from .f2algebra import Element, Presentation, poincare_series
-from .record import Record
 
 DEFAULT_MAX_SLICE = 1 << 20
 
@@ -173,50 +166,3 @@ def tensor_slice(P: Presentation, n: int, d: int):
     slices[d] = result
     return result
 
-
-class KernelBasis(Record):
-    """Nullspace basis of the diagonal map on one degree slice, as
-    :mod:`milnortc.gf2` int rows whose bit j is the j-th tensor monomial
-    of the slice in :func:`tensor_slice` order.  Equal only to itself."""
-
-    __slots__ = ("presentation", "n", "degree", "rows", "slice_dim")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
-
-    def __len__(self):
-        return len(self.rows)
-
-    @property
-    def elements(self) -> tuple:
-        """The basis decoded into elements of the tensor power."""
-        P, n = self.presentation, self.n
-        T, slc = tensor_power(P, n), tensor_slice(P, n, self.degree)
-        return tuple(
-            Element.computed(T, frozenset(m for j, m in enumerate(slc) if row >> j & 1))
-            for row in self.rows
-        )
-
-
-def kernel_basis(
-    P: Presentation, n: int, d: int, *, max_slice: int = DEFAULT_MAX_SLICE
-) -> KernelBasis:
-    """Exact mod-2 nullspace of the diagonal map on the degree-d slice."""
-    if d < 0:
-        raise ValueError("degree must be non-negative")
-    dim = slice_dimension(P, n, d)
-    if dim > max_slice:
-        raise ResourceLimitError(
-            f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
-            dimension=dim,
-            cap=max_slice,
-        )
-    slc = tensor_slice(P, n, d)
-    target_pos = {rank: i for i, rank in enumerate(P.degree_slices.get(d, ()))}
-    # the map transposed: one row per target basis monomial, bit j for the
-    # j-th slice monomial
-    rows = [0] * len(target_pos)
-    for col, tup in enumerate(slc):
-        total = tuple(sum(x) for x in zip(*tup))
-        for mono in P.reduce(total):
-            rows[target_pos[P.rank_of[mono]]] ^= 1 << col
-    return KernelBasis(P, n, d, gf2.nullspace(rows, len(slc)), len(slc))

@@ -46,13 +46,13 @@ from milnortc.f2algebra import (
     Element,
     generator,
     multiply,
-    normal_form,
     poincare_series,
     power,
     unit,
     zero,
 )
 from milnortc.tensorpower import diagonal_eval, inject, tensor_power
+from reference import normal_form
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 

@@ -5,20 +5,25 @@ from pathlib import Path
 import pytest
 
 from milnortc import gf2
+from milnortc.bounds import tc_bounds
+from milnortc.certgen import cert_r2t, certificates_for
 from milnortc.cuplength import (
     Certificate,
+    FactorCheck,
     _ideal_generators,
     _mult_map,
+    _verdict,
     cup_exact,
     cup_witness,
     is_zero_divisor,
     verify_certificate,
 )
 from milnortc.errors import ResourceLimitError
-from milnortc.exprs import evaluate_text
-from milnortc.f2algebra import make_presentation
+from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr
+from milnortc.f2algebra import make_presentation, multiply, power, unit
 from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import kernel_basis, tensor_slice
+from milnortc.tensorpower import TensorPower, tensor_power, tensor_slice
+from reference import kernel_basis, rank
 
 
 def ring(text):
@@ -84,6 +89,78 @@ def test_verdict_never_consults_claims():
     # same factors, inflated-but-consistent claim: verdict is unchanged
     good = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4)
     assert verify_certificate(good).verified_cup == 3
+
+
+def certificate_order_report(cert, P):
+    """The verifier's fields computed by multiplying the factors' powers in
+    the order the certificate lists them, the blocks before the bridges."""
+    n = cert.n
+    checks, product = [], unit(tensor_power(P, n))
+    for text, mult in cert.factors:
+        el = evaluate(parse_factor_expr(text, n, P), P, n)
+        checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
+        if not product.is_zero:
+            product = multiply(product, power(el, mult))
+    verdict = _verdict(checks, product, cert.cat_witness)
+    verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
+    return verdict, not product.is_zero, verified, tuple(checks)
+
+
+def family_certificates():
+    for space in ("rh:4,3", "rh:8,5", "rh:16,9", "ch:3,2", "rp:8"):
+        for n in range(2, 7):
+            for _, cert in certificates_for(parse_space(space), n):
+                if isinstance(cert, Certificate):
+                    yield cert
+    yield cert_r2t(5, 3, 8)
+
+
+def test_overlap_order_gives_the_certificate_order_report():
+    # the ring is commutative, so the order of the product changes no field
+    # of any report
+    certs = list(family_certificates())
+    verdicts = set()
+    for cert in certs:
+        P = ring(cert.space)
+        report = verify_certificate(cert, presentation=P)
+        got = (
+            report.verdict,
+            report.product_nonzero,
+            report.verified_cup,
+            report.per_factor,
+        )
+        assert got == certificate_order_report(cert, P), (cert.space, cert.n)
+        verdicts.add(report.verdict)
+    assert len(certs) >= 30
+    assert verdicts == {"Verified", "ProductVanishes"}
+
+
+@pytest.mark.parametrize(
+    "run, expected",
+    [
+        (lambda: verify_certificate(cert_r2t(5, 3, 8)).verdict, "ProductVanishes"),
+        (lambda: tc_bounds("rh:16,9", 8).verified_lower, 169),
+    ],
+    ids=["verify-r2t-5.3-n8", "bounds-rh16.9-n8"],
+)
+def test_verification_never_forms_the_product_of_disjoint_blocks(
+    run, expected, monkeypatch
+):
+    # counts, not times: in certificate order the blocks, on disjoint
+    # slots, multiply to their whole tensor product before a bridge can
+    # cancel it: 65,536 terms for cert_r2t(5, 3, 8) and 1,048,576 for the
+    # certificates of rh:16,9 at n = 8
+    largest = [0]
+    mul_supports = TensorPower.mul_supports
+
+    def spy(self, xs, ys):
+        out = mul_supports(self, xs, ys)
+        largest[0] = max(largest[0], len(out))
+        return out
+
+    monkeypatch.setattr(TensorPower, "mul_supports", spy)
+    assert run() == expected
+    assert largest[0] <= 256
 
 
 # -- exact oracle -------------------------------------------------------------
@@ -290,7 +367,7 @@ def test_oracle_chain_containment():
     for lvl, nxt in zip(chain, chain[1:]):
         for d, rows in nxt.items():
             assert d in lvl
-            assert gf2.rank(lvl[d] + rows) == gf2.rank(lvl[d])
+            assert rank(lvl[d] + rows) == rank(lvl[d])
 
 
 def test_oracle_resource_limit(monkeypatch):
@@ -308,6 +385,19 @@ def test_oracle_resource_limit(monkeypatch):
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:4"), 3, max_slice=6)
     assert err.value.dimension == 10
+
+
+def test_oracle_cache_respects_the_cap():
+    # a value cached under the default cap must not answer a call whose
+    # cap the slices exceed
+    P = ring("rp:4")
+    assert cup_exact(P, 3) == 12
+    with pytest.raises(ResourceLimitError) as err:
+        cup_exact(P, 3, max_slice=4)
+    assert err.value.dimension == 6
+    with pytest.raises(ResourceLimitError):
+        cup_witness(P, 3, max_slice=4)
+    assert cup_exact(P, 3, max_slice=19) == 12  # the largest slice
 
 
 def test_oracle_caches():

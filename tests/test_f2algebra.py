@@ -9,12 +9,12 @@ from milnortc.f2algebra import (
     generator,
     make_presentation,
     multiply,
-    normal_form,
     poincare_series,
     power,
     unit,
     zero,
 )
+from reference import normal_form
 
 
 def milnor(s, r, gen_degree=1):

@@ -16,7 +16,7 @@ from milnortc.spaces import (
     RealProj,
     parse_space,
 )
-from milnortc.tensorpower import KernelBasis, kernel_basis
+from reference import KernelBasis, kernel_basis
 
 P = make_presentation(kind="truncated", m=2, gen_degree=1)
 g, h = Gen("a", 1), Gen("b", 2)
