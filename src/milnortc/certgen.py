@@ -15,9 +15,9 @@ from __future__ import annotations
 
 from itertools import combinations_with_replacement
 
-from .cuplength import Certificate, SearchFailure, _factor_product, _verdict
+from .cuplength import Certificate, SearchFailure, _checked_factor, _factor_product, _verdict
 from .exprs import Gen, to_string
-from .f2algebra import unit
+from .f2algebra import multiply
 from .spaces import (
     ComplexMilnor,
     RealMilnor,
@@ -26,7 +26,6 @@ from .spaces import (
     format_space,
     parse_space,
 )
-from .tensorpower import tensor_power
 
 
 def _pair(name: str, i: int, j: int) -> str:
@@ -85,10 +84,14 @@ def cert_case2(p1: int, p2: int, n: int):
     """Certificate for s = 2^p1, r = 2^p2 + 1; the k-1 squared bridging
     classes are not written down in closed form, so they are searched for
     over adjacent even-position sums (widened to all position pairs on
-    failure).  The fixed block factors are multiplied once per search and
-    each combination of bridges onto that product; the first combination
-    whose product is nonzero is returned.  Returns a Certificate or a
-    SearchFailure."""
+    failure).  The combinations come in lexicographic order, so the search
+    keeps the product of the block factors and the squares of each prefix
+    of the last combination, and multiplies the next one only onto the
+    longest prefix the two share; a zero prefix is never multiplied again.
+    Each bridge is evaluated, checked and squared the first time it is
+    used.  The first combination whose product is nonzero is returned.
+    Returns a Certificate or a SearchFailure whose log holds every
+    combination tried, with its verdict."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -113,17 +116,33 @@ def cert_case2(p1: int, p2: int, n: int):
         _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
     P = cohomology_of(milnor)
-    base_product, base_checks = _factor_product(P, n, base, unit(tensor_power(P, n)))
+    base_product, base_checks = _factor_product(P, n, base)
+    base_ok = all(c.is_zero_divisor for c in base_checks)
+    squares, not_zero_divisors = {}, set()  # squares: bridge -> its square
+    # products[i]: the base product times the squares of last[:i]
+    last, products = (), [base_product]
     log = []
     for pool in (narrow, wide):
         for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
             if pool is wide and narrow_set.issuperset(combo):
                 continue  # the narrow pass checked and rejected it
-            bridges = tuple((expr, 2) for expr in combo)
-            product, checks = _factor_product(P, n, bridges, base_product)
-            verdict = _verdict(base_checks + checks, product, False)
+            shared = 0
+            while shared < len(last) and last[shared] == combo[shared]:
+                shared += 1
+            del products[shared + 1 :]
+            for expr in combo[shared:]:
+                if expr not in squares:
+                    el, check = _checked_factor(P, n, expr)
+                    squares[expr] = multiply(el, el)
+                    if not check.is_zero_divisor:
+                        not_zero_divisors.add(expr)
+                top = products[-1]
+                products.append(top if top.is_zero else multiply(top, squares[expr]))
+            last = combo
+            verdict = _verdict(base_ok and not_zero_divisors.isdisjoint(combo), products[-1])
             log.append((combo, verdict))
             if verdict == "Verified":
+                bridges = tuple((expr, 2) for expr in combo)
                 return Certificate(space, n, base + bridges, claimed, claimed + 1)
     return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
 

@@ -368,7 +368,9 @@ def _cmd_gen_cert(args) -> int:
         build, names = GENERATORS[args.method]
         cert = build(*map(int, _require_params(params, args.method, *names)), args.n)
     if isinstance(cert, SearchFailure):
-        sys.stderr.write(f"certificate search failed: {cert.reason}\n")
+        sys.stderr.write(
+            f"certificate search failed: {cert.reason} ({len(cert.log)} combinations tried)\n"
+        )
         return 1
     _write_out(certificate_to_json(cert), args.out)
     return 0

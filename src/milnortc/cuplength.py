@@ -45,7 +45,7 @@ from bisect import bisect_right
 
 from . import gf2
 from .errors import ResourceLimitError
-from .exprs import Gen, Sum, evaluate, parse_factor_expr, to_string
+from .exprs import Gen, Sum, evaluate_text, to_string
 from .f2algebra import Element, Presentation, generator, multiply, power, unit
 from .record import Record
 from .spaces import cohomology_of, parse_space
@@ -125,9 +125,15 @@ def _slots(el: Element) -> set:
     return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
 
 
-def _factor_product(P: Presentation, n: int, factors, start: Element):
-    """start times the power of each (expression, multiplicity) of factors,
-    with one check per factor in the order given.
+def _checked_factor(P: Presentation, n: int, text: str):
+    """The value of the factor expression text and its check."""
+    el = evaluate_text(text, P, n)
+    return el, FactorCheck(text, is_zero_divisor(el), el.degree)
+
+
+def _factor_product(P: Presentation, n: int, factors):
+    """The product of the power of each (expression, multiplicity) of
+    factors, with one check per factor in the order given.
 
     The powers are multiplied in slot-overlap order: next comes the pending
     factor that shares the most non-unit slots with the product so far,
@@ -139,10 +145,10 @@ def _factor_product(P: Presentation, n: int, factors, start: Element):
     is zero the remaining powers are not formed."""
     checks, pending = [], []
     for text, mult in factors:
-        el = evaluate(parse_factor_expr(text, n, P), P, n)
-        checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
+        el, check = _checked_factor(P, n, text)
+        checks.append(check)
         pending.append((_slots(el), el, mult))
-    product, covered = start, _slots(start)
+    product, covered = unit(tensor_power(P, n)), set()
     while pending and not product.is_zero:
         i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
         slots, el, mult = pending.pop(i)
@@ -151,8 +157,10 @@ def _factor_product(P: Presentation, n: int, factors, start: Element):
     return product, checks
 
 
-def _verdict(checks, product: Element, cat_witness: bool) -> str:
-    if not (cat_witness or all(c.is_zero_divisor for c in checks)):
+def _verdict(zero_divisors: bool, product: Element) -> str:
+    """The verdict on a product whose factors are all zero divisors (or
+    need not be) exactly when zero_divisors holds."""
+    if not zero_divisors:
         return "FactorNotZeroDivisor"
     return "Verified" if not product.is_zero else "ProductVanishes"
 
@@ -164,10 +172,9 @@ def verify_certificate(
 ) -> VerificationReport:
     """Check every factor and the full product; never consults the claims."""
     P = _resolve(cert, presentation)
-    product, checks = _factor_product(
-        P, cert.n, cert.factors, unit(tensor_power(P, cert.n))
-    )
-    verdict = _verdict(checks, product, cert.cat_witness)
+    product, checks = _factor_product(P, cert.n, cert.factors)
+    zero_divisors = cert.cat_witness or all(c.is_zero_divisor for c in checks)
+    verdict = _verdict(zero_divisors, product)
     verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
     return VerificationReport(
         per_factor=tuple(checks),

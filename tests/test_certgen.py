@@ -1,3 +1,5 @@
+from itertools import combinations_with_replacement
+
 import pytest
 
 from milnortc import certgen
@@ -8,8 +10,16 @@ from milnortc.certgen import (
     cert_proj,
     cert_r2t,
 )
-from milnortc.cuplength import Certificate, SearchFailure, verify_certificate
-from milnortc.spaces import RealMilnor
+from milnortc.cuplength import (
+    Certificate,
+    SearchFailure,
+    is_zero_divisor,
+    verify_certificate,
+)
+from milnortc.exprs import evaluate_text
+from milnortc.f2algebra import multiply, power, unit
+from milnortc.spaces import RealMilnor, cohomology_of
+from milnortc.tensorpower import TensorPower, tensor_power
 
 
 def total_factors(cert):
@@ -131,31 +141,118 @@ def test_generation_is_deterministic():
 def test_case2_verifies_each_combination_once(monkeypatch):
     # the wide pool contains the narrow one; the wide pass must skip the
     # combinations the narrow pass has already checked and rejected.  The
-    # block factors are multiplied once per search and each combination of
-    # bridges onto their product
-    multiplied = []
-    factor_product = certgen._factor_product
+    # block factors are multiplied once per search, and each bridge is
+    # evaluated, checked and squared once, however many combinations use it
+    multiplied, evaluated = [], []
+    factor_product, checked_factor = certgen._factor_product, certgen._checked_factor
 
-    def product_spy(P, n, factors, start):
+    def product_spy(P, n, factors):
         multiplied.append(tuple(factors))
-        return factor_product(P, n, factors, start)
+        return factor_product(P, n, factors)
+
+    def checked_spy(P, n, text):
+        evaluated.append(text)
+        return checked_factor(P, n, text)
 
     monkeypatch.setattr(certgen, "_factor_product", product_spy)
+    monkeypatch.setattr(certgen, "_checked_factor", checked_spy)
     result = cert_case2(2, 3, 4)
     assert isinstance(result, SearchFailure)
     assert result.reason == "no bridging classes gave a nonzero product"
     combos = [combo for combo, _ in result.log]
     assert len(combos) == len(set(combos)) == 12
     assert {verdict for _, verdict in result.log} == {"ProductVanishes"}
-    base, *bridges = multiplied
-    assert len(base) == 4 and base not in bridges
-    assert bridges == [tuple((expr, 2) for expr in combo) for combo in combos]
+    (base,) = multiplied  # the base alone goes through _factor_product
+    assert len(base) == 4 and all(mult > 2 for _, mult in base)
+    assert sorted(evaluated) == sorted({expr for combo in combos for expr in combo})
 
     multiplied.clear()
+    evaluated.clear()
+    result = cert_case2(2, 3, 6)  # k - 1 = 2: bridges shared by many combinations
+    assert len(result.log) == 465
+    assert len(multiplied) == 1
+    assert sorted(evaluated) == sorted({expr for combo, _ in result.log for expr in combo})
+
+    multiplied.clear()
+    evaluated.clear()
     cert = cert_case2(1, 1, 2)  # k = 1: no bridges, one empty combination
     assert isinstance(cert, Certificate)
     # the search's verdict is the verifier's own computation, so the search
     # returns the certificate without verifying it again; tc_bounds verifies
     # it once, like every certificate it is offered
-    assert multiplied == [cert.factors, ()]
+    assert multiplied == [cert.factors]
+    assert evaluated == []
     assert verify_certificate(cert).verdict == "Verified"
+
+
+def _case2_search_by_combination(p1, p2, n):
+    """The search as it ran before prefix sharing: every combination
+    evaluates, checks and squares its own bridges and multiplies them onto
+    the base product, in the order given."""
+    s, r, k = 2**p1, 2**p2 + 1, n // 2
+    base = certgen._blocks(
+        n, block=(("a", 2 * s - 1), ("b", 2 * r - 3)), tail=(("a", s), ("b", r - 1))
+    )
+    narrow = [expr for expr, _ in certgen._blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
+    wide = [
+        certgen._pair(g, i, j) for g in "ab" for i in range(1, n + 1) for j in range(i + 1, n + 1)
+    ]
+    P = cohomology_of(RealMilnor(r, s))
+    base_product = unit(tensor_power(P, n))
+    zero_divisors = True
+    for expr, e in base:
+        el = evaluate_text(expr, P, n)
+        zero_divisors &= is_zero_divisor(el)
+        base_product = multiply(base_product, power(el, e))
+    log = []
+    for pool in (narrow, wide):
+        for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
+            if pool is wide and set(narrow).issuperset(combo):
+                continue
+            product, ok = base_product, zero_divisors
+            for expr in combo:
+                el = evaluate_text(expr, P, n)
+                ok &= is_zero_divisor(el)
+                product = multiply(product, power(el, 2))
+            if not ok:
+                verdict = "FactorNotZeroDivisor"
+            else:
+                verdict = "ProductVanishes" if product.is_zero else "Verified"
+            log.append((combo, verdict))
+            if verdict == "Verified":
+                claimed = n * (s + r - 1) - 2
+                factors = base + tuple((expr, 2) for expr in combo)
+                return Certificate(f"rh:{r},{s}", n, factors, claimed, claimed + 1)
+    return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
+
+
+CASE2_BOX = [
+    (p1, p2, n)
+    for n in (2, 3, 4, 5)
+    for p1 in (0, 1, 2)
+    for p2 in (0, 1, 2, 3)
+    if 2**p1 <= 2**p2 + 1
+] + [(2, 3, 6)]
+
+
+@pytest.mark.parametrize("p1,p2,n", CASE2_BOX)
+def test_case2_search_matches_the_search_by_combination(p1, p2, n):
+    # certificates and whole failure logs, verdict by verdict
+    assert cert_case2(p1, p2, n) == _case2_search_by_combination(p1, p2, n)
+
+
+@pytest.mark.parametrize("p1,p2,n,most", [(2, 3, 6, 200), (2, 3, 4, 64)])
+def test_case2_search_multiplies_each_prefix_once(monkeypatch, p1, p2, n, most):
+    # a count, not a time: the search by combination made 1,437 calls at
+    # (2, 3, 6), one per combination and bridge onto the 216-term base
+    # product, and 64 at (2, 3, 4)
+    calls = []
+    mul_supports = TensorPower.mul_supports
+
+    def spy(self, xs, ys):
+        calls.append(len(xs) * len(ys))
+        return mul_supports(self, xs, ys)
+
+    monkeypatch.setattr(TensorPower, "mul_supports", spy)
+    assert isinstance(cert_case2(p1, p2, n), SearchFailure)
+    assert len(calls) <= most

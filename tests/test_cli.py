@@ -393,6 +393,17 @@ def test_gen_cert_missing_params(capsys):
     capsys.readouterr()
 
 
+def test_gen_cert_failed_search_counts_combinations(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    assert main(["gen-cert", "--method", "case2", "--params", "p1=2,p2=3",
+                 "--n", "4", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certificate search failed: no bridging classes gave"
+                            " a nonzero product (12 combinations tried)\n")
+    assert not out.exists()
+
+
 def test_table_command(capsys):
     assert main(["table", "--family", "rp", "--r", "1..2", "--n", "2..2"]) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -12,7 +12,6 @@ from milnortc.cuplength import (
     FactorCheck,
     _ideal_generators,
     _mult_map,
-    _verdict,
     cup_exact,
     cup_witness,
     is_zero_divisor,
@@ -101,7 +100,10 @@ def certificate_order_report(cert, P):
         checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
         if not product.is_zero:
             product = multiply(product, power(el, mult))
-    verdict = _verdict(checks, product, cert.cat_witness)
+    if not (cert.cat_witness or all(c.is_zero_divisor for c in checks)):
+        verdict = "FactorNotZeroDivisor"
+    else:
+        verdict = "Verified" if not product.is_zero else "ProductVanishes"
     verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
     return verdict, not product.is_zero, verified, tuple(checks)
 
