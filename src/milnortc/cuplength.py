@@ -23,6 +23,9 @@ targets of each source monomial, so a product row is a XOR of target rows.
 The chain is graded, so the oracle walks it by degree: each map is built
 once, applied to every level that reads it, and dropped, and at most
 (largest generator degree + 1) degrees of the chain are held at a time.
+Each z's degree and its products with the basic monomials of the one slot
+each of its monomials occupies are computed once per run, and the top
+power's degree slices are dropped when the run ends.
 The z commute, so the oracle forms only the products z_j1 ... z_jm with
 j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
 at most j.  Products are appended generator by generator and rows are kept
@@ -53,7 +56,7 @@ from .tensorpower import (
     DEFAULT_MAX_SLICE,
     diagonal_eval,
     inject,
-    slice_dimension,
+    slice_dimensions,
     tensor_power,
     tensor_slice,
 )
@@ -141,14 +144,18 @@ def _factor_product(P: Presentation, n: int, factors):
     factor is taken.  The ring is commutative, so any order gives the same
     product; this one avoids forming the product of factors on disjoint
     slots, which is their whole tensor product with nothing to cancel,
-    before a factor that links them can make it vanish.  Once the product
-    is zero the remaining powers are not formed."""
+    before a factor that links them can make it vanish.  The product starts
+    from the first power taken, never from the unit, and once it is zero
+    the remaining powers are not formed."""
     checks, pending = [], []
     for text, mult in factors:
         el, check = _checked_factor(P, n, text)
         checks.append(check)
         pending.append((_slots(el), el, mult))
-    product, covered = unit(tensor_power(P, n)), set()
+    if not pending:
+        return unit(tensor_power(P, n)), checks
+    slots, el, mult = pending.pop(0)
+    product, covered = power(el, mult), slots
     while pending and not product.is_zero:
         i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
         slots, el, mult = pending.pop(i)
@@ -198,34 +205,43 @@ _CUP_CACHE: dict = {}
 
 
 def _ideal_generators(P: Presentation, n: int):
-    """The nonzero adjacent slot differences g_i + g_{i+1}, each with its
-    factor expression."""
+    """The nonzero adjacent slot differences z = g_i + g_{i+1}, each as
+    (factor expression, z, degree of z, slot products).  Every monomial of
+    z is the unit in all slots but one, k; its slot products pair k with
+    the product of each basic monomial by the slot-k factor.  The tables
+    are computed once per factor and shared by every z it occurs in."""
+    tables: dict = {}
     gens = []
     for name in P.gen_names:
         g = generator(P, name)
         for i in range(1, n):
             z = inject(P, n, i, g) + inject(P, n, i + 1, g)
-            if not z.is_zero:
-                text = to_string(Sum((Gen(name, i), Gen(name, i + 1))))
-                gens.append((f"({text})", z))
+            if z.is_zero:
+                continue
+            slot_products = []
+            for zm in z.support:
+                (k,) = [k for k, c in enumerate(zm) if c != P.one]
+                products = tables.get(zm[k])
+                if products is None:
+                    products = tables[zm[k]] = {
+                        m: P.mono_mul(m, zm[k]) for m in P.basis
+                    }
+                slot_products.append((k, products))
+            text = to_string(Sum((Gen(name, i), Gen(name, i + 1))))
+            gens.append((f"({text})", z, z.degree, tuple(slot_products)))
     return gens
 
 
-def _mult_map(P, n, gen_el, d_from, index, mask):
-    """Multiplication by gen_el from slice(d_from) into the target slice
-    whose monomials index numbers: for each source monomial whose bit is
-    set in mask, the int bitset of its targets, and 0 for every other one.
-    The mask is the OR of the rows the map will multiply, and
+def _mult_map(P, n, slot_products, d_from, index, mask):
+    """Multiplication by an ideal generator, given by its slot products
+    (see :func:`_ideal_generators`), from slice(d_from) into the target
+    slice whose monomials index numbers: for each source monomial whose
+    bit is set in mask, the int bitset of its targets, and 0 for every
+    other one.  The mask is the OR of the rows the map will multiply, and
     :func:`milnortc.gf2.image` reads a target only for a set bit of a row,
-    so no product sees a missing column.  Every monomial of an ideal
-    generator is the unit in all slots but one, k, so a source monomial
-    goes to the monomials with slot k replaced by each term of the slot-k
-    product."""
-    # (slot k, the product by its factor of each basic monomial)
-    one_slot = []
-    for zm in gen_el.support:
-        (k,) = [k for k, c in enumerate(zm) if c != P.one]
-        one_slot.append((k, {m: P.mono_mul(m, zm[k]) for m in P.basis}))
+    so no product sees a missing column.  A source monomial goes to the
+    monomials with slot k replaced by each term of its slot-k product, for
+    each slot k of the generator."""
     source = tensor_slice(P, n, d_from)
     targets = [0] * len(source)
     digits = bin(mask)[:1:-1]  # bit 0 first
@@ -233,7 +249,7 @@ def _mult_map(P, n, gen_el, d_from, index, mask):
     while i >= 0:
         tup = source[i]
         bits = 0
-        for k, products in one_slot:
+        for k, products in slot_products:
             head, tail = tup[:k], tup[k + 1 :]
             for mono in products[tup[k]]:
                 bits ^= 1 << index[head + (mono,) + tail]
@@ -255,7 +271,10 @@ def _oracle(P: Presentation, n: int):
     The chain is walked by degree: the degree-dt part of every W_m is
     spanned by the z times the degree-(dt - deg z) part of W_(m-1), so each
     map (z, dt - deg z) is built once, applied to the rows of every m and
-    dropped, and a degree is dropped once no later degree reads it.
+    dropped, and a degree is dropped once no later degree reads it.  The
+    degree and slot products of each z come from :func:`_ideal_generators`,
+    computed once per run, so building a map multiplies nothing in the
+    base ring.
 
     Products are taken in sorted order.  The z commute, so W_m is spanned
     by the products z_j1 ... z_jm with j1 <= ... <= jm; let W_m^(<=j) be
@@ -277,11 +296,11 @@ def _oracle(P: Presentation, n: int):
     for dt in range(1, nd + 1):
         index = None
         products: dict = {}
-        for j, (_, z) in enumerate(gens):
+        for j, (_, _, degree, slot_products) in enumerate(gens):
             # per m: the kept rows of W_m that z_j multiplies
             prefixes = []
             mask = 0
-            for m, (rows, tags) in spans.get(dt - z.degree, {}).items():
+            for m, (rows, tags) in spans.get(dt - degree, {}).items():
                 k = bisect_right(tags, j, key=_last_generator)
                 if k:
                     rows, tags = rows[:k], tags[:k]
@@ -292,7 +311,7 @@ def _oracle(P: Presentation, n: int):
                 continue
             if index is None:
                 index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt))}
-            targets = _mult_map(P, n, z, dt - z.degree, index, mask)
+            targets = _mult_map(P, n, slot_products, dt - degree, index, mask)
             for m, rows, tags in prefixes:
                 prod_rows, prod_tags = products.setdefault(m + 1, ([], []))
                 prod_rows.extend(gf2.image(targets, rows))
@@ -326,8 +345,7 @@ def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) ->
     # larger cap does not answer this call, and before building any slice:
     # slices grow towards the middle degree, so those below the first one
     # over the cap can be huge too
-    for d in range(n * P.top_degree + 1):
-        dim = slice_dimension(P, n, d)
+    for d, dim in enumerate(slice_dimensions(P, n)):
         if dim > max_slice:
             raise ResourceLimitError(
                 f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
@@ -336,7 +354,12 @@ def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) ->
             )
     key = (P.cache_key, n)
     if key not in _CUP_CACHE:
-        _CUP_CACHE[key] = _oracle(P, n)
+        try:
+            _CUP_CACHE[key] = _oracle(P, n)
+        finally:
+            # the value and witness need no slice; the lower powers keep
+            # theirs, which are smaller and which higher n build on
+            tensor_power(P, n)._slices.clear()
     return _CUP_CACHE[key][0]
 
 

@@ -294,13 +294,16 @@ def multiply(x: Element, y: Element) -> Element:
 def power(x: Element, e: int) -> Element:
     if e < 0:
         raise ValueError("exponent must be non-negative")
-    result = unit(x.algebra)
-    base = x
+    if e == 0:
+        return unit(x.algebra)
+    # start from the first power of x taken, never from the unit
+    result = None
     while e:
         if e & 1:
-            result = multiply(result, base)
-        base = multiply(base, base) if e > 1 else base
+            result = x if result is None else multiply(result, x)
         e >>= 1
+        if e:
+            x = multiply(x, x)
     return result
 
 

@@ -4,7 +4,8 @@
 algebra that :class:`~milnortc.f2algebra.Element` and the f2algebra
 arithmetic accept.  Its monomials are n-tuples of basic monomials of the
 base presentation.  Its basis is never enumerated whole: degree slices are
-built on demand by :func:`tensor_slice` and kept on the power.  Its
+built on demand by :func:`tensor_slice` and kept on the power; the oracle
+drops those of the power it ran on when its run ends.  Its
 products are not memoised: a pair of tensor monomials is multiplied in the
 base ring only in the slots where the sparser operand is not the unit,
 which for a certificate factor (a sum of classes injected in one or two
@@ -127,28 +128,38 @@ def diagonal_eval(u: Element) -> Element:
 # --- degree slices of the tensor power --------------------------------------
 
 
-def slice_dimension(P: Presentation, n: int, d: int) -> int:
-    """Dimension of the degree-d slice: coefficient of the n-th power of
-    the Poincaré series.  As in :func:`tensor_slice`, the zero ring has no
+def slice_dimensions(P: Presentation, n: int) -> list:
+    """Dimensions of the degree slices 0..n * top degree of the n-th power:
+    the coefficients of the n-th power of the Poincaré series, computed
+    once for all degrees.  As in :func:`tensor_slice`, the zero ring has no
     monomial in any power, n = 0 included."""
     series = poincare_series(P)
-    coeffs = [1 if P.basis else 0]
+    if not series:
+        return [0]
+    dims = [1]
     for _ in range(n):
-        nxt = [0] * (len(coeffs) + len(series) - 1)
-        for i, a in enumerate(coeffs):
+        nxt = [0] * (len(dims) + len(series) - 1)
+        for i, a in enumerate(dims):
             for j, b in enumerate(series):
                 nxt[i + j] += a * b
-        coeffs = nxt
-    return coeffs[d] if 0 <= d < len(coeffs) else 0
+        dims = nxt
+    return dims
+
+
+def slice_dimension(P: Presentation, n: int, d: int) -> int:
+    """Dimension of the degree-d slice, read from :func:`slice_dimensions`;
+    0 outside degrees 0..n * top degree."""
+    dims = slice_dimensions(P, n)
+    return dims[d] if 0 <= d < len(dims) else 0
 
 
 def tensor_slice(P: Presentation, n: int, d: int):
     """All degree-d tensor monomials, sorted componentwise by basis rank:
     the first slot runs over the basis in rank order (so by ascending
     degree), and the other n - 1 slots over the degree-(d - deg) slice of
-    the next-lower power, cached on that power.  The n = 0 power has the
-    empty tuple in degree 0, except over the zero ring, which has no
-    monomial in any power."""
+    the next-lower power, cached on that power and read once per degree of
+    the first slot.  The n = 0 power has the empty tuple in degree 0,
+    except over the zero ring, which has no monomial in any power."""
     slices = tensor_power(P, n)._slices
     cached = slices.get(d)
     if cached is not None:
@@ -156,13 +167,14 @@ def tensor_slice(P: Presentation, n: int, d: int):
     if n == 0:
         result = ((),) if d == 0 and P.basis else ()
     else:
-        result = tuple(
-            (P.basis[r],) + rest
-            for deg in sorted(P.degree_slices)
-            if deg <= d
-            for r in P.degree_slices[deg]
-            for rest in tensor_slice(P, n - 1, d - deg)
-        )
+        monomials = []
+        for deg in sorted(P.degree_slices):
+            if deg > d:
+                break
+            lower = tensor_slice(P, n - 1, d - deg)
+            for r in P.degree_slices[deg]:
+                head = (P.basis[r],)
+                monomials.extend(head + rest for rest in lower)
+        result = tuple(monomials)
     slices[d] = result
     return result
-

@@ -165,6 +165,43 @@ def test_verification_never_forms_the_product_of_disjoint_blocks(
     assert largest[0] <= 256
 
 
+def test_verification_never_multiplies_by_the_unit(monkeypatch):
+    # counts, not times: a power starts from a power of its base and a
+    # certificate's product from its first factor's power.  Starting both
+    # at the unit made 27 of the 174 products here have a unit operand
+    operands = []
+    mul_supports = TensorPower.mul_supports
+
+    def spy(self, xs, ys):
+        operands.append((self.one, xs, ys))
+        return mul_supports(self, xs, ys)
+
+    monkeypatch.setattr(TensorPower, "mul_supports", spy)
+    assert tc_bounds("rh:16,9", 8).verified_lower == 169
+    assert operands
+    unit_operands = [
+        (xs, ys) for one, xs, ys in operands if {one} in (set(xs), set(ys))
+    ]
+    assert not unit_operands
+
+
+def test_power_and_the_empty_product_keep_their_values():
+    P = ring("rp:2")
+    x = evaluate_text("x1+x2", P, 2)
+    assert power(x, 0) == unit(x.algebra)
+    for e in range(1, 7):
+        expected = unit(x.algebra)
+        for _ in range(e):
+            expected = multiply(expected, x)
+        assert power(x, e) == expected, e
+    cert = Certificate("rp:2", 2, (), 0, 1)
+    report = verify_certificate(cert)
+    assert report.verdict == "Verified" and report.product_nonzero
+    zero_ring = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
+    z = unit(tensor_power(zero_ring, 2))
+    assert z.is_zero and power(z, 3).is_zero
+
+
 # -- exact oracle -------------------------------------------------------------
 
 
@@ -264,14 +301,14 @@ def test_mult_maps_match_the_per_monomial_product():
     for space, n in ORACLE_BOX:
         P = ring(space)
         nd = n * P.top_degree
-        for _, z in _ideal_generators(P, n):
+        for _, z, _, slot_products in _ideal_generators(P, n):
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
                 target = tensor_slice(P, n, d + z.degree)
                 index = {t: i for i, t in enumerate(target)}
                 width = len(expected)
                 for mask in ((1 << width) - 1, rng.getrandbits(width)):
-                    got = _mult_map(P, n, z, d, index, mask)
+                    got = _mult_map(P, n, slot_products, d, index, mask)
                     assert got == [
                         t if mask >> i & 1 else 0 for i, t in enumerate(expected)
                     ], (space, n, d, mask)
@@ -286,9 +323,9 @@ def test_each_mult_map_is_built_once_per_run(monkeypatch):
     requests = []
     mult_map = cuplength._mult_map
 
-    def spy(P, n, gen_el, d_from, *rest):
-        requests.append((id(gen_el), d_from))
-        return mult_map(P, n, gen_el, d_from, *rest)
+    def spy(P, n, slot_products, d_from, *rest):
+        requests.append((id(slot_products), d_from))
+        return mult_map(P, n, slot_products, d_from, *rest)
 
     monkeypatch.setattr(cuplength, "_mult_map", spy)
     for space, n in ORACLE_BOX:
@@ -323,6 +360,104 @@ def test_oracle_multiplies_in_sorted_order(monkeypatch):
     assert cup_exact(ring("rh:4,2"), 3) == 15
     assert sum(rows_multiplied) <= 900
     assert sum(entries_built) <= 2100
+
+
+def _fresh_oracle(monkeypatch):
+    """Empty the oracle's value cache and the interned tensor powers, so
+    that a run builds every slice it reads."""
+    import milnortc.cuplength as cuplength
+    import milnortc.tensorpower as tensorpower
+
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(tensorpower, "_POWER_CACHE", {})
+
+
+def test_cup_exact_raises_the_poincare_series_once(monkeypatch):
+    # the cap check reads every degree from one power of the series; it
+    # was raised once per degree, 16 times for rh:4,2 at n = 3
+    import milnortc.tensorpower as tensorpower
+
+    calls = []
+    series = tensorpower.poincare_series
+
+    def spy(P):
+        calls.append(P)
+        return series(P)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(tensorpower, "poincare_series", spy)
+    P = ring("rh:4,2")
+    assert cup_exact(P, 3) == 15
+    assert len(calls) == 1
+    assert cup_exact(P, 3) == 15  # cached, but checked against the cap
+    assert len(calls) == 2
+
+
+def test_oracle_multiplies_each_base_pair_once(monkeypatch):
+    # counts, not times: each generator's slot products are built once per
+    # run, not once per (generator, degree) map; that took 936 base
+    # products for rh:4,2 at n = 3
+    from milnortc.f2algebra import Presentation
+
+    calls = []
+    mono_mul = Presentation.mono_mul
+
+    def spy(self, m1, m2):
+        calls.append((m1, m2))
+        return mono_mul(self, m1, m2)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(Presentation, "mono_mul", spy)
+    P = ring("rh:4,2")
+    assert cup_exact(P, 3) == 15
+    assert len(calls) <= len(P.gen_names) * len(P.basis)
+
+
+def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
+    # counts, not times: a slice reads the next-lower power's slice once
+    # per degree of its first slot; reading it once per basis monomial made
+    # 540 tensor_slice calls for rh:4,2 at n = 3
+    import milnortc.cuplength as cuplength
+    import milnortc.tensorpower as tensorpower
+
+    calls = []
+    tensor_slice_ = tensorpower.tensor_slice
+
+    def spy(P, n, d):
+        calls.append((n, d))
+        return tensor_slice_(P, n, d)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(tensorpower, "tensor_slice", spy)
+    monkeypatch.setattr(cuplength, "tensor_slice", spy)
+    assert cup_exact(ring("rh:4,2"), 3) == 15
+    assert len(calls) <= 300
+
+
+def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
+    # bytes, not times: the oracle's top power drops its degree slices when
+    # the run ends, while the power itself stays interned.  Keeping them
+    # left about 150 kB allocated here.  gc.collect() also empties the
+    # interpreter's free lists, which would otherwise keep the freed tuples
+    import gc
+    import tracemalloc
+
+    import milnortc.tensorpower as tensorpower
+
+    _fresh_oracle(monkeypatch)
+    P = ring("rh:4,2")
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        factors = cup_witness(P, 3)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert sum(mult for _, mult in factors) == 15
+    assert tensorpower._POWER_CACHE[(P, 3)]._slices == {}
+    assert retained < 50_000
 
 
 def test_oracle_witness_verifies():
