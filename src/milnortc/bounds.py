@@ -117,10 +117,19 @@ def _verified_row(cert, P, rule: str, source: str) -> RuleTrace | None:
     return RuleTrace(rule, source, "lower", report.verified_cup + 1, "machine-verified")
 
 
-def _largest_power_of_two_at_most(x: int):
-    if x < 1:
-        return None
-    return x.bit_length() - 1
+def _dimension_row(space, n: int) -> RuleTrace:
+    return RuleTrace(
+        "dimension-upper",
+        "dimension of the n-fold power plus one",
+        "upper",
+        n * space.dimension + 1,
+        "claimed",
+    )
+
+
+def _floor_power_of_two(x: int) -> int:
+    """The largest power of two at most x >= 1."""
+    return 1 << (x.bit_length() - 1)
 
 
 # --- free-action predicates --------------------------------------------------
@@ -150,13 +159,7 @@ def cat_bounds(space, n: int) -> BoundReport:
     if n < 1:
         raise ValueError("n must be >= 1")
     trace = [
-        RuleTrace(
-            "dimension-upper",
-            "dimension of the n-fold power plus one",
-            "upper",
-            n * space.dimension + 1,
-            "claimed",
-        ),
+        _dimension_row(space, n),
         _verified_row(
             cert_cat_topclass(space, n),
             cohomology_of(space),
@@ -175,42 +178,36 @@ def _monotonicity_rules(space, n: int):
     rules = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
-        best = None
-        for u, v in ((s, r), (r, s)):
-            # u >= 2^t1 + 1 and v >= 2^t2
-            t1 = _largest_power_of_two_at_most(u - 1)
-            t2 = _largest_power_of_two_at_most(v)
-            if t1 is not None and t1 >= 1 and t2 is not None and t2 >= 1:
-                val = n * (2**t1 + 2**t2) - 1
-                if best is None or val > best:
-                    best = val
-        if best is not None:
+        # u >= 2^t1 + 1 and v >= 2^t2 with t1, t2 >= 1
+        pairs = [
+            n * (_floor_power_of_two(u - 1) + _floor_power_of_two(v)) - 1
+            for u, v in ((s, r), (r, s))
+            if u >= 3 and v >= 2
+        ]
+        if pairs:
             rules.append(
                 (
                     "power-of-two-pair-monotonicity",
                     "zero-divisor length of the largest embedded power-of-two ring",
-                    best,
+                    max(pairs),
                 )
             )
-        t = _largest_power_of_two_at_most(r)
-        if t is not None and t >= 1:
+        if r >= 2:
             rules.append(
                 (
                     "power-of-two-r-monotonicity",
                     "zero-divisor length of the embedded ring with r a power of two",
-                    n * (2**t + s - 1) - s + 2,
+                    n * (_floor_power_of_two(r) + s - 1) - s + 2,
                 )
             )
-    elif isinstance(space, RealProj):
-        t = _largest_power_of_two_at_most(space.m)
-        if t is not None:
-            rules.append(
-                (
-                    "projective-monotonicity",
-                    "zero-divisor length of the embedded power-of-two projective ring",
-                    n * 2**t,
-                )
+    elif isinstance(space, RealProj) and space.m >= 1:
+        rules.append(
+            (
+                "projective-monotonicity",
+                "zero-divisor length of the embedded power-of-two projective ring",
+                n * _floor_power_of_two(space.m),
             )
+        )
     return rules
 
 
@@ -276,15 +273,7 @@ def tc_bounds(
         for rule, source, val in _monotonicity_rules(space, n):
             trace.append(RuleTrace(rule, source, "lower", val, "claimed"))
 
-    trace.append(
-        RuleTrace(
-            "dimension-upper",
-            "dimension of the n-fold power plus one",
-            "upper",
-            n * dim + 1,
-            "claimed",
-        )
-    )
+    trace.append(_dimension_row(space, n))
     trace.append(
         RuleTrace(
             "category-of-power-upper",
@@ -311,18 +300,10 @@ def tc_bounds(
 # --- equivariant -------------------------------------------------------------
 
 
-def eqtc_bounds(
-    space,
-    group,
-    n: int,
-    *,
-    use_oracle: bool = False,
-    use_certs: bool = True,
-    use_monotonicity: bool = True,
-    max_slice: int = DEFAULT_MAX_SLICE,
-) -> BoundReport:
+def eqtc_bounds(space, group, n: int, **options) -> BoundReport:
     """Interval for the n-th equivariant topological complexity of a free
-    action: ordinary TC from below, orbit-space dimension from above."""
+    action: ordinary TC from below, orbit-space dimension from above.  The
+    options are those of :func:`tc_bounds`."""
     space = _as_space(space)
     group = resolve_group(group)
     if n < 2:
@@ -352,14 +333,7 @@ def eqtc_bounds(
     else:
         raise ValueError(f"unsupported group {group!r}")
 
-    tc = tc_bounds(
-        space,
-        n,
-        use_oracle=use_oracle,
-        use_certs=use_certs,
-        use_monotonicity=use_monotonicity,
-        max_slice=max_slice,
-    )
+    tc = tc_bounds(space, n, **options)
     upper = n * space.dimension - group.dim + 1
     # the orbit bound alone is the upper end: the TC_n upper rows inherited
     # from the trace do not bound the equivariant complexity

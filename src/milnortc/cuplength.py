@@ -49,13 +49,12 @@ from bisect import bisect_right
 from . import gf2
 from .errors import ResourceLimitError
 from .exprs import Gen, Sum, evaluate_text, to_string
-from .f2algebra import Element, Presentation, generator, multiply, power, unit
+from .f2algebra import Element, Presentation, multiply, power, unit
 from .record import Record
 from .spaces import cohomology_of, parse_space
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
     diagonal_eval,
-    inject,
     slice_dimensions,
     tensor_power,
     tensor_slice,
@@ -206,29 +205,26 @@ _CUP_CACHE: dict = {}
 
 def _ideal_generators(P: Presentation, n: int):
     """The nonzero adjacent slot differences z = g_i + g_{i+1}, each as
-    (factor expression, z, degree of z, slot products).  Every monomial of
-    z is the unit in all slots but one, k; its slot products pair k with
-    the product of each basic monomial by the slot-k factor.  The tables
-    are computed once per factor and shared by every z it occurs in."""
+    (factor expression, degree of z, slot products), read off the support
+    and degree of each generator g in P.  Every monomial of z is the unit
+    in all slots but one, k, where it holds a monomial c of g; its slot
+    products pair k with the product of each basic monomial by c.  The
+    tables are computed once per c and shared by every z it occurs in."""
     tables: dict = {}
     gens = []
-    for name in P.gen_names:
-        g = generator(P, name)
+    for idx, (name, degree) in enumerate(zip(P.gen_names, P.gen_degrees)):
+        support = P.reduce(tuple(int(k == idx) for k in range(P.ngens)))
+        if not support:
+            continue  # g = 0, and so is every z
         for i in range(1, n):
-            z = inject(P, n, i, g) + inject(P, n, i + 1, g)
-            if z.is_zero:
-                continue
             slot_products = []
-            for zm in z.support:
-                (k,) = [k for k, c in enumerate(zm) if c != P.one]
-                products = tables.get(zm[k])
+            for c in support:
+                products = tables.get(c)
                 if products is None:
-                    products = tables[zm[k]] = {
-                        m: P.mono_mul(m, zm[k]) for m in P.basis
-                    }
-                slot_products.append((k, products))
+                    products = tables[c] = {m: P.mono_mul(m, c) for m in P.basis}
+                slot_products += [(i - 1, products), (i, products)]
             text = to_string(Sum((Gen(name, i), Gen(name, i + 1))))
-            gens.append((f"({text})", z, z.degree, tuple(slot_products)))
+            gens.append((f"({text})", degree, tuple(slot_products)))
     return gens
 
 
@@ -296,7 +292,7 @@ def _oracle(P: Presentation, n: int):
     for dt in range(1, nd + 1):
         index = None
         products: dict = {}
-        for j, (_, _, degree, slot_products) in enumerate(gens):
+        for j, (_, degree, slot_products) in enumerate(gens):
             # per m: the kept rows of W_m that z_j multiplies
             prefixes = []
             mask = 0

@@ -11,7 +11,11 @@ Three presentation kinds are supported:
 
 * ``milnor`` -- two generators a, b with ``a^(s+1) = 0`` and
   ``b^r = sum_{k=1..s} a^k b^(r-k)``; monomial basis
-  ``{a^i b^j : i <= s, j <= r-1}``.
+  ``{a^i b^j : i <= s, j <= r-1}``.  The normal form of a^i b^j with
+  j >= r applies the relation once, ``a^i b^j = sum_{k=1..s} a^(i+k)
+  b^(j-k)``, and reduces each term through the memoised
+  :meth:`Presentation.reduce`.  Every step raises the power of a, and a
+  term with i > s vanishes, so the rewrite recurses at most s + 1 deep.
 * ``truncated`` -- one generator x with ``x^(m+1) = 0``.
 * ``product`` -- tensor product of the above, generators concatenated.
 
@@ -133,31 +137,15 @@ class Presentation:
         )
 
     def _reduce_milnor(self, i, j) -> frozenset:
-        s, r = self.s, self.r
-        if r == 0:
+        if i > self.s:
             return frozenset()
-        if i > s:
-            return frozenset()
-        if j < r:
+        if j < self.r:
             return frozenset(((i, j),))
-        # rewrite b^j -> sum_{k=1..s} a^k b^(j-k); process largest j first
-        pending = {(i, j): 1}
-        out: set = set()
-        while pending:
-            jmax = max(key[1] for key in pending)
-            batch = [key for key in pending if key[1] == jmax]
-            for i0, j0 in batch:
-                if pending.pop((i0, j0)) % 2 == 0:
-                    continue
-                if i0 > s:
-                    continue
-                if j0 < r:
-                    out ^= {(i0, j0)}
-                else:
-                    for k in range(1, s + 1):
-                        key = (i0 + k, j0 - k)
-                        pending[key] = pending.get(key, 0) + 1
-        return frozenset(out)
+        # a^i b^j = sum_{k=1..s} a^(i+k) b^(j-k), each term through the memo
+        out = frozenset()
+        for k in range(1, self.s + 1):
+            out ^= self.reduce((i + k, j - k))
+        return out
 
     def mono_mul(self, m1, m2) -> frozenset:
         """Product of two basic monomials as a set of basic monomials."""

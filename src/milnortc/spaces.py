@@ -4,6 +4,11 @@ Canonical string forms (used in certificate files and CLI flags):
 ``rh:4,3`` and ``ch:4,3`` for real/complex Milnor manifolds with (r, s),
 ``rp:2`` / ``cp:2`` for projective spaces, and ``prod:rp3,rp2`` for
 products (factors written compactly, e.g. ``rh4.3``, ``rp3``).
+
+Each descriptor class carries its family prefix and (products aside) its
+ring kind and generator degree; two mixins check the fields and give the
+dimension.  Parsing, formatting and :func:`cohomology_of` read the one
+``_FAMILIES`` table, from prefix to class.
 """
 
 from __future__ import annotations
@@ -14,42 +19,29 @@ from .f2algebra import Presentation, make_presentation
 from .record import Record
 
 
-class RealMilnor(Record):
-    __slots__ = ("r", "s")
+class _Milnor:
+    # fields (r, s): a^(s+1) = 0 and b^r = a b^(r-1) + ... + a^s b^(r-s)
+    __slots__ = ()
+    kind = "milnor"
 
     def _check(self):
-        _check_rs(self.r, self.s)
+        if not (isinstance(self.r, int) and isinstance(self.s, int)):
+            raise ValueError("r and s must be integers")
+        if not 0 <= self.s <= self.r or self.r < 1:
+            raise ValueError(
+                "Milnor manifold requires r >= 1 and 0 <= s <= r, "
+                f"got r={self.r}, s={self.s}"
+            )
 
     @property
     def dimension(self) -> int:
-        return self.r + self.s - 1
+        return self.gen_degree * (self.r + self.s - 1)
 
 
-class ComplexMilnor(Record):
-    __slots__ = ("r", "s")
-
-    def _check(self):
-        _check_rs(self.r, self.s)
-
-    @property
-    def dimension(self) -> int:
-        return 2 * (self.r + self.s - 1)
-
-
-class RealProj(Record):
-    __slots__ = ("m",)
-
-    def _check(self):
-        if self.m < 0:
-            raise ValueError("projective space dimension must be >= 0")
-
-    @property
-    def dimension(self) -> int:
-        return self.m
-
-
-class ComplexProj(Record):
-    __slots__ = ("m",)
+class _Proj:
+    # field m: x^(m+1) = 0
+    __slots__ = ()
+    kind = "truncated"
 
     def _check(self):
         if self.m < 0:
@@ -57,11 +49,32 @@ class ComplexProj(Record):
 
     @property
     def dimension(self) -> int:
-        return 2 * self.m
+        return self.gen_degree * self.m
+
+
+class RealMilnor(_Milnor, Record):
+    __slots__ = ("r", "s")
+    family, gen_degree = "rh", 1
+
+
+class ComplexMilnor(_Milnor, Record):
+    __slots__ = ("r", "s")
+    family, gen_degree = "ch", 2
+
+
+class RealProj(_Proj, Record):
+    __slots__ = ("m",)
+    family, gen_degree = "rp", 1
+
+
+class ComplexProj(_Proj, Record):
+    __slots__ = ("m",)
+    family, gen_degree = "cp", 2
 
 
 class ProductSpace(Record):
     __slots__ = ("factors",)
+    family = "prod"
 
     def _check(self):
         if not self.factors:
@@ -72,44 +85,42 @@ class ProductSpace(Record):
         return sum(f.dimension for f in self.factors)
 
 
-def _check_rs(r, s):
-    if not (isinstance(r, int) and isinstance(s, int)):
-        raise ValueError("r and s must be integers")
-    if not 0 <= s <= r or r < 1:
-        raise ValueError(
-            f"Milnor manifold requires r >= 1 and 0 <= s <= r, got r={r}, s={s}"
-        )
+_FAMILIES = {
+    cls.family: cls
+    for cls in (RealMilnor, ComplexMilnor, RealProj, ComplexProj, ProductSpace)
+}
+
+
+def _family(space):
+    """The descriptor class of space, which must be one of _FAMILIES."""
+    cls = type(space)
+    if _FAMILIES.get(getattr(cls, "family", None)) is not cls:
+        raise ValueError(f"unknown space descriptor: {space!r}")
+    return cls
 
 
 def cohomology_of(space) -> Presentation:
     """Mod-2 cohomology presentation of the space."""
-    if isinstance(space, RealMilnor):
-        return make_presentation(kind="milnor", s=space.s, r=space.r, gen_degree=1)
-    if isinstance(space, ComplexMilnor):
-        return make_presentation(kind="milnor", s=space.s, r=space.r, gen_degree=2)
-    if isinstance(space, RealProj):
-        return make_presentation(kind="truncated", m=space.m, gen_degree=1)
-    if isinstance(space, ComplexProj):
-        return make_presentation(kind="truncated", m=space.m, gen_degree=2)
-    if isinstance(space, ProductSpace):
+    cls = _family(space)
+    if cls is ProductSpace:
         return make_presentation(
             kind="product", factors=[cohomology_of(f) for f in space.factors]
         )
-    raise ValueError(f"unknown space descriptor: {space!r}")
+    fields = dict(zip(cls.__slots__, space._values()))
+    return make_presentation(kind=cls.kind, gen_degree=cls.gen_degree, **fields)
 
 
-_FACTOR_RE = re.compile(r"^(rh|ch)(\d+)\.(\d+)$|^(rp|cp)(\d+)$")
+# a product factor: the family prefix, then its fields joined by "."
+_FACTOR_RE = re.compile(r"^([a-z]+)(\d+(?:\.\d+)*)$")
 
 
 def _parse_factor(text: str):
     mo = _FACTOR_RE.match(text)
-    if not mo:
+    cls = _FAMILIES.get(mo.group(1)) if mo else None
+    values = mo.group(2).split(".") if mo else ()
+    if cls in (None, ProductSpace) or len(values) != len(cls.__slots__):
         raise ValueError(f"cannot parse product factor {text!r}")
-    if mo.group(1):
-        cls = RealMilnor if mo.group(1) == "rh" else ComplexMilnor
-        return cls(int(mo.group(2)), int(mo.group(3)))
-    cls = RealProj if mo.group(4) == "rp" else ComplexProj
-    return cls(int(mo.group(5)))
+    return cls(*map(int, values))
 
 
 def parse_space(text: str):
@@ -118,31 +129,21 @@ def parse_space(text: str):
     if ":" not in text:
         raise ValueError(f"cannot parse space {text!r}")
     head, _, rest = text.partition(":")
-    if head in ("rh", "ch"):
-        parts = rest.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"expected '{head}:r,s', got {text!r}")
-        r, s = int(parts[0]), int(parts[1])
-        return (RealMilnor if head == "rh" else ComplexMilnor)(r, s)
-    if head in ("rp", "cp"):
-        m = int(rest)
-        return (RealProj if head == "rp" else ComplexProj)(m)
-    if head == "prod":
+    cls = _FAMILIES.get(head)
+    if cls is None:
+        raise ValueError(f"unknown space family {head!r}")
+    if cls is ProductSpace:
         return ProductSpace(tuple(_parse_factor(p) for p in rest.split(",")))
-    raise ValueError(f"unknown space family {head!r}")
+    # a one-field family reads the whole rest as its number
+    parts = rest.split(",") if len(cls.__slots__) > 1 else [rest]
+    if len(parts) != len(cls.__slots__):
+        raise ValueError(f"expected '{head}:{','.join(cls.__slots__)}', got {text!r}")
+    return cls(*map(int, parts))
 
 
 def format_space(space) -> str:
-    if isinstance(space, RealMilnor):
-        return f"rh:{space.r},{space.s}"
-    if isinstance(space, ComplexMilnor):
-        return f"ch:{space.r},{space.s}"
-    if isinstance(space, RealProj):
-        return f"rp:{space.m}"
-    if isinstance(space, ComplexProj):
-        return f"cp:{space.m}"
-    if isinstance(space, ProductSpace):
+    if _family(space) is ProductSpace:
         # factors compactly: rh:4,3 -> rh4.3, rp:3 -> rp3
         inner = (format_space(f).replace(":", "").replace(",", ".") for f in space.factors)
         return "prod:" + ",".join(inner)
-    raise ValueError(f"unknown space descriptor: {space!r}")
+    return f"{space.family}:" + ",".join(map(str, space._values()))

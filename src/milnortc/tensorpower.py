@@ -158,7 +158,8 @@ def tensor_slice(P: Presentation, n: int, d: int):
     the first slot runs over the basis in rank order (so by ascending
     degree), and the other n - 1 slots over the degree-(d - deg) slice of
     the next-lower power, cached on that power and read once per degree of
-    the first slot.  The n = 0 power has the empty tuple in degree 0,
+    the first slot that leaves them at most (n - 1) * top degree, so no
+    empty slice is built.  The n = 0 power has the empty tuple in degree 0,
     except over the zero ring, which has no monomial in any power."""
     slices = tensor_power(P, n)._slices
     cached = slices.get(d)
@@ -168,9 +169,10 @@ def tensor_slice(P: Presentation, n: int, d: int):
         result = ((),) if d == 0 and P.basis else ()
     else:
         monomials = []
+        low = d - (n - 1) * P.top_degree
         for deg in sorted(P.degree_slices):
-            if deg > d:
-                break
+            if not low <= deg <= d:
+                continue
             lower = tensor_slice(P, n - 1, d - deg)
             for r in P.degree_slices[deg]:
                 head = (P.basis[r],)

@@ -15,7 +15,8 @@ from milnortc.bounds import (
 from milnortc.certgen import cert_case2, cert_cat_topclass
 from milnortc.cuplength import VerificationReport
 from milnortc.errors import NoFreeActionError
-from milnortc.spaces import RealMilnor, RealProj
+from milnortc.spaces import RealMilnor, RealProj, cohomology_of
+from milnortc.tensorpower import slice_dimensions
 
 
 # -- free-action predicates ---------------------------------------------------
@@ -122,6 +123,18 @@ def test_tc_klein_bottle_maximal_from_n3(n):
     # "Topological complexity of the Klein bottle", 2017).
     report = tc_bounds("rh:2,1", n, use_oracle=True)
     assert report.lower == report.upper == report.verified_lower == 2 * n + 1
+
+
+def test_tc_oracle_over_the_slice_cap_adds_no_row():
+    # rh:3,2 at n = 3 has a largest slice of 141 monomials; under a cap of 140
+    # the oracle refuses and the report is the one without the oracle
+    P = cohomology_of(RealMilnor(3, 2))
+    cap = max(slice_dimensions(P, 3)) - 1
+    assert cap == 140
+    report = tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap)
+    assert report == tc_bounds("rh:3,2", 3, use_oracle=False)
+    assert "ideal-power-oracle" not in {t.rule for t in report.trace}
+    assert tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap + 1) != report
 
 
 def test_tc_oracle_witness_that_fails_raises(monkeypatch):

@@ -1,3 +1,4 @@
+import re
 from itertools import combinations_with_replacement
 
 import pytest
@@ -90,6 +91,25 @@ def test_r2t_hypothesis_errors():
         cert_r2t(s=0, t=1, n=2)
     with pytest.raises(ValueError, match="1 <= s"):
         cert_r2t(s=3, t=1, n=2)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: cert_case2(-1, 1, 2), "p1 and p2 must be non-negative"),
+        (lambda: cert_case2(1, -1, 2), "p1 and p2 must be non-negative"),
+        (lambda: cert_case2(1, 1, 1), "arity must be >= 2"),
+        (lambda: cert_case2(2, 0, 2), "hypothesis violated: s = 4 > r = 2"),
+        (lambda: cert_r2t(1, -1, 2), "t must be non-negative"),
+        (lambda: cert_r2t(1, 1, 1), "arity must be >= 2"),
+        (lambda: cert_proj(-1, 2), "t must be non-negative"),
+        (lambda: cert_proj(1, 1), "arity must be >= 2"),
+        (lambda: cert_cat_topclass("rp:2", 0), "arity must be >= 1"),
+    ],
+)
+def test_generators_refuse_bad_inputs(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 def test_proj_certificates():

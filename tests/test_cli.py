@@ -347,6 +347,32 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     assert main(["verify", "--cert", str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_json_format(tmp_path, capsys):
+    ok = tmp_path / "ok.json"
+    ok.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
+    assert main(["verify", "--cert", str(ok), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["space", "n", "verdict", "productNonzero", "verifiedCup",
+                         "verifiedTcLower", "perFactor"]
+    assert (doc["space"], doc["n"], doc["verdict"]) == ("rp:2", 2, "Verified")
+    assert (doc["productNonzero"], doc["verifiedCup"], doc["verifiedTcLower"]) == (
+        True, 3, 4)
+    assert doc["perFactor"] == [
+        {"expr": "(x1+x2)", "isZeroDivisor": True, "degree": 1}
+    ]
+
+    bad = tmp_path / "bad.json"
+    assert main(["gen-cert", "--method", "r2t", "--params", "s=1,t=1",
+                 "--n", "2", "--out", str(bad)]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--cert", str(bad), "--format", "json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["space"], doc["verdict"], doc["productNonzero"]) == (
+        "rh:2,1", "ProductVanishes", False)
+    assert doc["verifiedCup"] is None and doc["verifiedTcLower"] is None
+    assert all(f["isZeroDivisor"] for f in doc["perFactor"])
+
+
 def test_gen_cert_round_trip(tmp_path):
     out = tmp_path / "c.json"
     assert main(["gen-cert", "--method", "case1", "--params", "t1=1,t2=2",

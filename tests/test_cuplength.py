@@ -301,7 +301,9 @@ def test_mult_maps_match_the_per_monomial_product():
     for space, n in ORACLE_BOX:
         P = ring(space)
         nd = n * P.top_degree
-        for _, z, _, slot_products in _ideal_generators(P, n):
+        for text, degree, slot_products in _ideal_generators(P, n):
+            z = evaluate_text(text, P, n)
+            assert z.degree == degree, (space, n, text)
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
                 target = tensor_slice(P, n, d + z.degree)

@@ -1,0 +1,107 @@
+"""Space strings: the canonical form of every family round-trips through
+``parse_space`` and ``format_space``, and each malformed string or
+descriptor is refused with its own message."""
+
+import re
+
+import pytest
+
+from milnortc.f2algebra import make_presentation
+from milnortc.spaces import (
+    ComplexMilnor,
+    ComplexProj,
+    ProductSpace,
+    RealMilnor,
+    RealProj,
+    cohomology_of,
+    format_space,
+    parse_space,
+)
+
+
+@pytest.mark.parametrize(
+    "text, space",
+    [
+        ("rh:4,3", RealMilnor(4, 3)),
+        ("ch:4,3", ComplexMilnor(4, 3)),
+        ("rh:1,0", RealMilnor(1, 0)),
+        ("rp:2", RealProj(2)),
+        ("cp:0", ComplexProj(0)),
+        ("prod:rp3,rp2", ProductSpace((RealProj(3), RealProj(2)))),
+        ("prod:cp1", ProductSpace((ComplexProj(1),))),
+        (
+            "prod:rh4.3,ch2.1,rp3,cp2",
+            ProductSpace(
+                (RealMilnor(4, 3), ComplexMilnor(2, 1), RealProj(3), ComplexProj(2))
+            ),
+        ),
+    ],
+)
+def test_canonical_strings_round_trip(text, space):
+    assert parse_space(text) == space
+    assert format_space(space) == text
+    assert format_space(parse_space(text)) == text
+
+
+def test_parse_space_strips_and_lowercases():
+    assert parse_space(" RH:4,3 ") == RealMilnor(4, 3)
+    assert parse_space("Prod:RP3,Ch2.1") == ProductSpace(
+        (RealProj(3), ComplexMilnor(2, 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "space, kind, fields, dimension",
+    [
+        (RealMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degree": 1}, 6),
+        (ComplexMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degree": 2}, 12),
+        (RealProj(3), "truncated", {"m": 3, "gen_degree": 1}, 3),
+        (ComplexProj(3), "truncated", {"m": 3, "gen_degree": 2}, 6),
+    ],
+)
+def test_cohomology_and_dimension_of_each_family(space, kind, fields, dimension):
+    P = cohomology_of(space)
+    assert P is make_presentation(kind=kind, **fields)
+    assert space.dimension == dimension == P.top_degree
+
+
+def test_cohomology_of_a_product_takes_its_factors_rings():
+    space = parse_space("prod:rh2.1,cp2")
+    P = cohomology_of(space)
+    assert P.factors == (cohomology_of(RealMilnor(2, 1)), cohomology_of(ComplexProj(2)))
+    assert space.dimension == 2 + 4 == P.top_degree
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("foo", "cannot parse space 'foo'"),
+        ("rh:4", "expected 'rh:r,s', got 'rh:4'"),
+        ("ch:4,3,1", "expected 'ch:r,s', got 'ch:4,3,1'"),
+        ("rh:4,x", "invalid literal for int() with base 10: 'x'"),
+        ("rp:1,2", "invalid literal for int() with base 10: '1,2'"),
+        ("cp:x", "invalid literal for int() with base 10: 'x'"),
+        ("xx:1", "unknown space family 'xx'"),
+        ("prod:rp3,foo", "cannot parse product factor 'foo'"),
+        ("prod:", "cannot parse product factor ''"),
+        ("prod:rh4", "cannot parse product factor 'rh4'"),
+        ("prod:rp3.2", "cannot parse product factor 'rp3.2'"),
+        ("prod:prod3", "cannot parse product factor 'prod3'"),
+        ("prod:xx3", "cannot parse product factor 'xx3'"),
+        ("rh:2,3", "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=2, s=3"),
+        ("ch:0,0", "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0"),
+        ("rp:-1", "projective space dimension must be >= 0"),
+        ("prod:rh2.3", "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=2, s=3"),
+    ],
+)
+def test_parse_space_refusals(text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse_space(text)
+
+
+@pytest.mark.parametrize("space", [None, 42, "rp:2"])
+@pytest.mark.parametrize("function", [format_space, cohomology_of])
+def test_unknown_descriptors_are_refused(function, space):
+    message = f"unknown space descriptor: {space!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        function(space)

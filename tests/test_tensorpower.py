@@ -222,6 +222,27 @@ def test_tensor_slice_matches_the_brute_force_slice(space):
             assert len(slc) == slice_dimension(P, n, d), (n, d)
 
 
+@pytest.mark.parametrize("space", ["rh:4,2", "rp:3", "prod:rp2,rh2.1"])
+def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
+    # a first slot of degree deg leaves d - deg for the other n - 1 slots,
+    # which is empty above (n - 1) * top degree: that lower slice is never
+    # built, so no power keeps an empty slice
+    import milnortc.cuplength as cuplength
+    import milnortc.tensorpower as tensorpower
+
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(tensorpower, "_POWER_CACHE", {})
+    P = cohomology_of(parse_space(space))
+    cuplength.cup_exact(P, 3)
+    cached = {
+        (k, d): slc
+        for k in range(4)
+        for d, slc in tensor_power(P, k)._slices.items()
+    }
+    assert cached
+    assert [key for key, slc in cached.items() if not slc] == []
+
+
 def test_multiplication_commutes_and_distributes(P):
     rng = random.Random(17)
     for _ in range(25):
