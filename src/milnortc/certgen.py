@@ -1,8 +1,9 @@
 """Programmatic generators for the explicit hand-built certificates.
 
 Each construction emits a :class:`Certificate` whose total factor count
-matches the corresponding closed-form cup value; nonzeroness is never
-asserted here -- verification is a separate step in :mod:`cuplength`.
+matches the corresponding closed-form cup value.  Only :func:`cert_case2`
+asserts nonzeroness: its search returns a product it found nonzero.
+Verification is a separate step in :mod:`cuplength`.
 Generation is deterministic: identical parameters give identical output.
 
 This module alone knows the families: :data:`GENERATORS` maps each
@@ -13,10 +14,8 @@ satisfies, for :func:`milnortc.bounds.tc_bounds`.
 
 from __future__ import annotations
 
-from itertools import combinations_with_replacement
-
-from .cuplength import Certificate, SearchFailure, _checked_factor, _factor_product, _verdict
-from .exprs import Gen, to_string
+from .cuplength import Certificate, SearchFailure, _factor_product
+from .exprs import Gen, evaluate_text, to_string
 from .f2algebra import multiply
 from .spaces import (
     ComplexMilnor,
@@ -84,14 +83,13 @@ def cert_case2(p1: int, p2: int, n: int):
     """Certificate for s = 2^p1, r = 2^p2 + 1; the k-1 squared bridging
     classes are not written down in closed form, so they are searched for
     over adjacent even-position sums (widened to all position pairs on
-    failure).  The combinations come in lexicographic order, so the search
-    keeps the product of the block factors and the squares of each prefix
-    of the last combination, and multiplies the next one only onto the
-    longest prefix the two share; a zero prefix is never multiplied again.
-    Each bridge is evaluated, checked and squared the first time it is
-    used.  The first combination whose product is nonzero is returned.
-    Returns a Certificate or a SearchFailure whose log holds every
-    combination tried, with its verdict."""
+    failure), depth first in ascending order, so that full combinations
+    come in lexicographic order.  Each bridge is evaluated and squared
+    once.  The search goes no deeper below a zero product, as every
+    combination extending it vanishes too, so it returns the first
+    combination whose product is nonzero, or a SearchFailure.  Each factor
+    is a sum g_i + g_j, sent by the diagonal to 2g = 0, so a nonzero
+    product is a verified certificate."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -100,51 +98,45 @@ def cert_case2(p1: int, p2: int, n: int):
     r = 2**p2 + 1
     if s > r:
         raise ValueError(f"hypothesis violated: s = {s} > r = {r}")
-    k = n // 2
     base = _blocks(
         n,
         block=(("a", 2 * s - 1), ("b", 2 * (r - 1) - 1)),
         tail=(("a", s), ("b", r - 1)),
     )
     milnor = RealMilnor(r, s)
-    space = format_space(milnor)
     claimed = n * (s + r - 1) - 2
 
     narrow = [expr for expr, _ in _blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
-    narrow_set = set(narrow)
     wide = [
         _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
     P = cohomology_of(milnor)
-    base_product, base_checks = _factor_product(P, n, base)
-    base_ok = all(c.is_zero_divisor for c in base_checks)
-    squares, not_zero_divisors = {}, set()  # squares: bridge -> its square
-    # products[i]: the base product times the squares of last[:i]
-    last, products = (), [base_product]
-    log = []
+    squares = {}  # bridge -> its square
+
+    def first_nonzero(pool, start, product, depth):
+        """The first ascending run of depth bridges from pool[start:] whose
+        squares times product are nonzero, or None."""
+        if product.is_zero:
+            return None
+        if depth == 0:
+            return ()
+        for i in range(start, len(pool)):
+            expr = pool[i]
+            if expr not in squares:
+                el = evaluate_text(expr, P, n)
+                squares[expr] = multiply(el, el)
+            rest = first_nonzero(pool, i, multiply(product, squares[expr]), depth - 1)
+            if rest is not None:
+                return (expr,) + rest
+        return None
+
+    base_product, _ = _factor_product(P, n, base)
     for pool in (narrow, wide):
-        for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
-            if pool is wide and narrow_set.issuperset(combo):
-                continue  # the narrow pass checked and rejected it
-            shared = 0
-            while shared < len(last) and last[shared] == combo[shared]:
-                shared += 1
-            del products[shared + 1 :]
-            for expr in combo[shared:]:
-                if expr not in squares:
-                    el, check = _checked_factor(P, n, expr)
-                    squares[expr] = multiply(el, el)
-                    if not check.is_zero_divisor:
-                        not_zero_divisors.add(expr)
-                top = products[-1]
-                products.append(top if top.is_zero else multiply(top, squares[expr]))
-            last = combo
-            verdict = _verdict(base_ok and not_zero_divisors.isdisjoint(combo), products[-1])
-            log.append((combo, verdict))
-            if verdict == "Verified":
-                bridges = tuple((expr, 2) for expr in combo)
-                return Certificate(space, n, base + bridges, claimed, claimed + 1)
-    return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
+        combo = first_nonzero(sorted(set(pool)), 0, base_product, n // 2 - 1)
+        if combo is not None:
+            bridges = tuple((expr, 2) for expr in combo)
+            return Certificate(format_space(milnor), n, base + bridges, claimed, claimed + 1)
+    return SearchFailure("no bridging classes gave a nonzero product")
 
 
 def cert_r2t(s: int, t: int, n: int) -> Certificate:

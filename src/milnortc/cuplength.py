@@ -127,12 +127,6 @@ def _slots(el: Element) -> set:
     return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
 
 
-def _checked_factor(P: Presentation, n: int, text: str):
-    """The value of the factor expression text and its check."""
-    el = evaluate_text(text, P, n)
-    return el, FactorCheck(text, is_zero_divisor(el), el.degree)
-
-
 def _factor_product(P: Presentation, n: int, factors):
     """The product of the power of each (expression, multiplicity) of
     factors, with one check per factor in the order given.
@@ -148,8 +142,8 @@ def _factor_product(P: Presentation, n: int, factors):
     the remaining powers are not formed."""
     checks, pending = [], []
     for text, mult in factors:
-        el, check = _checked_factor(P, n, text)
-        checks.append(check)
+        el = evaluate_text(text, P, n)
+        checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
         pending.append((_slots(el), el, mult))
     if not pending:
         return unit(tensor_power(P, n)), checks
@@ -163,14 +157,6 @@ def _factor_product(P: Presentation, n: int, factors):
     return product, checks
 
 
-def _verdict(zero_divisors: bool, product: Element) -> str:
-    """The verdict on a product whose factors are all zero divisors (or
-    need not be) exactly when zero_divisors holds."""
-    if not zero_divisors:
-        return "FactorNotZeroDivisor"
-    return "Verified" if not product.is_zero else "ProductVanishes"
-
-
 def verify_certificate(
     cert: Certificate,
     *,
@@ -179,8 +165,12 @@ def verify_certificate(
     """Check every factor and the full product; never consults the claims."""
     P = _resolve(cert, presentation)
     product, checks = _factor_product(P, cert.n, cert.factors)
-    zero_divisors = cert.cat_witness or all(c.is_zero_divisor for c in checks)
-    verdict = _verdict(zero_divisors, product)
+    if not (cert.cat_witness or all(c.is_zero_divisor for c in checks)):
+        verdict = "FactorNotZeroDivisor"
+    elif product.is_zero:
+        verdict = "ProductVanishes"
+    else:
+        verdict = "Verified"
     verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
     return VerificationReport(
         per_factor=tuple(checks),
@@ -194,8 +184,7 @@ def verify_certificate(
 class SearchFailure(Record):
     """Search could not realize the requested certificate."""
 
-    __slots__ = ("reason", "log")
-    _defaults = {"log": ()}
+    __slots__ = ("reason",)
 
 
 # --- exact ideal-power oracle ------------------------------------------------

@@ -146,13 +146,6 @@ def slice_dimensions(P: Presentation, n: int) -> list:
     return dims
 
 
-def slice_dimension(P: Presentation, n: int, d: int) -> int:
-    """Dimension of the degree-d slice, read from :func:`slice_dimensions`;
-    0 outside degrees 0..n * top degree."""
-    dims = slice_dimensions(P, n)
-    return dims[d] if 0 <= d < len(dims) else 0
-
-
 def tensor_slice(P: Presentation, n: int, d: int):
     """All degree-d tensor monomials, sorted componentwise by basis rank:
     the first slot runs over the basis in rank order (so by ascending

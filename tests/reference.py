@@ -14,7 +14,7 @@ from milnortc.gf2 import independent_rows
 from milnortc.record import Record
 from milnortc.tensorpower import (
     DEFAULT_MAX_SLICE,
-    slice_dimension,
+    slice_dimensions,
     tensor_power,
     tensor_slice,
 )
@@ -101,7 +101,7 @@ def kernel_basis(
     """Exact mod-2 nullspace of the diagonal map on the degree-d slice."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    dim = slice_dimension(P, n, d)
+    dim = slice_dimensions(P, n)[d]
     if dim > max_slice:
         raise ResourceLimitError(
             f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",

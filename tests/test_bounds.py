@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import milnortc.bounds
@@ -13,7 +15,7 @@ from milnortc.bounds import (
     tc_bounds,
 )
 from milnortc.certgen import cert_case2, cert_cat_topclass
-from milnortc.cuplength import VerificationReport
+from milnortc.cuplength import VerificationReport, cup_exact
 from milnortc.errors import NoFreeActionError
 from milnortc.spaces import RealMilnor, RealProj, cohomology_of
 from milnortc.tensorpower import slice_dimensions
@@ -215,6 +217,20 @@ def test_tc_free_circle_upper():
 def test_tc_requires_n_at_least_two():
     with pytest.raises(ValueError):
         tc_bounds("rp:2", 1)
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [
+        (lambda: cat_bounds("rp:2", 0), "n must be >= 1"),
+        (lambda: eqtc_bounds("rh:5,3", Z2, 1), "n must be >= 2"),
+        (lambda: cup_exact(cohomology_of(RealProj(2)), 0), "arity must be >= 1"),
+    ],
+    ids=["cat-n0", "eqtc-n1", "cup-n0"],
+)
+def test_arities_below_the_minimum_are_refused(run, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run()
 
 
 # -- equivariant TC -----------------------------------------------------------

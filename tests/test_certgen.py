@@ -158,46 +158,41 @@ def test_generation_is_deterministic():
     assert cert_proj(2, 4) == cert_proj(2, 4)
 
 
-def test_case2_verifies_each_combination_once(monkeypatch):
-    # the wide pool contains the narrow one; the wide pass must skip the
-    # combinations the narrow pass has already checked and rejected.  The
-    # block factors are multiplied once per search, and each bridge is
-    # evaluated, checked and squared once, however many combinations use it
+def test_case2_evaluates_the_base_and_each_bridge_once(monkeypatch):
+    # the block factors are multiplied once per search, and each bridge is
+    # evaluated and squared once, however many combinations use it
     multiplied, evaluated = [], []
-    factor_product, checked_factor = certgen._factor_product, certgen._checked_factor
+    factor_product, evaluate = certgen._factor_product, certgen.evaluate_text
 
     def product_spy(P, n, factors):
         multiplied.append(tuple(factors))
         return factor_product(P, n, factors)
 
-    def checked_spy(P, n, text):
+    def evaluate_spy(text, P, n):
         evaluated.append(text)
-        return checked_factor(P, n, text)
+        return evaluate(text, P, n)
 
     monkeypatch.setattr(certgen, "_factor_product", product_spy)
-    monkeypatch.setattr(certgen, "_checked_factor", checked_spy)
+    monkeypatch.setattr(certgen, "evaluate_text", evaluate_spy)
     result = cert_case2(2, 3, 4)
-    assert isinstance(result, SearchFailure)
-    assert result.reason == "no bridging classes gave a nonzero product"
-    combos = [combo for combo, _ in result.log]
-    assert len(combos) == len(set(combos)) == 12
-    assert {verdict for _, verdict in result.log} == {"ProductVanishes"}
+    assert result == SearchFailure("no bridging classes gave a nonzero product")
     (base,) = multiplied  # the base alone goes through _factor_product
     assert len(base) == 4 and all(mult > 2 for _, mult in base)
-    assert sorted(evaluated) == sorted({expr for combo in combos for expr in combo})
+    # k - 1 = 1: every bridge of both pools is squared onto the base product
+    wide = [certgen._pair(g, i, j) for g in "ab" for i in range(1, 5) for j in range(i + 1, 5)]
+    assert sorted(evaluated) == sorted(wide)
 
     multiplied.clear()
     evaluated.clear()
-    result = cert_case2(2, 3, 6)  # k - 1 = 2: bridges shared by many combinations
-    assert len(result.log) == 465
+    assert isinstance(cert_case2(2, 3, 6), SearchFailure)  # k - 1 = 2
     assert len(multiplied) == 1
-    assert sorted(evaluated) == sorted({expr for combo, _ in result.log for expr in combo})
+    assert len(evaluated) == len(set(evaluated)) > 0
 
     multiplied.clear()
     evaluated.clear()
     cert = cert_case2(1, 1, 2)  # k = 1: no bridges, one empty combination
     assert isinstance(cert, Certificate)
-    # the search's verdict is the verifier's own computation, so the search
+    # the search's product is the verifier's own computation, so the search
     # returns the certificate without verifying it again; tc_bounds verifies
     # it once, like every certificate it is offered
     assert multiplied == [cert.factors]
@@ -206,9 +201,10 @@ def test_case2_verifies_each_combination_once(monkeypatch):
 
 
 def _case2_search_by_combination(p1, p2, n):
-    """The search as it ran before prefix sharing: every combination
-    evaluates, checks and squares its own bridges and multiplies them onto
-    the base product, in the order given."""
+    """The search over every combination in lexicographic order, with no
+    pruning: each combination's product is that of its prefix one bridge
+    shorter times the square of its last bridge.  Products are kept per
+    prefix, and each bridge is evaluated, checked and squared once."""
     s, r, k = 2**p1, 2**p2 + 1, n // 2
     base = certgen._blocks(
         n, block=(("a", 2 * s - 1), ("b", 2 * r - 3)), tail=(("a", s), ("b", r - 1))
@@ -218,32 +214,32 @@ def _case2_search_by_combination(p1, p2, n):
         certgen._pair(g, i, j) for g in "ab" for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
     P = cohomology_of(RealMilnor(r, s))
-    base_product = unit(tensor_power(P, n))
+    products = {(): unit(tensor_power(P, n))}  # combination prefix -> product
     zero_divisors = True
     for expr, e in base:
         el = evaluate_text(expr, P, n)
         zero_divisors &= is_zero_divisor(el)
-        base_product = multiply(base_product, power(el, e))
-    log = []
+        products[()] = multiply(products[()], power(el, e))
+    squares = {}
+    for expr in wide:
+        el = evaluate_text(expr, P, n)
+        squares[expr] = (power(el, 2), is_zero_divisor(el))
+
+    def product(combo):
+        if combo not in products:
+            products[combo] = multiply(product(combo[:-1]), squares[combo[-1]][0])
+        return products[combo]
+
     for pool in (narrow, wide):
         for combo in combinations_with_replacement(sorted(set(pool)), k - 1):
             if pool is wide and set(narrow).issuperset(combo):
                 continue
-            product, ok = base_product, zero_divisors
-            for expr in combo:
-                el = evaluate_text(expr, P, n)
-                ok &= is_zero_divisor(el)
-                product = multiply(product, power(el, 2))
-            if not ok:
-                verdict = "FactorNotZeroDivisor"
-            else:
-                verdict = "ProductVanishes" if product.is_zero else "Verified"
-            log.append((combo, verdict))
-            if verdict == "Verified":
+            ok = zero_divisors and all(squares[expr][1] for expr in combo)
+            if ok and not product(combo).is_zero:
                 claimed = n * (s + r - 1) - 2
                 factors = base + tuple((expr, 2) for expr in combo)
                 return Certificate(f"rh:{r},{s}", n, factors, claimed, claimed + 1)
-    return SearchFailure("no bridging classes gave a nonzero product", tuple(log))
+    return SearchFailure("no bridging classes gave a nonzero product")
 
 
 CASE2_BOX = [
@@ -252,20 +248,43 @@ CASE2_BOX = [
     for p1 in (0, 1, 2)
     for p2 in (0, 1, 2, 3)
     if 2**p1 <= 2**p2 + 1
-] + [(2, 3, 6)]
+] + [(2, 3, 6), (0, 0, 6), (1, 0, 8), (2, 3, 8)]
 
 
 @pytest.mark.parametrize("p1,p2,n", CASE2_BOX)
 def test_case2_search_matches_the_search_by_combination(p1, p2, n):
-    # certificates and whole failure logs, verdict by verdict
+    # the same certificate, or a failure where the reference fails; the box
+    # holds successes with two bridges, (0, 0, 6), and three, (1, 0, 8)
     assert cert_case2(p1, p2, n) == _case2_search_by_combination(p1, p2, n)
 
 
-@pytest.mark.parametrize("p1,p2,n,most", [(2, 3, 6, 200), (2, 3, 4, 64)])
+@pytest.mark.parametrize(
+    "p1,p2,n,first",
+    [(0, 0, 4, ("(b1+b3)",)), (1, 0, 5, ("(b1+b3)",)), (0, 0, 6, ("(b1+b3)", "(b1+b5)"))],
+    ids=["0-0-4", "1-0-5", "0-0-6"],
+)
+def test_case2_wide_pass_returns_the_first_nonzero_combination(monkeypatch, p1, p2, n, first):
+    # on the box above the narrow pool always holds the one nonzero
+    # combination; with it emptied, the wide pass, where 4 to 48 are
+    # nonzero, must return the lexicographically first
+    blocks = certgen._blocks
+
+    def no_narrow_bridges(n, block=(), bridges=(), tail=()):
+        return () if bridges else blocks(n, block, bridges, tail)
+
+    monkeypatch.setattr(certgen, "_blocks", no_narrow_bridges)
+    cert = cert_case2(p1, p2, n)
+    assert cert == _case2_search_by_combination(p1, p2, n)
+    assert cert.factors[-len(first):] == tuple((expr, 2) for expr in first)
+    assert verify_certificate(cert).verdict == "Verified"
+
+
+@pytest.mark.parametrize("p1,p2,n,most", [(2, 3, 6, 99), (2, 3, 4, 64), (2, 3, 8, 165)])
 def test_case2_search_multiplies_each_prefix_once(monkeypatch, p1, p2, n, most):
     # a count, not a time: the search by combination made 1,437 calls at
     # (2, 3, 6), one per combination and bridge onto the 216-term base
-    # product, and 64 at (2, 3, 4)
+    # product, and 64 at (2, 3, 4); the search that kept a stack of prefix
+    # products made 99 at (2, 3, 6) and 165 at (2, 3, 8)
     calls = []
     mul_supports = TensorPower.mul_supports
 

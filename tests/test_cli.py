@@ -16,7 +16,7 @@ from milnortc.cli import (
     emit_table,
     main,
 )
-from milnortc.bounds import tc_bounds
+from milnortc.bounds import BoundReport, tc_bounds
 
 
 # -- certificate files --------------------------------------------------------
@@ -66,10 +66,11 @@ _EMPTY = dict(_RP2, factors=[], claimedCup=0, claimedTcLower=1)
         dict(_RP2, factors=[{"expr": 5, "multiplicity": 3}]),
         dict(_RP2, space=7),
         dict(_RP2, note=5),
+        [_RP2],
     ],
     ids=["catWitness-str", "n-bool", "n-zero", "n-negative", "multiplicity-str",
          "multiplicity-float", "claimedCup-float", "claimedTcLower-str", "expr-int",
-         "space-int", "note-int"],
+         "space-int", "note-int", "not-an-object"],
 )
 def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
     # nothing in a certificate file is coerced: a mistyped field is invalid
@@ -89,6 +90,13 @@ def test_emit_md_main_row():
     report = tc_bounds("rh:4,3", 2)
     text = emit_report(report, "md")
     assert "| rh:4,3 | 2 | TC | 11 | 13 |" in text
+
+
+def test_emit_md_marks_an_inconsistent_report():
+    text = emit_report(BoundReport("rp:2", "tc", 2, 5, 3), "md")
+    assert text.endswith("| 5 | 3 |\n\n| rule | bound | value | status |\n|---|---|---|---|\n"
+                         "\n**inconsistent: lower exceeds upper**\n")
+    assert "inconsistent" not in emit_report(BoundReport("rp:2", "tc", 2, 3, 3), "md")
 
 
 def test_emit_json_stable_keys():
@@ -233,12 +241,18 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
         (["table", "--family", "rp", "--r", "2", "--n", "2", "--max-slice", "-1"],
          "--max-slice"),
         (["table", "--family", "rh", "--r", "2", "--s", "3", "--n", "2"], "--s"),
+        (["gen-cert", "--method", "proj", "--params", "1,t=1", "--n", "2",
+          "--out", "x.json"], "bad parameter '1'"),
+        (["table", "--family", "rh", "--r", "2", "--n", "2"], "--r and --s"),
+        (["table", "--family", "rp", "--n", "2"], "--r"),
+        (["lucas", "--n", "-1", "--k", "2"], "non-negative"),
     ],
 )
 def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
-    # a key the method does not take, an empty range, an --r/--s pair with
-    # no cell s <= r and a negative slice cap are invalid input: exit 2
-    # naming it, with no output and no file
+    # a key the method does not take, a parameter with no key, an empty or
+    # missing range, an --r/--s pair with no cell s <= r, a negative slice
+    # cap and a negative binomial argument are invalid input: exit 2 naming
+    # it, with no output and no file
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -419,14 +433,14 @@ def test_gen_cert_missing_params(capsys):
     capsys.readouterr()
 
 
-def test_gen_cert_failed_search_counts_combinations(tmp_path, capsys):
+def test_gen_cert_failed_search_exits_1_with_no_file(tmp_path, capsys):
     out = tmp_path / "c.json"
     assert main(["gen-cert", "--method", "case2", "--params", "p1=2,p2=3",
                  "--n", "4", "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("certificate search failed: no bridging classes gave"
-                            " a nonzero product (12 combinations tried)\n")
+                            " a nonzero product\n")
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 
@@ -109,6 +110,25 @@ def test_product_presentation():
     assert not multiply(power(x1, 3), power(x2, 2)).is_zero
     with pytest.raises(ValueError, match="list of presentations"):
         make_presentation(kind="product", factors=[{"kind": "truncated", "m": 2}])
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(kind="milnor", s=1, r=2, gen_degree=3), "gen_degree must be 1 or 2, got 3"),
+        (dict(kind="milnor", s=-1, r=2), "milnor presentation needs integers s, r >= 0"),
+        (dict(kind="milnor", s=1, r=2.0), "milnor presentation needs integers s, r >= 0"),
+        (dict(kind="milnor", s=3, r=2), "milnor presentation requires s <= r, got s=3, r=2"),
+        (dict(kind="truncated", m=-1), "truncated presentation needs an integer m >= 0"),
+        (dict(kind="product", factors=[]), "product presentation needs a list of presentations"),
+        (dict(kind="sphere"), "unknown presentation kind: 'sphere'"),
+    ],
+    ids=["gen-degree", "milnor-negative", "milnor-float", "milnor-s-above-r",
+         "truncated-negative", "product-empty", "unknown-kind"],
+)
+def test_make_presentation_refuses_bad_fields(fields, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make_presentation(**fields)
 
 
 def test_presentations_are_interned():

@@ -29,7 +29,7 @@ RECORDS = {
     "Certificate": lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4),
     "FactorCheck": lambda: FactorCheck("x1", False, 1),
     "VerificationReport": lambda: VerificationReport((), True, 3, "Verified"),
-    "SearchFailure": lambda: SearchFailure("no product", (("c", "v"),)),
+    "SearchFailure": lambda: SearchFailure("no product"),
     "Gen": lambda: Gen("a", 1),
     "Unit": Unit,
     "Sum": lambda: Sum((g, h)),
@@ -85,7 +85,6 @@ def test_defaults_and_keyword_construction():
     report = BoundReport("rp:2", "tc", 2, 3, 5)
     assert (report.group, report.verified_lower, report.trace) == (None, None, ())
     assert VerificationReport((), True, 3, "Verified").zero_divisors_required is True
-    assert SearchFailure("why").log == ()
     assert Gen(position=1, name="a") == g
 
 
@@ -154,7 +153,7 @@ def test_repr_names_each_field():
         "Sum(terms=(Gen(name='a', position=1), Gen(name='b', position=2)))"
     )
     assert repr(RealMilnor(4, 3)) == "RealMilnor(r=4, s=3)"
-    assert repr(SearchFailure("why")) == "SearchFailure(reason='why', log=())"
+    assert repr(SearchFailure("why")) == "SearchFailure(reason='why')"
     # Element keeps its own repr, in the terms of its algebra
     assert repr(generator(P, "x")) == "Element(x)"
     with pytest.raises(ValueError, match=r"unsupported group Group\(name='x', dim=3\)"):
