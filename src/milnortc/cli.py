@@ -9,28 +9,36 @@ produce byte-identical text.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
-import json
 import sys
 
-from .bounds import BoundReport, cat_bounds, eqtc_bounds, tc_bounds
-from .certgen import GENERATORS, cert_cat_topclass
-from .cuplength import Certificate, SearchFailure, cup_exact, verify_certificate
+# a layer that some command does not call is reached through its module
+# object, which runs on first use (see the package docstring), so that each
+# command runs only the modules it calls; json, csv and io are imported
+# where they are used, for the same reason
+from . import bounds, certgen, cuplength, f2algebra, spaces
 from .errors import ExprSyntaxError, NoFreeActionError, ResourceLimitError
-from .f2algebra import binom_mod2
-from .spaces import cohomology_of, parse_space
 from .tensorpower import DEFAULT_MAX_SLICE
 
 SCHEMA_VERSION = 1
 
 _QUANTITY_LABEL = {"cat": "cat", "tc": "TC", "eqtc": "TC_G"}
 
+# the gen-cert methods: those of certgen.GENERATORS, in its order, then cat.
+# Written out so that building the parser does not run certgen; a test
+# keeps the two equal
+_METHODS = ("case1", "case2", "r2t", "proj", "cat")
+
 
 # --- certificate files -------------------------------------------------------
 
 
-def certificate_to_json(cert: Certificate) -> str:
+def _json_text(doc) -> str:
+    import json
+
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def certificate_to_json(cert: cuplength.Certificate) -> str:
     """Canonical serialization: fixed key order, two-space indent, one
     trailing newline.  parse -> print round-trips byte-identically."""
     doc = {
@@ -47,7 +55,7 @@ def certificate_to_json(cert: Certificate) -> str:
         doc["note"] = cert.note
     if cert.cat_witness:
         doc["catWitness"] = True
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_text(doc)
 
 
 _JSON_TYPE = {bool: "boolean", int: "integer", list: "array", str: "string"}
@@ -58,6 +66,8 @@ def _typed(doc: dict, key: str, kind: type):
     coerced, so true is not an integer and "2" or 1.5 not a multiplicity."""
     value = doc[key]
     if type(value) is not kind:
+        import json
+
         raise ValueError(
             f"certificate field {key!r} must be a JSON {_JSON_TYPE[kind]}, "
             f"got {json.dumps(value)}"
@@ -65,7 +75,9 @@ def _typed(doc: dict, key: str, kind: type):
     return value
 
 
-def certificate_from_json(text: str) -> Certificate:
+def certificate_from_json(text: str) -> cuplength.Certificate:
+    import json
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -79,7 +91,7 @@ def certificate_from_json(text: str) -> Certificate:
             (_typed(f, "expr", str), _typed(f, "multiplicity", int))
             for f in _typed(doc, "factors", list)
         )
-        return Certificate(
+        return cuplength.Certificate(
             space=_typed(doc, "space", str),
             n=_typed(doc, "n", int),
             factors=factors,
@@ -95,7 +107,7 @@ def certificate_from_json(text: str) -> Certificate:
 # --- report emission ---------------------------------------------------------
 
 
-def _report_dict(report: BoundReport) -> dict:
+def _report_dict(report: bounds.BoundReport) -> dict:
     return {
         "space": report.space,
         "quantity": report.quantity,
@@ -124,7 +136,7 @@ _CSV_HEADER = ("space", "n", "quantity", "group", "lower", "upper",
                "rule", "bound", "value", "status")
 
 
-def _main_row(report: BoundReport) -> str:
+def _main_row(report: bounds.BoundReport) -> str:
     label = _QUANTITY_LABEL[report.quantity]
     return f"| {report.space} | {report.n} | {label} | {report.lower} | {report.upper} |"
 
@@ -132,6 +144,9 @@ def _main_row(report: BoundReport) -> str:
 def _csv_text(reports) -> str:
     """The header and one row per trace entry, quoted where a field holds
     a comma (space strings such as rh:5,3 do)."""
+    import csv
+    import io
+
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
@@ -142,7 +157,7 @@ def _csv_text(reports) -> str:
     return out.getvalue()
 
 
-def emit_report(report: BoundReport, fmt: str = "md") -> str:
+def emit_report(report: bounds.BoundReport, fmt: str = "md") -> str:
     if fmt == "md":
         lines = [_MAIN_HEADER, _main_row(report), "", _TRACE_HEADER]
         for t in report.trace:
@@ -154,7 +169,7 @@ def emit_report(report: BoundReport, fmt: str = "md") -> str:
     if fmt == "csv":
         return _csv_text([report])
     if fmt == "json":
-        return json.dumps(_report_dict(report), indent=2) + "\n"
+        return _json_text(_report_dict(report))
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -166,7 +181,7 @@ def emit_table(reports, fmt: str = "md") -> str:
     if fmt == "csv":
         return _csv_text(reports)
     if fmt == "json":
-        return json.dumps([_report_dict(r) for r in reports], indent=2) + "\n"
+        return _json_text([_report_dict(r) for r in reports])
     raise ValueError(f"unknown format {fmt!r}")
 
 
@@ -183,6 +198,8 @@ def _parse_params(items) -> dict:
             key, sep, value = piece.partition("=")
             if sep:
                 last = key.strip()
+                if last in params:
+                    raise ValueError(f"--params key {last!r} is given more than once")
                 params[last] = value.strip()
             elif last is not None:
                 # commas inside a value (e.g. space=rh:2,1) reattach here
@@ -249,7 +266,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
 
     p = sub.add_parser("gen-cert", help="generate a certificate file")
-    p.add_argument("--method", choices=(*GENERATORS, "cat"), required=True)
+    p.add_argument("--method", choices=_METHODS, required=True)
     p.add_argument("--params", action="append", default=[])
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--out", required=True)
@@ -292,20 +309,20 @@ def _cmd_bounds(args) -> int:
         ):
             if given:
                 raise ValueError(f"{flag} does not apply to --quantity cat")
-        report = cat_bounds(args.space, args.n)
+        report = bounds.cat_bounds(args.space, args.n)
     elif args.quantity == "tc":
-        report = tc_bounds(args.space, args.n, **options)
+        report = bounds.tc_bounds(args.space, args.n, **options)
     else:
         if not args.group:
             raise ValueError("--group is required for eqtc")
-        report = eqtc_bounds(args.space, args.group, args.n, **options)
+        report = bounds.eqtc_bounds(args.space, args.group, args.n, **options)
     _write_out(emit_report(report, args.format), args.out)
     return 0
 
 
 def _cmd_cup(args) -> int:
-    P = cohomology_of(parse_space(args.space))
-    value = cup_exact(P, args.n, max_slice=args.max_slice)
+    P = spaces.cohomology_of(spaces.parse_space(args.space))
+    value = cuplength.cup_exact(P, args.n, max_slice=args.max_slice)
     _write_out(f"{value}\n", args.out)
     return 0
 
@@ -313,7 +330,7 @@ def _cmd_cup(args) -> int:
 def _cmd_verify(args) -> int:
     with open(args.cert, encoding="utf-8") as fh:
         cert = certificate_from_json(fh.read())
-    report = verify_certificate(cert)
+    report = cuplength.verify_certificate(cert)
     if args.format == "json":
         doc = {
             "space": cert.space,
@@ -331,7 +348,7 @@ def _cmd_verify(args) -> int:
                 for c in report.per_factor
             ],
         }
-        text = json.dumps(doc, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         lines = [f"verdict: {report.verdict}"]
         if report.verified_cup is not None:
@@ -363,11 +380,11 @@ def _cmd_gen_cert(args) -> int:
     params = _parse_params(args.params)
     if args.method == "cat":
         (space,) = _require_params(params, "cat", "space")
-        cert = cert_cat_topclass(space, args.n)
+        cert = certgen.cert_cat_topclass(space, args.n)
     else:
-        build, names = GENERATORS[args.method]
+        build, names = certgen.GENERATORS[args.method]
         cert = build(*map(int, _require_params(params, args.method, *names)), args.n)
-    if isinstance(cert, SearchFailure):
+    if isinstance(cert, cuplength.SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1
     _write_out(certificate_to_json(cert), args.out)
@@ -379,13 +396,13 @@ def _cmd_table(args) -> int:
     if args.family in ("rh", "ch"):
         if not args.r or not args.s:
             raise ValueError("--r and --s ranges are required for Milnor families")
-        spaces = [
+        space_names = [
             f"{args.family}:{r},{s}"
             for r in _parse_range(args.r, "--r")
             for s in _parse_range(args.s, "--s")
             if 0 <= s <= r
         ]
-        if not spaces:
+        if not space_names:
             raise ValueError(
                 f"--s range {args.s!r} has no s with 0 <= s <= r for --r {args.r!r}"
             )
@@ -394,10 +411,10 @@ def _cmd_table(args) -> int:
             raise ValueError("--r (dimension range) is required for rp")
         if args.s is not None:
             raise ValueError("--s does not apply to --family rp")
-        spaces = [f"rp:{m}" for m in _parse_range(args.r, "--r")]
+        space_names = [f"rp:{m}" for m in _parse_range(args.r, "--r")]
     reports = [
-        tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)
-        for space in spaces
+        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)
+        for space in space_names
         for n in n_range
     ]
     _write_out(emit_table(reports, args.format), args.out)
@@ -407,7 +424,7 @@ def _cmd_table(args) -> int:
 def _cmd_lucas(args) -> int:
     if args.n < 0 or args.k < 0:
         raise ValueError("n and k must be non-negative")
-    sys.stdout.write(f"{binom_mod2(args.n, args.k)}\n")
+    sys.stdout.write(f"{f2algebra.binom_mod2(args.n, args.k)}\n")
     return 0
 
 

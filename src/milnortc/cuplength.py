@@ -46,9 +46,8 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-from . import gf2
+from . import exprs, gf2
 from .errors import ResourceLimitError
-from .exprs import Gen, Sum, evaluate_text, to_string
 from .f2algebra import Element, Presentation, multiply, power, unit
 from .record import Record
 from .spaces import cohomology_of, parse_space
@@ -142,7 +141,7 @@ def _factor_product(P: Presentation, n: int, factors):
     the remaining powers are not formed."""
     checks, pending = [], []
     for text, mult in factors:
-        el = evaluate_text(text, P, n)
+        el = exprs.evaluate_text(text, P, n)
         checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
         pending.append((_slots(el), el, mult))
     if not pending:
@@ -194,7 +193,7 @@ _CUP_CACHE: dict = {}
 
 def _ideal_generators(P: Presentation, n: int):
     """The nonzero adjacent slot differences z = g_i + g_{i+1}, each as
-    (factor expression, degree of z, slot products), read off the support
+    (label (g, i), degree of z, slot products), read off the support
     and degree of each generator g in P.  Every monomial of z is the unit
     in all slots but one, k, where it holds a monomial c of g; its slot
     products pair k with the product of each basic monomial by c.  The
@@ -212,9 +211,15 @@ def _ideal_generators(P: Presentation, n: int):
                 if products is None:
                     products = tables[c] = {m: P.mono_mul(m, c) for m in P.basis}
                 slot_products += [(i - 1, products), (i, products)]
-            text = to_string(Sum((Gen(name, i), Gen(name, i + 1))))
-            gens.append((f"({text})", degree, tuple(slot_products)))
+            gens.append(((name, i), degree, tuple(slot_products)))
     return gens
+
+
+def _generator_text(label) -> str:
+    """The factor expression of the ideal generator labelled (g, i)."""
+    name, i = label
+    text = exprs.to_string(exprs.Sum((exprs.Gen(name, i), exprs.Gen(name, i + 1))))
+    return f"({text})"
 
 
 def _mult_map(P, n, slot_products, d_from, index, mask):
@@ -251,7 +256,8 @@ def _last_generator(tag) -> int:
 def _oracle(P: Presentation, n: int):
     """(value, factors) of the chain W_0 = span{1}, W_m = span(z * W_(m-1))
     over the ideal generators z: value is the largest m with W_m != 0, and
-    factors collapse the generators of one nonzero product in W_value.
+    factors collapse the generators of one nonzero product in W_value into
+    (label, multiplicity) pairs, each label as in :func:`_ideal_generators`.
 
     The chain is walked by degree: the degree-dt part of every W_m is
     spanned by the z times the degree-(dt - deg z) part of W_(m-1), so each
@@ -354,4 +360,6 @@ def cup_witness(
     """Factors ((expression, multiplicity), ...) of a nonzero product of
     cup_exact(P, n) ideal generators, from the same cached oracle run."""
     cup_exact(P, n, max_slice=max_slice)
-    return _CUP_CACHE[(P.cache_key, n)][1]
+    return tuple(
+        (_generator_text(label), mult) for label, mult in _CUP_CACHE[(P.cache_key, n)][1]
+    )

@@ -54,9 +54,12 @@ def _tokenize(text: str):
     while pos < len(text):
         mo = _TOKEN_RE.match(text, pos)
         if not mo or mo.end() == pos:
-            if text[pos:].strip() == "":
+            rest = text[pos:].lstrip()
+            if not rest:
                 break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+            # name the character after the spaces the pattern skips
+            pos = len(text) - len(rest)
+            raise ExprSyntaxError(f"unexpected character {rest[0]!r}", pos)
         if mo.group("gen"):
             tokens.append(("gen", mo.group("gen"), pos))
         elif mo.group("int"):

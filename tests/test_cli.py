@@ -10,6 +10,7 @@ import pytest
 
 from milnortc.certgen import GENERATORS, cert_case1, cert_proj
 from milnortc.cli import (
+    _build_parser,
     certificate_from_json,
     certificate_to_json,
     emit_report,
@@ -17,6 +18,8 @@ from milnortc.cli import (
     main,
 )
 from milnortc.bounds import BoundReport, tc_bounds
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 # -- certificate files --------------------------------------------------------
@@ -246,13 +249,15 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
         (["table", "--family", "rh", "--r", "2", "--n", "2"], "--r and --s"),
         (["table", "--family", "rp", "--n", "2"], "--r"),
         (["lucas", "--n", "-1", "--k", "2"], "non-negative"),
+        (["gen-cert", "--method", "case2", "--params", "p1=2,p2=3,p1=1", "--n", "2",
+          "--out", "x.json"], "--params key 'p1' is given more than once"),
     ],
 )
 def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
-    # a key the method does not take, a parameter with no key, an empty or
-    # missing range, an --r/--s pair with no cell s <= r, a negative slice
-    # cap and a negative binomial argument are invalid input: exit 2 naming
-    # it, with no output and no file
+    # a key the method does not take, a parameter with no key, a key given
+    # twice, an empty or missing range, an --r/--s pair with no cell s <= r,
+    # a negative slice cap and a negative binomial argument are invalid
+    # input: exit 2 naming it, with no output and no file
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -261,21 +266,84 @@ def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cli_import_loads_no_numpy():
-    # the package has no third-party runtime dependency, and its value
-    # records import neither dataclasses nor what that pulls in
-    root = Path(__file__).resolve().parents[1]
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import milnortc.cli, sys; "
-         "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); "
-         "assert not loaded, loaded"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+def _fresh_python(*args) -> subprocess.CompletedProcess:
+    """A new interpreter run with args, importing milnortc from this tree."""
+    return subprocess.run(
+        [sys.executable, *args],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_cli_import_loads_no_numpy():
+    # the package has no third-party runtime dependency, and its value
+    # records import neither dataclasses nor what that pulls in.  The
+    # benchmark's tracer looks each layer up in sys.modules after this import
+    proc = _fresh_python(
+        "-c",
+        "import milnortc.cli, sys; "
+        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); "
+        "assert not loaded, loaded; "
+        "layers = ('gf2', 'f2algebra', 'tensorpower', 'spaces', 'exprs', "
+        "'cuplength', 'certgen', 'bounds', 'cli'); "
+        "missing = [m for m in layers if 'milnortc.' + m not in sys.modules]; "
+        "assert not missing, missing",
+    )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
+    # every layer is registered when the CLI is imported, but runs only on
+    # first use; the oracle command uses none of these, and without a
+    # bytecode cache each module run is compiled first.  A module that has
+    # run has its names in its namespace; reading the namespace through
+    # object.__getattribute__ does not run it
+    proc = _fresh_python(
+        "-c",
+        "import sys\n"
+        "from milnortc.cli import main\n"
+        "assert main(['cup', '--space', 'rh:4,2', '--n', '3']) == 0\n"
+        "names = {'bounds': 'tc_bounds', 'certgen': 'GENERATORS', "
+        "'exprs': 'evaluate_text', 'cuplength': 'cup_exact'}\n"
+        "ran = {m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
+        "'__dict__') for m, name in names.items()}\n"
+        "print(ran, sorted({'json', 'csv'} & set(sys.modules)))\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (
+        "15\n{'bounds': False, 'certgen': False, 'exprs': False, 'cuplength': True} []\n"
+    )
+
+
+def test_package_names_resolve_to_their_submodules():
+    import importlib
+
+    import milnortc
+
+    assert milnortc.__all__ == sorted(milnortc._EXPORTS)
+    for name in milnortc.__all__:
+        module = importlib.import_module(f"milnortc.{milnortc._EXPORTS[name]}")
+        assert getattr(milnortc, name) is getattr(module, name), name
+    with pytest.raises(AttributeError, match="^module 'milnortc' has no attribute 'bogus'$"):
+        milnortc.bogus
+
+
+def test_cli_module_runs_without_a_warning():
+    # a cli registered before it runs as __main__ would make runpy warn
+    proc = _fresh_python("-W", "error", "-m", "milnortc.cli", "lucas", "--n", "5",
+                         "--k", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+
+def test_gen_cert_method_choices_are_the_generators_and_cat():
+    # the CLI writes the methods out, so that building its parser does not
+    # run certgen
+    parser = _build_parser()
+    (sub,) = (a for a in parser._actions if a.dest == "command")
+    (method,) = (a for a in sub.choices["gen-cert"]._actions if a.dest == "method")
+    assert method.choices == (*GENERATORS, "cat")
 
 
 def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
@@ -283,16 +351,9 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     # silently empties a per-layer metric of the traced benchmark run.
     # This checks names and counts only, not the oracle-cache key the
     # tracer also reads.
-    root = Path(__file__).resolve().parents[1]
     mark, trace = tmp_path / "mark", tmp_path / "trace.json"
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(mark), str(trace),
-         "cup", "--space", "rp:2", "--n", "2"],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _fresh_python(str(ROOT / "perfbench" / "tracer.py"), str(mark), str(trace),
+                         "cup", "--space", "rp:2", "--n", "2")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "3\n"
     doc = json.loads(trace.read_text(encoding="utf-8"))
@@ -305,17 +366,10 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
 def test_benchmark_tracer_traces_a_verify_run(tmp_path):
     # tensor products run in f2algebra.multiply; the traced certify run
     # relies on the tracer wrapping it and dumping the trace afterwards
-    root = Path(__file__).resolve().parents[1]
     mark, trace, cert = tmp_path / "mark", tmp_path / "trace.json", tmp_path / "c.json"
     cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
-    proc = subprocess.run(
-        [sys.executable, str(root / "perfbench" / "tracer.py"), str(mark), str(trace),
-         "verify", "--cert", str(cert)],
-        env=dict(os.environ, PYTHONPATH=str(root / "src")),
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = _fresh_python(str(ROOT / "perfbench" / "tracer.py"), str(mark), str(trace),
+                         "verify", "--cert", str(cert))
     assert proc.returncode == 0, proc.stderr
     assert "verdict: Verified" in proc.stdout
     doc = json.loads(trace.read_text(encoding="utf-8"))
@@ -425,6 +479,23 @@ def test_gen_cert_cat_method(tmp_path, capsys):
                  "--n", "2", "--out", str(out)]) == 0
     assert main(["verify", "--cert", str(out)]) == 0
     capsys.readouterr()
+
+
+def test_gen_cert_skips_empty_params_pieces(tmp_path):
+    # an empty piece, from a doubled, leading or trailing comma, is skipped
+    plain, padded = tmp_path / "plain.json", tmp_path / "padded.json"
+    assert main(["gen-cert", "--method", "case1", "--params", "t1=1,t2=2",
+                 "--n", "2", "--out", str(plain)]) == 0
+    assert main(["gen-cert", "--method", "case1", "--params", ",t1=1,,",
+                 "--params", "t2=2,", "--n", "2", "--out", str(padded)]) == 0
+    assert padded.read_bytes() == plain.read_bytes()
+
+
+@pytest.mark.parametrize("emit", [emit_report, emit_table])
+def test_emitters_refuse_an_unknown_format(emit):
+    report = tc_bounds("rp:2", 2)
+    with pytest.raises(ValueError, match="^unknown format 'xml'$"):
+        emit(report if emit is emit_report else [report], "xml")
 
 
 def test_gen_cert_missing_params(capsys):

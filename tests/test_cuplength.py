@@ -10,6 +10,7 @@ from milnortc.certgen import cert_r2t, certificates_for
 from milnortc.cuplength import (
     Certificate,
     FactorCheck,
+    _generator_text,
     _ideal_generators,
     _mult_map,
     cup_exact,
@@ -301,9 +302,9 @@ def test_mult_maps_match_the_per_monomial_product():
     for space, n in ORACLE_BOX:
         P = ring(space)
         nd = n * P.top_degree
-        for text, degree, slot_products in _ideal_generators(P, n):
-            z = evaluate_text(text, P, n)
-            assert z.degree == degree, (space, n, text)
+        for label, degree, slot_products in _ideal_generators(P, n):
+            z = evaluate_text(_generator_text(label), P, n)
+            assert z.degree == degree, (space, n, label)
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
                 target = tensor_slice(P, n, d + z.degree)

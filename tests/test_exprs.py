@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -43,6 +45,15 @@ def test_syntax_errors_carry_position():
         parse_factor_expr("a1)", 2)
     with pytest.raises(ExprSyntaxError):
         parse_factor_expr("2*a1", 2)
+
+
+# the position is that of the character, after any spaces before it
+@pytest.mark.parametrize("text, char, position", [("a1 & a2", "&", 3), ("$", "$", 0)])
+def test_unexpected_character_is_refused_at_its_position(text, char, position):
+    message = f"unexpected character {char!r} (at position {position})"
+    with pytest.raises(ExprSyntaxError, match=f"^{re.escape(message)}$") as exc:
+        parse_factor_expr(text, 2)
+    assert exc.value.position == position
 
 
 def test_unknown_generator_rejected():

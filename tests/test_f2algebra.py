@@ -175,6 +175,20 @@ def test_binom_mod2_against_pascal():
     assert binom_mod2(4, 7) == 0
 
 
+def test_unknown_generator_and_negative_exponent_are_refused():
+    P = milnor(1, 2)
+    with pytest.raises(ValueError, match=re.escape("unknown generator 'x'; have ('a', 'b')")):
+        generator(P, "x")
+    with pytest.raises(ValueError, match="^exponent must be non-negative$"):
+        power(generator(P, "a"), -1)
+
+
+@pytest.mark.parametrize("n, k", [(-1, 0), (3, -1), (-2, -2)])
+def test_binom_mod2_refuses_negative_arguments(n, k):
+    with pytest.raises(ValueError, match="^binom_mod2 requires non-negative arguments$"):
+        binom_mod2(n, k)
+
+
 def test_binom_mod2_mersenne_rows_all_odd():
     for i in range(7):
         n = 2**i - 1

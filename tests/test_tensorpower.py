@@ -272,6 +272,16 @@ def test_product_needs_one_algebra(P):
         multiply(a, inject(P, 2, 1, a))
 
 
+def test_inject_refuses_a_bad_position_and_a_foreign_element(P):
+    a = generator(P, "a")
+    for i in (0, 3):
+        with pytest.raises(ValueError, match=f"^position {i} out of range 1..2$"):
+            inject(P, 2, i, a)
+    x = generator(make_presentation(kind="truncated", m=2), "x")
+    with pytest.raises(ValueError, match="^element is not over the given presentation$"):
+        inject(P, 2, 1, x)
+
+
 def test_kernel_basis_rank_nullity(P):
     for n in (2, 3):
         for d in range(1, n * P.top_degree + 1):
