@@ -108,10 +108,10 @@ def _report(space, quantity: str, n: int, trace: list) -> BoundReport:
     )
 
 
-def _verified_row(cert, P, rule: str, source: str) -> RuleTrace | None:
-    """The machine-verified lower row of a certificate checked in the ring
-    P, or None when it does not verify."""
-    report = verify_certificate(cert, presentation=P)
+def _verified_row(cert, rule: str, source: str) -> RuleTrace | None:
+    """The machine-verified lower row of a certificate, checked in the ring
+    of the space it names, or None when it does not verify."""
+    report = verify_certificate(cert)
     if report.verdict != "Verified":
         return None
     return RuleTrace(rule, source, "lower", report.verified_cup + 1, "machine-verified")
@@ -144,9 +144,12 @@ def admits_free_involution(r: int, s: int) -> FreeAction:
 
 
 def admits_free_circle(r: int, s: int) -> FreeAction:
-    """Free circle action on the real Milnor manifold iff r and s are odd."""
-    if not 1 <= s <= r:
-        raise ValueError(f"requires 1 <= s <= r, got r={r}, s={s}")
+    """Free circle action on the real Milnor manifold iff r and s are odd,
+    within 1 <= s <= r; s = 0 is outside the characterization."""
+    if not 0 <= s <= r:
+        raise ValueError(f"requires 0 <= s <= r, got r={r}, s={s}")
+    if s == 0:
+        return FreeAction.OUT_OF_HYPOTHESIS
     return FreeAction.YES if (r % 2 == 1 and s % 2 == 1) else FreeAction.NO
 
 
@@ -162,7 +165,6 @@ def cat_bounds(space, n: int) -> BoundReport:
         _dimension_row(space, n),
         _verified_row(
             cert_cat_topclass(space, n),
-            cohomology_of(space),
             "top-class-witness",
             "verified nonzero product of generator top powers",
         ),
@@ -233,7 +235,6 @@ def tc_bounds(
     space = _as_space(space)
     if n < 2:
         raise ValueError("n must be >= 2")
-    P = cohomology_of(space)
     dim = space.dimension
     trace = []
 
@@ -241,11 +242,10 @@ def tc_bounds(
         source = "verified zero-divisor certificate"
         for rule, cert in certificates_for(space, n):
             if not isinstance(cert, SearchFailure):
-                trace.append(_verified_row(cert, P, rule, source))
+                trace.append(_verified_row(cert, rule, source))
         trace.append(
             _verified_row(
                 cert_cat_topclass(space, n - 1),
-                P,
                 "category-of-lower-power",
                 "verified category of the (n-1)-st power",
             )
@@ -253,7 +253,7 @@ def tc_bounds(
 
     if use_oracle:
         try:
-            factors = cup_witness(P, n, max_slice=max_slice)
+            factors = cup_witness(cohomology_of(space), n, max_slice=max_slice)
         except ResourceLimitError:
             pass
         else:
@@ -261,7 +261,6 @@ def tc_bounds(
             cert = Certificate(format_space(space), n, factors, value, value + 1)
             row = _verified_row(
                 cert,
-                P,
                 "ideal-power-oracle",
                 "exact mod-2 zero-divisor cup-length plus one",
             )
@@ -283,7 +282,7 @@ def tc_bounds(
             "claimed",
         )
     )
-    if isinstance(space, RealMilnor) and space.s >= 1:
+    if isinstance(space, RealMilnor):
         if admits_free_circle(space.r, space.s) is FreeAction.YES:
             trace.append(
                 RuleTrace(
@@ -325,10 +324,12 @@ def eqtc_bounds(space, group, n: int, **options) -> BoundReport:
             raise NoFreeActionError(
                 "free circle actions are characterized for real Milnor manifolds only"
             )
-        if admits_free_circle(space.r, space.s) is not FreeAction.YES:
+        status = admits_free_circle(space.r, space.s)
+        if status is not FreeAction.YES:
             raise NoFreeActionError(
                 f"no free circle action on {format_space(space)}: "
-                "requires r and s both odd"
+                f"predicate returned {status.value} "
+                "(requires 1 <= s <= r and r, s both odd)"
             )
     else:
         raise ValueError(f"unsupported group {group!r}")

@@ -16,8 +16,10 @@ does not run this module; a test keeps the two lists equal.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from .cuplength import Certificate, SearchFailure, _factor_product
-from .exprs import Gen, evaluate_text, to_string
+from .exprs import Gen, evaluate_text, sum_text, to_string
 from .f2algebra import multiply
 from .spaces import (
     ComplexMilnor,
@@ -27,10 +29,6 @@ from .spaces import (
     format_space,
     parse_space,
 )
-
-
-def _pair(name: str, i: int, j: int) -> str:
-    return f"({name}{i}+{name}{j})"
 
 
 def _log2(x: int):
@@ -47,12 +45,12 @@ def _blocks(n: int, block=(), bridges=(), tail=()) -> tuple:
     (g, e) of tail on slots (2k, 2k+1).  Factors of exponent 0 are left
     out."""
     k = n // 2
-    factors = [(_pair(g, 2 * i - 1, 2 * i), e) for i in range(1, k + 1) for g, e in block]
+    factors = [(sum_text(g, 2 * i - 1, 2 * i), e) for i in range(1, k + 1) for g, e in block]
     factors += [
-        (_pair(g, 2 * i + o, 2 * i + 2 + o), e) for i in range(1, k) for g, o, e in bridges
+        (sum_text(g, 2 * i + o, 2 * i + 2 + o), e) for i in range(1, k) for g, o, e in bridges
     ]
     if n % 2 == 1:
-        factors += [(_pair(g, 2 * k, 2 * k + 1), e) for g, e in tail]
+        factors += [(sum_text(g, 2 * k, 2 * k + 1), e) for g, e in tail]
     return tuple((expr, e) for expr, e in factors if e > 0)
 
 
@@ -109,9 +107,7 @@ def cert_case2(p1: int, p2: int, n: int):
     claimed = n * (s + r - 1) - 2
 
     narrow = [expr for expr, _ in _blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
-    wide = [
-        _pair(g, i, j) for g in ("a", "b") for i in range(1, n + 1) for j in range(i + 1, n + 1)
-    ]
+    wide = [sum_text(g, i, j) for g in "ab" for i, j in combinations(range(1, n + 1), 2)]
     P = cohomology_of(milnor)
     squares = {}  # bridge -> its square
 
@@ -190,7 +186,9 @@ GENERATORS = {
 
 def certificates_for(space, n: int) -> list:
     """The families whose hypotheses the space satisfies, as (rule,
-    Certificate | SearchFailure) rows."""
+    Certificate | SearchFailure) rows.  Each certificate is labelled with
+    the space, whose ring it is checked in: a family written for rh:r,s
+    serves ch:r,s too, whose ring is rh's with every degree doubled."""
     rows = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
@@ -206,7 +204,11 @@ def certificates_for(space, n: int) -> list:
         t = _log2(space.m)
         if t is not None:
             rows.append(("certificate-projective", cert_proj(t, n)))
-    return rows
+    label = format_space(space)
+    return [
+        (rule, cert if isinstance(cert, SearchFailure) else cert.replace(space=label))
+        for rule, cert in rows
+    ]
 
 
 def cert_cat_topclass(space, n: int) -> Certificate:

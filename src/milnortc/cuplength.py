@@ -1,10 +1,11 @@
 """Zero-divisor cup-length: certificates, verification, and the exact oracle.
 
-A certificate lists factors with multiplicities.  :func:`verify_certificate`
-evaluates and checks each factor in that order, then multiplies their
-powers in slot-overlap order: each step takes the pending factor that
-shares the most non-unit tensor slots with the product so far.  The ring
-is commutative, so the product, and with it every verdict, is that of any
+A certificate names the space whose ring it is checked in and lists
+factors with multiplicities.  :func:`verify_certificate` evaluates and
+checks each factor in that order, then multiplies their powers in
+slot-overlap order: each step takes the pending factor that shares the
+most non-unit tensor slots with the product so far.  The ring is
+commutative, so the product, and with it every verdict, is that of any
 other order.  Certificates list their blocks, on disjoint slots, before
 the bridges that link them; multiplied in that order the blocks form their
 whole tensor product, with nothing to cancel, before a bridge can make it
@@ -24,8 +25,9 @@ The chain is graded, so the oracle walks it by degree: each map is built
 once, applied to every level that reads it, and dropped, and at most
 (largest generator degree + 1) degrees of the chain are held at a time.
 Each z's degree and its products with the basic monomials of the one slot
-each of its monomials occupies are computed once per run, and the top
-power's degree slices are dropped when the run ends.
+each of its monomials occupies are computed once per run, and so are the
+degree slices, kept in a dict of the run's own: the oracle's only lasting
+state is its cache of (value, witness) per ring and n.
 The z commute, so the oracle forms only the products z_j1 ... z_jm with
 j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
 at most j.  Products are appended generator by generator and rows are kept
@@ -66,7 +68,8 @@ def is_zero_divisor(u: Element) -> bool:
 
 
 class Certificate(Record):
-    """A claimed cup-length witness: factors with multiplicities."""
+    """A claimed cup-length witness: factors with multiplicities, checked
+    in the cohomology ring of space."""
 
     __slots__ = (
         "space",
@@ -113,12 +116,6 @@ class VerificationReport(Record):
         return None if self.verified_cup is None else self.verified_cup + 1
 
 
-def _resolve(cert: Certificate, presentation: Presentation | None):
-    if presentation is not None:
-        return presentation
-    return cohomology_of(parse_space(cert.space))
-
-
 def _slots(el: Element) -> set:
     """The slots in which some monomial of the tensor element el is not
     the unit."""
@@ -156,13 +153,10 @@ def _factor_product(P: Presentation, n: int, factors):
     return product, checks
 
 
-def verify_certificate(
-    cert: Certificate,
-    *,
-    presentation: Presentation | None = None,
-) -> VerificationReport:
-    """Check every factor and the full product; never consults the claims."""
-    P = _resolve(cert, presentation)
+def verify_certificate(cert: Certificate) -> VerificationReport:
+    """Check every factor and the full product in the ring of cert.space;
+    never consults the claims."""
+    P = cohomology_of(parse_space(cert.space))
     product, checks = _factor_product(P, cert.n, cert.factors)
     if not (cert.cat_witness or all(c.is_zero_divisor for c in checks)):
         verdict = "FactorNotZeroDivisor"
@@ -215,16 +209,9 @@ def _ideal_generators(P: Presentation, n: int):
     return gens
 
 
-def _generator_text(label) -> str:
-    """The factor expression of the ideal generator labelled (g, i)."""
-    name, i = label
-    text = exprs.to_string(exprs.Sum((exprs.Gen(name, i), exprs.Gen(name, i + 1))))
-    return f"({text})"
-
-
-def _mult_map(P, n, slot_products, d_from, index, mask):
+def _mult_map(source, slot_products, index, mask):
     """Multiplication by an ideal generator, given by its slot products
-    (see :func:`_ideal_generators`), from slice(d_from) into the target
+    (see :func:`_ideal_generators`), from the source slice into the target
     slice whose monomials index numbers: for each source monomial whose
     bit is set in mask, the int bitset of its targets, and 0 for every
     other one.  The mask is the OR of the rows the map will multiply, and
@@ -232,7 +219,6 @@ def _mult_map(P, n, slot_products, d_from, index, mask):
     so no product sees a missing column.  A source monomial goes to the
     monomials with slot k replaced by each term of its slot-k product, for
     each slot k of the generator."""
-    source = tensor_slice(P, n, d_from)
     targets = [0] * len(source)
     digits = bin(mask)[:1:-1]  # bit 0 first
     i = digits.find("1")
@@ -279,6 +265,7 @@ def _oracle(P: Presentation, n: int):
         return 0, ()
     nd = n * P.top_degree
     gens = _ideal_generators(P, n)
+    slices: dict = {}
     # per degree, per m: independent rows of W_m in that degree, each tagged
     # with the indices of the generators it is a product of, in ascending
     # order of the tags' last generator
@@ -301,8 +288,9 @@ def _oracle(P: Presentation, n: int):
             if not prefixes:
                 continue
             if index is None:
-                index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt))}
-            targets = _mult_map(P, n, slot_products, dt - degree, index, mask)
+                index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt, slices))}
+            source = tensor_slice(P, n, dt - degree, slices)
+            targets = _mult_map(source, slot_products, index, mask)
             for m, rows, tags in prefixes:
                 prod_rows, prod_tags = products.setdefault(m + 1, ([], []))
                 prod_rows.extend(gf2.image(targets, rows))
@@ -328,8 +316,9 @@ def _oracle(P: Presentation, n: int):
     return value, factors
 
 
-def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) -> int:
-    """Largest m with K^m != 0 for K the kernel of the diagonal map."""
+def _run(P: Presentation, n: int, max_slice: int) -> tuple:
+    """The oracle's (value, factors) for P and n, from its cache or a new
+    run, refused when a slice is over max_slice."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     # refuse before reading the cache, so that a value cached under a
@@ -345,13 +334,13 @@ def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) ->
             )
     key = (P.cache_key, n)
     if key not in _CUP_CACHE:
-        try:
-            _CUP_CACHE[key] = _oracle(P, n)
-        finally:
-            # the value and witness need no slice; the lower powers keep
-            # theirs, which are smaller and which higher n build on
-            tensor_power(P, n)._slices.clear()
-    return _CUP_CACHE[key][0]
+        _CUP_CACHE[key] = _oracle(P, n)
+    return _CUP_CACHE[key]
+
+
+def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) -> int:
+    """Largest m with K^m != 0 for K the kernel of the diagonal map."""
+    return _run(P, n, max_slice)[0]
 
 
 def cup_witness(
@@ -359,7 +348,7 @@ def cup_witness(
 ) -> tuple:
     """Factors ((expression, multiplicity), ...) of a nonzero product of
     cup_exact(P, n) ideal generators, from the same cached oracle run."""
-    cup_exact(P, n, max_slice=max_slice)
     return tuple(
-        (_generator_text(label), mult) for label, mult in _CUP_CACHE[(P.cache_key, n)][1]
+        (exprs.sum_text(name, i, i + 1), mult)
+        for (name, i), mult in _run(P, n, max_slice)[1]
     )

@@ -161,6 +161,12 @@ def _wrap(node, kinds) -> str:
     return f"({text})" if isinstance(node, kinds) else text
 
 
+def sum_text(name: str, i: int, j: int) -> str:
+    """The factor text of g_i + g_j for the generator g called name, in
+    parentheses: ``(a1+a2)``, or ``(x.1.1+x.1.2)`` in a product ring."""
+    return _wrap(Sum((Gen(name, i), Gen(name, j))), (Sum,))
+
+
 def _resolve_gen(P: Presentation, name: str) -> str:
     if name in P.gen_names:
         return name

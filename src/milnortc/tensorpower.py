@@ -4,8 +4,8 @@
 algebra that :class:`~milnortc.f2algebra.Element` and the f2algebra
 arithmetic accept.  Its monomials are n-tuples of basic monomials of the
 base presentation.  Its basis is never enumerated whole: degree slices are
-built on demand by :func:`tensor_slice` and kept on the power; the oracle
-drops those of the power it ran on when its run ends.  Its
+built on demand by :func:`tensor_slice` into a dict the caller owns, never
+kept on the power, so an oracle run's slices go with the run.  Its
 products are not memoised: a pair of tensor monomials is multiplied in the
 base ring only in the slots where the sparser operand is not the unit,
 which for a certificate factor (a sum of classes injected in one or two
@@ -35,7 +35,6 @@ class TensorPower:
         self.base = base
         self.n = n
         self.one = None if base.one is None else (base.one,) * n
-        self._slices: dict = {}
 
     def monomial_degree(self, tup) -> int:
         return sum(self.base.monomial_degree(c) for c in tup)
@@ -146,16 +145,17 @@ def slice_dimensions(P: Presentation, n: int) -> list:
     return dims
 
 
-def tensor_slice(P: Presentation, n: int, d: int):
+def tensor_slice(P: Presentation, n: int, d: int, slices: dict):
     """All degree-d tensor monomials, sorted componentwise by basis rank:
     the first slot runs over the basis in rank order (so by ascending
     degree), and the other n - 1 slots over the degree-(d - deg) slice of
-    the next-lower power, cached on that power and read once per degree of
-    the first slot that leaves them at most (n - 1) * top degree, so no
-    empty slice is built.  The n = 0 power has the empty tuple in degree 0,
-    except over the zero ring, which has no monomial in any power."""
-    slices = tensor_power(P, n)._slices
-    cached = slices.get(d)
+    the next-lower power, read once per degree of the first slot that
+    leaves them at most (n - 1) * top degree, so no empty slice is built.
+    Every slice built, of this power and the lower ones, is kept in slices
+    under (power, degree) and read from there again.  The n = 0 power has
+    the empty tuple in degree 0, except over the zero ring, which has no
+    monomial in any power."""
+    cached = slices.get((n, d))
     if cached is not None:
         return cached
     if n == 0:
@@ -166,10 +166,10 @@ def tensor_slice(P: Presentation, n: int, d: int):
         for deg in sorted(P.degree_slices):
             if not low <= deg <= d:
                 continue
-            lower = tensor_slice(P, n - 1, d - deg)
+            lower = tensor_slice(P, n - 1, d - deg, slices)
             for r in P.degree_slices[deg]:
                 head = (P.basis[r],)
                 monomials.extend(head + rest for rest in lower)
         result = tuple(monomials)
-    slices[d] = result
+    slices[n, d] = result
     return result

@@ -88,7 +88,7 @@ class KernelBasis(Record):
     def elements(self) -> tuple:
         """The basis decoded into elements of the tensor power."""
         P, n = self.presentation, self.n
-        T, slc = tensor_power(P, n), tensor_slice(P, n, self.degree)
+        T, slc = tensor_power(P, n), tensor_slice(P, n, self.degree, {})
         return tuple(
             Element.computed(T, frozenset(m for j, m in enumerate(slc) if row >> j & 1))
             for row in self.rows
@@ -108,7 +108,7 @@ def kernel_basis(
             dimension=dim,
             cap=max_slice,
         )
-    slc = tensor_slice(P, n, d)
+    slc = tensor_slice(P, n, d, {})
     target_pos = {r: i for i, r in enumerate(P.degree_slices.get(d, ()))}
     # the map transposed: one row per target basis monomial, bit j for the
     # j-th slice monomial

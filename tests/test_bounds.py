@@ -17,7 +17,7 @@ from milnortc.bounds import (
 from milnortc.certgen import cert_case2, cert_cat_topclass
 from milnortc.cuplength import VerificationReport, cup_exact
 from milnortc.errors import NoFreeActionError
-from milnortc.spaces import RealMilnor, RealProj, cohomology_of
+from milnortc.spaces import RealMilnor, RealProj, cohomology_of, parse_space
 from milnortc.tensorpower import slice_dimensions
 
 
@@ -36,6 +36,8 @@ def test_circle_predicate():
     assert admits_free_circle(5, 3) is FreeAction.YES
     assert admits_free_circle(4, 3) is FreeAction.NO
     assert admits_free_circle(3, 3) is FreeAction.YES
+    # rh:r,0 is a space, but outside the characterization
+    assert admits_free_circle(3, 0) is FreeAction.OUT_OF_HYPOTHESIS
     with pytest.raises(ValueError):
         admits_free_circle(2, 3)
 
@@ -140,7 +142,7 @@ def test_tc_oracle_over_the_slice_cap_adds_no_row():
 
 
 def test_tc_oracle_witness_that_fails_raises(monkeypatch):
-    def vanishes(cert, presentation=None):
+    def vanishes(cert):
         return VerificationReport((), False, None, "ProductVanishes")
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", vanishes)
@@ -163,19 +165,22 @@ def test_tc_source_toggles():
 
 
 def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
-    # the generated certificates are labelled rh:, but must be checked in
-    # the ring of the complex Milnor manifold the report is about
+    # the families are written for the real Milnor manifold; the
+    # certificates offered to a report about a complex one are labelled with
+    # that space, so the verifier checks them in its ring
     seen = []
     verify = milnortc.bounds.verify_certificate
 
-    def spy(cert, *, presentation=None):
-        seen.append((cert.space, presentation))
-        return verify(cert, presentation=presentation)
+    def spy(cert):
+        seen.append(cert.space)
+        return verify(cert)
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
-    tc_bounds("ch:4,3", 2)
-    assert any(space.startswith("rh:") for space, _ in seen)
-    assert all(P is not None and P.gen_degrees == (2, 2) for _, P in seen)
+    for space, n in (("ch:4,3", 2), ("ch:3,2", 3)):
+        seen.clear()
+        report = tc_bounds(space, n)
+        assert len(seen) >= 2 and set(seen) == {space}, space
+        assert report.verified_lower is not None, space
 
 
 def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
@@ -185,9 +190,9 @@ def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
     seen = []
     verify = milnortc.bounds.verify_certificate
 
-    def spy(cert, *, presentation=None):
-        seen.append((cert.factors, presentation.gen_degrees))
-        return verify(cert, presentation=presentation)
+    def spy(cert):
+        seen.append((cert.factors, cohomology_of(parse_space(cert.space)).gen_degrees))
+        return verify(cert)
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
     searched = cert_case2(1, 1, 3).factors

@@ -17,7 +17,7 @@ from milnortc.cuplength import (
     is_zero_divisor,
     verify_certificate,
 )
-from milnortc.exprs import evaluate_text
+from milnortc.exprs import evaluate_text, sum_text
 from milnortc.f2algebra import multiply, power, unit
 from milnortc.spaces import RealMilnor, cohomology_of
 from milnortc.tensorpower import TensorPower, tensor_power
@@ -179,7 +179,7 @@ def test_case2_evaluates_the_base_and_each_bridge_once(monkeypatch):
     (base,) = multiplied  # the base alone goes through _factor_product
     assert len(base) == 4 and all(mult > 2 for _, mult in base)
     # k - 1 = 1: every bridge of both pools is squared onto the base product
-    wide = [certgen._pair(g, i, j) for g in "ab" for i in range(1, 5) for j in range(i + 1, 5)]
+    wide = [sum_text(g, i, j) for g in "ab" for i in range(1, 5) for j in range(i + 1, 5)]
     assert sorted(evaluated) == sorted(wide)
 
     multiplied.clear()
@@ -211,7 +211,7 @@ def _case2_search_by_combination(p1, p2, n):
     )
     narrow = [expr for expr, _ in certgen._blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
     wide = [
-        certgen._pair(g, i, j) for g in "ab" for i in range(1, n + 1) for j in range(i + 1, n + 1)
+        sum_text(g, i, j) for g in "ab" for i in range(1, n + 1) for j in range(i + 1, n + 1)
     ]
     P = cohomology_of(RealMilnor(r, s))
     products = {(): unit(tensor_power(P, n))}  # combination prefix -> product

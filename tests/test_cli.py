@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -251,19 +252,36 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
         (["lucas", "--n", "-1", "--k", "2"], "non-negative"),
         (["gen-cert", "--method", "case2", "--params", "p1=2,p2=3,p1=1", "--n", "2",
           "--out", "x.json"], "--params key 'p1' is given more than once"),
+        (["bounds", "--space", "rh:2,0", "--quantity", "eqtc", "--group", "s1",
+          "--n", "2"],
+         "no free circle action on rh:2,0: predicate returned out-of-hypothesis"),
     ],
 )
 def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     # a key the method does not take, a parameter with no key, a key given
     # twice, an empty or missing range, an --r/--s pair with no cell s <= r,
-    # a negative slice cap and a negative binomial argument are invalid
-    # input: exit 2 naming it, with no output and no file
+    # a negative slice cap, a negative binomial argument and a group action
+    # outside its predicate's hypotheses are invalid input: exit 2 naming
+    # it, with no output and no file
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert flag in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every command of the README's CLI block, in order (verify reads the
+    # file gen-cert wrote), exits 0
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("milnortc ")]
+    assert len(commands) == 8
+    monkeypatch.chdir(tmp_path)
+    for line in commands:
+        assert main(shlex.split(line)[1:]) == 0, line
+    capsys.readouterr()
 
 
 def _fresh_python(*args) -> subprocess.CompletedProcess:

@@ -10,7 +10,6 @@ from milnortc.certgen import cert_r2t, certificates_for
 from milnortc.cuplength import (
     Certificate,
     FactorCheck,
-    _generator_text,
     _ideal_generators,
     _mult_map,
     cup_exact,
@@ -19,7 +18,7 @@ from milnortc.cuplength import (
     verify_certificate,
 )
 from milnortc.errors import ResourceLimitError
-from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr
+from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr, sum_text
 from milnortc.f2algebra import make_presentation, multiply, power, unit
 from milnortc.spaces import cohomology_of, parse_space
 from milnortc.tensorpower import TensorPower, tensor_power, tensor_slice
@@ -125,7 +124,7 @@ def test_overlap_order_gives_the_certificate_order_report():
     verdicts = set()
     for cert in certs:
         P = ring(cert.space)
-        report = verify_certificate(cert, presentation=P)
+        report = verify_certificate(cert)
         got = (
             report.verdict,
             report.product_nonzero,
@@ -235,9 +234,9 @@ def per_monomial_map(P, n, el, d_from, d_to):
     """Reference for cuplength._mult_map: the general product of el with
     each source monomial of slice(d_from), as the int bitset of its targets
     in slice(d_to).  el may have monomials in several non-unit slots."""
-    index = {t: i for i, t in enumerate(tensor_slice(P, n, d_to))}
+    index = {t: i for i, t in enumerate(tensor_slice(P, n, d_to, {}))}
     targets = []
-    for tup in tensor_slice(P, n, d_from):
+    for tup in tensor_slice(P, n, d_from, {}):
         bits = 0
         for out in el.algebra.mul_supports(el.support, (tup,)):
             bits ^= 1 << index[out]
@@ -302,16 +301,18 @@ def test_mult_maps_match_the_per_monomial_product():
     for space, n in ORACLE_BOX:
         P = ring(space)
         nd = n * P.top_degree
-        for label, degree, slot_products in _ideal_generators(P, n):
-            z = evaluate_text(_generator_text(label), P, n)
-            assert z.degree == degree, (space, n, label)
+        slices = {}
+        for (name, slot), degree, slot_products in _ideal_generators(P, n):
+            z = evaluate_text(sum_text(name, slot, slot + 1), P, n)
+            assert z.degree == degree, (space, n, name, slot)
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
-                target = tensor_slice(P, n, d + z.degree)
+                source = tensor_slice(P, n, d, slices)
+                target = tensor_slice(P, n, d + z.degree, slices)
                 index = {t: i for i, t in enumerate(target)}
                 width = len(expected)
                 for mask in ((1 << width) - 1, rng.getrandbits(width)):
-                    got = _mult_map(P, n, slot_products, d, index, mask)
+                    got = _mult_map(source, slot_products, index, mask)
                     assert got == [
                         t if mask >> i & 1 else 0 for i, t in enumerate(expected)
                     ], (space, n, d, mask)
@@ -326,9 +327,9 @@ def test_each_mult_map_is_built_once_per_run(monkeypatch):
     requests = []
     mult_map = cuplength._mult_map
 
-    def spy(P, n, slot_products, d_from, *rest):
-        requests.append((id(slot_products), d_from))
-        return mult_map(P, n, slot_products, d_from, *rest)
+    def spy(source, slot_products, *rest):
+        requests.append((id(slot_products), source))
+        return mult_map(source, slot_products, *rest)
 
     monkeypatch.setattr(cuplength, "_mult_map", spy)
     for space, n in ORACLE_BOX:
@@ -426,9 +427,9 @@ def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
     calls = []
     tensor_slice_ = tensorpower.tensor_slice
 
-    def spy(P, n, d):
+    def spy(P, n, d, slices):
         calls.append((n, d))
-        return tensor_slice_(P, n, d)
+        return tensor_slice_(P, n, d, slices)
 
     _fresh_oracle(monkeypatch)
     monkeypatch.setattr(tensorpower, "tensor_slice", spy)
@@ -438,10 +439,12 @@ def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
 
 
 def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
-    # bytes, not times: the oracle's top power drops its degree slices when
-    # the run ends, while the power itself stays interned.  Keeping them
-    # left about 150 kB allocated here.  gc.collect() also empties the
-    # interpreter's free lists, which would otherwise keep the freed tuples
+    # bytes, not times: the slices a run builds, of its own power and of
+    # the lower ones, are kept in a dict of the run's own, so no tensor
+    # power holds one afterwards.  Keeping the lower powers' slices left 157
+    # monomials (about 19 kB) allocated in tensorpower.py here.
+    # gc.collect() also empties the interpreter's free lists, which would
+    # otherwise keep the freed tuples
     import gc
     import tracemalloc
 
@@ -452,15 +455,37 @@ def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
     gc.collect()
     tracemalloc.start()
     try:
-        before = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.take_snapshot()
         factors = cup_witness(P, 3)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        after = tracemalloc.take_snapshot()
     finally:
         tracemalloc.stop()
     assert sum(mult for _, mult in factors) == 15
-    assert tensorpower._POWER_CACHE[(P, 3)]._slices == {}
-    assert retained < 50_000
+    diffs = after.compare_to(before, "filename")
+    held = [
+        d for d in diffs
+        if d.traceback[0].filename == tensorpower.__file__ and d.size_diff > 0
+    ]
+    assert held == []
+    assert sum(d.size_diff for d in diffs) < 50_000
+
+
+def test_runs_in_either_order_give_the_fresh_values_and_witnesses(monkeypatch):
+    # a run depends only on its arguments: nothing one run leaves behind,
+    # other than its cached answer, changes what a run at another n finds
+    import milnortc.cuplength as cuplength
+
+    for space in ("rp:5", "rh:3,2", "ch:2,1", "prod:rp2,rp1"):
+        P = ring(space)
+        fresh = {}
+        for n in (2, 3):
+            _fresh_oracle(monkeypatch)
+            fresh[n] = (cup_exact(P, n), cup_witness(P, n))
+        for order in ((2, 3), (3, 2)):
+            monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+            got = {n: (cup_exact(P, n), cup_witness(P, n)) for n in order}
+            assert got == fresh, (space, order)
 
 
 def test_oracle_witness_verifies():
@@ -489,7 +514,7 @@ def test_oracle_box_values_and_witnesses():
         factors = cup_witness(P, n)
         assert sum(mult for _, mult in factors) == value, (space, n)
         cert = Certificate(space, n, factors, value, value + 1)
-        assert verify_certificate(cert, presentation=P).verdict == "Verified", (space, n)
+        assert verify_certificate(cert).verdict == "Verified", (space, n)
 
 
 def test_oracle_zero_and_trivial_rings():

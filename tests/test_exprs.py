@@ -13,6 +13,7 @@ from milnortc.exprs import (
     Unit,
     evaluate_text,
     parse_factor_expr,
+    sum_text,
     to_string,
 )
 from milnortc.f2algebra import generator, make_presentation, power
@@ -26,6 +27,16 @@ def test_grammar_examples():
     )
     assert parse_factor_expr("1", 2) == Unit()
     assert parse_factor_expr(" a1 + b2 ", 2) == Sum((Gen("a", 1), Gen("b", 2)))
+
+
+def test_sum_text_parses_back_for_every_generator_name():
+    # the certificate families and the oracle's witness write their factors
+    # through this one printer; a product-ring name keeps its factor index
+    assert sum_text("a", 1, 2) == "(a1+a2)"
+    assert sum_text("x.1", 1, 3) == "(x.1.1+x.1.3)"
+    for name in ("a", "b", "x", "x.1", "x.12"):
+        text = sum_text(name, 2, 3)
+        assert parse_factor_expr(text, 3) == Sum((Gen(name, 2), Gen(name, 3))), text
 
 
 def test_position_out_of_range():

@@ -173,12 +173,12 @@ def test_slice_dimensions_sum_to_total(P):
         assert len(dims) == n * P.top_degree + 1
         assert sum(dims) == len(P.basis) ** n
         for d, dim in enumerate(dims):
-            assert dim == len(tensor_slice(P, n, d))
+            assert dim == len(tensor_slice(P, n, d, {}))
 
 
 def test_tensor_slice_sorted_and_graded(P):
     for d in range(2 * P.top_degree + 1):
-        slc = tensor_slice(P, 2, d)
+        slc = tensor_slice(P, 2, d, {})
         # deterministic rank order, no duplicates
         key = lambda tup: tuple(P.rank_of[exps] for exps in tup)
         assert list(slc) == sorted(slc, key=key)
@@ -214,10 +214,11 @@ def test_tensor_slice_matches_the_brute_force_slice(space):
         P = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
     else:
         P = cohomology_of(parse_space(space))
+    slices = {}
     for n in range(5):
         dims = slice_dimensions(P, n)
         for d in range(n * P.top_degree + 2):
-            slc = tensor_slice(P, n, d)
+            slc = tensor_slice(P, n, d, slices)
             assert slc == brute_force_slice(P, n, d), (n, d)
             # the dimensions stop at the top degree, above which slices are empty
             assert len(slc) == (dims[d] if d < len(dims) else 0), (n, d)
@@ -227,20 +228,23 @@ def test_tensor_slice_matches_the_brute_force_slice(space):
 def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
     # a first slot of degree deg leaves d - deg for the other n - 1 slots,
     # which is empty above (n - 1) * top degree: that lower slice is never
-    # built, so no power keeps an empty slice
+    # built, so the run's slices hold no empty one
     import milnortc.cuplength as cuplength
     import milnortc.tensorpower as tensorpower
 
+    runs = {}
+    tensor_slice_ = tensorpower.tensor_slice
+
+    def spy(P, n, d, slices):
+        runs[id(slices)] = slices
+        return tensor_slice_(P, n, d, slices)
+
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(tensorpower, "_POWER_CACHE", {})
-    P = cohomology_of(parse_space(space))
-    cuplength.cup_exact(P, 3)
-    cached = {
-        (k, d): slc
-        for k in range(4)
-        for d, slc in tensor_power(P, k)._slices.items()
-    }
-    assert cached
+    monkeypatch.setattr(tensorpower, "tensor_slice", spy)
+    monkeypatch.setattr(cuplength, "tensor_slice", spy)
+    cuplength.cup_exact(cohomology_of(parse_space(space)), 3)
+    (cached,) = runs.values()
+    assert {n for n, _ in cached} == {0, 1, 2, 3}
     assert [key for key, slc in cached.items() if not slc] == []
 
 
@@ -299,7 +303,7 @@ def test_kernel_trivial_in_degree_zero(P):
 
 
 def test_degree_zero_slice_is_unit(P):
-    assert tensor_slice(P, 2, 0) == ((P.basis[0],) * 2,)
+    assert tensor_slice(P, 2, 0, {}) == ((P.basis[0],) * 2,)
     assert slice_dimensions(P, 2)[0] == 1
 
 
