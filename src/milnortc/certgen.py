@@ -2,7 +2,8 @@
 
 Each construction emits a :class:`Certificate` whose total factor count
 matches the corresponding closed-form cup value.  Only :func:`cert_case2`
-asserts nonzeroness: its search returns a product it found nonzero.
+asserts nonzeroness: it forms its product and returns a certificate only
+when that product is nonzero.
 Verification is a separate step in :mod:`cuplength`.
 Generation is deterministic: identical parameters give identical output.
 
@@ -16,11 +17,8 @@ does not run this module; a test keeps the two lists equal.
 
 from __future__ import annotations
 
-from itertools import combinations
-
 from .cuplength import Certificate, SearchFailure, _factor_product
-from .exprs import Gen, evaluate_text, sum_text, to_string
-from .f2algebra import multiply
+from .exprs import Gen, sum_text, to_string
 from .spaces import (
     ComplexMilnor,
     RealMilnor,
@@ -80,16 +78,19 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
 
 
 def cert_case2(p1: int, p2: int, n: int):
-    """Certificate for s = 2^p1, r = 2^p2 + 1; the k-1 squared bridging
-    classes are not written down in closed form, so they are searched for
-    over adjacent even-position sums (widened to all position pairs on
-    failure), depth first in ascending order, so that full combinations
-    come in lexicographic order.  Each bridge is evaluated and squared
-    once.  The search goes no deeper below a zero product, as every
-    combination extending it vanishes too, so it returns the first
-    combination whose product is nonzero, or a SearchFailure.  Each factor
-    is a sum g_i + g_j, sent by the diagonal to 2g = 0, so a nonzero
-    product is a verified certificate."""
+    """Certificate for s = 2^p1, r = 2^p2 + 1: the blocks of a-sums to the
+    (2s-1)-st and b-sums to the (2(r-1)-1)-st power, for odd n the tail,
+    then the k-1 squared even-position b sums (b_2i + b_2i+2)^2 bridging
+    blocks, sorted by their text.  The product of all these factors is
+    formed once, by the verifier's own loop; the certificate is returned
+    when it is nonzero, and a SearchFailure otherwise.  Each factor is a
+    sum g_i + g_j, sent by the diagonal to 2g = 0, so a nonzero product is
+    a verified certificate.
+
+    These bridges are measured, not proven, to be the ones a search over
+    every combination of squared sums g_i + g_j finds: on every p1, p2 <= 3
+    with s <= r at n = 2..10, r = 2 at n = 11..14 and r = 17 at n = 2..6
+    (132 cases), both give the same certificate, or both fail."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -103,38 +104,13 @@ def cert_case2(p1: int, p2: int, n: int):
         block=(("a", 2 * s - 1), ("b", 2 * (r - 1) - 1)),
         tail=(("a", s), ("b", r - 1)),
     )
+    factors = base + tuple(sorted(_blocks(n, bridges=(("b", 0, 2),))))
     milnor = RealMilnor(r, s)
+    product, _ = _factor_product(cohomology_of(milnor), n, factors)
+    if product.is_zero:
+        return SearchFailure("no bridging classes gave a nonzero product")
     claimed = n * (s + r - 1) - 2
-
-    narrow = [expr for expr, _ in _blocks(n, bridges=(("a", 0, 2), ("b", 0, 2)))]
-    wide = [sum_text(g, i, j) for g in "ab" for i, j in combinations(range(1, n + 1), 2)]
-    P = cohomology_of(milnor)
-    squares = {}  # bridge -> its square
-
-    def first_nonzero(pool, start, product, depth):
-        """The first ascending run of depth bridges from pool[start:] whose
-        squares times product are nonzero, or None."""
-        if product.is_zero:
-            return None
-        if depth == 0:
-            return ()
-        for i in range(start, len(pool)):
-            expr = pool[i]
-            if expr not in squares:
-                el = evaluate_text(expr, P, n)
-                squares[expr] = multiply(el, el)
-            rest = first_nonzero(pool, i, multiply(product, squares[expr]), depth - 1)
-            if rest is not None:
-                return (expr,) + rest
-        return None
-
-    base_product, _ = _factor_product(P, n, base)
-    for pool in (narrow, wide):
-        combo = first_nonzero(sorted(set(pool)), 0, base_product, n // 2 - 1)
-        if combo is not None:
-            bridges = tuple((expr, 2) for expr in combo)
-            return Certificate(format_space(milnor), n, base + bridges, claimed, claimed + 1)
-    return SearchFailure("no bridging classes gave a nonzero product")
+    return Certificate(format_space(milnor), n, factors, claimed, claimed + 1)
 
 
 def cert_r2t(s: int, t: int, n: int) -> Certificate:

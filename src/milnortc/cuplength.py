@@ -175,7 +175,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
 
 
 class SearchFailure(Record):
-    """Search could not realize the requested certificate."""
+    """A certificate family gave no certificate: its product vanishes."""
 
     __slots__ = ("reason",)
 
@@ -261,8 +261,6 @@ def _oracle(P: Presentation, n: int):
     and span W_(m-1)^(<=j): each level's products are appended generator by
     generator, and gf2.independent_rows keeps rows greedily in input order,
     so the kept rows of any prefix of the products span that prefix."""
-    if not P.basis:
-        return 0, ()
     nd = n * P.top_degree
     gens = _ideal_generators(P, n)
     slices: dict = {}

@@ -191,8 +191,6 @@ def validate(node, arity: int, presentation: Presentation | None = None):
         for f in node.factors:
             validate(f, arity, presentation)
     elif isinstance(node, Pow):
-        if node.exponent < 0:
-            raise ValueError("exponents must be non-negative")
         validate(node.base, arity, presentation)
 
 

@@ -3,9 +3,9 @@
 An algebra here is a :class:`Presentation` or a tensor power of one
 (:class:`milnortc.tensorpower.TensorPower`); :class:`Element`,
 :func:`multiply`, :func:`power`, :func:`unit` and :func:`zero` serve both.
-Each algebra supplies ``one`` (its unit monomial, or None in the zero
-ring), ``is_basic``, ``monomial_degree``, ``format_monomial`` and
-``mul_supports``, its loop multiplying two supports.
+Each algebra supplies ``one`` (its unit monomial), ``is_basic``,
+``monomial_degree``, ``format_monomial`` and ``mul_supports``, its loop
+multiplying two supports.
 
 Three presentation kinds are supported:
 
@@ -78,9 +78,8 @@ class Presentation:
         for i, mono in enumerate(self.basis):
             slices.setdefault(self.monomial_degree(mono), []).append(i)
         self.degree_slices = {d: tuple(v) for d, v in slices.items()}
-        self.top_degree = max(self.degree_slices) if self.basis else 0
-        one = (0,) * self.ngens
-        self.one = one if one in self.rank_of else None
+        self.top_degree = max(self.degree_slices)
+        self.one = (0,) * self.ngens
         self._nf_cache: dict = {}
         self._mul_cache: dict = {}
 
@@ -185,8 +184,8 @@ def make_presentation(
     if gen_degree not in (1, 2):
         raise ValueError(f"gen_degree must be 1 or 2, got {gen_degree}")
     if kind == "milnor":
-        if not isinstance(s, int) or not isinstance(r, int) or s < 0 or r < 0:
-            raise ValueError("milnor presentation needs integers s, r >= 0")
+        if not isinstance(s, int) or not isinstance(r, int) or s < 0 or r < 1:
+            raise ValueError("milnor presentation needs integers s >= 0 and r >= 1")
         if s > r:
             raise ValueError(f"milnor presentation requires s <= r, got s={s}, r={r}")
     elif kind == "truncated":
@@ -243,9 +242,6 @@ class Element(Record):
     def __mul__(self, other: "Element") -> "Element":
         return multiply(self, other)
 
-    def __pow__(self, e: int) -> "Element":
-        return power(self, e)
-
     def __repr__(self):
         terms = map(self.algebra.format_monomial, sorted(self.support))
         return "Element(" + (" + ".join(terms) or "0") + ")"
@@ -261,8 +257,8 @@ def zero(A) -> Element:
 
 
 def unit(A) -> Element:
-    """The multiplicative unit (zero in the zero ring)."""
-    return Element.computed(A, frozenset() if A.one is None else frozenset((A.one,)))
+    """The multiplicative unit."""
+    return Element.computed(A, frozenset((A.one,)))
 
 
 def generator(P: Presentation, name: str) -> Element:
@@ -297,8 +293,6 @@ def power(x: Element, e: int) -> Element:
 
 def poincare_series(P: Presentation) -> list:
     """Per-degree basis counts, degree 0 through the top degree."""
-    if not P.basis:
-        return []
     return [len(P.degree_slices.get(d, ())) for d in range(P.top_degree + 1)]
 
 

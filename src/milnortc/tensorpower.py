@@ -34,7 +34,7 @@ class TensorPower:
     def __init__(self, base: Presentation, n: int):
         self.base = base
         self.n = n
-        self.one = None if base.one is None else (base.one,) * n
+        self.one = (base.one,) * n
 
     def monomial_degree(self, tup) -> int:
         return sum(self.base.monomial_degree(c) for c in tup)
@@ -106,7 +106,6 @@ def inject(P: Presentation, n: int, i: int, x: Element) -> Element:
         raise ValueError(f"position {i} out of range 1..{n}")
     if x.algebra is not P:
         raise ValueError("element is not over the given presentation")
-    # the zero ring has no unit, but then x.support is empty too
     support = frozenset(
         tuple(mono if k == i - 1 else P.one for k in range(n)) for mono in x.support
     )
@@ -130,11 +129,8 @@ def diagonal_eval(u: Element) -> Element:
 def slice_dimensions(P: Presentation, n: int) -> list:
     """Dimensions of the degree slices 0..n * top degree of the n-th power:
     the coefficients of the n-th power of the Poincaré series, computed
-    once for all degrees.  As in :func:`tensor_slice`, the zero ring has no
-    monomial in any power, n = 0 included."""
+    once for all degrees."""
     series = poincare_series(P)
-    if not series:
-        return [0]
     dims = [1]
     for _ in range(n):
         nxt = [0] * (len(dims) + len(series) - 1)
@@ -153,13 +149,12 @@ def tensor_slice(P: Presentation, n: int, d: int, slices: dict):
     leaves them at most (n - 1) * top degree, so no empty slice is built.
     Every slice built, of this power and the lower ones, is kept in slices
     under (power, degree) and read from there again.  The n = 0 power has
-    the empty tuple in degree 0, except over the zero ring, which has no
-    monomial in any power."""
+    the empty tuple in degree 0."""
     cached = slices.get((n, d))
     if cached is not None:
         return cached
     if n == 0:
-        result = ((),) if d == 0 and P.basis else ()
+        result = ((),) if d == 0 else ()
     else:
         monomials = []
         low = d - (n - 1) * P.top_degree

@@ -3,7 +3,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from milnortc import certgen
+from milnortc import certgen, cuplength
 from milnortc.certgen import (
     cert_case1,
     cert_case2,
@@ -159,45 +159,31 @@ def test_generation_is_deterministic():
 
 
 def test_case2_evaluates_the_base_and_each_bridge_once(monkeypatch):
-    # the block factors are multiplied once per search, and each bridge is
-    # evaluated and squared once, however many combinations use it
-    multiplied, evaluated = [], []
-    factor_product, evaluate = certgen._factor_product, certgen.evaluate_text
+    # the product of the certificate's factors is formed once, by the
+    # verifier's own loop, which evaluates each factor once; the certificate
+    # is returned without being verified again, and tc_bounds verifies it
+    # once, like every certificate it is offered
+    multiplied = []
+    factor_product = certgen._factor_product
 
     def product_spy(P, n, factors):
         multiplied.append(tuple(factors))
         return factor_product(P, n, factors)
 
-    def evaluate_spy(text, P, n):
-        evaluated.append(text)
-        return evaluate(text, P, n)
+    def no_verification(cert):
+        raise AssertionError("cert_case2 verified a certificate")
 
     monkeypatch.setattr(certgen, "_factor_product", product_spy)
-    monkeypatch.setattr(certgen, "evaluate_text", evaluate_spy)
-    result = cert_case2(2, 3, 4)
-    assert result == SearchFailure("no bridging classes gave a nonzero product")
-    (base,) = multiplied  # the base alone goes through _factor_product
-    assert len(base) == 4 and all(mult > 2 for _, mult in base)
-    # k - 1 = 1: every bridge of both pools is squared onto the base product
-    wide = [sum_text(g, i, j) for g in "ab" for i in range(1, 5) for j in range(i + 1, 5)]
-    assert sorted(evaluated) == sorted(wide)
-
+    monkeypatch.setattr(cuplength, "verify_certificate", no_verification)
+    monkeypatch.setattr(certgen, "verify_certificate", no_verification, raising=False)
+    for p1, p2, n in ((1, 1, 2), (1, 0, 5), (0, 0, 6)):  # k - 1 = 0, 1, 2 bridges
+        multiplied.clear()
+        cert = cert_case2(p1, p2, n)
+        assert isinstance(cert, Certificate)
+        assert multiplied == [cert.factors]
     multiplied.clear()
-    evaluated.clear()
-    assert isinstance(cert_case2(2, 3, 6), SearchFailure)  # k - 1 = 2
+    assert isinstance(cert_case2(2, 3, 4), SearchFailure)
     assert len(multiplied) == 1
-    assert len(evaluated) == len(set(evaluated)) > 0
-
-    multiplied.clear()
-    evaluated.clear()
-    cert = cert_case2(1, 1, 2)  # k = 1: no bridges, one empty combination
-    assert isinstance(cert, Certificate)
-    # the search's product is the verifier's own computation, so the search
-    # returns the certificate without verifying it again; tc_bounds verifies
-    # it once, like every certificate it is offered
-    assert multiplied == [cert.factors]
-    assert evaluated == []
-    assert verify_certificate(cert).verdict == "Verified"
 
 
 def _case2_search_by_combination(p1, p2, n):
@@ -248,35 +234,15 @@ CASE2_BOX = [
     for p1 in (0, 1, 2)
     for p2 in (0, 1, 2, 3)
     if 2**p1 <= 2**p2 + 1
-] + [(2, 3, 6), (0, 0, 6), (1, 0, 8), (2, 3, 8)]
+] + [(2, 3, 6), (0, 0, 6), (1, 0, 8), (2, 3, 8), (0, 0, 12), (1, 0, 12), (3, 3, 4), (3, 3, 5)]
 
 
 @pytest.mark.parametrize("p1,p2,n", CASE2_BOX)
 def test_case2_search_matches_the_search_by_combination(p1, p2, n):
     # the same certificate, or a failure where the reference fails; the box
-    # holds successes with two bridges, (0, 0, 6), and three, (1, 0, 8)
+    # holds successes with two bridges, (0, 0, 6), three, (1, 0, 8), and
+    # five, (0, 0, 12) and (1, 0, 12), where (b10+b12) sorts before (b2+b4)
     assert cert_case2(p1, p2, n) == _case2_search_by_combination(p1, p2, n)
-
-
-@pytest.mark.parametrize(
-    "p1,p2,n,first",
-    [(0, 0, 4, ("(b1+b3)",)), (1, 0, 5, ("(b1+b3)",)), (0, 0, 6, ("(b1+b3)", "(b1+b5)"))],
-    ids=["0-0-4", "1-0-5", "0-0-6"],
-)
-def test_case2_wide_pass_returns_the_first_nonzero_combination(monkeypatch, p1, p2, n, first):
-    # on the box above the narrow pool always holds the one nonzero
-    # combination; with it emptied, the wide pass, where 4 to 48 are
-    # nonzero, must return the lexicographically first
-    blocks = certgen._blocks
-
-    def no_narrow_bridges(n, block=(), bridges=(), tail=()):
-        return () if bridges else blocks(n, block, bridges, tail)
-
-    monkeypatch.setattr(certgen, "_blocks", no_narrow_bridges)
-    cert = cert_case2(p1, p2, n)
-    assert cert == _case2_search_by_combination(p1, p2, n)
-    assert cert.factors[-len(first):] == tuple((expr, 2) for expr in first)
-    assert verify_certificate(cert).verdict == "Verified"
 
 
 @pytest.mark.parametrize("p1,p2,n,most", [(2, 3, 6, 99), (2, 3, 4, 64), (2, 3, 8, 165)])
@@ -284,7 +250,8 @@ def test_case2_search_multiplies_each_prefix_once(monkeypatch, p1, p2, n, most):
     # a count, not a time: the search by combination made 1,437 calls at
     # (2, 3, 6), one per combination and bridge onto the 216-term base
     # product, and 64 at (2, 3, 4); the search that kept a stack of prefix
-    # products made 99 at (2, 3, 6) and 165 at (2, 3, 8)
+    # products made 99 at (2, 3, 6) and 165 at (2, 3, 8); the closed form,
+    # one product that stops at its first zero, makes 25 at each
     calls = []
     mul_supports = TensorPower.mul_supports
 

@@ -27,7 +27,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_certificate_round_trip_byte_identical():
-    for cert in (cert_proj(1, 3), cert_case1(1, 2, 2)):
+    noted = cert_proj(1, 2).replace(note="written by hand")
+    for cert in (cert_proj(1, 3), cert_case1(1, 2, 2), noted):
         text = certificate_to_json(cert)
         assert certificate_from_json(text) == cert
         assert certificate_to_json(certificate_from_json(text)) == text
@@ -522,10 +523,11 @@ def test_gen_cert_missing_params(capsys):
     capsys.readouterr()
 
 
-def test_gen_cert_failed_search_exits_1_with_no_file(tmp_path, capsys):
+@pytest.mark.parametrize("n", [4, 8])
+def test_gen_cert_failed_search_exits_1_with_no_file(tmp_path, capsys, n):
     out = tmp_path / "c.json"
     assert main(["gen-cert", "--method", "case2", "--params", "p1=2,p2=3",
-                 "--n", "4", "--out", str(out)]) == 1
+                 "--n", str(n), "--out", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == ("certificate search failed: no bridging classes gave"

@@ -31,12 +31,6 @@ def test_basis_size(s, r):
     assert len(milnor(s, r).basis) == (s + 1) * r
 
 
-def test_zero_ring():
-    P = milnor(0, 0)
-    assert P.basis == ()
-    assert unit(P).is_zero
-
-
 def test_element_rejects_non_basic_monomial():
     P = milnor(1, 2)
     with pytest.raises(ValueError, match="non-basic"):
@@ -116,14 +110,15 @@ def test_product_presentation():
     "fields, message",
     [
         (dict(kind="milnor", s=1, r=2, gen_degree=3), "gen_degree must be 1 or 2, got 3"),
-        (dict(kind="milnor", s=-1, r=2), "milnor presentation needs integers s, r >= 0"),
-        (dict(kind="milnor", s=1, r=2.0), "milnor presentation needs integers s, r >= 0"),
+        (dict(kind="milnor", s=-1, r=2), "milnor presentation needs integers s >= 0 and r >= 1"),
+        (dict(kind="milnor", s=1, r=2.0), "milnor presentation needs integers s >= 0 and r >= 1"),
+        (dict(kind="milnor", s=0, r=0), "milnor presentation needs integers s >= 0 and r >= 1"),
         (dict(kind="milnor", s=3, r=2), "milnor presentation requires s <= r, got s=3, r=2"),
         (dict(kind="truncated", m=-1), "truncated presentation needs an integer m >= 0"),
         (dict(kind="product", factors=[]), "product presentation needs a list of presentations"),
         (dict(kind="sphere"), "unknown presentation kind: 'sphere'"),
     ],
-    ids=["gen-degree", "milnor-negative", "milnor-float", "milnor-s-above-r",
+    ids=["gen-degree", "milnor-negative", "milnor-float", "milnor-zero-ring", "milnor-s-above-r",
          "truncated-negative", "product-empty", "unknown-kind"],
 )
 def test_make_presentation_refuses_bad_fields(fields, message):
@@ -177,6 +172,8 @@ def test_binom_mod2_against_pascal():
 
 def test_unknown_generator_and_negative_exponent_are_refused():
     P = milnor(1, 2)
+    with pytest.raises(ValueError, match="^expected 2 exponents, got 3$"):
+        P.reduce((1, 0, 0))
     with pytest.raises(ValueError, match=re.escape("unknown generator 'x'; have ('a', 'b')")):
         generator(P, "x")
     with pytest.raises(ValueError, match="^exponent must be non-negative$"):

@@ -6,7 +6,7 @@ import pytest
 
 from milnortc.bounds import BoundReport, Group, RuleTrace, eqtc_bounds
 from milnortc.cuplength import Certificate, FactorCheck, SearchFailure, VerificationReport
-from milnortc.exprs import Gen, Pow, Prod, Sum, Unit
+from milnortc.exprs import Gen, Pow, Prod, Sum, Unit, evaluate_text
 from milnortc.f2algebra import Element, generator, make_presentation
 from milnortc.spaces import (
     ComplexMilnor,
@@ -156,5 +156,6 @@ def test_repr_names_each_field():
     assert repr(SearchFailure("why")) == "SearchFailure(reason='why')"
     # Element keeps its own repr, in the terms of its algebra
     assert repr(generator(P, "x")) == "Element(x)"
+    assert repr(evaluate_text("(x1+x2)^2", P, 2)) == "Element((1⊗x^2) + (x^2⊗1))"
     with pytest.raises(ValueError, match=r"unsupported group Group\(name='x', dim=3\)"):
         eqtc_bounds("rh:5,3", Group("x", 3), 2)

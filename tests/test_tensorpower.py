@@ -114,16 +114,6 @@ def test_multiply_matches_the_slotwise_product_on_several_term_slots():
                 )
 
 
-def test_multiply_in_the_zero_ring():
-    P = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
-    for n in range(1, 5):
-        T = tensor_power(P, n)
-        # no unit: unit(T) is zero too
-        for u, v in ((zero(T), unit(T)), (unit(T), unit(T))):
-            got = multiply(u, v).support
-            assert got == slotwise_mul_supports(T, u.support, v.support) == set()
-
-
 def test_injected_factor_multiplies_only_its_own_slots(monkeypatch):
     # a count, not a time: an element times a sum of classes injected in
     # slots 1 and 2 multiplies in the base ring at most once per pair of
@@ -189,10 +179,7 @@ def test_tensor_slice_sorted_and_graded(P):
 
 def brute_force_slice(P, n, d):
     """Every n-tuple of basis monomials of total degree d, in rank order
-    slot by slot.  The zero ring has no monomial in any power, n = 0
-    included."""
-    if not P.basis:
-        return ()
+    slot by slot."""
     key = lambda tup: tuple(P.rank_of[exps] for exps in tup)
     return tuple(
         sorted(
@@ -207,13 +194,10 @@ def brute_force_slice(P, n, d):
 
 
 @pytest.mark.parametrize(
-    "space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1", "zero"]
+    "space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1"]
 )
 def test_tensor_slice_matches_the_brute_force_slice(space):
-    if space == "zero":
-        P = make_presentation(kind="milnor", s=0, r=0, gen_degree=1)
-    else:
-        P = cohomology_of(parse_space(space))
+    P = cohomology_of(parse_space(space))
     slices = {}
     for n in range(5):
         dims = slice_dimensions(P, n)
