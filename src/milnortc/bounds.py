@@ -13,7 +13,7 @@ from __future__ import annotations
 import enum
 
 from .certgen import cert_cat_topclass, certificates_for
-from .cuplength import Certificate, SearchFailure, cup_witness, verify_certificate
+from .cuplength import Certificate, cup_witness, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
 from .record import Record
 from .spaces import (
@@ -241,8 +241,7 @@ def tc_bounds(
     if use_certs:
         source = "verified zero-divisor certificate"
         for rule, cert in certificates_for(space, n):
-            if not isinstance(cert, SearchFailure):
-                trace.append(_verified_row(cert, rule, source))
+            trace.append(_verified_row(cert, rule, source))
         trace.append(
             _verified_row(
                 cert_cat_topclass(space, n - 1),

@@ -2,9 +2,10 @@
 
 Each construction emits a :class:`Certificate` whose total factor count
 matches the corresponding closed-form cup value.  Only :func:`cert_case2`
-asserts nonzeroness: it forms its product and returns a certificate only
-when that product is nonzero.
-Verification is a separate step in :mod:`cuplength`.
+asserts nonzeroness: it returns its certificate only when
+:func:`milnortc.cuplength.verify_certificate`, the one code that multiplies
+a certificate's factors, verifies it.  Every other construction, and every
+certificate :func:`certificates_for` offers, is checked by the caller.
 Generation is deterministic: identical parameters give identical output.
 
 This module alone knows the families: :data:`GENERATORS` maps each
@@ -17,7 +18,7 @@ does not run this module; a test keeps the two lists equal.
 
 from __future__ import annotations
 
-from .cuplength import Certificate, SearchFailure, _factor_product
+from .cuplength import Certificate, SearchFailure, verify_certificate
 from .exprs import Gen, sum_text, to_string
 from .spaces import (
     ComplexMilnor,
@@ -77,20 +78,11 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
     return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
 
 
-def cert_case2(p1: int, p2: int, n: int):
-    """Certificate for s = 2^p1, r = 2^p2 + 1: the blocks of a-sums to the
-    (2s-1)-st and b-sums to the (2(r-1)-1)-st power, for odd n the tail,
-    then the k-1 squared even-position b sums (b_2i + b_2i+2)^2 bridging
-    blocks, sorted by their text.  The product of all these factors is
-    formed once, by the verifier's own loop; the certificate is returned
-    when it is nonzero, and a SearchFailure otherwise.  Each factor is a
-    sum g_i + g_j, sent by the diagonal to 2g = 0, so a nonzero product is
-    a verified certificate.
-
-    These bridges are measured, not proven, to be the ones a search over
-    every combination of squared sums g_i + g_j finds: on every p1, p2 <= 3
-    with s <= r at n = 2..10, r = 2 at n = 11..14 and r = 17 at n = 2..6
-    (132 cases), both give the same certificate, or both fail."""
+def _case2(p1: int, p2: int, n: int) -> Certificate:
+    """The case-2 certificate for s = 2^p1, r = 2^p2 + 1, unchecked: the
+    blocks of a-sums to the (2s-1)-st and b-sums to the (2(r-1)-1)-st power,
+    for odd n the tail, then the k-1 squared even-position b sums
+    (b_2i + b_2i+2)^2 bridging blocks, sorted by their text."""
     if p1 < 0 or p2 < 0:
         raise ValueError("p1 and p2 must be non-negative")
     if n < 2:
@@ -105,12 +97,25 @@ def cert_case2(p1: int, p2: int, n: int):
         tail=(("a", s), ("b", r - 1)),
     )
     factors = base + tuple(sorted(_blocks(n, bridges=(("b", 0, 2),))))
-    milnor = RealMilnor(r, s)
-    product, _ = _factor_product(cohomology_of(milnor), n, factors)
-    if product.is_zero:
-        return SearchFailure("no bridging classes gave a nonzero product")
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(milnor), n, factors, claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
+
+
+def cert_case2(p1: int, p2: int, n: int):
+    """The case-2 certificate for s = 2^p1, r = 2^p2 + 1 (see
+    :func:`_case2`) when :func:`verify_certificate` verifies it, and a
+    SearchFailure otherwise.  Each factor is a sum g_i + g_j, sent by the
+    diagonal to 2g = 0, so the verdict fails exactly when the product
+    vanishes.
+
+    These bridges are measured, not proven, to be the ones a search over
+    every combination of squared sums g_i + g_j finds: on every p1, p2 <= 3
+    with s <= r at n = 2..10, r = 2 at n = 11..14 and r = 17 at n = 2..6
+    (132 cases), both give the same certificate, or both fail."""
+    cert = _case2(p1, p2, n)
+    if verify_certificate(cert).verdict != "Verified":
+        return SearchFailure("no bridging classes gave a nonzero product")
+    return cert
 
 
 def cert_r2t(s: int, t: int, n: int) -> Certificate:
@@ -162,9 +167,10 @@ GENERATORS = {
 
 def certificates_for(space, n: int) -> list:
     """The families whose hypotheses the space satisfies, as (rule,
-    Certificate | SearchFailure) rows.  Each certificate is labelled with
-    the space, whose ring it is checked in: a family written for rh:r,s
-    serves ch:r,s too, whose ring is rh's with every degree doubled."""
+    Certificate) rows, none of them checked yet.  Each certificate is
+    labelled with the space, whose ring it is checked in: a family written
+    for rh:r,s serves ch:r,s too, whose ring is rh's with every degree
+    doubled."""
     rows = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
@@ -173,7 +179,7 @@ def certificates_for(space, n: int) -> list:
             rows.append(("certificate-odd-power-blocks", cert_case1(t1, t2, n)))
         p1, p2 = _log2(s), _log2(r - 1)
         if p1 is not None and p2 is not None:
-            rows.append(("certificate-searched-bridges", cert_case2(p1, p2, n)))
+            rows.append(("certificate-searched-bridges", _case2(p1, p2, n)))
         if t2 is not None and s >= 1:
             rows.append(("certificate-power-of-two-r", cert_r2t(s, t2, n)))
     elif isinstance(space, RealProj):
@@ -181,10 +187,7 @@ def certificates_for(space, n: int) -> list:
         if t is not None:
             rows.append(("certificate-projective", cert_proj(t, n)))
     label = format_space(space)
-    return [
-        (rule, cert if isinstance(cert, SearchFailure) else cert.replace(space=label))
-        for rule, cert in rows
-    ]
+    return [(rule, cert.replace(space=label)) for rule, cert in rows]
 
 
 def cert_cat_topclass(space, n: int) -> Certificate:

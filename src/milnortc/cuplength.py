@@ -107,9 +107,7 @@ class VerificationReport(Record):
         "product_nonzero",
         "verified_cup",
         "verdict",  # Verified | FactorNotZeroDivisor | ProductVanishes
-        "zero_divisors_required",
     )
-    _defaults = {"zero_divisors_required": True}
 
     @property
     def verified_tc_lower(self) -> int | None:
@@ -123,9 +121,10 @@ def _slots(el: Element) -> set:
     return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
 
 
-def _factor_product(P: Presentation, n: int, factors):
-    """The product of the power of each (expression, multiplicity) of
-    factors, with one check per factor in the order given.
+def verify_certificate(cert: Certificate) -> VerificationReport:
+    """Check every factor, in the order given, and the full product of
+    their powers in the ring of cert.space; never consults the claims.
+    This is the one loop that multiplies a certificate's factors.
 
     The powers are multiplied in slot-overlap order: next comes the pending
     factor that shares the most non-unit slots with the product so far,
@@ -136,28 +135,22 @@ def _factor_product(P: Presentation, n: int, factors):
     before a factor that links them can make it vanish.  The product starts
     from the first power taken, never from the unit, and once it is zero
     the remaining powers are not formed."""
+    P, n = cohomology_of(parse_space(cert.space)), cert.n
     checks, pending = [], []
-    for text, mult in factors:
+    for text, mult in cert.factors:
         el = exprs.evaluate_text(text, P, n)
         checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
         pending.append((_slots(el), el, mult))
-    if not pending:
-        return unit(tensor_power(P, n)), checks
-    slots, el, mult = pending.pop(0)
-    product, covered = power(el, mult), slots
+    if pending:
+        slots, el, mult = pending.pop(0)
+        product, covered = power(el, mult), slots
+    else:
+        product = unit(tensor_power(P, n))
     while pending and not product.is_zero:
         i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
         slots, el, mult = pending.pop(i)
         product = multiply(product, power(el, mult))
         covered |= slots
-    return product, checks
-
-
-def verify_certificate(cert: Certificate) -> VerificationReport:
-    """Check every factor and the full product in the ring of cert.space;
-    never consults the claims."""
-    P = cohomology_of(parse_space(cert.space))
-    product, checks = _factor_product(P, cert.n, cert.factors)
     if not (cert.cat_witness or all(c.is_zero_divisor for c in checks)):
         verdict = "FactorNotZeroDivisor"
     elif product.is_zero:
@@ -170,7 +163,6 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
         product_nonzero=not product.is_zero,
         verified_cup=verified,
         verdict=verdict,
-        zero_divisors_required=not cert.cat_witness,
     )
 
 

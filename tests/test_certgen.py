@@ -3,13 +3,15 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from milnortc import certgen, cuplength
+from milnortc import bounds, certgen, cuplength
+from milnortc.bounds import tc_bounds
 from milnortc.certgen import (
     cert_case1,
     cert_case2,
     cert_cat_topclass,
     cert_proj,
     cert_r2t,
+    certificates_for,
 )
 from milnortc.cuplength import (
     Certificate,
@@ -19,7 +21,7 @@ from milnortc.cuplength import (
 )
 from milnortc.exprs import evaluate_text, sum_text
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import RealMilnor, cohomology_of
+from milnortc.spaces import RealMilnor, cohomology_of, parse_space
 from milnortc.tensorpower import TensorPower, tensor_power
 
 
@@ -134,8 +136,9 @@ def test_cat_topclass():
     assert cert.claimed_cup == 2 * 6
     report = verify_certificate(cert)
     assert report.verdict == "Verified"
-    assert not report.zero_divisors_required
     assert not any(c.is_zero_divisor for c in report.per_factor)
+    # the flag alone lifts the zero-divisor requirement
+    assert verify_certificate(cert.replace(cat_witness=False)).verdict == "FactorNotZeroDivisor"
 
 
 def test_cat_topclass_from_string():
@@ -158,32 +161,59 @@ def test_generation_is_deterministic():
     assert cert_proj(2, 4) == cert_proj(2, 4)
 
 
-def test_case2_evaluates_the_base_and_each_bridge_once(monkeypatch):
-    # the product of the certificate's factors is formed once, by the
-    # verifier's own loop, which evaluates each factor once; the certificate
-    # is returned without being verified again, and tc_bounds verifies it
-    # once, like every certificate it is offered
-    multiplied = []
-    factor_product = certgen._factor_product
+def _verifier_spy(monkeypatch, module):
+    """Record every certificate module passes to verify_certificate, with
+    its verdict; the verifier of every other module raises."""
+    seen = []
 
-    def product_spy(P, n, factors):
-        multiplied.append(tuple(factors))
-        return factor_product(P, n, factors)
+    def spy(cert):
+        report = verify_certificate(cert)
+        seen.append((cert, report.verdict))
+        return report
 
     def no_verification(cert):
-        raise AssertionError("cert_case2 verified a certificate")
+        raise AssertionError(f"verified outside {module.__name__}")
 
-    monkeypatch.setattr(certgen, "_factor_product", product_spy)
-    monkeypatch.setattr(cuplength, "verify_certificate", no_verification)
-    monkeypatch.setattr(certgen, "verify_certificate", no_verification, raising=False)
-    for p1, p2, n in ((1, 1, 2), (1, 0, 5), (0, 0, 6)):  # k - 1 = 0, 1, 2 bridges
-        multiplied.clear()
-        cert = cert_case2(p1, p2, n)
-        assert isinstance(cert, Certificate)
-        assert multiplied == [cert.factors]
-    multiplied.clear()
-    assert isinstance(cert_case2(2, 3, 4), SearchFailure)
-    assert len(multiplied) == 1
+    for mod in (cuplength, certgen, bounds):
+        monkeypatch.setattr(mod, "verify_certificate", spy if mod is module else no_verification)
+    return seen
+
+
+@pytest.mark.parametrize("space,n,p1,p2", [("rh:3,2", 3, 1, 1), ("rh:9,4", 4, 2, 3)])
+def test_certificates_for_offers_case2_unchecked(monkeypatch, space, n, p1, p2):
+    # rh:9,4 at n = 4 is the case-2 certificate whose product vanishes
+    seen = _verifier_spy(monkeypatch, bounds)
+    rows = dict(certificates_for(parse_space(space), n))
+    assert rows["certificate-searched-bridges"] == certgen._case2(p1, p2, n)
+    assert seen == []
+
+
+@pytest.mark.parametrize("space,n", [("rh:3,2", 3), ("rh:9,4", 4), ("ch:9,4", 4)])
+def test_tc_bounds_verifies_each_offered_certificate_once(monkeypatch, space, n):
+    rows = certificates_for(parse_space(space), n)
+    seen = _verifier_spy(monkeypatch, bounds)
+    report = tc_bounds(space, n)
+    assert [cert for cert, _ in seen] == [cert for _, cert in rows] + [
+        cert_cat_topclass(space, n - 1)
+    ]
+    # the case-2 certificate gives a row exactly when it verifies
+    case2 = dict(rows)["certificate-searched-bridges"]
+    verdicts = [verdict for cert, verdict in seen if cert == case2]
+    rules = {t.rule for t in report.trace}
+    assert ("certificate-searched-bridges" in rules) == (verdicts == ["Verified"])
+
+
+@pytest.mark.parametrize("p1,p2,n", [(1, 1, 2), (1, 0, 5), (0, 0, 6), (2, 3, 4), (2, 3, 8)])
+def test_cert_case2_takes_the_verifiers_verdict(monkeypatch, p1, p2, n):
+    # k - 1 = 0, 1 and 2 bridges that verify, and two products that vanish
+    seen = _verifier_spy(monkeypatch, certgen)
+    got = cert_case2(p1, p2, n)
+    [(cert, verdict)] = seen
+    assert cert == certgen._case2(p1, p2, n)
+    if verdict == "Verified":
+        assert got == cert
+    else:
+        assert got == SearchFailure("no bridging classes gave a nonzero product")
 
 
 def _case2_search_by_combination(p1, p2, n):

@@ -79,9 +79,10 @@ def test_cat_witness_skips_zero_divisor_requirement():
         "rp:2", 2, (("x1", 2), ("x2", 2)), 4, 5, cat_witness=True
     )
     report = verify_certificate(cert)
-    assert not report.zero_divisors_required
     assert report.verdict == "Verified"
     assert report.verified_cup == 4
+    assert not any(c.is_zero_divisor for c in report.per_factor)
+    assert verify_certificate(cert.replace(cat_witness=False)).verdict == "FactorNotZeroDivisor"
 
 
 def test_verdict_never_consults_claims():
@@ -112,8 +113,7 @@ def family_certificates():
     for space in ("rh:4,3", "rh:8,5", "rh:16,9", "ch:3,2", "rp:8"):
         for n in range(2, 7):
             for _, cert in certificates_for(parse_space(space), n):
-                if isinstance(cert, Certificate):
-                    yield cert
+                yield cert
     yield cert_r2t(5, 3, 8)
 
 

@@ -84,7 +84,7 @@ def test_defaults_and_keyword_construction():
     assert Certificate("rp:2", 2, (("x1", 1),), 1, 2, cat_witness=True).cat_witness
     report = BoundReport("rp:2", "tc", 2, 3, 5)
     assert (report.group, report.verified_lower, report.trace) == (None, None, ())
-    assert VerificationReport((), True, 3, "Verified").zero_divisors_required is True
+    assert BoundReport("rp:2", "tc", 2, 3, 5, trace=()).verified_lower is None
     assert Gen(position=1, name="a") == g
 
 
