@@ -9,6 +9,8 @@ produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 # a layer that some command does not call is reached through its module
@@ -27,6 +29,10 @@ _QUANTITY_LABEL = {"cat": "cat", "tc": "TC", "eqtc": "TC_G"}
 # Written out so that building the parser does not run certgen; a test
 # keeps the two equal
 _METHODS = ("case1", "case2", "r2t", "proj", "cat")
+
+# at exit, move every object to the permanent generation, so that the
+# collections run while the interpreter tears its modules down skip them
+atexit.register(gc.freeze)
 
 
 # --- certificate files -------------------------------------------------------

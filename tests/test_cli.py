@@ -356,6 +356,38 @@ def test_cli_module_runs_without_a_warning():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
 
 
+@pytest.mark.parametrize("module, frozen", [("milnortc.cli", True), ("milnortc", False)])
+def test_importing_the_cli_freezes_the_heap_at_exit(module, frozen):
+    # exit hooks run last in first out, so a hook registered before the
+    # import runs after the CLI's own; only the CLI registers the freeze
+    proc = _fresh_python(
+        "-c",
+        "import atexit, gc\n"
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
+        f"import {module}\n",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{frozen}\n", "")
+
+
+def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, capsys):
+    # the interpreter flushes stdio after the exit freeze, and --out files
+    # are closed before main() returns, so a command run as its own process
+    # exits, prints and writes as main() does in process
+    def commands(cert):
+        return [["gen-cert", "--method", "case2", "--params", "p1=1,p2=1", "--n", "3",
+                 "--out", str(cert)], ["verify", "--cert", str(cert)]]
+
+    spawned, direct = tmp_path / "process.json", tmp_path / "in-process.json"
+    procs = [_fresh_python("-m", "milnortc.cli", *argv) for argv in commands(spawned)]
+    in_process = []
+    for argv in commands(direct):
+        in_process.append((main(argv), capsys.readouterr().out))
+    assert [(p.returncode, p.stdout) for p in procs] == in_process
+    assert spawned.read_bytes() == direct.read_bytes()
+    assert in_process[0] == (0, "") and in_process[1][0] == 0
+    assert "verdict: Verified" in in_process[1][1]
+
+
 def test_gen_cert_method_choices_are_the_generators_and_cat():
     # the CLI writes the methods out, so that building its parser does not
     # run certgen
@@ -398,6 +430,21 @@ def test_benchmark_tracer_traces_a_verify_run(tmp_path):
 
 def test_cup_resource_limit_exit_3():
     assert main(["cup", "--space", "rp:4", "--n", "3", "--max-slice", "4"]) == 3
+
+
+def test_the_default_cap_refuses_rh_16_9_at_n_3_from_sizes_alone(monkeypatch, capsys):
+    # its largest slice (168,256 monomials) is above the default 2^16, and
+    # the degree-23 slice is the first one over it; the refusal reads the
+    # slice dimensions only, so no slice is built
+    from milnortc import cuplength
+
+    calls = []
+    monkeypatch.setattr(cuplength, "tensor_slice", lambda *a: calls.append(a))
+    assert main(["cup", "--space", "rh:16,9", "--n", "3"]) == 3
+    assert capsys.readouterr().err == (
+        "resource limit: degree-23 slice has dimension 70368, above the cap 65536\n"
+    )
+    assert calls == []
 
 
 def test_invalid_input_exit_2(capsys):
