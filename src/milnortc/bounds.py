@@ -5,7 +5,10 @@ Every trace entry is tagged ``machine-verified`` (backed by a verified
 certificate, the exact oracle's witness included) or ``claimed`` (a
 closed-form bound taken from the literature).  The two are never merged: a
 report carries both the overall lower bound and the best machine-verified
-one.  Every number of a report is read off its trace rows.
+one.  Every number of a report is read off its trace rows.  A source asked
+for that gave nothing, such as the oracle refused by its slice cap, shows as
+a ``skipped`` row whose value is None and whose source is the reason; it
+bounds nothing.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ class RuleTrace(Record):
         "source",
         "bound",  # "lower" | "upper"
         "value",
-        "status",  # "machine-verified" | "claimed"
+        "status",  # "machine-verified" | "claimed" | "skipped"
     )
 
 
@@ -88,23 +91,24 @@ def _report(space, quantity: str, n: int, trace: list) -> BoundReport:
     """The interval read off the trace: the largest lower row (1 when there
     is none), the smallest upper row, and the largest machine-verified
     lower row.  None entries, certificates that did not verify, are
-    dropped."""
-    trace = [t for t in trace if t is not None]
+    dropped; skipped rows are kept but bound nothing."""
+    trace = tuple(t for t in trace if t is not None)
+    rows = [t for t in trace if t.status != "skipped"]
     return BoundReport(
         space=format_space(space),
         quantity=quantity,
         n=n,
-        lower=max((t.value for t in trace if t.bound == "lower"), default=1),
-        upper=min(t.value for t in trace if t.bound == "upper"),
+        lower=max((t.value for t in rows if t.bound == "lower"), default=1),
+        upper=min(t.value for t in rows if t.bound == "upper"),
         verified_lower=max(
             (
                 t.value
-                for t in trace
+                for t in rows
                 if t.bound == "lower" and t.status == "machine-verified"
             ),
             default=None,
         ),
-        trace=tuple(trace),
+        trace=trace,
     )
 
 
@@ -230,7 +234,8 @@ def tc_bounds(
     claimed closed-form monotonicity rules.  Upper bound sources (min):
     dimension, category of the n-th power, and the free circle action
     improvement.  A failing source never blocks the others; an oracle
-    witness that does not verify is a fault and raises RuntimeError.
+    refused by max_slice gives a skipped row, and an oracle witness that
+    does not verify is a fault and raises RuntimeError.
     """
     space = _as_space(space)
     if n < 2:
@@ -253,8 +258,10 @@ def tc_bounds(
     if use_oracle:
         try:
             factors = cup_witness(cohomology_of(space), n, max_slice=max_slice)
-        except ResourceLimitError:
-            pass
+        except ResourceLimitError as exc:
+            trace.append(
+                RuleTrace("ideal-power-oracle", str(exc), "lower", None, "skipped")
+            )
         else:
             value = sum(mult for _, mult in factors)
             cert = Certificate(format_space(space), n, factors, value, value + 1)

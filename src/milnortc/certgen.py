@@ -12,8 +12,8 @@ This module alone knows the families: :data:`GENERATORS` maps each
 ``gen-cert`` method to its builder and parameter names, and
 :func:`certificates_for` maps a space to the families whose hypotheses it
 satisfies, for :func:`milnortc.bounds.tc_bounds`.  Only the method names
-are written out again, in :mod:`milnortc.cli`, so that building its parser
-does not run this module; a test keeps the two lists equal.
+are written out again, in :mod:`milnortc.cli`'s option table, so that the
+table does not run this module; a test keeps the two lists equal.
 """
 
 from __future__ import annotations

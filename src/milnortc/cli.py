@@ -8,10 +8,10 @@ produce byte-identical text.
 
 from __future__ import annotations
 
-import argparse
 import atexit
 import gc
 import sys
+from types import SimpleNamespace
 
 # a layer that some command does not call is reached through its module
 # object, which runs on first use (see the package docstring), so that each
@@ -26,8 +26,8 @@ SCHEMA_VERSION = 1
 _QUANTITY_LABEL = {"cat": "cat", "tc": "TC", "eqtc": "TC_G"}
 
 # the gen-cert methods: those of certgen.GENERATORS, in its order, then cat.
-# Written out so that building the parser does not run certgen; a test
-# keeps the two equal
+# Written out so that the option table does not run certgen; a test keeps
+# the two equal
 _METHODS = ("case1", "case2", "r2t", "proj", "cat")
 
 # at exit, move every object to the permanent generation, so that the
@@ -197,7 +197,7 @@ def emit_table(reports, fmt: str = "md") -> str:
 def _parse_params(items) -> dict:
     params = {}
     last = None
-    for item in items or ():
+    for item in items:
         for piece in item.split(","):
             if not piece:
                 continue
@@ -227,7 +227,7 @@ def _parse_range(text: str, flag: str):
 def _slice_cap(text: str) -> int:
     cap = int(text)
     if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {cap}")
+        raise ValueError(f"must be non-negative, got {cap}")
     return cap
 
 
@@ -239,59 +239,175 @@ def _write_out(text: str, out: str | None):
         sys.stdout.write(text)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="milnortc",
-        description="Exact mod-2 bounds on category and higher topological "
-        "complexity of Milnor manifolds and projective spaces.",
+# --- the command line --------------------------------------------------------
+
+# An option's kind is a converter, a tuple of its choices, _FLAG (it takes
+# no value and sets True) or _REPEAT (a string that may be given again; the
+# values are kept in order).  Its default is _REQUIRED when it must be
+# given.  _parse_args and the --help text both read this table, and nothing
+# else describes the options
+_FLAG, _REPEAT, _REQUIRED = "flag", "repeat", "required"
+_FORMATS = ("md", "csv", "json")
+_SPACE_HELP = "the space, such as rh:4,3, cp:2 or prod:rp3,rp2"
+_OUT_HELP = "write to this file instead of stdout"
+
+_COMMANDS = {
+    "bounds": ("emit a bound report for one space", {
+        "--space": (str, _REQUIRED, _SPACE_HELP),
+        "--quantity": (("cat", "tc", "eqtc"), _REQUIRED, "the invariant to bound"),
+        "--n": (int, _REQUIRED, "n of TC_n, or the n-fold power for cat"),
+        "--group": (("z2", "s1"), None, "the freely acting group; eqtc only"),
+        "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
+        "--no-certs": (_FLAG, False, "leave out the generated certificates"),
+        "--no-monotonicity": (_FLAG, False, "leave out the monotonicity rules"),
+        # no default, so that cat can tell the option was given
+        "--max-slice": (_slice_cap, None,
+                        f"the oracle's largest slice (default {DEFAULT_MAX_SLICE})"),
+        "--format": (_FORMATS, "md", "output format"),
+        "--out": (str, None, _OUT_HELP),
+    }),
+    "cup": ("exact zero-divisor cup-length oracle", {
+        "--space": (str, _REQUIRED, _SPACE_HELP),
+        "--n": (int, _REQUIRED, "the number of tensor factors"),
+        "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
+        "--out": (str, None, _OUT_HELP),
+    }),
+    "verify": ("verify a certificate file", {
+        "--cert": (str, _REQUIRED, "the certificate file"),
+        "--format": (("md", "json"), "md", "output format"),
+        "--out": (str, None, _OUT_HELP),
+    }),
+    "gen-cert": ("generate a certificate file", {
+        "--method": (_METHODS, _REQUIRED, "the certificate family"),
+        "--params": (_REPEAT, (), "key=value pairs, comma-separated"),
+        "--n": (int, _REQUIRED, "n of TC_n"),
+        "--out": (str, _REQUIRED, "the certificate file to write"),
+    }),
+    "table": ("batch bound reports over a family", {
+        "--family": (("rh", "ch", "rp"), _REQUIRED, "the family of spaces"),
+        "--r": (str, None, "range A..B (r for Milnor, m for rp)"),
+        "--s": (str, None, "range C..D"),
+        "--n": (str, _REQUIRED, "range E..F"),
+        "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
+        "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
+        "--format": (_FORMATS, "md", "output format"),
+        "--out": (str, None, _OUT_HELP),
+    }),
+    "lucas": ("binomial coefficient parity", {
+        "--n": (int, _REQUIRED, "the top of the binomial coefficient"),
+        "--k": (int, _REQUIRED, "the bottom of the binomial coefficient"),
+    }),
+}
+
+_HELP = ("-h", "--help")
+
+
+def _usage(command: str | None = None) -> str:
+    """The --help text of the program, or of one command, from the table."""
+    if command is None:
+        lines = [
+            "usage: milnortc <command> [options]",
+            "",
+            "Exact mod-2 bounds on category and higher topological complexity",
+            "of Milnor manifolds and projective spaces.",
+            "",
+            "commands:",
+            *(f"  {name:<10}{summary}" for name, (summary, _) in _COMMANDS.items()),
+            "",
+            "Run 'milnortc <command> --help' for the options of a command.",
+        ]
+        return "\n".join(lines) + "\n"
+    summary, options = _COMMANDS[command]
+    lines = [f"usage: milnortc {command} [options]", "", summary, "", "options:"]
+    for name, (kind, default, text) in options.items():
+        if kind is _FLAG:
+            spec = name
+        elif isinstance(kind, tuple):
+            spec = f"{name} {{{','.join(kind)}}}"
+        else:
+            spec = f"{name} {name[2:].upper().replace('-', '_')}"
+        if default is _REQUIRED:
+            text += " (required)"
+        elif kind is _REPEAT:
+            text += " (repeatable)"
+        elif default not in (None, False):
+            text += f" (default {default})"
+        if len(spec) > 24:
+            # too long for its column: the help goes on the next line
+            lines.append(f"  {spec}")
+            spec = ""
+        lines.append(f"  {spec:<24}  {text}")
+    lines.append(f"  {'-h, --help':<24}  print this help and exit")
+    return "\n".join(lines) + "\n"
+
+
+def _parse_args(argv) -> SimpleNamespace | None:
+    """The command of argv (sys.argv[1:] when None) with a value for each
+    of its options, named as the option without its dashes.  Prints the
+    help text and returns None when argv asks for it; raises ValueError,
+    naming the command or option, on any other usage error."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv:
+        raise ValueError(f"a command is required: {', '.join(_COMMANDS)}")
+    command, *rest = argv
+    if command in _HELP:
+        sys.stdout.write(_usage())
+        return None
+    if command not in _COMMANDS:
+        raise ValueError(
+            f"unknown command {command!r}; expected one of {', '.join(_COMMANDS)}"
+        )
+    options = _COMMANDS[command][1]
+    values = {}
+    tokens = iter(rest)
+    for token in tokens:
+        if token in _HELP:
+            sys.stdout.write(_usage(command))
+            return None
+        if not token.startswith("--"):
+            raise ValueError(f"unexpected argument {token!r}")
+        name, eq, value = token.partition("=")
+        if name not in options:
+            raise ValueError(f"{command} takes no option {name}")
+        kind = options[name][0]
+        if name in values and kind is not _REPEAT:
+            raise ValueError(f"{name} is given more than once")
+        if kind is _FLAG:
+            if eq:
+                raise ValueError(f"{name} takes no value")
+            values[name] = True
+            continue
+        if not eq:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                raise ValueError(f"{name} expects a value")
+        if kind is _REPEAT:
+            values[name] = values.get(name, ()) + (value,)
+        elif isinstance(kind, tuple):
+            if value not in kind:
+                raise ValueError(
+                    f"{name} must be one of {', '.join(kind)}, got {value!r}"
+                )
+            values[name] = value
+        else:
+            try:
+                values[name] = kind(value)
+            except ValueError as exc:
+                raise ValueError(f"{name}: {exc}") from None
+    missing = [
+        name
+        for name, (_, default, _) in options.items()
+        if default is _REQUIRED and name not in values
+    ]
+    if missing:
+        raise ValueError(f"{command} requires {', '.join(missing)}")
+    return SimpleNamespace(
+        command=command,
+        **{
+            name[2:].replace("-", "_"): values.get(name, default)
+            for name, (_, default, _) in options.items()
+        },
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bounds", help="emit a bound report for one space")
-    p.add_argument("--space", required=True)
-    p.add_argument("--quantity", choices=("cat", "tc", "eqtc"), required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--group", choices=("z2", "s1"))
-    p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--no-certs", action="store_true")
-    p.add_argument("--no-monotonicity", action="store_true")
-    # no default here, so that cat can tell the flag was given
-    p.add_argument("--max-slice", type=_slice_cap)
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--out")
-
-    p = sub.add_parser("cup", help="exact zero-divisor cup-length oracle")
-    p.add_argument("--space", required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--max-slice", type=_slice_cap, default=DEFAULT_MAX_SLICE)
-    p.add_argument("--out")
-
-    p = sub.add_parser("verify", help="verify a certificate file")
-    p.add_argument("--cert", required=True)
-    p.add_argument("--format", choices=("md", "json"), default="md")
-    p.add_argument("--out")
-
-    p = sub.add_parser("gen-cert", help="generate a certificate file")
-    p.add_argument("--method", choices=_METHODS, required=True)
-    p.add_argument("--params", action="append", default=[])
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = sub.add_parser("table", help="batch bound reports over a family")
-    p.add_argument("--family", choices=("rh", "ch", "rp"), required=True)
-    p.add_argument("--r", help="range A..B (r for Milnor, m for rp)")
-    p.add_argument("--s", help="range C..D")
-    p.add_argument("--n", required=True, help="range E..F")
-    p.add_argument("--use-oracle", action="store_true")
-    p.add_argument("--max-slice", type=_slice_cap, default=DEFAULT_MAX_SLICE)
-    p.add_argument("--format", choices=("md", "csv", "json"), default="md")
-    p.add_argument("--out")
-
-    p = sub.add_parser("lucas", help="binomial coefficient parity")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-
-    return parser
 
 
 # --- subcommand bodies -------------------------------------------------------
@@ -445,13 +561,9 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code == 0 else 2
-    try:
-        return _DISPATCH[args.command](args)
+        args = _parse_args(argv)
+        return 0 if args is None else _DISPATCH[args.command](args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 3

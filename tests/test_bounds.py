@@ -7,6 +7,7 @@ from milnortc.bounds import (
     CIRCLE,
     Z2,
     FreeAction,
+    RuleTrace,
     admits_free_circle,
     admits_free_involution,
     cat_bounds,
@@ -129,16 +130,23 @@ def test_tc_klein_bottle_maximal_from_n3(n):
     assert report.lower == report.upper == report.verified_lower == 2 * n + 1
 
 
-def test_tc_oracle_over_the_slice_cap_adds_no_row():
+def test_tc_oracle_over_the_slice_cap_adds_a_skipped_row():
     # rh:3,2 at n = 3 has a largest slice of 141 monomials; under a cap of 140
-    # the oracle refuses and the report is the one without the oracle
+    # the oracle refuses, and the report is the one without the oracle plus
+    # one skipped row that gives the refusal and bounds nothing
     P = cohomology_of(RealMilnor(3, 2))
     cap = max(slice_dimensions(P, 3)) - 1
     assert cap == 140
     report = tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap)
-    assert report == tc_bounds("rh:3,2", 3, use_oracle=False)
-    assert "ideal-power-oracle" not in {t.rule for t in report.trace}
-    assert tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap + 1) != report
+    skipped = RuleTrace("ideal-power-oracle",
+                        "degree-6 slice has dimension 141, above the cap 140",
+                        "lower", None, "skipped")
+    assert [t for t in report.trace if t.rule == "ideal-power-oracle"] == [skipped]
+    kept = tuple(t for t in report.trace if t != skipped)
+    assert report.replace(trace=kept) == tc_bounds("rh:3,2", 3, use_oracle=False)
+    ran = tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap + 1)
+    assert [t.status for t in ran.trace if t.rule == "ideal-power-oracle"] == [
+        "machine-verified"]
 
 
 def test_tc_oracle_witness_that_fails_raises(monkeypatch):

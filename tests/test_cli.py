@@ -11,7 +11,7 @@ import pytest
 
 from milnortc.certgen import GENERATORS, cert_case1, cert_proj
 from milnortc.cli import (
-    _build_parser,
+    _COMMANDS,
     certificate_from_json,
     certificate_to_json,
     emit_report,
@@ -297,13 +297,15 @@ def _fresh_python(*args) -> subprocess.CompletedProcess:
 
 
 def test_cli_import_loads_no_numpy():
-    # the package has no third-party runtime dependency, and its value
-    # records import neither dataclasses nor what that pulls in.  The
+    # the package has no third-party runtime dependency, its value records
+    # import neither dataclasses nor what that pulls in, and the command line
+    # is parsed from the CLI's own option table, not by argparse.  The
     # benchmark's tracer looks each layer up in sys.modules after this import
     proc = _fresh_python(
         "-c",
         "import milnortc.cli, sys; "
-        "loaded = {'numpy', 'dataclasses', 'inspect'} & set(sys.modules); "
+        "loaded = {'numpy', 'dataclasses', 'inspect', 'argparse', 'gettext'} "
+        "& set(sys.modules); "
         "assert not loaded, loaded; "
         "layers = ('gf2', 'f2algebra', 'tensorpower', 'spaces', 'exprs', "
         "'cuplength', 'certgen', 'bounds', 'cli'); "
@@ -328,7 +330,7 @@ def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
         "'exprs': 'evaluate_text', 'cuplength': 'cup_exact'}\n"
         "ran = {m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
         "'__dict__') for m, name in names.items()}\n"
-        "print(ran, sorted({'json', 'csv'} & set(sys.modules)))\n",
+        "print(ran, sorted({'json', 'csv', 'argparse', 'gettext'} & set(sys.modules)))\n",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
@@ -389,12 +391,10 @@ def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, capsys):
 
 
 def test_gen_cert_method_choices_are_the_generators_and_cat():
-    # the CLI writes the methods out, so that building its parser does not
-    # run certgen
-    parser = _build_parser()
-    (sub,) = (a for a in parser._actions if a.dest == "command")
-    (method,) = (a for a in sub.choices["gen-cert"]._actions if a.dest == "method")
-    assert method.choices == (*GENERATORS, "cat")
+    # the CLI writes the methods out, so that its option table does not run
+    # certgen
+    kind, _, _ = _COMMANDS["gen-cert"][1]["--method"]
+    assert kind == (*GENERATORS, "cat")
 
 
 def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
@@ -454,6 +454,116 @@ def test_invalid_input_exit_2(capsys):
     assert main(["bounds", "--space", "rh:4,3", "--quantity", "eqtc", "--n", "2",
                  "--group", "s1"]) == 2  # refusal: no free action
     capsys.readouterr()
+
+
+_USAGE_ERRORS = [
+    ([], "a command is required"),
+    (["bogus"], "'bogus'"),
+    (["cup", "--space", "rp:2", "--n", "2", "--bogus"], "--bogus"),
+    (["cup", "--space", "rp:2", "--n"], "--n"),
+    (["gen-cert", "--method", "proj", "--params", "t=1", "--out", "--n", "2"], "--out"),
+    (["lucas", "--n", "x", "--k", "1"], "--n"),
+    (["bounds", "--space", "rp:2", "--quantity", "xx", "--n", "2"], "--quantity"),
+    (["verify", "--cert", "c.json", "--format=csv"], "--format"),
+    (["cup", "--space", "rp:2"], "--n"),
+    (["cup", "--space", "rp:2", "--n", "2", "--n", "3"], "--n"),
+    (["table", "--family", "rp", "--r", "2", "--n", "2", "--use-oracle",
+      "--use-oracle"], "--use-oracle"),
+    (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2", "--use"], "--use"),
+    (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2", "--use-oracle=1"],
+     "--use-oracle"),
+    (["cup", "rp:2", "--n", "2"], "'rp:2'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, named", _USAGE_ERRORS,
+    ids=["no-command", "unknown-command", "unknown-option", "missing-value",
+         "value-is-an-option", "non-int", "bad-choice", "bad-choice-after-equals",
+         "missing-required", "repeated-option", "repeated-flag", "abbreviation",
+         "flag-with-value", "stray-argument"],
+)
+def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,
+                                               capsys):
+    # every usage error is one error line on stderr, with no output and no file
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert named in captured.err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_lists_the_commands(capsys):
+    for flag in ("--help", "-h"):
+        assert main([flag]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for command, (summary, _) in _COMMANDS.items():
+            assert f"  {command}" in captured.out and summary in captured.out
+
+
+@pytest.mark.parametrize("command", list(_COMMANDS))
+def test_command_help_lists_its_options(command, capsys):
+    assert main([command, "--help"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith(f"usage: milnortc {command} ")
+    for option, (_, _, text) in _COMMANDS[command][1].items():
+        assert f"  {option}" in captured.out and text in captured.out
+
+
+def test_no_argv_reads_the_process_arguments(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["milnortc", "lucas", "--n", "7", "--k", "3"])
+    assert main() == 0
+    assert capsys.readouterr().out == "1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["cup", "--space", "rp:4", "--n", "3"],
+     ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--n", "3", "--use-oracle",
+      "--format", "json"],
+     ["table", "--family", "rp", "--r", "3..4", "--n", "3", "--use-oracle",
+      "--format", "csv"]],
+)
+@pytest.mark.parametrize("cap", [5, 140])
+def test_an_option_and_its_value_may_be_joined_by_equals(argv, cap, capsys):
+    # --max-slice=5 is --max-slice 5: same exit code, output and error
+    results = []
+    for tail in (["--max-slice", str(cap)], [f"--max-slice={cap}"]):
+        code = main(argv + tail)
+        results.append((code, *capsys.readouterr()))
+    assert results[0] == results[1]
+    assert results[0][0] == (3 if argv[0] == "cup" and cap == 5 else 0)
+
+
+@pytest.mark.parametrize("fmt", ["md", "csv", "json"])
+def test_bounds_shows_an_oracle_over_its_cap_as_a_skipped_row(fmt, capsys):
+    # rh:3,2 at n = 3 has a largest slice of 141 monomials: under a cap of
+    # 140 the report is the one without the oracle plus one skipped row
+    argv = ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--n", "3",
+            "--format", fmt]
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--use-oracle", "--max-slice", "140"]) == 0
+    capped = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(capped)
+        skipped = [t for t in doc["trace"] if t["status"] == "skipped"]
+        assert skipped == [{
+            "rule": "ideal-power-oracle",
+            "source": "degree-6 slice has dimension 141, above the cap 140",
+            "bound": "lower", "value": None, "status": "skipped"}]
+        doc["trace"].remove(skipped[0])
+        assert doc == json.loads(plain)
+    else:
+        row = {"md": "| ideal-power-oracle | lower | None | skipped |",
+               "csv": '"rh:3,2",3,TC,,11,13,ideal-power-oracle,lower,,skipped'}[fmt]
+        lines = capped.splitlines()
+        lines.remove(row)
+        assert lines == plain.splitlines()
 
 
 def test_milnor_r_zero_exit_2(capsys):
