@@ -5,10 +5,11 @@ Every trace entry is tagged ``machine-verified`` (backed by a verified
 certificate, the exact oracle's witness included) or ``claimed`` (a
 closed-form bound taken from the literature).  The two are never merged: a
 report carries both the overall lower bound and the best machine-verified
-one.  Every number of a report is read off its trace rows.  A source asked
-for that gave nothing, such as the oracle refused by its slice cap, shows as
-a ``skipped`` row whose value is None and whose source is the reason; it
-bounds nothing.
+one.  A report stores only its rows, and every number of it is read off
+them.  An equivariant report holds the lower rows of TC_n, which bound it
+too, and the orbit-dimension row as its only upper row.  A source asked
+for that gave nothing, such as the oracle refused by its slice cap, shows
+as a ``skipped`` row whose value is None and whose source is the reason.
 """
 
 from __future__ import annotations
@@ -66,17 +67,30 @@ class RuleTrace(Record):
 
 
 class BoundReport(Record):
-    __slots__ = (
-        "space",
-        "quantity",  # "cat" | "tc" | "eqtc"
-        "n",
-        "lower",
-        "upper",
-        "group",
-        "verified_lower",
-        "trace",
-    )
-    _defaults = {"group": None, "verified_lower": None, "trace": ()}
+    """The interval of quantity ("cat", "tc" or "eqtc") and the trace rows it
+    is read off: ``lower`` is the largest lower row (1 when there is none),
+    ``upper`` the smallest upper row and ``verified_lower`` the largest
+    machine-verified lower row.  Skipped rows bound nothing."""
+
+    __slots__ = ("space", "quantity", "n", "group", "trace")
+    _defaults = {"group": None, "trace": ()}
+
+    def _ends(self, bound: str, statuses=("machine-verified", "claimed")) -> list:
+        return [
+            t.value for t in self.trace if t.bound == bound and t.status in statuses
+        ]
+
+    @property
+    def lower(self) -> int:
+        return max(self._ends("lower"), default=1)
+
+    @property
+    def upper(self) -> int:
+        return min(self._ends("upper"))
+
+    @property
+    def verified_lower(self) -> int | None:
+        return max(self._ends("lower", ("machine-verified",)), default=None)
 
     @property
     def inconsistent(self) -> bool:
@@ -87,29 +101,10 @@ def _as_space(space):
     return parse_space(space) if isinstance(space, str) else space
 
 
-def _report(space, quantity: str, n: int, trace: list) -> BoundReport:
-    """The interval read off the trace: the largest lower row (1 when there
-    is none), the smallest upper row, and the largest machine-verified
-    lower row.  None entries, certificates that did not verify, are
-    dropped; skipped rows are kept but bound nothing."""
+def _report(space, quantity: str, n: int, trace: list, group=None) -> BoundReport:
+    """The report of trace, without its None entries (failed certificates)."""
     trace = tuple(t for t in trace if t is not None)
-    rows = [t for t in trace if t.status != "skipped"]
-    return BoundReport(
-        space=format_space(space),
-        quantity=quantity,
-        n=n,
-        lower=max((t.value for t in rows if t.bound == "lower"), default=1),
-        upper=min(t.value for t in rows if t.bound == "upper"),
-        verified_lower=max(
-            (
-                t.value
-                for t in rows
-                if t.bound == "lower" and t.status == "machine-verified"
-            ),
-            default=None,
-        ),
-        trace=trace,
-    )
+    return BoundReport(format_space(space), quantity, n, group, trace)
 
 
 def _verified_row(cert, rule: str, source: str) -> RuleTrace | None:
@@ -155,6 +150,34 @@ def admits_free_circle(r: int, s: int) -> FreeAction:
     if s == 0:
         return FreeAction.OUT_OF_HYPOTHESIS
     return FreeAction.YES if (r % 2 == 1 and s % 2 == 1) else FreeAction.NO
+
+
+# group -> the spaces its predicate characterizes, the predicate, and the
+# wording of a refusal: the action, those spaces and the predicate's
+# hypotheses.  tc_bounds' circle row and eqtc_bounds' refusal both read it
+_FREE_ACTIONS = {
+    Z2: ((RealMilnor, ComplexMilnor), admits_free_involution, "free involution",
+         "Milnor manifolds", "1 < s < r, r != 2 mod 4, and r, s both odd"),
+    CIRCLE: ((RealMilnor,), admits_free_circle, "free circle action",
+             "real Milnor manifolds", "1 <= s <= r and r, s both odd"),
+}
+
+
+def _free_action_refusal(space, group: Group) -> str | None:
+    """None when group is known to act freely on space, else why not."""
+    try:
+        kinds, predicate, action, where, hypotheses = _FREE_ACTIONS[group]
+    except KeyError:
+        raise ValueError(f"unsupported group {group!r}") from None
+    if not isinstance(space, kinds):
+        return f"{action}s are characterized for {where} only"
+    status = predicate(space.r, space.s)
+    if status is not FreeAction.YES:
+        return (
+            f"no {action} on {format_space(space)}: predicate returned "
+            f"{status.value} (requires {hypotheses})"
+        )
+    return None
 
 
 # --- category ----------------------------------------------------------------
@@ -264,7 +287,7 @@ def tc_bounds(
             )
         else:
             value = sum(mult for _, mult in factors)
-            cert = Certificate(format_space(space), n, factors, value, value + 1)
+            cert = Certificate(format_space(space), n, factors, value)
             row = _verified_row(
                 cert,
                 "ideal-power-oracle",
@@ -288,17 +311,16 @@ def tc_bounds(
             "claimed",
         )
     )
-    if isinstance(space, RealMilnor):
-        if admits_free_circle(space.r, space.s) is FreeAction.YES:
-            trace.append(
-                RuleTrace(
-                    "free-circle-upper",
-                    "free circle action improves the dimension bound",
-                    "upper",
-                    n * dim,
-                    "claimed",
-                )
+    if _free_action_refusal(space, CIRCLE) is None:
+        trace.append(
+            RuleTrace(
+                "free-circle-upper",
+                "free circle action improves the dimension bound",
+                "upper",
+                n * dim,
+                "claimed",
             )
+        )
     return _report(space, "tc", n, trace)
 
 
@@ -307,62 +329,26 @@ def tc_bounds(
 
 def eqtc_bounds(space, group, n: int, **options) -> BoundReport:
     """Interval for the n-th equivariant topological complexity of a free
-    action: ordinary TC from below, orbit-space dimension from above.  The
+    action.  TC_{G,n} >= TC_n (Bayeh and Sarkar, J. Homotopy Relat. Struct.
+    2020), so every lower row of the TC_n report bounds it too and is kept
+    with its own status.  The upper rows of TC_n do not bound it: the
+    orbit-space dimension n * dim - dim G + 1 is its only upper row.  The
     options are those of :func:`tc_bounds`."""
     space = _as_space(space)
     group = resolve_group(group)
     if n < 2:
         raise ValueError("n must be >= 2")
-    if group is Z2:
-        if not isinstance(space, (RealMilnor, ComplexMilnor)):
-            raise NoFreeActionError(
-                "free involutions are characterized for Milnor manifolds only"
-            )
-        status = admits_free_involution(space.r, space.s)
-        if status is not FreeAction.YES:
-            raise NoFreeActionError(
-                f"no free involution available for {format_space(space)}: "
-                f"predicate returned {status.value} "
-                "(requires 1 < s < r, r != 2 mod 4, and r, s both odd)"
-            )
-    elif group is CIRCLE:
-        if not isinstance(space, RealMilnor):
-            raise NoFreeActionError(
-                "free circle actions are characterized for real Milnor manifolds only"
-            )
-        status = admits_free_circle(space.r, space.s)
-        if status is not FreeAction.YES:
-            raise NoFreeActionError(
-                f"no free circle action on {format_space(space)}: "
-                f"predicate returned {status.value} "
-                "(requires 1 <= s <= r and r, s both odd)"
-            )
-    else:
-        raise ValueError(f"unsupported group {group!r}")
-
-    tc = tc_bounds(space, n, **options)
-    upper = n * space.dimension - group.dim + 1
-    # the orbit bound alone is the upper end: the TC_n upper rows inherited
-    # from the trace do not bound the equivariant complexity
-    return tc.replace(
-        quantity="eqtc",
-        group=group.name,
-        upper=upper,
-        trace=tc.trace
-        + (
-            RuleTrace(
-                "equivariant-dominates-ordinary",
-                "ordinary complexity is a lower bound for the equivariant one",
-                "lower",
-                tc.lower,
-                "claimed",
-            ),
-            RuleTrace(
-                "free-action-orbit-dimension",
-                "orbit-space dimension bound for a free action",
-                "upper",
-                upper,
-                "claimed",
-            ),
-        ),
+    refusal = _free_action_refusal(space, group)
+    if refusal is not None:
+        raise NoFreeActionError(refusal)
+    trace = [t for t in tc_bounds(space, n, **options).trace if t.bound == "lower"]
+    trace.append(
+        RuleTrace(
+            "free-action-orbit-dimension",
+            "orbit-space dimension bound for a free action",
+            "upper",
+            n * space.dimension - group.dim + 1,
+            "claimed",
+        )
     )
+    return _report(space, "eqtc", n, trace, group.name)

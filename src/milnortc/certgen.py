@@ -75,7 +75,7 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
         tail=(("a", s), ("b", r - 1)),
     )
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
 
 
 def _case2(p1: int, p2: int, n: int) -> Certificate:
@@ -98,7 +98,7 @@ def _case2(p1: int, p2: int, n: int) -> Certificate:
     )
     factors = base + tuple(sorted(_blocks(n, bridges=(("b", 0, 2),))))
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
 
 
 def cert_case2(p1: int, p2: int, n: int):
@@ -138,7 +138,7 @@ def cert_r2t(s: int, t: int, n: int) -> Certificate:
         tail=(("a", s), ("b", r - 1)),
     )
     claimed = n * (r + s - 1) - s + 1
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed, claimed + 1)
+    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
 
 
 def cert_proj(t: int, n: int) -> Certificate:
@@ -153,7 +153,7 @@ def cert_proj(t: int, n: int) -> Certificate:
         n, block=(("x", 2 ** (t + 1) - 1),), bridges=(("x", 0, 1),), tail=(("x", 2**t),)
     )
     claimed = n * 2**t - 1
-    return Certificate(f"rp:{2**t}", n, factors, claimed, claimed + 1)
+    return Certificate(f"rp:{2**t}", n, factors, claimed)
 
 
 # method name of gen-cert -> (builder, names of its parameters before n)
@@ -209,6 +209,4 @@ def cert_cat_topclass(space, n: int) -> Certificate:
         if e > 0
     )
     claimed = n * sum(top)
-    return Certificate(
-        format_space(space), n, factors, claimed, claimed + 1, cat_witness=True
-    )
+    return Certificate(format_space(space), n, factors, claimed, cat_witness=True)

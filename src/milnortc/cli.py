@@ -97,15 +97,17 @@ def certificate_from_json(text: str) -> cuplength.Certificate:
             (_typed(f, "expr", str), _typed(f, "multiplicity", int))
             for f in _typed(doc, "factors", list)
         )
-        return cuplength.Certificate(
+        cert = cuplength.Certificate(
             space=_typed(doc, "space", str),
             n=_typed(doc, "n", int),
             factors=factors,
             claimed_cup=_typed(doc, "claimedCup", int),
-            claimed_tc_lower=_typed(doc, "claimedTcLower", int),
             note=_typed(doc, "note", str) if "note" in doc else None,
             cat_witness="catWitness" in doc and _typed(doc, "catWitness", bool),
         )
+        if _typed(doc, "claimedTcLower", int) != cert.claimed_tc_lower:
+            raise ValueError("claimedTcLower must be claimedCup + 1")
+        return cert
     except (KeyError, TypeError) as exc:
         raise ValueError(f"certificate file missing or bad field: {exc}") from None
 
@@ -215,12 +217,21 @@ def _parse_params(items) -> dict:
     return params
 
 
+def _int(text: str, what: str) -> int:
+    """int(text), refused with a message that names what holds it."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{what}: {text!r} is not an integer") from None
+
+
 def _parse_range(text: str, flag: str):
     """'A..B' inclusive, or a single integer; an empty range is refused."""
     lo, dots, hi = text.partition("..")
-    values = range(int(lo), int(hi if dots else lo) + 1)
+    what = f"{flag} range {text!r}"
+    values = range(_int(lo, what), _int(hi if dots else lo, what) + 1)
     if not values:
-        raise ValueError(f"{flag} range {text!r} is empty")
+        raise ValueError(f"{what} is empty")
     return values
 
 
@@ -505,7 +516,9 @@ def _cmd_gen_cert(args) -> int:
         cert = certgen.cert_cat_topclass(space, args.n)
     else:
         build, names = certgen.GENERATORS[args.method]
-        cert = build(*map(int, _require_params(params, args.method, *names)), args.n)
+        texts = _require_params(params, args.method, *names)
+        values = [_int(v, f"--params key {k!r}") for k, v in zip(names, texts)]
+        cert = build(*values, args.n)
     if isinstance(cert, cuplength.SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1

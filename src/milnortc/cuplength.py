@@ -76,17 +76,18 @@ class Certificate(Record):
         "n",
         "factors",  # ((expression string, multiplicity), ...)
         "claimed_cup",
-        "claimed_tc_lower",
         "note",
         "cat_witness",
     )
     _defaults = {"note": None, "cat_witness": False}
 
+    @property
+    def claimed_tc_lower(self) -> int:
+        return self.claimed_cup + 1
+
     def _check(self):
         if self.n < 1:
             raise ValueError("arity must be >= 1")
-        if self.claimed_tc_lower != self.claimed_cup + 1:
-            raise ValueError("claimed TC lower bound must be claimed cup + 1")
         total = sum(mult for _, mult in self.factors)
         if total != self.claimed_cup:
             raise ValueError(

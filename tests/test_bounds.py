@@ -1,3 +1,4 @@
+import itertools
 import re
 
 import pytest
@@ -18,7 +19,13 @@ from milnortc.bounds import (
 from milnortc.certgen import cert_case2, cert_cat_topclass
 from milnortc.cuplength import VerificationReport, cup_exact
 from milnortc.errors import NoFreeActionError
-from milnortc.spaces import RealMilnor, RealProj, cohomology_of, parse_space
+from milnortc.spaces import (
+    ComplexMilnor,
+    RealMilnor,
+    RealProj,
+    cohomology_of,
+    parse_space,
+)
 from milnortc.tensorpower import slice_dimensions
 
 
@@ -281,6 +288,37 @@ def test_eqtc_refusals():
         eqtc_bounds(RealProj(3), Z2, 2)
     with pytest.raises(NoFreeActionError):
         eqtc_bounds("ch:5,3", "s1", 2)
+
+
+def test_eqtc_traces_hold_the_tc_lower_rows_and_the_orbit_row():
+    # TC_{G,n} >= TC_n, so every TC_n lower row bounds TC_{G,n} with its own
+    # status, while the orbit-space dimension is the only upper row
+    admitted = []
+    for family, group in itertools.product((RealMilnor, ComplexMilnor), (Z2, CIRCLE)):
+        for r in range(1, 10):
+            for s in range(r + 1):
+                try:
+                    eqtc_bounds(family(r, s), group, 2)
+                except NoFreeActionError:
+                    continue
+                admitted.append((family(r, s), group))
+    # z2 acts on rh and ch at (r, s) = (5, 3), (7, 3), (7, 5), (9, 3), (9, 5)
+    # and (9, 7), and s1 on rh at odd r and s
+    assert len(admitted) == 27
+    for (space, group), n in itertools.product(admitted, (2, 3, 4)):
+        eq, tc = eqtc_bounds(space, group, n), tc_bounds(space, n)
+        orbit = RuleTrace(
+            "free-action-orbit-dimension",
+            "orbit-space dimension bound for a free action",
+            "upper",
+            n * space.dimension - group.dim + 1,
+            "claimed",
+        )
+        assert [t for t in eq.trace if t.bound == "upper"] == [orbit]
+        assert (eq.lower, eq.verified_lower) == (tc.lower, tc.verified_lower)
+        assert [t for t in eq.trace if t.bound == "lower"] == [
+            t for t in tc.trace if t.bound == "lower"
+        ]
 
 
 def test_eqtc_trace_has_both_statuses():

@@ -254,7 +254,7 @@ def _case2_search_by_combination(p1, p2, n):
             if ok and not product(combo).is_zero:
                 claimed = n * (s + r - 1) - 2
                 factors = base + tuple((expr, 2) for expr in combo)
-                return Certificate(f"rh:{r},{s}", n, factors, claimed, claimed + 1)
+                return Certificate(f"rh:{r},{s}", n, factors, claimed)
     return SearchFailure("no bridging classes gave a nonzero product")
 
 

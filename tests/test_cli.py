@@ -18,7 +18,7 @@ from milnortc.cli import (
     emit_table,
     main,
 )
-from milnortc.bounds import BoundReport, tc_bounds
+from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,7 +37,7 @@ def test_certificate_round_trip_byte_identical():
 def test_certificate_schema_rejections():
     doc = json.loads(certificate_to_json(cert_proj(1, 2)))
     doc["claimedTcLower"] = doc["claimedCup"] + 2
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="claimedTcLower must be claimedCup \\+ 1"):
         certificate_from_json(json.dumps(doc))
     doc = json.loads(certificate_to_json(cert_proj(1, 2)))
     doc["schemaVersion"] = 99
@@ -98,10 +98,14 @@ def test_emit_md_main_row():
 
 
 def test_emit_md_marks_an_inconsistent_report():
-    text = emit_report(BoundReport("rp:2", "tc", 2, 5, 3), "md")
+    lower = RuleTrace("l", "a source", "lower", 5, "claimed")
+    upper = RuleTrace("u", "a source", "upper", 3, "claimed")
+    text = emit_report(BoundReport("rp:2", "tc", 2, trace=(lower, upper)), "md")
     assert text.endswith("| 5 | 3 |\n\n| rule | bound | value | status |\n|---|---|---|---|\n"
+                         "| l | lower | 5 | claimed |\n| u | upper | 3 | claimed |\n"
                          "\n**inconsistent: lower exceeds upper**\n")
-    assert "inconsistent" not in emit_report(BoundReport("rp:2", "tc", 2, 3, 3), "md")
+    consistent = BoundReport("rp:2", "tc", 2, trace=(lower.replace(value=3), upper))
+    assert "inconsistent" not in emit_report(consistent, "md")
 
 
 def test_emit_json_stable_keys():
@@ -473,6 +477,11 @@ _USAGE_ERRORS = [
     (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2", "--use-oracle=1"],
      "--use-oracle"),
     (["cup", "rp:2", "--n", "2"], "'rp:2'"),
+    (["table", "--family", "rp", "--r", "2", "--n", "x"], "--n"),
+    (["table", "--family", "rh", "--r", "2..", "--s", "1", "--n", "2"], "--r"),
+    (["table", "--family", "rh", "--r", "2", "--s", "a..1", "--n", "2"], "--s"),
+    (["gen-cert", "--method", "proj", "--params", "t=x", "--n", "2", "--out", "f"],
+     "--params key 't'"),
 ]
 
 
@@ -481,7 +490,8 @@ _USAGE_ERRORS = [
     ids=["no-command", "unknown-command", "unknown-option", "missing-value",
          "value-is-an-option", "non-int", "bad-choice", "bad-choice-after-equals",
          "missing-required", "repeated-option", "repeated-flag", "abbreviation",
-         "flag-with-value", "stray-argument"],
+         "flag-with-value", "stray-argument", "non-int-range", "open-range",
+         "non-int-range-end", "non-int-param"],
 )
 def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,
                                                capsys):

@@ -40,16 +40,16 @@ def test_zero_divisor_predicate():
 
 
 def test_certificate_rejects_bad_claims():
-    with pytest.raises(ValueError, match="claimed cup"):
-        Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 5)
+    # the claimed TC lower bound is claimed cup + 1 by construction
+    assert Certificate("rp:2", 2, (("(x1+x2)", 3),), 3).claimed_tc_lower == 4
     with pytest.raises(ValueError, match="factor count"):
-        Certificate("rp:2", 2, (("(x1+x2)", 2),), 3, 4)
+        Certificate("rp:2", 2, (("(x1+x2)", 2),), 3)
     with pytest.raises(ValueError, match="positive"):
-        Certificate("rp:2", 2, (("(x1+x2)", 0),), 0, 1)
+        Certificate("rp:2", 2, (("(x1+x2)", 0),), 0)
 
 
 def test_verify_projective_plane():
-    cert = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4)
+    cert = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3)
     report = verify_certificate(cert)
     assert report.verdict == "Verified"
     assert report.verified_cup == 3
@@ -58,7 +58,7 @@ def test_verify_projective_plane():
 
 
 def test_verify_rejects_non_zero_divisor():
-    cert = Certificate("rp:2", 2, (("x1", 1), ("(x1+x2)", 2)), 3, 4)
+    cert = Certificate("rp:2", 2, (("x1", 1), ("(x1+x2)", 2)), 3)
     report = verify_certificate(cert)
     assert report.verdict == "FactorNotZeroDivisor"
     assert report.verified_cup is None
@@ -68,16 +68,14 @@ def test_verify_rejects_non_zero_divisor():
 
 def test_verify_vanishing_product():
     # Klein-bottle ring: (a1+a2)(b1+b2)^3 reduces to zero
-    cert = Certificate("rh:2,1", 2, (("(a1+a2)", 1), ("(b1+b2)", 3)), 4, 5)
+    cert = Certificate("rh:2,1", 2, (("(a1+a2)", 1), ("(b1+b2)", 3)), 4)
     report = verify_certificate(cert)
     assert report.verdict == "ProductVanishes"
     assert all(c.is_zero_divisor for c in report.per_factor)
 
 
 def test_cat_witness_skips_zero_divisor_requirement():
-    cert = Certificate(
-        "rp:2", 2, (("x1", 2), ("x2", 2)), 4, 5, cat_witness=True
-    )
+    cert = Certificate("rp:2", 2, (("x1", 2), ("x2", 2)), 4, cat_witness=True)
     report = verify_certificate(cert)
     assert report.verdict == "Verified"
     assert report.verified_cup == 4
@@ -87,7 +85,7 @@ def test_cat_witness_skips_zero_divisor_requirement():
 
 def test_verdict_never_consults_claims():
     # same factors, inflated-but-consistent claim: verdict is unchanged
-    good = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4)
+    good = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3)
     assert verify_certificate(good).verified_cup == 3
 
 
@@ -194,7 +192,7 @@ def test_power_and_the_empty_product_keep_their_values():
         for _ in range(e):
             expected = multiply(expected, x)
         assert power(x, e) == expected, e
-    cert = Certificate("rp:2", 2, (), 0, 1)
+    cert = Certificate("rp:2", 2, (), 0)
     report = verify_certificate(cert)
     assert report.verdict == "Verified" and report.product_nonzero
 
@@ -489,7 +487,7 @@ def test_oracle_witness_verifies():
     for space, n in ORACLE_BOX:
         P = ring(space)
         value = cup_exact(P, n)
-        cert = Certificate(space, n, cup_witness(P, n), value, value + 1)
+        cert = Certificate(space, n, cup_witness(P, n), value)
         report = verify_certificate(cert)
         assert report.verdict == "Verified", (space, n)
         assert report.verified_cup == value
@@ -510,7 +508,7 @@ def test_oracle_box_values_and_witnesses():
         assert cup_exact(P, n) == value, (space, n)
         factors = cup_witness(P, n)
         assert sum(mult for _, mult in factors) == value, (space, n)
-        cert = Certificate(space, n, factors, value, value + 1)
+        cert = Certificate(space, n, factors, value)
         assert verify_certificate(cert).verdict == "Verified", (space, n)
 
 

@@ -21,12 +21,19 @@ from reference import KernelBasis, kernel_basis
 P = make_presentation(kind="truncated", m=2, gen_degree=1)
 g, h = Gen("a", 1), Gen("b", 2)
 
+
+def rows(lower, upper):
+    """A lower and an upper claimed row, the trace a report is read off."""
+    return (RuleTrace("l", "a source", "lower", lower, "claimed"),
+            RuleTrace("u", "a source", "upper", upper, "claimed"))
+
+
 # one constructor per record class, called twice for two equal instances
 RECORDS = {
     "Group": lambda: Group("x", 3),
     "RuleTrace": lambda: RuleTrace("r", "a source", "lower", 3, "claimed"),
-    "BoundReport": lambda: BoundReport("rp:2", "tc", 2, 3, 5),
-    "Certificate": lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4),
+    "BoundReport": lambda: BoundReport("rp:2", "tc", 2, trace=rows(3, 5)),
+    "Certificate": lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3),
     "FactorCheck": lambda: FactorCheck("x1", False, 1),
     "VerificationReport": lambda: VerificationReport((), True, 3, "Verified"),
     "SearchFailure": lambda: SearchFailure("no product"),
@@ -77,14 +84,16 @@ def test_equality_needs_the_same_type():
 
 
 def test_defaults_and_keyword_construction():
-    cert = Certificate(space="rp:2", n=2, factors=(("(x1+x2)", 3),),
-                       claimed_cup=3, claimed_tc_lower=4)
+    cert = Certificate(space="rp:2", n=2, factors=(("(x1+x2)", 3),), claimed_cup=3)
     assert cert.note is None and cert.cat_witness is False
-    assert cert == Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4, None, False)
-    assert Certificate("rp:2", 2, (("x1", 1),), 1, 2, cat_witness=True).cat_witness
-    report = BoundReport("rp:2", "tc", 2, 3, 5)
-    assert (report.group, report.verified_lower, report.trace) == (None, None, ())
-    assert BoundReport("rp:2", "tc", 2, 3, 5, trace=()).verified_lower is None
+    assert cert.claimed_tc_lower == 4
+    assert cert == Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, None, False)
+    assert Certificate("rp:2", 2, (("x1", 1),), 1, cat_witness=True).cat_witness
+    report = BoundReport("rp:2", "tc", 2)
+    assert (report.group, report.trace, report.lower, report.verified_lower) == (
+        None, (), 1, None)
+    report = BoundReport(space="rp:2", quantity="tc", n=2, trace=rows(3, 5))
+    assert (report.lower, report.upper, report.verified_lower) == (3, 5, None)
     assert Gen(position=1, name="a") == g
 
 
@@ -100,9 +109,10 @@ def test_missing_repeated_and_unknown_arguments_raise_type_error():
 
 
 def test_replace_changes_fields_and_validates_again():
-    report = BoundReport("rp:2", "tc", 2, 3, 5)
+    report = BoundReport("rp:2", "tc", 2, trace=rows(3, 5))
     eq = report.replace(quantity="eqtc", group="z2")
     assert (eq.quantity, eq.group, eq.lower) == ("eqtc", "z2", 3)
+    assert report.replace(trace=rows(4, 6)).lower == 4
     assert report.quantity == "tc"
     with pytest.raises(ValueError, match="requires r >= 1"):
         RealMilnor(4, 3).replace(s=5)
@@ -113,10 +123,9 @@ def test_replace_changes_fields_and_validates_again():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Certificate("rp:2", 2, (("x1", 3),), 3, 5), "claimed cup \\+ 1"),
-        (lambda: Certificate("rp:2", 2, (("x1", 2),), 3, 4), "total factor count 2"),
-        (lambda: Certificate("rp:2", 2, (("x1", 3), ("x2", 0)), 3, 4), "positive"),
-        (lambda: Certificate("rp:2", 0, (), 0, 1), "arity must be >= 1"),
+        (lambda: Certificate("rp:2", 2, (("x1", 2),), 3), "total factor count 2"),
+        (lambda: Certificate("rp:2", 2, (("x1", 3), ("x2", 0)), 3), "positive"),
+        (lambda: Certificate("rp:2", 0, (), 0), "arity must be >= 1"),
         (lambda: RealMilnor(2, 3), "requires r >= 1 and 0 <= s <= r"),
         (lambda: ComplexMilnor(0, 0), "requires r >= 1"),
         (lambda: RealMilnor(2.0, 1), "must be integers"),
@@ -153,6 +162,10 @@ def test_repr_names_each_field():
         "Sum(terms=(Gen(name='a', position=1), Gen(name='b', position=2)))"
     )
     assert repr(RealMilnor(4, 3)) == "RealMilnor(r=4, s=3)"
+    # a report's ends are read off its trace, so they are not fields
+    assert repr(BoundReport("rp:2", "tc", 2)) == (
+        "BoundReport(space='rp:2', quantity='tc', n=2, group=None, trace=())"
+    )
     assert repr(SearchFailure("why")) == "SearchFailure(reason='why')"
     # Element keeps its own repr, in the terms of its algebra
     assert repr(generator(P, "x")) == "Element(x)"
