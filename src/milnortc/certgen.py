@@ -198,8 +198,6 @@ def cert_cat_topclass(space, n: int) -> Certificate:
     cup-length, giving cat >= count + 1."""
     if isinstance(space, str):
         space = parse_space(space)
-    if n < 1:
-        raise ValueError("arity must be >= 1")
     P = cohomology_of(space)
     top = P.basis[-1]  # the top degree of a closed manifold's ring is one class
     factors = tuple(

@@ -64,52 +64,56 @@ def certificate_to_json(cert: cuplength.Certificate) -> str:
     return _json_text(doc)
 
 
-_JSON_TYPE = {bool: "boolean", int: "integer", list: "array", str: "string"}
+# every key a certificate file may hold, and every key of one of its factors
+_CERT_KEYS = ("schemaVersion", "space", "n", "factors", "claimedCup",
+              "claimedTcLower", "note", "catWitness")
+_FACTOR_KEYS = ("expr", "multiplicity")
 
 
-def _typed(doc: dict, key: str, kind: type):
-    """doc[key], which must have exactly the JSON type kind: nothing is
-    coerced, so true is not an integer and "2" or 1.5 not a multiplicity."""
-    value = doc[key]
-    if type(value) is not kind:
-        import json
-
-        raise ValueError(
-            f"certificate field {key!r} must be a JSON {_JSON_TYPE[kind]}, "
-            f"got {json.dumps(value)}"
-        )
-    return value
+def _known_keys(doc, keys: tuple, what: str) -> dict:
+    """doc, which must be a JSON object holding no key outside keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{what} has an unknown key {key!r}")
+    return doc
 
 
 def certificate_from_json(text: str) -> cuplength.Certificate:
+    """Check the file format (schema version 1, known keys, none missing, no
+    null note or catWitness, claimedTcLower the int claimedCup + 1) and map
+    the keys to the fields of the record, which checks them."""
     import json
 
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"malformed certificate file: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValueError("certificate file must hold a JSON object")
-    if doc.get("schemaVersion") != SCHEMA_VERSION:
+    doc = _known_keys(doc, _CERT_KEYS, "certificate file")
+    if doc.get("schemaVersion") != SCHEMA_VERSION or type(doc["schemaVersion"]) is not int:
         raise ValueError(f"unsupported schema version {doc.get('schemaVersion')!r}")
+    if None in (doc.get("note", ""), doc.get("catWitness", False)):
+        raise ValueError("a certificate's note or catWitness may be left out but not null")
     try:
-        factors = tuple(
-            (_typed(f, "expr", str), _typed(f, "multiplicity", int))
-            for f in _typed(doc, "factors", list)
-        )
+        factors = []
+        for f in doc["factors"]:
+            f = _known_keys(f, _FACTOR_KEYS, "a factor")
+            factors.append((f["expr"], f["multiplicity"]))
         cert = cuplength.Certificate(
-            space=_typed(doc, "space", str),
-            n=_typed(doc, "n", int),
-            factors=factors,
-            claimed_cup=_typed(doc, "claimedCup", int),
-            note=_typed(doc, "note", str) if "note" in doc else None,
-            cat_witness="catWitness" in doc and _typed(doc, "catWitness", bool),
+            space=doc["space"],
+            n=doc["n"],
+            factors=tuple(factors),
+            claimed_cup=doc["claimedCup"],
+            note=doc.get("note"),
+            cat_witness=doc.get("catWitness", False),
         )
-        if _typed(doc, "claimedTcLower", int) != cert.claimed_tc_lower:
-            raise ValueError("claimedTcLower must be claimedCup + 1")
-        return cert
+        tc_lower = doc["claimedTcLower"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"certificate file missing or bad field: {exc}") from None
+    if type(tc_lower) is not int or tc_lower != cert.claimed_tc_lower:
+        raise ValueError("claimedTcLower must be claimedCup + 1")
+    return cert
 
 
 # --- report emission ---------------------------------------------------------

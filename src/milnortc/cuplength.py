@@ -69,7 +69,9 @@ def is_zero_divisor(u: Element) -> bool:
 
 class Certificate(Record):
     """A claimed cup-length witness: factors with multiplicities, checked
-    in the cohomology ring of space."""
+    in the cohomology ring of space.  Construction is the one check of its
+    fields, and admits exactly the types a certificate file holds, so every
+    record the writer writes reads back equal."""
 
     __slots__ = (
         "space",
@@ -86,16 +88,26 @@ class Certificate(Record):
         return self.claimed_cup + 1
 
     def _check(self):
+        # nothing is coerced, and a bool is not an int
+        for field, kind in (("space", str), ("n", int), ("claimed_cup", int),
+                            ("cat_witness", bool)):
+            value = getattr(self, field)
+            if type(value) is not kind:
+                raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
+        if not (self.note is None or type(self.note) is str):
+            raise ValueError(f"note must be None or of type str, got {self.note!r}")
         if self.n < 1:
             raise ValueError("arity must be >= 1")
+        if type(self.factors) is not tuple:
+            raise ValueError(f"factors must be of type tuple, got {self.factors!r}")
+        for f in self.factors:
+            if type(f) is not tuple or tuple(map(type, f)) != (str, int) or f[1] < 1:
+                raise ValueError(f"factor {f!r} is not a (str, positive int) pair")
         total = sum(mult for _, mult in self.factors)
         if total != self.claimed_cup:
             raise ValueError(
                 f"total factor count {total} != claimed cup {self.claimed_cup}"
             )
-        for _, mult in self.factors:
-            if mult < 1:
-                raise ValueError("factor multiplicities must be positive")
 
 
 class FactorCheck(Record):

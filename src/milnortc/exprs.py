@@ -9,6 +9,9 @@ Grammar (whitespace insensitive, single-token lookahead):
     gen  := name position            e.g. a1, b2, x3, alpha1
           | name '.' factor '.' position   e.g. x.2.1  (product rings)
 
+Each generator is checked as it is read: its position must lie in
+1..arity and, given a presentation, its name must be one of the ring's.
+
 ``parse -> print -> parse`` is the identity on the AST.
 """
 
@@ -49,7 +52,7 @@ _GEN_RE = re.compile(r"^([a-z]+)(?:\.(\d+)\.)?(\d+)$")
 
 
 def _tokenize(text: str):
-    tokens = []
+    # lazy, so that the first error in reading order is the one reported
     pos = 0
     while pos < len(text):
         mo = _TOKEN_RE.match(text, pos)
@@ -61,70 +64,72 @@ def _tokenize(text: str):
             pos = len(text) - len(rest)
             raise ExprSyntaxError(f"unexpected character {rest[0]!r}", pos)
         if mo.group("gen"):
-            tokens.append(("gen", mo.group("gen"), pos))
+            yield ("gen", mo.group("gen"), pos)
         elif mo.group("int"):
-            tokens.append(("int", mo.group("int"), pos))
+            yield ("int", mo.group("int"), pos)
         else:
-            tokens.append((mo.group("op"), mo.group("op"), pos))
+            yield (mo.group("op"), mo.group("op"), pos)
         pos = mo.end()
-    tokens.append(("end", "", len(text)))
-    return tokens
+    yield ("end", "", len(text))
 
 
 class _Parser:
-    def __init__(self, text):
-        self.text = text
+    def __init__(self, text, arity: int, presentation: Presentation | None):
         self.tokens = _tokenize(text)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
+        self.tok = next(self.tokens)
+        self.arity, self.presentation = arity, presentation
 
     def take(self, kind=None):
-        tok = self.tokens[self.i]
+        tok = self.tok
         if kind is not None and tok[0] != kind:
             raise ExprSyntaxError(f"expected {kind!r}, found {tok[1] or 'end'!r}", tok[2])
-        self.i += 1
+        self.tok = next(self.tokens)
         return tok
 
     def parse(self):
         node = self.expr()
-        tok = self.peek()
+        tok = self.tok
         if tok[0] != "end":
             raise ExprSyntaxError(f"trailing input {tok[1]!r}", tok[2])
         return node
 
     def expr(self):
         terms = [self.term()]
-        while self.peek()[0] == "+":
+        while self.tok[0] == "+":
             self.take("+")
             terms.append(self.term())
         return terms[0] if len(terms) == 1 else Sum(tuple(terms))
 
     def term(self):
         factors = [self.pow()]
-        while self.peek()[0] == "*":
+        while self.tok[0] == "*":
             self.take("*")
             factors.append(self.pow())
         return factors[0] if len(factors) == 1 else Prod(tuple(factors))
 
     def pow(self):
         base = self.atom()
-        if self.peek()[0] == "^":
+        if self.tok[0] == "^":
             self.take("^")
             tok = self.take("int")
             return Pow(base, int(tok[1]))
         return base
 
     def atom(self):
-        tok = self.peek()
+        tok = self.tok
         if tok[0] == "gen":
-            self.take()
-            mo = _GEN_RE.match(tok[1])
-            name, factor, position = mo.group(1), mo.group(2), mo.group(3)
+            name, factor, position = _GEN_RE.match(tok[1]).groups()
             if factor is not None:
                 name = f"{name}.{int(factor)}"
-            return Gen(name, int(position))
+            node = Gen(name, int(position))
+            if not 1 <= node.position <= self.arity:
+                raise ValueError(
+                    f"position {node.position} out of range 1..{self.arity} in {to_string(node)!r}"
+                )
+            if self.presentation is not None:
+                _resolve_gen(self.presentation, node.name)
+            self.take()
+            return node
         if tok[0] == "int":
             if tok[1] == "1":
                 self.take()
@@ -176,29 +181,9 @@ def _resolve_gen(P: Presentation, name: str) -> str:
     raise ValueError(f"unknown generator {name!r} for presentation {P!r}")
 
 
-def validate(node, arity: int, presentation: Presentation | None = None):
-    if isinstance(node, Gen):
-        if not 1 <= node.position <= arity:
-            raise ValueError(
-                f"position {node.position} out of range 1..{arity} in {to_string(node)!r}"
-            )
-        if presentation is not None:
-            _resolve_gen(presentation, node.name)
-    elif isinstance(node, Sum):
-        for t in node.terms:
-            validate(t, arity, presentation)
-    elif isinstance(node, Prod):
-        for f in node.factors:
-            validate(f, arity, presentation)
-    elif isinstance(node, Pow):
-        validate(node.base, arity, presentation)
-
-
 def parse_factor_expr(text: str, arity: int, presentation: Presentation | None = None):
-    """Parse and validate a factor expression; returns the AST."""
-    node = _Parser(text).parse()
-    validate(node, arity, presentation)
-    return node
+    """Parse a factor expression into its AST, checking each generator."""
+    return _Parser(text, arity, presentation).parse()
 
 
 def evaluate(node, P: Presentation, n: int) -> Element:

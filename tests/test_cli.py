@@ -8,6 +8,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from milnortc.certgen import GENERATORS, cert_case1, cert_proj
 from milnortc.cli import (
@@ -19,6 +21,7 @@ from milnortc.cli import (
     main,
 )
 from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
+from milnortc.cuplength import Certificate
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,12 +29,31 @@ ROOT = Path(__file__).resolve().parents[1]
 # -- certificate files --------------------------------------------------------
 
 
-def test_certificate_round_trip_byte_identical():
-    noted = cert_proj(1, 2).replace(note="written by hand")
-    for cert in (cert_proj(1, 3), cert_case1(1, 2, 2), noted):
-        text = certificate_to_json(cert)
-        assert certificate_from_json(text) == cert
-        assert certificate_to_json(certificate_from_json(text)) == text
+def _certificate(space, n, factors, note, cat_witness):
+    claimed = sum(mult for _, mult in factors)
+    return Certificate(space, n, tuple(factors), claimed, note, cat_witness)
+
+
+# every record the constructor accepts, whether or not it verifies
+_CERTIFICATES = st.builds(
+    _certificate,
+    st.text(),
+    st.integers(min_value=1),
+    st.lists(st.tuples(st.text(), st.integers(min_value=1)), max_size=4),
+    st.none() | st.text(),
+    st.booleans(),
+)
+
+
+@settings(deadline=None)
+@given(_CERTIFICATES)
+@example(cert_proj(1, 3))
+@example(cert_case1(1, 2, 2))
+@example(cert_proj(1, 2).replace(note="written by hand"))
+def test_certificate_round_trip_byte_identical(cert):
+    text = certificate_to_json(cert)
+    assert certificate_from_json(text) == cert
+    assert certificate_to_json(certificate_from_json(text)) == text
 
 
 def test_certificate_schema_rejections():
@@ -68,18 +90,29 @@ _EMPTY = dict(_RP2, factors=[], claimedCup=0, claimedTcLower=1)
                             {"expr": "(x1+x2)", "multiplicity": 2}]),
         dict(_RP2, claimedCup=3.0),
         dict(_RP2, claimedTcLower="4"),
+        dict(_RP2, claimedTcLower=4.0),
         dict(_RP2, factors=[{"expr": 5, "multiplicity": 3}]),
         dict(_RP2, space=7),
         dict(_RP2, note=5),
         [_RP2],
+        # a misspelt key is not left out: read as absent, this one would
+        # turn a cat witness into a FactorNotZeroDivisor verdict
+        dict(_RP2, factors=[{"expr": "x1", "multiplicity": 2}], claimedCup=2,
+             claimedTcLower=3, catwitness=True),
+        dict(_RP2, extra=1),
+        dict(_RP2, factors=[{"expr": "(x1+x2)", "multiplicity": 3, "multiplicty": 9}]),
+        dict(_RP2, note=None),
+        dict(_RP2, schemaVersion=True),
     ],
     ids=["catWitness-str", "n-bool", "n-zero", "n-negative", "multiplicity-str",
-         "multiplicity-float", "claimedCup-float", "claimedTcLower-str", "expr-int",
-         "space-int", "note-int", "not-an-object"],
+         "multiplicity-float", "claimedCup-float", "claimedTcLower-str",
+         "claimedTcLower-float", "expr-int",
+         "space-int", "note-int", "not-an-object", "catWitness-misspelt",
+         "unknown-key", "unknown-factor-key", "note-null", "schemaVersion-bool"],
 )
 def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
-    # nothing in a certificate file is coerced: a mistyped field is invalid
-    # input, never a verdict
+    # nothing in a certificate file is coerced and no key is ignored: a
+    # mistyped field or an unknown key is invalid input, never a verdict
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["verify", "--cert", str(path)]) == 2

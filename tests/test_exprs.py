@@ -44,6 +44,11 @@ def test_position_out_of_range():
         parse_factor_expr("a0", 2)
     with pytest.raises(ValueError, match="out of range"):
         parse_factor_expr("a3", 2)
+    # the generator comes before the syntax error, so it is the one
+    # reported, also when the error is a character the tokenizer refuses
+    for text in ("a3+)", "a3$"):
+        with pytest.raises(ValueError, match="position 3 out of range"):
+            parse_factor_expr(text, 2)
 
 
 def test_syntax_errors_carry_position():

@@ -126,6 +126,16 @@ def test_replace_changes_fields_and_validates_again():
         (lambda: Certificate("rp:2", 2, (("x1", 2),), 3), "total factor count 2"),
         (lambda: Certificate("rp:2", 2, (("x1", 3), ("x2", 0)), 3), "positive"),
         (lambda: Certificate("rp:2", 0, (), 0), "arity must be >= 1"),
+        # a claimed TC lower bound passed where the note goes, which the
+        # file reader would refuse
+        (lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4),
+         "note must be None or of type str, got 4"),
+        (lambda: Certificate("rp:2", 2, (("x1", 1),), 1, cat_witness="yes"),
+         "cat_witness must be of type bool"),
+        (lambda: Certificate("rp:2", 2, (("x1", 3.0),), 3), r"factor \('x1', 3.0\)"),
+        (lambda: Certificate("rp:2", 2, [("x1", 3)], 3), "factors must be of type tuple"),
+        (lambda: Certificate("rp:2", True, (), 0), "n must be of type int, got True"),
+        (lambda: Certificate(7, 2, (), 0), "space must be of type str"),
         (lambda: RealMilnor(2, 3), "requires r >= 1 and 0 <= s <= r"),
         (lambda: ComplexMilnor(0, 0), "requires r >= 1"),
         (lambda: RealMilnor(2.0, 1), "must be integers"),
