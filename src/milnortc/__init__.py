@@ -38,8 +38,7 @@ _PUBLIC = {
                   "cup_witness", "is_zero_divisor", "verify_certificate"),
     "errors": ("ExprSyntaxError", "NoFreeActionError", "ResourceLimitError"),
     "exprs": ("evaluate_text", "parse_factor_expr", "to_string"),
-    "f2algebra": ("Element", "Presentation", "binom_mod2", "generator",
-                  "make_presentation"),
+    "f2algebra": ("Element", "Presentation", "binom_mod2", "generator"),
     "spaces": ("ComplexMilnor", "ComplexProj", "ProductSpace", "RealMilnor",
                "RealProj", "cohomology_of", "format_space", "parse_space"),
     "tensorpower": ("diagonal_eval", "inject", "tensor_power"),

@@ -82,8 +82,9 @@ def _known_keys(doc, keys: tuple, what: str) -> dict:
 
 def certificate_from_json(text: str) -> cuplength.Certificate:
     """Check the file format (schema version 1, known keys, none missing, no
-    null note or catWitness, claimedTcLower the int claimedCup + 1) and map
-    the keys to the fields of the record, which checks them."""
+    null note or catWitness, factors an array, claimedTcLower the int
+    claimedCup + 1) and map the keys to the fields of the record, which
+    checks them."""
     import json
 
     try:
@@ -95,6 +96,8 @@ def certificate_from_json(text: str) -> cuplength.Certificate:
         raise ValueError(f"unsupported schema version {doc.get('schemaVersion')!r}")
     if None in (doc.get("note", ""), doc.get("catWitness", False)):
         raise ValueError("a certificate's note or catWitness may be left out but not null")
+    if type(doc.get("factors", [])) is not list:
+        raise ValueError(f"factors must be a JSON array, got {doc['factors']!r}")
     try:
         factors = []
         for f in doc["factors"]:

@@ -178,7 +178,7 @@ def _resolve_gen(P: Presentation, name: str) -> str:
     # alpha is an accepted alias for the truncated-ring generator
     if name == "alpha" and "x" in P.gen_names:
         return "x"
-    raise ValueError(f"unknown generator {name!r} for presentation {P!r}")
+    raise ValueError(f"unknown generator {name!r}; have {P.gen_names}")
 
 
 def parse_factor_expr(text: str, arity: int, presentation: Presentation | None = None):

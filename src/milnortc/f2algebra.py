@@ -7,7 +7,9 @@ Each algebra supplies ``one`` (its unit monomial), ``is_basic``,
 ``monomial_degree``, ``format_monomial`` and ``mul_supports``, its loop
 multiplying two supports.
 
-Three presentation kinds are supported:
+A presentation is the ring of one checked space descriptor of
+:mod:`milnortc.spaces` and reads its kind, fields and generator degree
+off it.  There are three kinds:
 
 * ``milnor`` -- two generators a, b with ``a^(s+1) = 0`` and
   ``b^r = sum_{k=1..s} a^k b^(r-k)``; monomial basis
@@ -35,39 +37,39 @@ _PRESENTATION_CACHE: dict = {}
 
 
 class Presentation:
-    """A validated algebra presentation with an enumerated monomial basis.
+    """The mod-2 cohomology ring of a space descriptor, with its monomial
+    basis enumerated; a product is given its factors' rings.
 
-    Construct via :func:`make_presentation`, which interns instances so
-    equal specs share one object (identity comparison is safe).
+    Built only by :func:`milnortc.spaces.cohomology_of`, which keeps one
+    instance per descriptor, its ``cache_key``, in ``_PRESENTATION_CACHE``,
+    so identity comparison is safe.
     """
 
-    def __init__(self, kind, *, s=None, r=None, m=None, gen_degree=1, factors=None):
-        self.kind = kind
-        self.s = s
-        self.r = r
-        self.m = m
-        self.gen_degree = gen_degree
-        self.factors = tuple(factors) if factors else None
-
-        if kind == "milnor":
+    def __init__(self, space, factors=()):
+        self.cache_key = space
+        self.kind = space.kind
+        self.factors = factors
+        if self.kind == "milnor":
+            self.s, self.r = space.s, space.r
             self.gen_names = ("a", "b")
-            self.gen_degrees = (gen_degree, gen_degree)
-            basis = [(i, j) for i in range(s + 1) for j in range(r)]
-        elif kind == "truncated":
+            self.gen_degrees = (space.gen_degree,) * 2
+            basis = [(i, j) for i in range(self.s + 1) for j in range(self.r)]
+        elif self.kind == "truncated":
+            self.m = space.m
             self.gen_names = ("x",)
-            self.gen_degrees = (gen_degree,)
-            basis = [(e,) for e in range(m + 1)]
+            self.gen_degrees = (space.gen_degree,)
+            basis = [(e,) for e in range(self.m + 1)]
         else:  # product
             names = []
             degrees = []
-            for idx, f in enumerate(self.factors, start=1):
+            for idx, f in enumerate(factors, start=1):
                 names.extend(f"{g}.{idx}" for g in f.gen_names)
                 degrees.extend(f.gen_degrees)
             self.gen_names = tuple(names)
             self.gen_degrees = tuple(degrees)
             basis = [
                 tuple(e for mono in combo for e in mono)
-                for combo in iproduct(*(f.basis for f in self.factors))
+                for combo in iproduct(*(f.basis for f in factors))
             ]
 
         self.ngens = len(self.gen_names)
@@ -82,12 +84,6 @@ class Presentation:
         self.one = (0,) * self.ngens
         self._nf_cache: dict = {}
         self._mul_cache: dict = {}
-
-    @property
-    def cache_key(self):
-        return _cache_key(
-            self.kind, self.s, self.r, self.m, self.gen_degree, self.factors
-        )
 
     def monomial_degree(self, exps) -> int:
         return sum(e * d for e, d in zip(exps, self.gen_degrees))
@@ -164,45 +160,7 @@ class Presentation:
         return out
 
     def __repr__(self):
-        return f"Presentation{self.cache_key}"
-
-
-def _cache_key(kind, s, r, m, gen_degree, factors):
-    if kind == "milnor":
-        return ("milnor", s, r, gen_degree)
-    if kind == "truncated":
-        return ("truncated", m, gen_degree)
-    return ("product",) + tuple(f.cache_key for f in factors)
-
-
-def make_presentation(
-    *, kind, s=None, r=None, m=None, gen_degree=1, factors=None
-) -> Presentation:
-    """Validate and intern a presentation; equal fields give one object.
-    A product ignores gen_degree and takes its generator degrees from its
-    factors."""
-    if gen_degree not in (1, 2):
-        raise ValueError(f"gen_degree must be 1 or 2, got {gen_degree}")
-    if kind == "milnor":
-        if not isinstance(s, int) or not isinstance(r, int) or s < 0 or r < 1:
-            raise ValueError("milnor presentation needs integers s >= 0 and r >= 1")
-        if s > r:
-            raise ValueError(f"milnor presentation requires s <= r, got s={s}, r={r}")
-    elif kind == "truncated":
-        if not isinstance(m, int) or m < 0:
-            raise ValueError("truncated presentation needs an integer m >= 0")
-    elif kind == "product":
-        if not factors or not all(isinstance(f, Presentation) for f in factors):
-            raise ValueError("product presentation needs a list of presentations")
-        factors = tuple(factors)
-    else:
-        raise ValueError(f"unknown presentation kind: {kind!r}")
-    key = _cache_key(kind, s, r, m, gen_degree, factors)
-    if key not in _PRESENTATION_CACHE:
-        _PRESENTATION_CACHE[key] = Presentation(
-            kind, s=s, r=r, m=m, gen_degree=gen_degree, factors=factors
-        )
-    return _PRESENTATION_CACHE[key]
+        return f"Presentation({self.cache_key!r})"
 
 
 class Element(Record):

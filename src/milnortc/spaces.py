@@ -5,17 +5,19 @@ Canonical string forms (used in certificate files and CLI flags):
 ``rp:2`` / ``cp:2`` for projective spaces, and ``prod:rp3,rp2`` for
 products (factors written compactly, e.g. ``rh4.3``, ``rp3``).
 
-Each descriptor class carries its family prefix and (products aside) its
-ring kind and generator degree; two mixins check the fields and give the
-dimension.  Parsing, formatting and :func:`cohomology_of` read the one
-``_FAMILIES`` table, from prefix to class.
+Each descriptor class carries its family prefix, its ring kind and
+(products aside) its generator degree; two mixins check the fields and
+give the dimension.  That check is the only one: :func:`cohomology_of`
+builds one ring per descriptor and keys it by the descriptor.  Parsing,
+formatting and :func:`cohomology_of` read the one ``_FAMILIES`` table,
+from prefix to class.
 """
 
 from __future__ import annotations
 
 import re
 
-from .f2algebra import Presentation, make_presentation
+from .f2algebra import _PRESENTATION_CACHE, Presentation
 from .record import Record
 
 
@@ -25,7 +27,7 @@ class _Milnor:
     kind = "milnor"
 
     def _check(self):
-        if not (isinstance(self.r, int) and isinstance(self.s, int)):
+        if (type(self.r), type(self.s)) != (int, int):
             raise ValueError("r and s must be integers")
         if not 0 <= self.s <= self.r or self.r < 1:
             raise ValueError(
@@ -44,6 +46,8 @@ class _Proj:
     kind = "truncated"
 
     def _check(self):
+        if type(self.m) is not int:
+            raise ValueError("m must be an integer")
         if self.m < 0:
             raise ValueError("projective space dimension must be >= 0")
 
@@ -74,11 +78,15 @@ class ComplexProj(_Proj, Record):
 
 class ProductSpace(Record):
     __slots__ = ("factors",)
-    family = "prod"
+    family, kind = "prod", "product"
 
     def _check(self):
+        if type(self.factors) is not tuple:
+            raise ValueError(f"factors must be of type tuple, got {self.factors!r}")
         if not self.factors:
             raise ValueError("product space needs at least one factor")
+        if ProductSpace in map(_family, self.factors):
+            raise ValueError("a product factor may not be a product")
 
     @property
     def dimension(self) -> int:
@@ -100,14 +108,13 @@ def _family(space):
 
 
 def cohomology_of(space) -> Presentation:
-    """Mod-2 cohomology presentation of the space."""
+    """Mod-2 cohomology ring of the space, built once per descriptor."""
     cls = _family(space)
-    if cls is ProductSpace:
-        return make_presentation(
-            kind="product", factors=[cohomology_of(f) for f in space.factors]
-        )
-    fields = dict(zip(cls.__slots__, space._values()))
-    return make_presentation(kind=cls.kind, gen_degree=cls.gen_degree, **fields)
+    P = _PRESENTATION_CACHE.get(space)
+    if P is None:
+        factors = tuple(map(cohomology_of, space.factors)) if cls is ProductSpace else ()
+        P = _PRESENTATION_CACHE[space] = Presentation(space, factors)
+    return P
 
 
 # a product factor: the family prefix, then its fields joined by "."

@@ -12,12 +12,18 @@ from milnortc.errors import ResourceLimitError
 from milnortc.f2algebra import Element, Presentation
 from milnortc.gf2 import independent_rows
 from milnortc.record import Record
+from milnortc.spaces import cohomology_of, parse_space
 from milnortc.tensorpower import (
     DEFAULT_MAX_SLICE,
     slice_dimensions,
     tensor_power,
     tensor_slice,
 )
+
+
+def ring(text: str) -> Presentation:
+    """The ring of the space written as ``text``, e.g. ``"rh:4,3"``."""
+    return cohomology_of(parse_space(text))
 
 
 # --- GF(2) rows held as Python ints ------------------------------------------

@@ -35,7 +35,6 @@ from milnortc import (
     cup_witness,
     eqtc_bounds,
     evaluate_text,
-    make_presentation,
     parse_space,
     tc_bounds,
     verify_certificate,
@@ -52,7 +51,7 @@ from milnortc.f2algebra import (
     zero,
 )
 from milnortc.tensorpower import diagonal_eval, inject, tensor_power
-from reference import normal_form
+from reference import normal_form, ring
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
@@ -72,15 +71,11 @@ def report(num: int, ok: bool, detail: str):
     assert ok, line
 
 
-def milnor(s, r):
-    return make_presentation(kind="milnor", s=s, r=r, gen_degree=1)
-
-
 def test_criterion_1_ring_presentations():
     with timed(1.0, "criterion 1"):
         for r in range(1, 9):
             for s in range(r + 1):
-                P = milnor(s, r)
+                P = ring(f"rh:{r},{s}")
                 assert len(P.basis) == (s + 1) * r
                 series = poincare_series(P)
                 assert series == series[::-1]
@@ -245,7 +240,7 @@ def test_criterion_9_property_suite():
         for _ in range(120):
             s, r = rng.choice(params)
             n = rng.randint(2, 3)
-            P = milnor(s, r)
+            P = ring(f"rh:{r},{s}")
             if not P.basis:
                 continue
             x = rand_element(P)
@@ -274,7 +269,7 @@ def test_criterion_9_property_suite():
         for _ in range(12):
             s, r = rng.choice(small)
             n = rng.randint(2, 3)
-            P = milnor(s, r)
+            P = ring(f"rh:{r},{s}")
             value = cup_exact(P, n)
             cert = Certificate(f"rh:{r},{s}", n, cup_witness(P, n), value)
             checked = verify_certificate(cert)
@@ -282,7 +277,7 @@ def test_criterion_9_property_suite():
             assert all(c.is_zero_divisor for c in checked.per_factor)
             cases += 2
         # spot-check the ceiling of the parameter box
-        P = milnor(4, 5)
+        P = ring("rh:5,4")
         assert cup_exact(P, 2) == 14
         cases += 1
     assert cases >= 200

@@ -103,12 +103,18 @@ _EMPTY = dict(_RP2, factors=[], claimedCup=0, claimedTcLower=1)
         dict(_RP2, factors=[{"expr": "(x1+x2)", "multiplicity": 3, "multiplicty": 9}]),
         dict(_RP2, note=None),
         dict(_RP2, schemaVersion=True),
+        # factors that are no array: a string is not read as its characters,
+        # and an empty object is no empty certificate
+        dict(_RP2, factors="ab"),
+        dict(_RP2, factors=3),
+        dict(_EMPTY, factors={}),
     ],
     ids=["catWitness-str", "n-bool", "n-zero", "n-negative", "multiplicity-str",
          "multiplicity-float", "claimedCup-float", "claimedTcLower-str",
          "claimedTcLower-float", "expr-int",
          "space-int", "note-int", "not-an-object", "catWitness-misspelt",
-         "unknown-key", "unknown-factor-key", "note-null", "schemaVersion-bool"],
+         "unknown-key", "unknown-factor-key", "note-null", "schemaVersion-bool",
+         "factors-str", "factors-int", "factors-object"],
 )
 def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
     # nothing in a certificate file is coerced and no key is ignored: a
@@ -119,6 +125,65 @@ def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ")
+    if isinstance(doc, dict) and type(doc["factors"]) is not list:
+        assert captured.err == f"error: factors must be a JSON array, got {doc['factors']!r}\n"
+
+
+def test_verify_names_the_generators_of_the_ring(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    doc = dict(_RP2, space="rh:2,1", factors=[{"expr": "(c1+c2)", "multiplicity": 3}])
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["verify", "--cert", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: unknown generator 'c'; have ('a', 'b')\n"
+
+
+# verify's output for the cat certificate at n = 2, whose factors are the
+# generators of each slot: every complex generator is in degree 2
+_CAT_FACTORS = {
+    "ch:2,1": (("a1", 2), ("b1", 2), ("a2", 2), ("b2", 2)),
+    "prod:rh2.1,cp1": (("a.1.1", 1), ("b.1.1", 1), ("x.2.1", 2),
+                       ("a.1.2", 1), ("b.1.2", 1), ("x.2.2", 2)),
+}
+_CAT_MD = {
+    "ch:2,1": """\
+verdict: Verified
+verifiedCup: 4
+verifiedTcLower: 5
+factor a1: degree 2, NOT a zero divisor
+factor b1: degree 2, NOT a zero divisor
+factor a2: degree 2, NOT a zero divisor
+factor b2: degree 2, NOT a zero divisor
+""",
+    "prod:rh2.1,cp1": """\
+verdict: Verified
+verifiedCup: 6
+verifiedTcLower: 7
+factor a.1.1: degree 1, NOT a zero divisor
+factor b.1.1: degree 1, NOT a zero divisor
+factor x.2.1: degree 2, NOT a zero divisor
+factor a.1.2: degree 1, NOT a zero divisor
+factor b.1.2: degree 1, NOT a zero divisor
+factor x.2.2: degree 2, NOT a zero divisor
+""",
+}
+
+
+@pytest.mark.parametrize("space", list(_CAT_FACTORS))
+def test_verify_prints_the_degrees_of_complex_generators(space, tmp_path, capsys):
+    cert = tmp_path / "cat.json"
+    assert main(["gen-cert", "--method", "cat", "--params", f"space={space}",
+                 "--n", "2", "--out", str(cert)]) == 0
+    assert main(["verify", "--cert", str(cert)]) == 0
+    assert capsys.readouterr().out == _CAT_MD[space]
+    assert main(["verify", "--cert", str(cert), "--format", "json"]) == 0
+    cup = len(_CAT_FACTORS[space])
+    doc = {"space": space, "n": 2, "verdict": "Verified", "productNonzero": True,
+           "verifiedCup": cup, "verifiedTcLower": cup + 1,
+           "perFactor": [{"expr": expr, "isZeroDivisor": False, "degree": degree}
+                         for expr, degree in _CAT_FACTORS[space]]}
+    assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
 
 
 # -- report emission ----------------------------------------------------------

@@ -20,13 +20,9 @@ from milnortc.cuplength import (
 from milnortc.errors import ResourceLimitError
 from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr, sum_text
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import cohomology_of, parse_space
+from milnortc.spaces import parse_space
 from milnortc.tensorpower import TensorPower, tensor_power, tensor_slice
-from reference import kernel_basis, rank
-
-
-def ring(text):
-    return cohomology_of(parse_space(text))
+from reference import kernel_basis, rank, ring
 
 
 def test_zero_divisor_predicate():

@@ -16,8 +16,9 @@ from milnortc.exprs import (
     sum_text,
     to_string,
 )
-from milnortc.f2algebra import generator, make_presentation, power
+from milnortc.f2algebra import generator, power
 from milnortc.tensorpower import inject
+from reference import ring
 
 
 def test_grammar_examples():
@@ -73,20 +74,18 @@ def test_unexpected_character_is_refused_at_its_position(text, char, position):
 
 
 def test_unknown_generator_rejected():
-    P = make_presentation(kind="truncated", m=2, gen_degree=1)
+    P = ring("rp:2")
     with pytest.raises(ValueError, match="unknown generator"):
         parse_factor_expr("b1", 2, P)
 
 
 def test_alpha_alias():
-    P = make_presentation(kind="truncated", m=2, gen_degree=1)
+    P = ring("rp:2")
     assert evaluate_text("alpha1+alpha2", P, 2) == evaluate_text("x1+x2", P, 2)
 
 
 def test_product_ring_generators():
-    P1 = make_presentation(kind="truncated", m=3, gen_degree=1)
-    P2 = make_presentation(kind="truncated", m=2, gen_degree=1)
-    P = make_presentation(kind="product", factors=[P1, P2])
+    P = ring("prod:rp3,rp2")
     node = parse_factor_expr("x.2.1+x.2.2", 2, P)
     assert node == Sum((Gen("x.2", 1), Gen("x.2", 2)))
     assert to_string(node) == "x.2.1+x.2.2"
@@ -96,7 +95,7 @@ def test_product_ring_generators():
 
 
 def test_evaluation_char2():
-    P = make_presentation(kind="truncated", m=2, gen_degree=1)
+    P = ring("rp:2")
     x = generator(P, "x")
     # (x1+x2)^2 = x1^2 + x2^2 in characteristic 2
     got = evaluate_text("(x1+x2)^2", P, 2)

@@ -13,7 +13,7 @@ the root of a checkout::
 import json
 import pathlib
 
-from milnortc.f2algebra import make_presentation
+from reference import ring
 
 ARTIFACT = pathlib.Path(__file__).parent / "artifacts" / "milnor_normal_forms.json"
 
@@ -22,7 +22,7 @@ def _render() -> list:
     out = []
     for r in range(1, 9):
         for s in range(r + 1):
-            P = make_presentation(kind="milnor", s=s, r=r, gen_degree=1)
+            P = ring(f"rh:{r},{s}")
             for i in range(s + 2):
                 for j in range(3 * r + 1):
                     support = sorted(list(m) for m in P.reduce((i, j)))
@@ -37,7 +37,7 @@ def record():
 
 def test_normal_forms_match_the_committed_record():
     # the record also holds the two forms of the zero ring r = 0, all empty,
-    # which make_presentation now refuses
+    # which the RealMilnor descriptor refuses
     committed = [c for c in json.loads(ARTIFACT.read_text(encoding="utf-8")) if c[1] >= 1]
     rendered = _render()
     assert len(rendered) == len(committed)

@@ -7,7 +7,7 @@ import pytest
 from milnortc.bounds import BoundReport, Group, RuleTrace, eqtc_bounds
 from milnortc.cuplength import Certificate, FactorCheck, SearchFailure, VerificationReport
 from milnortc.exprs import Gen, Pow, Prod, Sum, Unit, evaluate_text
-from milnortc.f2algebra import Element, generator, make_presentation
+from milnortc.f2algebra import Element, generator
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,
@@ -16,9 +16,9 @@ from milnortc.spaces import (
     RealProj,
     parse_space,
 )
-from reference import KernelBasis, kernel_basis
+from reference import KernelBasis, kernel_basis, ring
 
-P = make_presentation(kind="truncated", m=2, gen_degree=1)
+P = ring("rp:2")
 g, h = Gen("a", 1), Gen("b", 2)
 
 

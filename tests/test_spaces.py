@@ -1,12 +1,12 @@
 """Space strings: the canonical form of every family round-trips through
 ``parse_space`` and ``format_space``, and each malformed string or
-descriptor is refused with its own message."""
+descriptor is refused with its own message.  A descriptor's check is the
+only check of a space's fields, and the descriptor keys its ring."""
 
 import re
 
 import pytest
 
-from milnortc.f2algebra import make_presentation
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,
@@ -53,15 +53,16 @@ def test_parse_space_strips_and_lowercases():
 @pytest.mark.parametrize(
     "space, kind, fields, dimension",
     [
-        (RealMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degree": 1}, 6),
-        (ComplexMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degree": 2}, 12),
-        (RealProj(3), "truncated", {"m": 3, "gen_degree": 1}, 3),
-        (ComplexProj(3), "truncated", {"m": 3, "gen_degree": 2}, 6),
+        (RealMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degrees": (1, 1)}, 6),
+        (ComplexMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degrees": (2, 2)}, 12),
+        (RealProj(3), "truncated", {"m": 3, "gen_degrees": (1,)}, 3),
+        (ComplexProj(3), "truncated", {"m": 3, "gen_degrees": (2,)}, 6),
     ],
 )
 def test_cohomology_and_dimension_of_each_family(space, kind, fields, dimension):
     P = cohomology_of(space)
-    assert P is make_presentation(kind=kind, **fields)
+    assert P.cache_key == space and P.kind == kind
+    assert {name: getattr(P, name) for name in fields} == fields
     assert space.dimension == dimension == P.top_degree
 
 
@@ -97,6 +98,39 @@ def test_cohomology_of_a_product_takes_its_factors_rings():
 def test_parse_space_refusals(text, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         parse_space(text)
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RealMilnor(2, -1), "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=2, s=-1"),
+        (lambda: RealMilnor(2.0, 1), "r and s must be integers"),
+        (lambda: ComplexMilnor(2, 1.0), "r and s must be integers"),
+        # a bool would print as rh:True,0, which no parser reads back
+        (lambda: RealMilnor(True, 0), "r and s must be integers"),
+        (lambda: RealMilnor(0, 0), "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0"),
+        (lambda: ComplexMilnor(2, 3), "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=2, s=3"),
+        (lambda: RealProj(-1), "projective space dimension must be >= 0"),
+        (lambda: RealProj(2.0), "m must be an integer"),
+        (lambda: ComplexProj("2"), "m must be an integer"),
+        (lambda: RealProj(False), "m must be an integer"),
+        (lambda: ProductSpace(()), "product space needs at least one factor"),
+        (lambda: ProductSpace([RealProj(1)]),
+         "factors must be of type tuple, got [RealProj(m=1)]"),
+        (lambda: ProductSpace((RealProj(1), {"m": 2})), "unknown space descriptor: {'m': 2}"),
+        (lambda: ProductSpace((ProductSpace((RealProj(1),)),)),
+         "a product factor may not be a product"),
+    ],
+    ids=["milnor-negative", "milnor-float", "complex-milnor-float", "milnor-bool",
+         "milnor-zero-ring", "milnor-s-above-r", "proj-negative", "proj-float",
+         "complex-proj-str", "proj-bool",
+         "product-empty", "product-list", "product-of-a-non-descriptor",
+         "product-of-a-product"],
+)
+def test_descriptors_refuse_bad_fields(build, message):
+    # the descriptor is the only check: no ring is built from a refused one
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("space", [None, 42, "rp:2"])

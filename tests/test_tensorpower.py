@@ -8,13 +8,11 @@ from milnortc.f2algebra import (
     Element,
     Presentation,
     generator,
-    make_presentation,
     multiply,
     power,
     unit,
     zero,
 )
-from milnortc.spaces import cohomology_of, parse_space
 from milnortc.tensorpower import (
     diagonal_eval,
     inject,
@@ -22,12 +20,12 @@ from milnortc.tensorpower import (
     tensor_power,
     tensor_slice,
 )
-from reference import kernel_basis
+from reference import kernel_basis, ring
 
 
 @pytest.fixture
 def P():
-    return make_presentation(kind="milnor", s=2, r=3, gen_degree=1)
+    return ring("rh:3,2")
 
 
 def rand_element(P, rng, max_terms=3):
@@ -84,7 +82,7 @@ def rand_sparse(P, n, rng):
 
 @pytest.mark.parametrize("space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1"])
 def test_multiply_matches_the_slotwise_product(space):
-    P = cohomology_of(parse_space(space))
+    P = ring(space)
     rng = random.Random(space)
     for n in range(1, 5):
         T = tensor_power(P, n)
@@ -100,7 +98,7 @@ def test_multiply_matches_the_slotwise_product(space):
 def test_multiply_matches_the_slotwise_product_on_several_term_slots():
     # in rh:3,2 the Milnor rewrite gives b^3 = a*b^2 + a^2*b: one slot
     # product with two terms, which the product expands
-    P = cohomology_of(parse_space("rh:3,2"))
+    P = ring("rh:3,2")
     assert len(P.mono_mul((0, 1), (0, 2))) == 2
     b = generator(P, "b")
     rng = random.Random(19)
@@ -118,7 +116,7 @@ def test_injected_factor_multiplies_only_its_own_slots(monkeypatch):
     # a count, not a time: an element times a sum of classes injected in
     # slots 1 and 2 multiplies in the base ring at most once per pair of
     # monomials, in the one slot the injected class occupies, not in all n
-    P = cohomology_of(parse_space("rh:3,2"))
+    P = ring("rh:3,2")
     n = 6
     u = rand_dense(P, n, random.Random(23), max_terms=40)
     a = generator(P, "a")
@@ -197,7 +195,7 @@ def brute_force_slice(P, n, d):
     "space", ["rh:3,2", "ch:2,1", "rp:3", "cp:2", "prod:rp1,cp1"]
 )
 def test_tensor_slice_matches_the_brute_force_slice(space):
-    P = cohomology_of(parse_space(space))
+    P = ring(space)
     slices = {}
     for n in range(5):
         dims = slice_dimensions(P, n)
@@ -226,7 +224,7 @@ def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
     monkeypatch.setattr(tensorpower, "tensor_slice", spy)
     monkeypatch.setattr(cuplength, "tensor_slice", spy)
-    cuplength.cup_exact(cohomology_of(parse_space(space)), 3)
+    cuplength.cup_exact(ring(space), 3)
     (cached,) = runs.values()
     assert {n for n, _ in cached} == {0, 1, 2, 3}
     assert [key for key, slc in cached.items() if not slc] == []
@@ -265,7 +263,7 @@ def test_inject_refuses_a_bad_position_and_a_foreign_element(P):
     for i in (0, 3):
         with pytest.raises(ValueError, match=f"^position {i} out of range 1..2$"):
             inject(P, 2, i, a)
-    x = generator(make_presentation(kind="truncated", m=2), "x")
+    x = generator(ring("rp:2"), "x")
     with pytest.raises(ValueError, match="^element is not over the given presentation$"):
         inject(P, 2, 1, x)
 
@@ -298,7 +296,7 @@ def test_resource_limit_fires(P):
 
 def test_kernel_of_projective_line():
     # RP^1: kernel in degree 1 is spanned by x1 + x2
-    T = make_presentation(kind="truncated", m=1, gen_degree=1)
+    T = ring("rp:1")
     kb = kernel_basis(T, 2, 1)
     assert len(kb) == 1
     el = kb.elements[0]
