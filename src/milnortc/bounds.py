@@ -203,7 +203,10 @@ def cat_bounds(space, n: int) -> BoundReport:
 
 
 def _monotonicity_rules(space, n: int):
-    """Closed-form lower bounds via containment of smaller rings; claimed."""
+    """Closed-form lower bounds via containment of smaller rings; claimed.
+    The r-monotonicity rule needs s >= 1: at s = 0 the ring is that of
+    RP^(r-1), where for r = 2^t it would claim n(r - 1) + 2, above the
+    dimension upper bound n(r - 1) + 1."""
     rules = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
@@ -221,7 +224,7 @@ def _monotonicity_rules(space, n: int):
                     max(pairs),
                 )
             )
-        if r >= 2:
+        if r >= 2 and s >= 1:
             rules.append(
                 (
                     "power-of-two-r-monotonicity",

@@ -268,6 +268,9 @@ _FLAG, _REPEAT, _REQUIRED = "flag", "repeat", "required"
 _FORMATS = ("md", "csv", "json")
 _SPACE_HELP = "the space, such as rh:4,3, cp:2 or prod:rp3,rp2"
 _OUT_HELP = "write to this file instead of stdout"
+# no default where the oracle is optional, so that a cap given without it is refused
+_ORACLE_CAP = (_slice_cap, None,
+               f"the oracle's largest slice (default {DEFAULT_MAX_SLICE})")
 
 _COMMANDS = {
     "bounds": ("emit a bound report for one space", {
@@ -278,9 +281,7 @@ _COMMANDS = {
         "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
         "--no-certs": (_FLAG, False, "leave out the generated certificates"),
         "--no-monotonicity": (_FLAG, False, "leave out the monotonicity rules"),
-        # no default, so that cat can tell the option was given
-        "--max-slice": (_slice_cap, None,
-                        f"the oracle's largest slice (default {DEFAULT_MAX_SLICE})"),
+        "--max-slice": _ORACLE_CAP,
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
     }),
@@ -307,7 +308,7 @@ _COMMANDS = {
         "--s": (str, None, "range C..D"),
         "--n": (str, _REQUIRED, "range E..F"),
         "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
-        "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
+        "--max-slice": _ORACLE_CAP,
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
     }),
@@ -431,21 +432,30 @@ def _parse_args(argv) -> SimpleNamespace | None:
 # --- subcommand bodies -------------------------------------------------------
 
 
+def _oracle_cap(args) -> int:
+    """--max-slice, refused without --use-oracle as nothing else reads it."""
+    if args.max_slice is None:
+        return DEFAULT_MAX_SLICE
+    if not args.use_oracle:
+        raise ValueError("--max-slice applies only with --use-oracle")
+    return args.max_slice
+
+
 def _cmd_bounds(args) -> int:
     options = dict(
         use_oracle=args.use_oracle,
         use_certs=not args.no_certs,
         use_monotonicity=not args.no_monotonicity,
-        max_slice=DEFAULT_MAX_SLICE if args.max_slice is None else args.max_slice,
+        max_slice=_oracle_cap(args),
     )
     if args.group and args.quantity != "eqtc":
         raise ValueError(f"--group does not apply to --quantity {args.quantity}")
     if args.quantity == "cat":
+        # --max-slice, which needs --use-oracle, is refused with it
         for flag, given in (
             ("--no-certs", args.no_certs),
             ("--no-monotonicity", args.no_monotonicity),
             ("--use-oracle", args.use_oracle),
-            ("--max-slice", args.max_slice is not None),
         ):
             if given:
                 raise ValueError(f"{flag} does not apply to --quantity cat")
@@ -554,8 +564,9 @@ def _cmd_table(args) -> int:
         if args.s is not None:
             raise ValueError("--s does not apply to --family rp")
         space_names = [f"rp:{m}" for m in _parse_range(args.r, "--r")]
+    max_slice = _oracle_cap(args)
     reports = [
-        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=args.max_slice)
+        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
         for space in space_names
         for n in n_range
     ]

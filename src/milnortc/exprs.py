@@ -9,8 +9,9 @@ Grammar (whitespace insensitive, single-token lookahead):
     gen  := name position            e.g. a1, b2, x3, alpha1
           | name '.' factor '.' position   e.g. x.2.1  (product rings)
 
-Each generator is checked as it is read: its position must lie in
-1..arity and, given a presentation, its name must be one of the ring's.
+Every number is written in ASCII digits.  Each generator is checked as it
+is read: its position must lie in 1..arity and, given a presentation, its
+name must be one of the ring's.
 
 ``parse -> print -> parse`` is the identity on the AST.
 """
@@ -45,10 +46,11 @@ class Pow(Record):
     __slots__ = ("base", "exponent")
 
 
+# digits are ASCII only: \d would also match other scripts' digits
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>[a-z]+(?:\.\d+\.)?\d+)|(?P<int>\d+)|(?P<op>[+*^()]))"
+    r"\s*(?:(?P<gen>[a-z]+(?:\.[0-9]+\.)?[0-9]+)|(?P<int>[0-9]+)|(?P<op>[+*^()]))"
 )
-_GEN_RE = re.compile(r"^([a-z]+)(?:\.(\d+)\.)?(\d+)$")
+_GEN_RE = re.compile(r"([a-z]+)(?:\.([0-9]+)\.)?([0-9]+)")
 
 
 def _tokenize(text: str):
@@ -118,7 +120,7 @@ class _Parser:
     def atom(self):
         tok = self.tok
         if tok[0] == "gen":
-            name, factor, position = _GEN_RE.match(tok[1]).groups()
+            name, factor, position = _GEN_RE.fullmatch(tok[1]).groups()
             if factor is not None:
                 name = f"{name}.{int(factor)}"
             node = Gen(name, int(position))

@@ -8,18 +8,17 @@ Each algebra supplies ``one`` (its unit monomial), ``is_basic``,
 multiplying two supports.
 
 A presentation is the ring of one checked space descriptor of
-:mod:`milnortc.spaces` and reads its kind, fields and generator degree
-off it.  There are three kinds:
-
-* ``milnor`` -- two generators a, b with ``a^(s+1) = 0`` and
-  ``b^r = sum_{k=1..s} a^k b^(r-k)``; monomial basis
-  ``{a^i b^j : i <= s, j <= r-1}``.  The normal form of a^i b^j with
-  j >= r applies the relation once, ``a^i b^j = sum_{k=1..s} a^(i+k)
-  b^(j-k)``, and reduces each term through the memoised
-  :meth:`Presentation.reduce`.  Every step raises the power of a, and a
-  term with i > s vanishes, so the rewrite recurses at most s + 1 deep.
-* ``truncated`` -- one generator x with ``x^(m+1) = 0``.
-* ``product`` -- tensor product of the above, generators concatenated.
+:mod:`milnortc.spaces`, read off the descriptor's ``generators``: one
+``(name, degree, bound, terms)`` per generator g, with the relation
+``g^bound = sum(terms)``.  The monomial basis is every exponent vector
+below the bounds.  The normal form of a raw monomial finds the first
+generator at or above its bound, replaces ``g^bound`` by its terms once,
+and reduces each result through the memoised :meth:`Presentation.reduce`;
+an empty rule makes the monomial vanish.  The rewriting ends because each
+term has the degree of ``g^bound``, is below the bound on g and raises only
+generators before g: a rewrite keeps the later exponents and lowers g's,
+so, read from the last generator back, the exponent vectors of one degree
+strictly descend, and there are finitely many of them.
 
 Elements are mod-2 sums of basic monomials; addition is symmetric
 difference of supports.  All values are immutable after construction and
@@ -38,43 +37,20 @@ _PRESENTATION_CACHE: dict = {}
 
 class Presentation:
     """The mod-2 cohomology ring of a space descriptor, with its monomial
-    basis enumerated; a product is given its factors' rings.
+    basis enumerated.
 
     Built only by :func:`milnortc.spaces.cohomology_of`, which keeps one
     instance per descriptor, its ``cache_key``, in ``_PRESENTATION_CACHE``,
     so identity comparison is safe.
     """
 
-    def __init__(self, space, factors=()):
+    def __init__(self, space):
         self.cache_key = space
-        self.kind = space.kind
-        self.factors = factors
-        if self.kind == "milnor":
-            self.s, self.r = space.s, space.r
-            self.gen_names = ("a", "b")
-            self.gen_degrees = (space.gen_degree,) * 2
-            basis = [(i, j) for i in range(self.s + 1) for j in range(self.r)]
-        elif self.kind == "truncated":
-            self.m = space.m
-            self.gen_names = ("x",)
-            self.gen_degrees = (space.gen_degree,)
-            basis = [(e,) for e in range(self.m + 1)]
-        else:  # product
-            names = []
-            degrees = []
-            for idx, f in enumerate(factors, start=1):
-                names.extend(f"{g}.{idx}" for g in f.gen_names)
-                degrees.extend(f.gen_degrees)
-            self.gen_names = tuple(names)
-            self.gen_degrees = tuple(degrees)
-            basis = [
-                tuple(e for mono in combo for e in mono)
-                for combo in iproduct(*(f.basis for f in factors))
-            ]
-
+        gens = space.generators
+        self.gen_names, self.gen_degrees, self._bounds, self._rules = zip(*gens)
         self.ngens = len(self.gen_names)
-        basis.sort(key=lambda mono: (self.monomial_degree(mono), mono))
-        self.basis = tuple(basis)
+        basis = iproduct(*map(range, self._bounds))
+        self.basis = tuple(sorted(basis, key=lambda m: (self.monomial_degree(m), m)))
         self.rank_of = {mono: i for i, mono in enumerate(self.basis)}
         slices: dict[int, list[int]] = {}
         for i, mono in enumerate(self.basis):
@@ -113,34 +89,15 @@ class Presentation:
         return cached
 
     def _reduce(self, exps) -> frozenset:
-        if self.kind == "truncated":
-            return frozenset() if exps[0] > self.m else frozenset((exps,))
-        if self.kind == "milnor":
-            return self._reduce_milnor(exps[0], exps[1])
-        # product: reduce factor-wise, then expand the tensor of supports
-        parts = []
-        pos = 0
-        for f in self.factors:
-            seg = exps[pos : pos + f.ngens]
-            pos += f.ngens
-            sup = f.reduce(seg)
-            if not sup:
-                return frozenset()
-            parts.append(sup)
-        return frozenset(
-            tuple(e for mono in combo for e in mono) for combo in iproduct(*parts)
-        )
-
-    def _reduce_milnor(self, i, j) -> frozenset:
-        if i > self.s:
-            return frozenset()
-        if j < self.r:
-            return frozenset(((i, j),))
-        # a^i b^j = sum_{k=1..s} a^(i+k) b^(j-k), each term through the memo
-        out = frozenset()
-        for k in range(1, self.s + 1):
-            out ^= self.reduce((i + k, j - k))
-        return out
+        for i, bound in enumerate(self._bounds):
+            if exps[i] >= bound:
+                # g^bound = sum of g's terms, each result through the memo
+                rest = exps[:i] + (exps[i] - bound,) + exps[i + 1 :]
+                out = frozenset()
+                for term in self._rules[i]:
+                    out ^= self.reduce(tuple(x + y for x, y in zip(rest, term)))
+                return out
+        return frozenset((exps,))
 
     def mono_mul(self, m1, m2) -> frozenset:
         """Product of two basic monomials as a set of basic monomials."""

@@ -3,14 +3,18 @@
 Canonical string forms (used in certificate files and CLI flags):
 ``rh:4,3`` and ``ch:4,3`` for real/complex Milnor manifolds with (r, s),
 ``rp:2`` / ``cp:2`` for projective spaces, and ``prod:rp3,rp2`` for
-products (factors written compactly, e.g. ``rh4.3``, ``rp3``).
+products (factors written compactly, e.g. ``rh4.3``, ``rp3``).  Numbers
+are written in ASCII digits.
 
-Each descriptor class carries its family prefix, its ring kind and
-(products aside) its generator degree; two mixins check the fields and
-give the dimension.  That check is the only one: :func:`cohomology_of`
-builds one ring per descriptor and keys it by the descriptor.  Parsing,
-formatting and :func:`cohomology_of` read the one ``_FAMILIES`` table,
-from prefix to class.
+Each family states its mod-2 cohomology ring as ``generators``: one
+``(name, degree, bound, terms)`` per generator g, meaning ``g^bound =
+sum(terms)``, where each term keeps g below its bound and raises only
+generators before g, so that the rewriting of :mod:`milnortc.f2algebra`
+ends.  A product concatenates its factors' generators.  The dimension is
+read off the same data, and the descriptor's check of its fields is the
+only one: :func:`cohomology_of` builds one ring per descriptor and keys it
+by the descriptor.  Parsing, formatting and :func:`cohomology_of` read the
+one ``_FAMILIES`` table, from prefix to class.
 """
 
 from __future__ import annotations
@@ -21,10 +25,18 @@ from .f2algebra import _PRESENTATION_CACHE, Presentation
 from .record import Record
 
 
-class _Milnor:
+class _Ring:
+    # the top degree: each generator one below its bound
+    __slots__ = ()
+
+    @property
+    def dimension(self) -> int:
+        return sum((bound - 1) * degree for _, degree, bound, _ in self.generators)
+
+
+class _Milnor(_Ring):
     # fields (r, s): a^(s+1) = 0 and b^r = a b^(r-1) + ... + a^s b^(r-s)
     __slots__ = ()
-    kind = "milnor"
 
     def _check(self):
         if (type(self.r), type(self.s)) != (int, int):
@@ -36,14 +48,15 @@ class _Milnor:
             )
 
     @property
-    def dimension(self) -> int:
-        return self.gen_degree * (self.r + self.s - 1)
+    def generators(self) -> tuple:
+        d, r, s = self.gen_degree, self.r, self.s
+        b_terms = tuple((k, r - k) for k in range(1, s + 1))
+        return ("a", d, s + 1, ()), ("b", d, r, b_terms)
 
 
-class _Proj:
+class _Proj(_Ring):
     # field m: x^(m+1) = 0
     __slots__ = ()
-    kind = "truncated"
 
     def _check(self):
         if type(self.m) is not int:
@@ -52,8 +65,8 @@ class _Proj:
             raise ValueError("projective space dimension must be >= 0")
 
     @property
-    def dimension(self) -> int:
-        return self.gen_degree * self.m
+    def generators(self) -> tuple:
+        return (("x", self.gen_degree, self.m + 1, ()),)
 
 
 class RealMilnor(_Milnor, Record):
@@ -76,9 +89,9 @@ class ComplexProj(_Proj, Record):
     family, gen_degree = "cp", 2
 
 
-class ProductSpace(Record):
+class ProductSpace(_Ring, Record):
     __slots__ = ("factors",)
-    family, kind = "prod", "product"
+    family = "prod"
 
     def _check(self):
         if type(self.factors) is not tuple:
@@ -89,8 +102,16 @@ class ProductSpace(Record):
             raise ValueError("a product factor may not be a product")
 
     @property
-    def dimension(self) -> int:
-        return sum(f.dimension for f in self.factors)
+    def generators(self) -> tuple:
+        # the idx-th factor's g is g.idx, its terms padded with zeros
+        parts = [f.generators for f in self.factors]
+        gens = []
+        for idx, part in enumerate(parts):
+            left = (0,) * sum(map(len, parts[:idx]))
+            right = (0,) * sum(map(len, parts[idx + 1 :]))
+            gens += [(f"{g}.{idx + 1}", d, bound, tuple(left + t + right for t in terms))
+                     for g, d, bound, terms in part]
+        return tuple(gens)
 
 
 _FAMILIES = {
@@ -109,20 +130,22 @@ def _family(space):
 
 def cohomology_of(space) -> Presentation:
     """Mod-2 cohomology ring of the space, built once per descriptor."""
-    cls = _family(space)
+    _family(space)
     P = _PRESENTATION_CACHE.get(space)
     if P is None:
-        factors = tuple(map(cohomology_of, space.factors)) if cls is ProductSpace else ()
-        P = _PRESENTATION_CACHE[space] = Presentation(space, factors)
+        P = _PRESENTATION_CACHE[space] = Presentation(space)
     return P
 
 
 # a product factor: the family prefix, then its fields joined by "."
-_FACTOR_RE = re.compile(r"^([a-z]+)(\d+(?:\.\d+)*)$")
+_FACTOR_RE = re.compile(r"([a-z]+)([0-9]+(?:\.[0-9]+)*)")
+# the fields of a family other than prod; int() alone also reads "4_3",
+# "+2", spaces and other scripts' digits
+_FIELDS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _parse_factor(text: str):
-    mo = _FACTOR_RE.match(text)
+    mo = _FACTOR_RE.fullmatch(text)
     cls = _FAMILIES.get(mo.group(1)) if mo else None
     values = mo.group(2).split(".") if mo else ()
     if cls in (None, ProductSpace) or len(values) != len(cls.__slots__):
@@ -145,7 +168,10 @@ def parse_space(text: str):
     parts = rest.split(",") if len(cls.__slots__) > 1 else [rest]
     if len(parts) != len(cls.__slots__):
         raise ValueError(f"expected '{head}:{','.join(cls.__slots__)}', got {text!r}")
-    return cls(*map(int, parts))
+    values = tuple(map(int, parts))  # with int()'s message for what it refuses
+    if not _FIELDS_RE.fullmatch(rest):
+        raise ValueError(f"numbers must be written in ASCII digits, got {text!r}")
+    return cls(*values)
 
 
 def format_space(space) -> str:

@@ -8,6 +8,8 @@ kernel of the diagonal map computed here by plain row reduction.
 
 from __future__ import annotations
 
+from itertools import product as iproduct
+
 from milnortc.errors import ResourceLimitError
 from milnortc.f2algebra import Element, Presentation
 from milnortc.gf2 import independent_rows
@@ -72,6 +74,20 @@ def nullspace(rows, ncols: int) -> list:
 def normal_form(P: Presentation, raw_exps) -> Element:
     """Unique mod-2 sum of basic monomials equal to the raw monomial."""
     return Element(P, P.reduce(raw_exps))
+
+
+def product_normal_form(space, raw_exps) -> frozenset:
+    """Normal form of a raw monomial of a product's ring, factor by factor:
+    each factor's exponents are reduced in that factor's own ring, and the
+    tensor product of the supports is expanded."""
+    parts, pos = [], 0
+    for factor in space.factors:
+        F = cohomology_of(factor)
+        parts.append(F.reduce(raw_exps[pos : pos + F.ngens]))
+        pos += F.ngens
+    return frozenset(
+        tuple(e for mono in combo for e in mono) for combo in iproduct(*parts)
+    )
 
 
 # --- the kernel of the diagonal map ------------------------------------------

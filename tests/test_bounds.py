@@ -179,6 +179,24 @@ def test_tc_source_toggles():
     assert no_claims.lower == no_claims.verified_lower == 11
 
 
+def test_no_claimed_rule_puts_the_lower_end_above_the_upper_one():
+    # rh and ch with r <= 9 and every s, and rp with m <= 16, at n = 2..5.
+    # At s = 0 the Milnor ring is that of RP^(r-1), where the
+    # r-monotonicity rule would claim n(r - 1) + 2 for r = 2^t, above the
+    # dimension bound n(r - 1) + 1: it fires only for s >= 1
+    spaces = [
+        f"{family}:{r},{s}" for family in ("rh", "ch") for r in range(1, 10)
+        for s in range(r + 1)
+    ] + [f"rp:{m}" for m in range(17)]
+    reports = [tc_bounds(space, n, use_certs=False) for space in spaces for n in range(2, 6)]
+    assert len(reports) == 500
+    assert [(r.space, r.n) for r in reports if r.inconsistent] == []
+    rules = {t.rule for t in tc_bounds("rh:4,0", 2, use_certs=False).trace}
+    assert "power-of-two-r-monotonicity" not in rules
+    rules = {t.rule for t in tc_bounds("rh:4,1", 2, use_certs=False).trace}
+    assert "power-of-two-r-monotonicity" in rules
+
+
 def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
     # the families are written for the real Milnor manifold; the
     # certificates offered to a report about a complex one are labelled with

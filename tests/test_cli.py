@@ -320,11 +320,17 @@ def test_cat_refuses_the_tc_source_flags(flag, capsys):
         (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2",
           "--group", "z2"], "--group"),
         (["table", "--family", "rp", "--r", "2..3", "--s", "1..3", "--n", "2"], "--s"),
+        (["table", "--family", "rp", "--r", "2", "--n", "2", "--max-slice", "0"],
+         "--max-slice"),
+        (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "2",
+          "--max-slice=5"], "--max-slice"),
+        (["bounds", "--space", "rh:5,3", "--quantity", "eqtc", "--group", "z2",
+          "--n", "2", "--max-slice", "5"], "--max-slice"),
     ],
 )
 def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
-    # tc takes no group and the rp family no s range; cat's refusals are
-    # checked above
+    # tc takes no group, the rp family no s range, and only the oracle
+    # reads --max-slice; cat's refusals are checked above
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -73,6 +73,18 @@ def test_unexpected_character_is_refused_at_its_position(text, char, position):
     assert exc.value.position == position
 
 
+# numbers are ASCII digits: int() and \\d also read other scripts' digits
+@pytest.mark.parametrize(
+    "text, char, position",
+    [("(a\uff11+a\uff12)^\uff13", "a", 1), ("a1^\uff13", "\uff13", 3),
+     ("x.\u0661.1", "x", 0), ("a\u0661", "a", 0)],
+)
+def test_non_ascii_digits_are_refused(text, char, position):
+    message = f"unexpected character {char!r} (at position {position})"
+    with pytest.raises(ExprSyntaxError, match=f"^{re.escape(message)}$"):
+        parse_factor_expr(text, 2)
+
+
 def test_unknown_generator_rejected():
     P = ring("rp:2")
     with pytest.raises(ValueError, match="unknown generator"):

@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from itertools import product as iproduct
 
 import pytest
 
@@ -15,8 +16,8 @@ from milnortc.f2algebra import (
     unit,
     zero,
 )
-from milnortc.spaces import ProductSpace, RealMilnor, RealProj, cohomology_of
-from reference import normal_form, ring
+from milnortc.spaces import ProductSpace, RealMilnor, RealProj, cohomology_of, parse_space
+from reference import normal_form, product_normal_form, ring
 
 
 @pytest.mark.parametrize("s,r", [(0, 1), (1, 2), (2, 4), (3, 4), (4, 8)])
@@ -96,6 +97,27 @@ def test_product_presentation():
     assert not multiply(power(x1, 3), power(x2, 2)).is_zero
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["prod:rh2.1,rp2", "prod:rp3,rh3.2", "prod:rh2.1,cp1,rp1", "prod:rh3.1,rh2.2",
+     "prod:ch2.1,rp1", "prod:rp0,rh2.1", "prod:rh3.0,cp2"],
+)
+def test_product_normal_form_is_the_factorwise_one(text):
+    # one rewriting loop over the concatenated generators gives the tensor
+    # product of the factors' normal forms, for every exponent up to 2 top + 1
+    space = parse_space(text)
+    P = cohomology_of(space)
+    for exps in iproduct(range(2 * P.top_degree + 2), repeat=P.ngens):
+        assert P.reduce(exps) == product_normal_form(space, exps), exps
+
+
+def test_presentation_repr_names_its_descriptor():
+    assert repr(ring("rh:2,1")) == "Presentation(RealMilnor(r=2, s=1))"
+    assert repr(ring("prod:rp3,cp1")) == (
+        "Presentation(ProductSpace(factors=(RealProj(m=3), ComplexProj(m=1))))"
+    )
+
+
 def test_presentations_are_interned():
     assert ring("rh:3,2") is ring("rh:3,2") is cohomology_of(RealMilnor(3, 2))
     # equal fields, another family: another ring
@@ -104,10 +126,10 @@ def test_presentations_are_interned():
     P = cohomology_of(space)
     assert P is ring("prod:rp3,rp2")
     assert P.cache_key == space
-    assert P.factors == (ring("rp:3"), ring("rp:2"))
-    # the cache holds the product and each factor's ring
+    assert P.gen_names == ("x.1", "x.2")
+    # the product and each factor key their own rings in the one cache
     for s in (space, *space.factors):
-        assert _PRESENTATION_CACHE[s] is cohomology_of(s)
+        assert cohomology_of(s) is _PRESENTATION_CACHE[s]
 
 
 def test_algebra_laws_random():

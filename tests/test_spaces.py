@@ -50,26 +50,48 @@ def test_parse_space_strips_and_lowercases():
     )
 
 
+_MILNOR_FIELDS = {"gen_names": ("a", "b")}
+_PROJ_FIELDS = {"gen_names": ("x",)}
+
+
 @pytest.mark.parametrize(
-    "space, kind, fields, dimension",
+    "space, relation, fields, dimension",
     [
-        (RealMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degrees": (1, 1)}, 6),
-        (ComplexMilnor(4, 3), "milnor", {"r": 4, "s": 3, "gen_degrees": (2, 2)}, 12),
-        (RealProj(3), "truncated", {"m": 3, "gen_degrees": (1,)}, 3),
-        (ComplexProj(3), "truncated", {"m": 3, "gen_degrees": (2,)}, 6),
+        (RealMilnor(4, 3), "milnor", {**_MILNOR_FIELDS, "gen_degrees": (1, 1)}, 6),
+        (ComplexMilnor(4, 3), "milnor", {**_MILNOR_FIELDS, "gen_degrees": (2, 2)}, 12),
+        (RealProj(3), "truncated", {**_PROJ_FIELDS, "gen_degrees": (1,)}, 3),
+        (ComplexProj(3), "truncated", {**_PROJ_FIELDS, "gen_degrees": (2,)}, 6),
     ],
 )
-def test_cohomology_and_dimension_of_each_family(space, kind, fields, dimension):
+def test_cohomology_and_dimension_of_each_family(space, relation, fields, dimension):
     P = cohomology_of(space)
-    assert P.cache_key == space and P.kind == kind
+    assert P.cache_key == space
     assert {name: getattr(P, name) for name in fields} == fields
     assert space.dimension == dimension == P.top_degree
+    # the family's relations, read off the ring's normal form
+    if relation == "milnor":
+        r, s = space.r, space.s
+        assert P.reduce((s + 1, 0)) == frozenset()
+        assert P.reduce((0, r)) == {(k, r - k) for k in range(1, s + 1)}
+        assert P.reduce((s, r - 1)) == {(s, r - 1)}
+    else:
+        assert P.reduce((space.m + 1,)) == frozenset()
+        assert P.reduce((space.m,)) == {(space.m,)}
 
 
 def test_cohomology_of_a_product_takes_its_factors_rings():
     space = parse_space("prod:rh2.1,cp2")
     P = cohomology_of(space)
-    assert P.factors == (cohomology_of(RealMilnor(2, 1)), cohomology_of(ComplexProj(2)))
+    milnor, proj = cohomology_of(RealMilnor(2, 1)), cohomology_of(ComplexProj(2))
+    # the factors' generators renamed by position, each rule padded with zeros
+    assert space.generators == (
+        ("a.1", 1, 2, ()),
+        ("b.1", 1, 2, ((1, 1, 0),)),
+        ("x.2", 2, 3, ()),
+    )
+    assert P.gen_names == ("a.1", "b.1", "x.2")
+    assert P.gen_degrees == milnor.gen_degrees + proj.gen_degrees
+    assert set(P.basis) == {m + x for m in milnor.basis for x in proj.basis}
     assert space.dimension == 2 + 4 == P.top_degree
 
 
@@ -93,6 +115,13 @@ def test_cohomology_of_a_product_takes_its_factors_rings():
         ("ch:0,0", "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0"),
         ("rp:-1", "projective space dimension must be >= 0"),
         ("prod:rh2.3", "Milnor manifold requires r >= 1 and 0 <= s <= r, got r=2, s=3"),
+        # numbers are ASCII digits: int() also reads "4_3", "+2" and "\uff13"
+        ("rh:4_3,2", "numbers must be written in ASCII digits, got 'rh:4_3,2'"),
+        ("rp:+2", "numbers must be written in ASCII digits, got 'rp:+2'"),
+        ("rh:4, 3", "numbers must be written in ASCII digits, got 'rh:4, 3'"),
+        ("cp:\uff13", "numbers must be written in ASCII digits, got 'cp:\uff13'"),
+        ("prod:rp\uff13,rp2", "cannot parse product factor 'rp\uff13'"),
+        ("prod:rp3_1", "cannot parse product factor 'rp3_1'"),
     ],
 )
 def test_parse_space_refusals(text, message):
