@@ -10,6 +10,8 @@ them.  An equivariant report holds the lower rows of TC_n, which bound it
 too, and the orbit-dimension row as its only upper row.  A source asked
 for that gave nothing, such as the oracle refused by its slice cap, shows
 as a ``skipped`` row whose value is None and whose source is the reason.
+Spaces are descriptors of :mod:`milnortc.spaces` and groups are
+:class:`Group` records; a report, which is output, holds the space's text.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from .certgen import cert_cat_topclass, certificates_for
 from .cuplength import Certificate, cup_witness, verify_certificate
 from .errors import NoFreeActionError, ResourceLimitError
 from .record import Record
-from .spaces import (
-    ComplexMilnor,
-    RealMilnor,
-    RealProj,
-    cohomology_of,
-    format_space,
-    parse_space,
-)
+from .spaces import ComplexMilnor, RealMilnor, RealProj, _family, cohomology_of, format_space
 from .tensorpower import DEFAULT_MAX_SLICE
 
 
@@ -47,13 +42,12 @@ CIRCLE = Group("s1", 1)
 _GROUPS = {"z2": Z2, "s1": CIRCLE}
 
 
-def resolve_group(group) -> Group:
-    if isinstance(group, Group):
-        return group
+def resolve_group(name: str) -> Group:
+    """The group called name, as the CLI's --group writes it."""
     try:
-        return _GROUPS[str(group).lower()]
+        return _GROUPS[name]
     except KeyError:
-        raise ValueError(f"unknown group {group!r}; expected z2 or s1") from None
+        raise ValueError(f"unknown group {name!r}; expected z2 or s1") from None
 
 
 class RuleTrace(Record):
@@ -95,10 +89,6 @@ class BoundReport(Record):
     @property
     def inconsistent(self) -> bool:
         return self.lower > self.upper
-
-
-def _as_space(space):
-    return parse_space(space) if isinstance(space, str) else space
 
 
 def _report(space, quantity: str, n: int, trace: list, group=None) -> BoundReport:
@@ -185,7 +175,7 @@ def _free_action_refusal(space, group: Group) -> str | None:
 
 def cat_bounds(space, n: int) -> BoundReport:
     """Category of the n-fold power: top-class witness below, dimension above."""
-    space = _as_space(space)
+    _family(space)
     if n < 1:
         raise ValueError("n must be >= 1")
     trace = [
@@ -263,7 +253,7 @@ def tc_bounds(
     refused by max_slice gives a skipped row, and an oracle witness that
     does not verify is a fault and raises RuntimeError.
     """
-    space = _as_space(space)
+    _family(space)
     if n < 2:
         raise ValueError("n must be >= 2")
     dim = space.dimension
@@ -290,7 +280,7 @@ def tc_bounds(
             )
         else:
             value = sum(mult for _, mult in factors)
-            cert = Certificate(format_space(space), n, factors, value)
+            cert = Certificate(space, n, factors, value)
             row = _verified_row(
                 cert,
                 "ideal-power-oracle",
@@ -330,15 +320,14 @@ def tc_bounds(
 # --- equivariant -------------------------------------------------------------
 
 
-def eqtc_bounds(space, group, n: int, **options) -> BoundReport:
+def eqtc_bounds(space, group: Group, n: int, **options) -> BoundReport:
     """Interval for the n-th equivariant topological complexity of a free
     action.  TC_{G,n} >= TC_n (Bayeh and Sarkar, J. Homotopy Relat. Struct.
     2020), so every lower row of the TC_n report bounds it too and is kept
     with its own status.  The upper rows of TC_n do not bound it: the
     orbit-space dimension n * dim - dim G + 1 is its only upper row.  The
     options are those of :func:`tc_bounds`."""
-    space = _as_space(space)
-    group = resolve_group(group)
+    _family(space)
     if n < 2:
         raise ValueError("n must be >= 2")
     refusal = _free_action_refusal(space, group)

@@ -1,12 +1,12 @@
 """Programmatic generators for the explicit hand-built certificates.
 
-Each construction emits a :class:`Certificate` whose total factor count
-matches the corresponding closed-form cup value.  Only :func:`cert_case2`
-asserts nonzeroness: it returns its certificate only when
-:func:`milnortc.cuplength.verify_certificate`, the one code that multiplies
-a certificate's factors, verifies it.  Every other construction, and every
-certificate :func:`certificates_for` offers, is checked by the caller.
-Generation is deterministic: identical parameters give identical output.
+Each construction emits a :class:`Certificate` on a space descriptor,
+never on its text, whose total factor count matches the closed-form cup
+value.  Only :func:`cert_case2` asserts nonzeroness: it returns its
+certificate only when :func:`milnortc.cuplength.verify_certificate`, the
+one code that multiplies a certificate's factors, verifies it.  Every
+other construction, and every certificate :func:`certificates_for` offers,
+is checked by the caller.  Identical parameters give identical output.
 
 This module alone knows the families: :data:`GENERATORS` maps each
 ``gen-cert`` method to its builder and parameter names, and
@@ -20,14 +20,7 @@ from __future__ import annotations
 
 from .cuplength import Certificate, SearchFailure, verify_certificate
 from .exprs import Gen, sum_text, to_string
-from .spaces import (
-    ComplexMilnor,
-    RealMilnor,
-    RealProj,
-    cohomology_of,
-    format_space,
-    parse_space,
-)
+from .spaces import ComplexMilnor, RealMilnor, RealProj, cohomology_of
 
 
 def _log2(x: int):
@@ -75,7 +68,7 @@ def cert_case1(t1: int, t2: int, n: int) -> Certificate:
         tail=(("a", s), ("b", r - 1)),
     )
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
+    return Certificate(RealMilnor(r, s), n, factors, claimed)
 
 
 def _case2(p1: int, p2: int, n: int) -> Certificate:
@@ -98,7 +91,7 @@ def _case2(p1: int, p2: int, n: int) -> Certificate:
     )
     factors = base + tuple(sorted(_blocks(n, bridges=(("b", 0, 2),))))
     claimed = n * (s + r - 1) - 2
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
+    return Certificate(RealMilnor(r, s), n, factors, claimed)
 
 
 def cert_case2(p1: int, p2: int, n: int):
@@ -138,7 +131,7 @@ def cert_r2t(s: int, t: int, n: int) -> Certificate:
         tail=(("a", s), ("b", r - 1)),
     )
     claimed = n * (r + s - 1) - s + 1
-    return Certificate(format_space(RealMilnor(r, s)), n, factors, claimed)
+    return Certificate(RealMilnor(r, s), n, factors, claimed)
 
 
 def cert_proj(t: int, n: int) -> Certificate:
@@ -153,7 +146,7 @@ def cert_proj(t: int, n: int) -> Certificate:
         n, block=(("x", 2 ** (t + 1) - 1),), bridges=(("x", 0, 1),), tail=(("x", 2**t),)
     )
     claimed = n * 2**t - 1
-    return Certificate(f"rp:{2**t}", n, factors, claimed)
+    return Certificate(RealProj(2**t), n, factors, claimed)
 
 
 # method name of gen-cert -> (builder, names of its parameters before n)
@@ -167,10 +160,9 @@ GENERATORS = {
 
 def certificates_for(space, n: int) -> list:
     """The families whose hypotheses the space satisfies, as (rule,
-    Certificate) rows, none of them checked yet.  Each certificate is
-    labelled with the space, whose ring it is checked in: a family written
-    for rh:r,s serves ch:r,s too, whose ring is rh's with every degree
-    doubled."""
+    Certificate) rows, none of them checked yet.  Each certificate holds
+    the space, whose ring it is checked in: a family written for rh:r,s
+    serves ch:r,s too, whose ring is rh's with every degree doubled."""
     rows = []
     if isinstance(space, (RealMilnor, ComplexMilnor)):
         r, s = space.r, space.s
@@ -186,8 +178,7 @@ def certificates_for(space, n: int) -> list:
         t = _log2(space.m)
         if t is not None:
             rows.append(("certificate-projective", cert_proj(t, n)))
-    label = format_space(space)
-    return [(rule, cert.replace(space=label)) for rule, cert in rows]
+    return [(rule, cert.replace(space=space)) for rule, cert in rows]
 
 
 def cert_cat_topclass(space, n: int) -> Certificate:
@@ -196,8 +187,6 @@ def cert_cat_topclass(space, n: int) -> Certificate:
     monomial (a point gives the empty product).  The factors are not zero
     divisors; the certificate is flagged accordingly and witnesses the ring
     cup-length, giving cat >= count + 1."""
-    if isinstance(space, str):
-        space = parse_space(space)
     P = cohomology_of(space)
     top = P.basis[-1]  # the top degree of a closed manifold's ring is one class
     factors = tuple(
@@ -207,4 +196,4 @@ def cert_cat_topclass(space, n: int) -> Certificate:
         if e > 0
     )
     claimed = n * sum(top)
-    return Certificate(format_space(space), n, factors, claimed, cat_witness=True)
+    return Certificate(space, n, factors, claimed, cat_witness=True)

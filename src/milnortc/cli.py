@@ -49,7 +49,7 @@ def certificate_to_json(cert: cuplength.Certificate) -> str:
     trailing newline.  parse -> print round-trips byte-identically."""
     doc = {
         "schemaVersion": SCHEMA_VERSION,
-        "space": cert.space,
+        "space": spaces.format_space(cert.space),
         "n": cert.n,
         "factors": [
             {"expr": expr, "multiplicity": mult} for expr, mult in cert.factors
@@ -80,11 +80,25 @@ def _known_keys(doc, keys: tuple, what: str) -> dict:
     return doc
 
 
+def _space_of(text):
+    """The descriptor of a file's space, a string in the writer's form."""
+    if type(text) is not str:
+        raise ValueError(f"space must be a JSON string, got {text!r}")
+    try:
+        space = spaces.parse_space(text)
+    except ValueError as exc:
+        raise ValueError(f"space {text!r}: {exc}") from None
+    canonical = spaces.format_space(space)
+    if canonical != text:
+        raise ValueError(f"space {text!r} is not in canonical form {canonical!r}")
+    return space
+
+
 def certificate_from_json(text: str) -> cuplength.Certificate:
     """Check the file format (schema version 1, known keys, none missing, no
     null note or catWitness, factors an array, claimedTcLower the int
-    claimedCup + 1) and map the keys to the fields of the record, which
-    checks them."""
+    claimedCup + 1), parse the space and map the keys to the fields of the
+    record, which checks them."""
     import json
 
     try:
@@ -104,7 +118,7 @@ def certificate_from_json(text: str) -> cuplength.Certificate:
             f = _known_keys(f, _FACTOR_KEYS, "a factor")
             factors.append((f["expr"], f["multiplicity"]))
         cert = cuplength.Certificate(
-            space=doc["space"],
+            space=_space_of(doc["space"]),
             n=doc["n"],
             factors=tuple(factors),
             claimed_cup=doc["claimedCup"],
@@ -224,12 +238,13 @@ def _parse_params(items) -> dict:
     return params
 
 
-def _int(text: str, what: str) -> int:
-    """int(text), refused with a message that names what holds it."""
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"{what}: {text!r} is not an integer") from None
+def _int(text: str, what: str | None = None) -> int:
+    """The integer text writes as -?[0-9]+, as in a space, where int() also
+    reads "1_000", "+2" and other scripts' digits; refused naming what."""
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"{what + ': ' if what else ''}{text!r} is not an integer")
+    return int(text)
 
 
 def _parse_range(text: str, flag: str):
@@ -243,7 +258,7 @@ def _parse_range(text: str, flag: str):
 
 
 def _slice_cap(text: str) -> int:
-    cap = int(text)
+    cap = _int(text)
     if cap < 0:
         raise ValueError(f"must be non-negative, got {cap}")
     return cap
@@ -276,7 +291,7 @@ _COMMANDS = {
     "bounds": ("emit a bound report for one space", {
         "--space": (str, _REQUIRED, _SPACE_HELP),
         "--quantity": (("cat", "tc", "eqtc"), _REQUIRED, "the invariant to bound"),
-        "--n": (int, _REQUIRED, "n of TC_n, or the n-fold power for cat"),
+        "--n": (_int, _REQUIRED, "n of TC_n, or the n-fold power for cat"),
         "--group": (("z2", "s1"), None, "the freely acting group; eqtc only"),
         "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
         "--no-certs": (_FLAG, False, "leave out the generated certificates"),
@@ -287,7 +302,7 @@ _COMMANDS = {
     }),
     "cup": ("exact zero-divisor cup-length oracle", {
         "--space": (str, _REQUIRED, _SPACE_HELP),
-        "--n": (int, _REQUIRED, "the number of tensor factors"),
+        "--n": (_int, _REQUIRED, "the number of tensor factors"),
         "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
         "--out": (str, None, _OUT_HELP),
     }),
@@ -299,7 +314,7 @@ _COMMANDS = {
     "gen-cert": ("generate a certificate file", {
         "--method": (_METHODS, _REQUIRED, "the certificate family"),
         "--params": (_REPEAT, (), "key=value pairs, comma-separated"),
-        "--n": (int, _REQUIRED, "n of TC_n"),
+        "--n": (_int, _REQUIRED, "n of TC_n"),
         "--out": (str, _REQUIRED, "the certificate file to write"),
     }),
     "table": ("batch bound reports over a family", {
@@ -313,8 +328,8 @@ _COMMANDS = {
         "--out": (str, None, _OUT_HELP),
     }),
     "lucas": ("binomial coefficient parity", {
-        "--n": (int, _REQUIRED, "the top of the binomial coefficient"),
-        "--k": (int, _REQUIRED, "the bottom of the binomial coefficient"),
+        "--n": (_int, _REQUIRED, "the top of the binomial coefficient"),
+        "--k": (_int, _REQUIRED, "the bottom of the binomial coefficient"),
     }),
 }
 
@@ -459,13 +474,14 @@ def _cmd_bounds(args) -> int:
         ):
             if given:
                 raise ValueError(f"{flag} does not apply to --quantity cat")
-        report = bounds.cat_bounds(args.space, args.n)
+        report = bounds.cat_bounds(spaces.parse_space(args.space), args.n)
     elif args.quantity == "tc":
-        report = bounds.tc_bounds(args.space, args.n, **options)
+        report = bounds.tc_bounds(spaces.parse_space(args.space), args.n, **options)
     else:
         if not args.group:
             raise ValueError("--group is required for eqtc")
-        report = bounds.eqtc_bounds(args.space, args.group, args.n, **options)
+        space, group = spaces.parse_space(args.space), bounds.resolve_group(args.group)
+        report = bounds.eqtc_bounds(space, group, args.n, **options)
     _write_out(emit_report(report, args.format), args.out)
     return 0
 
@@ -483,7 +499,7 @@ def _cmd_verify(args) -> int:
     report = cuplength.verify_certificate(cert)
     if args.format == "json":
         doc = {
-            "space": cert.space,
+            "space": spaces.format_space(cert.space),
             "n": cert.n,
             "verdict": report.verdict,
             "productNonzero": report.product_nonzero,
@@ -530,7 +546,7 @@ def _cmd_gen_cert(args) -> int:
     params = _parse_params(args.params)
     if args.method == "cat":
         (space,) = _require_params(params, "cat", "space")
-        cert = certgen.cert_cat_topclass(space, args.n)
+        cert = certgen.cert_cat_topclass(spaces.parse_space(space), args.n)
     else:
         build, names = certgen.GENERATORS[args.method]
         texts = _require_params(params, args.method, *names)
@@ -567,7 +583,7 @@ def _cmd_table(args) -> int:
     max_slice = _oracle_cap(args)
     reports = [
         bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
-        for space in space_names
+        for space in map(spaces.parse_space, space_names)
         for n in n_range
     ]
     _write_out(emit_table(reports, args.format), args.out)

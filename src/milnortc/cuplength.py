@@ -1,11 +1,11 @@
 """Zero-divisor cup-length: certificates, verification, and the exact oracle.
 
-A certificate names the space whose ring it is checked in and lists
-factors with multiplicities.  :func:`verify_certificate` evaluates and
-checks each factor in that order, then multiplies their powers in
-slot-overlap order: each step takes the pending factor that shares the
-most non-unit tensor slots with the product so far.  The ring is
-commutative, so the product, and with it every verdict, is that of any
+A certificate holds the descriptor of the space whose ring it is checked
+in and lists factors with multiplicities.  :func:`verify_certificate`
+evaluates and checks each factor in that order, then multiplies their
+powers in slot-overlap order: each step takes the pending factor that
+shares the most non-unit tensor slots with the product so far.  The ring
+is commutative, so the product, and with it every verdict, is that of any
 other order.  Certificates list their blocks, on disjoint slots, before
 the bridges that link them; multiplied in that order the blocks form their
 whole tensor product, with nothing to cancel, before a bridge can make it
@@ -52,7 +52,7 @@ from . import exprs, gf2
 from .errors import ResourceLimitError
 from .f2algebra import Element, Presentation, multiply, power, unit
 from .record import Record
-from .spaces import cohomology_of, parse_space
+from .spaces import _family, cohomology_of
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
     diagonal_eval,
@@ -69,9 +69,9 @@ def is_zero_divisor(u: Element) -> bool:
 
 class Certificate(Record):
     """A claimed cup-length witness: factors with multiplicities, checked
-    in the cohomology ring of space.  Construction is the one check of its
-    fields, and admits exactly the types a certificate file holds, so every
-    record the writer writes reads back equal."""
+    in the ring of space, a space descriptor.  Construction is the one
+    check of its fields, and admits exactly what a certificate file holds,
+    so every record the writer writes reads back equal."""
 
     __slots__ = (
         "space",
@@ -88,9 +88,9 @@ class Certificate(Record):
         return self.claimed_cup + 1
 
     def _check(self):
+        _family(self.space)
         # nothing is coerced, and a bool is not an int
-        for field, kind in (("space", str), ("n", int), ("claimed_cup", int),
-                            ("cat_witness", bool)):
+        for field, kind in (("n", int), ("claimed_cup", int), ("cat_witness", bool)):
             value = getattr(self, field)
             if type(value) is not kind:
                 raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
@@ -148,7 +148,7 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     before a factor that links them can make it vanish.  The product starts
     from the first power taken, never from the unit, and once it is zero
     the remaining powers are not formed."""
-    P, n = cohomology_of(parse_space(cert.space)), cert.n
+    P, n = cohomology_of(cert.space), cert.n
     checks, pending = [], []
     for text, mult in cert.factors:
         el = exprs.evaluate_text(text, P, n)

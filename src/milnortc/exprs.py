@@ -51,6 +51,8 @@ _TOKEN_RE = re.compile(
     r"\s*(?:(?P<gen>[a-z]+(?:\.[0-9]+\.)?[0-9]+)|(?P<int>[0-9]+)|(?P<op>[+*^()]))"
 )
 _GEN_RE = re.compile(r"([a-z]+)(?:\.([0-9]+)\.)?([0-9]+)")
+# a generator's name and factor before a digit of another script, or nothing
+_NAME_BEFORE_DIGIT_RE = re.compile(r"(?:[a-z]+(?:\.[0-9]*\.?)?(?=\d)(?![0-9]))?")
 
 
 def _tokenize(text: str):
@@ -62,9 +64,10 @@ def _tokenize(text: str):
             rest = text[pos:].lstrip()
             if not rest:
                 break
-            # name the character after the spaces the pattern skips
-            pos = len(text) - len(rest)
-            raise ExprSyntaxError(f"unexpected character {rest[0]!r}", pos)
+            # name the character after the spaces the pattern skips, or a
+            # digit of another script after a generator's name
+            pos = len(text) - len(rest) + _NAME_BEFORE_DIGIT_RE.match(rest).end()
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if mo.group("gen"):
             yield ("gen", mo.group("gen"), pos)
         elif mo.group("int"):

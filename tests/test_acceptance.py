@@ -23,8 +23,11 @@ from contextlib import contextmanager
 import pytest
 
 from milnortc import (
+    CIRCLE,
+    Z2,
     Certificate,
     RealMilnor,
+    RealProj,
     binom_mod2,
     cat_bounds,
     cert_case1,
@@ -120,7 +123,7 @@ def test_criterion_4_oracle_ground_truths():
         got_line = [cup_exact(P1, n) for n in range(2, 6)]
         P2 = cohomology_of(parse_space("rp:2"))
         got_n2 = cup_exact(P2, 2)
-        witness = Certificate("rp:2", 3, (("(x1+x2)", 3), ("(x2+x3)", 3)), 6)
+        witness = Certificate(RealProj(2), 3, (("(x1+x2)", 3), ("(x2+x3)", 3)), 6)
         rep = verify_certificate(witness)
         got_n3 = cup_exact(P2, 3)
     assert got_line == [1, 2, 3, 4]
@@ -163,7 +166,7 @@ def test_criterion_6_case1_adjudication():
         oracle = cup_exact(P, 2)
         interval = None
         if rep.verdict == "Verified":
-            bounds = tc_bounds("rh:4,3", 2)
+            bounds = tc_bounds(RealMilnor(4, 3), 2)
             interval = (bounds.lower, bounds.upper)
             assert interval == (11, 13)
         assert rep.verdict == "Verified"
@@ -206,12 +209,12 @@ def test_criterion_7_klein_bottle_adjudication(tmp_path):
 def test_criterion_8_equivariant_reports():
     with timed(1.0, "criterion 8"):
         for n in (2, 3):
-            rep = eqtc_bounds(RealMilnor(5, 3), "z2", n)
+            rep = eqtc_bounds(RealMilnor(5, 3), Z2, n)
             assert (rep.lower, rep.upper) == (n * 6 - 1, n * 7 + 1)
-            circ = eqtc_bounds(RealMilnor(5, 3), "s1", n)
+            circ = eqtc_bounds(RealMilnor(5, 3), CIRCLE, n)
             assert circ.upper == n * 7
         with pytest.raises(NoFreeActionError):
-            eqtc_bounds(RealMilnor(4, 3), "s1", 2)
+            eqtc_bounds(RealMilnor(4, 3), CIRCLE, 2)
     report(8, True, "RH_5,3 intervals [6n-1, 7n+1], circle upper 7n, (4,3) refused")
 
 
@@ -271,7 +274,7 @@ def test_criterion_9_property_suite():
             n = rng.randint(2, 3)
             P = ring(f"rh:{r},{s}")
             value = cup_exact(P, n)
-            cert = Certificate(f"rh:{r},{s}", n, cup_witness(P, n), value)
+            cert = Certificate(RealMilnor(r, s), n, cup_witness(P, n), value)
             checked = verify_certificate(cert)
             assert checked.verified_cup == value
             assert all(c.is_zero_divisor for c in checked.per_factor)

@@ -51,12 +51,29 @@ def test_circle_predicate():
 
 
 def test_group_resolution():
+    # the CLI's --group names, exactly as written; the library takes a Group
     assert resolve_group("z2") is Z2
     assert resolve_group("s1") is CIRCLE
-    assert resolve_group(CIRCLE) is CIRCLE
     assert Z2.dim == 0 and CIRCLE.dim == 1
-    with pytest.raises(ValueError):
-        resolve_group("so3")
+    for name in ("so3", "Z2", CIRCLE):
+        with pytest.raises(ValueError, match="unknown group"):
+            resolve_group(name)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: cat_bounds("rh:2,1", 1),
+        lambda: tc_bounds("rh:2,1", 2),
+        lambda: eqtc_bounds("rh:5,3", Z2, 2),
+    ],
+    ids=["cat", "tc", "eqtc"],
+)
+def test_bounds_refuse_a_space_given_as_text(run):
+    # text is parsed only where it enters, by the CLI and the file reader
+    message = "unknown space descriptor: 'rh:"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+        run()
 
 
 # -- category -----------------------------------------------------------------
@@ -67,7 +84,7 @@ def test_cat_exact_milnor():
     assert (report.lower, report.upper) == (13, 13)
     assert report.verified_lower == 13
     assert not report.inconsistent
-    report = cat_bounds("rh:2,1", 1)
+    report = cat_bounds(parse_space("rh:2,1"), 1)
     assert (report.lower, report.upper) == (3, 3)
 
 
@@ -77,22 +94,20 @@ def test_cat_projective_plane():
 
 
 def test_cat_n1_upper_is_dim_plus_one():
-    for space in ("rh:4,3", "ch:3,2", "rp:5", "cp:2", "prod:rp3,rp2"):
-        report = cat_bounds(space, 1)
-        from milnortc.spaces import parse_space
-
-        assert report.upper == parse_space(space).dimension + 1
+    for text in ("rh:4,3", "ch:3,2", "rp:5", "cp:2", "prod:rp3,rp2"):
+        space = parse_space(text)
+        assert cat_bounds(space, 1).upper == space.dimension + 1
 
 
 def test_cat_product_space():
-    report = cat_bounds("prod:rp3,rp2", 2)
+    report = cat_bounds(parse_space("prod:rp3,rp2"), 2)
     assert report.verified_lower == 2 * 5 + 1
     assert report.lower == 11
     assert report.upper == 11
 
 
 def test_cat_trace_statuses():
-    report = cat_bounds("rh:4,3", 2)
+    report = cat_bounds(parse_space("rh:4,3"), 2)
     statuses = {t.rule: t.status for t in report.trace}
     assert statuses["top-class-witness"] == "machine-verified"
     assert statuses["dimension-upper"] == "claimed"
@@ -102,7 +117,7 @@ def test_cat_trace_statuses():
 
 
 def test_tc_rh43():
-    report = tc_bounds("rh:4,3", 2)
+    report = tc_bounds(parse_space("rh:4,3"), 2)
     assert (report.lower, report.upper) == (11, 13)
     assert report.verified_lower == 11
     rules = {t.rule for t in report.trace if t.bound == "lower"}
@@ -110,13 +125,13 @@ def test_tc_rh43():
 
 
 def test_tc_rp2():
-    report = tc_bounds("rp:2", 2)
+    report = tc_bounds(parse_space("rp:2"), 2)
     assert (report.lower, report.upper) == (4, 5)
     assert report.verified_lower == 4
 
 
 def test_tc_klein_bottle_oracle_vs_claims():
-    report = tc_bounds("rh:2,1", 2, use_oracle=True)
+    report = tc_bounds(parse_space("rh:2,1"), 2, use_oracle=True)
     # the oracle-certified lower is 4; the claimed closed form says 5.
     # both are reported without being merged.
     assert report.verified_lower == 4
@@ -133,7 +148,7 @@ def test_tc_klein_bottle_maximal_from_n3(n):
     # maximal n*dim + 1 = 2n + 1.  At n = 2 mod-2 methods stop at 4; TC(K)
     # = 5 is known only by non-mod-2 methods (Cohen and Vandembroucq,
     # "Topological complexity of the Klein bottle", 2017).
-    report = tc_bounds("rh:2,1", n, use_oracle=True)
+    report = tc_bounds(parse_space("rh:2,1"), n, use_oracle=True)
     assert report.lower == report.upper == report.verified_lower == 2 * n + 1
 
 
@@ -144,14 +159,14 @@ def test_tc_oracle_over_the_slice_cap_adds_a_skipped_row():
     P = cohomology_of(RealMilnor(3, 2))
     cap = max(slice_dimensions(P, 3)) - 1
     assert cap == 140
-    report = tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap)
+    report = tc_bounds(parse_space("rh:3,2"), 3, use_oracle=True, max_slice=cap)
     skipped = RuleTrace("ideal-power-oracle",
                         "degree-6 slice has dimension 141, above the cap 140",
                         "lower", None, "skipped")
     assert [t for t in report.trace if t.rule == "ideal-power-oracle"] == [skipped]
     kept = tuple(t for t in report.trace if t != skipped)
-    assert report.replace(trace=kept) == tc_bounds("rh:3,2", 3, use_oracle=False)
-    ran = tc_bounds("rh:3,2", 3, use_oracle=True, max_slice=cap + 1)
+    assert report.replace(trace=kept) == tc_bounds(parse_space("rh:3,2"), 3, use_oracle=False)
+    ran = tc_bounds(parse_space("rh:3,2"), 3, use_oracle=True, max_slice=cap + 1)
     assert [t.status for t in ran.trace if t.rule == "ideal-power-oracle"] == [
         "machine-verified"]
 
@@ -162,20 +177,20 @@ def test_tc_oracle_witness_that_fails_raises(monkeypatch):
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", vanishes)
     with pytest.raises(RuntimeError, match="does not verify"):
-        tc_bounds("rh:2,1", 2, use_oracle=True, use_certs=False)
+        tc_bounds(parse_space("rh:2,1"), 2, use_oracle=True, use_certs=False)
 
 
 def test_tc_product_space():
-    report = tc_bounds("prod:rp3,rp2", 2)
+    report = tc_bounds(parse_space("prod:rp3,rp2"), 2)
     assert report.lower >= 6
     assert report.upper == 11
 
 
 def test_tc_source_toggles():
-    bare = tc_bounds("rh:4,3", 2, use_certs=False, use_monotonicity=False)
+    bare = tc_bounds(parse_space("rh:4,3"), 2, use_certs=False, use_monotonicity=False)
     assert bare.verified_lower is None
     assert bare.lower == 1
-    no_claims = tc_bounds("rh:4,3", 2, use_monotonicity=False)
+    no_claims = tc_bounds(parse_space("rh:4,3"), 2, use_monotonicity=False)
     assert no_claims.lower == no_claims.verified_lower == 11
 
 
@@ -185,15 +200,15 @@ def test_no_claimed_rule_puts_the_lower_end_above_the_upper_one():
     # r-monotonicity rule would claim n(r - 1) + 2 for r = 2^t, above the
     # dimension bound n(r - 1) + 1: it fires only for s >= 1
     spaces = [
-        f"{family}:{r},{s}" for family in ("rh", "ch") for r in range(1, 10)
+        family(r, s) for family in (RealMilnor, ComplexMilnor) for r in range(1, 10)
         for s in range(r + 1)
-    ] + [f"rp:{m}" for m in range(17)]
+    ] + [RealProj(m) for m in range(17)]
     reports = [tc_bounds(space, n, use_certs=False) for space in spaces for n in range(2, 6)]
     assert len(reports) == 500
     assert [(r.space, r.n) for r in reports if r.inconsistent] == []
-    rules = {t.rule for t in tc_bounds("rh:4,0", 2, use_certs=False).trace}
+    rules = {t.rule for t in tc_bounds(parse_space("rh:4,0"), 2, use_certs=False).trace}
     assert "power-of-two-r-monotonicity" not in rules
-    rules = {t.rule for t in tc_bounds("rh:4,1", 2, use_certs=False).trace}
+    rules = {t.rule for t in tc_bounds(parse_space("rh:4,1"), 2, use_certs=False).trace}
     assert "power-of-two-r-monotonicity" in rules
 
 
@@ -209,7 +224,7 @@ def test_tc_verifies_certificates_over_the_complex_ring(monkeypatch):
         return verify(cert)
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
-    for space, n in (("ch:4,3", 2), ("ch:3,2", 3)):
+    for space, n in ((ComplexMilnor(4, 3), 2), (ComplexMilnor(3, 2), 3)):
         seen.clear()
         report = tc_bounds(space, n)
         assert len(seen) >= 2 and set(seen) == {space}, space
@@ -224,13 +239,13 @@ def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
     verify = milnortc.bounds.verify_certificate
 
     def spy(cert):
-        seen.append((cert.factors, cohomology_of(parse_space(cert.space)).gen_degrees))
+        seen.append((cert.factors, cohomology_of(cert.space).gen_degrees))
         return verify(cert)
 
     monkeypatch.setattr(milnortc.bounds, "verify_certificate", spy)
     searched = cert_case2(1, 1, 3).factors
-    lower_power = cert_cat_topclass("rh:3,2", 2).factors
-    for space, degrees in (("rh:3,2", (1, 1)), ("ch:3,2", (2, 2))):
+    lower_power = cert_cat_topclass(parse_space("rh:3,2"), 2).factors
+    for space, degrees in ((RealMilnor(3, 2), (1, 1)), (ComplexMilnor(3, 2), (2, 2))):
         seen.clear()
         report = tc_bounds(space, 3)
         row = next(t for t in report.trace if t.rule == "certificate-searched-bridges")
@@ -241,27 +256,27 @@ def test_tc_takes_a_searched_certificate_verified_in_its_own_ring(monkeypatch):
 def test_tc_verified_lower_nondecreasing_in_n():
     prev = 0
     for n in (2, 3, 4):
-        report = tc_bounds("rh:4,3", n)
+        report = tc_bounds(parse_space("rh:4,3"), n)
         assert report.verified_lower >= prev
         prev = report.verified_lower
 
 
 def test_tc_free_circle_upper():
-    report = tc_bounds("rh:3,3", 2)
+    report = tc_bounds(parse_space("rh:3,3"), 2)
     assert report.upper == 2 * 5  # free circle action: n * dim
     assert any(t.rule == "free-circle-upper" for t in report.trace)
 
 
 def test_tc_requires_n_at_least_two():
     with pytest.raises(ValueError):
-        tc_bounds("rp:2", 1)
+        tc_bounds(parse_space("rp:2"), 1)
 
 
 @pytest.mark.parametrize(
     "run, message",
     [
-        (lambda: cat_bounds("rp:2", 0), "n must be >= 1"),
-        (lambda: eqtc_bounds("rh:5,3", Z2, 1), "n must be >= 2"),
+        (lambda: cat_bounds(parse_space("rp:2"), 0), "n must be >= 1"),
+        (lambda: eqtc_bounds(parse_space("rh:5,3"), Z2, 1), "n must be >= 2"),
         (lambda: cup_exact(cohomology_of(RealProj(2)), 0), "arity must be >= 1"),
     ],
     ids=["cat-n0", "eqtc-n1", "cup-n0"],
@@ -284,14 +299,14 @@ def test_eqtc_involution_interval():
 
 
 def test_eqtc_circle_upper():
-    report = eqtc_bounds("rh:5,3", "s1", 2)
+    report = eqtc_bounds(parse_space("rh:5,3"), CIRCLE, 2)
     assert report.upper == 2 * 7
     assert report.lower == 11
 
 
 def test_eqtc_lower_dominates_tc():
-    tc = tc_bounds("rh:5,3", 2)
-    eq = eqtc_bounds("rh:5,3", Z2, 2)
+    tc = tc_bounds(parse_space("rh:5,3"), 2)
+    eq = eqtc_bounds(parse_space("rh:5,3"), Z2, 2)
     assert eq.lower >= tc.lower
 
 
@@ -305,7 +320,7 @@ def test_eqtc_refusals():
     with pytest.raises(NoFreeActionError):
         eqtc_bounds(RealProj(3), Z2, 2)
     with pytest.raises(NoFreeActionError):
-        eqtc_bounds("ch:5,3", "s1", 2)
+        eqtc_bounds(parse_space("ch:5,3"), CIRCLE, 2)
 
 
 def test_eqtc_traces_hold_the_tc_lower_rows_and_the_orbit_row():
@@ -340,7 +355,7 @@ def test_eqtc_traces_hold_the_tc_lower_rows_and_the_orbit_row():
 
 
 def test_eqtc_trace_has_both_statuses():
-    report = eqtc_bounds("rh:5,3", Z2, 2)
+    report = eqtc_bounds(parse_space("rh:5,3"), Z2, 2)
     statuses = {t.status for t in report.trace}
     assert statuses == {"machine-verified", "claimed"}
 
@@ -349,7 +364,7 @@ def test_point_spaces_agree():
     # a Milnor manifold with r = 1, s = 0, the 0-dimensional projective
     # spaces and their product are all a point: one 0-factor witness row
     # below, the dimension rows above, the same values everywhere
-    points = ("rh:1,0", "rp:0", "cp:0", "prod:rp0,cp0")
+    points = [parse_space(t) for t in ("rh:1,0", "rp:0", "cp:0", "prod:rp0,cp0")]
     for n in (1, 2, 3):
         for bound in (cat_bounds, tc_bounds) if n >= 2 else (cat_bounds,):
             reports = [bound(space, n) for space in points]

@@ -21,7 +21,7 @@ from milnortc.cuplength import (
 )
 from milnortc.exprs import evaluate_text, sum_text
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import RealMilnor, cohomology_of, parse_space
+from milnortc.spaces import RealMilnor, RealProj, cohomology_of, parse_space
 from milnortc.tensorpower import TensorPower, tensor_power
 
 
@@ -31,7 +31,7 @@ def total_factors(cert):
 
 def test_case1_rh43_n2():
     cert = cert_case1(t1=1, t2=2, n=2)
-    assert cert.space == "rh:4,3"
+    assert cert.space == RealMilnor(4, 3)
     assert total_factors(cert) == 10
     assert cert.claimed_cup == 10
     assert cert.claimed_tc_lower == 11
@@ -71,13 +71,13 @@ def test_case2_search_verifies():
 def test_case2_odd_arity():
     cert = cert_case2(p1=0, p2=1, n=3)  # (s, r) = (1, 3)
     assert isinstance(cert, Certificate)
-    assert cert.space == "rh:3,1"
+    assert cert.space == RealMilnor(3, 1)
     assert verify_certificate(cert).verdict == "Verified"
 
 
 def test_r2t_counts_and_space():
     cert = cert_r2t(s=1, t=1, n=2)
-    assert cert.space == "rh:2,1"
+    assert cert.space == RealMilnor(2, 1)
     assert cert.claimed_cup == 2 * 2 - 1 + 1  # n(r+s-1) - s + 1
     assert total_factors(cert) == cert.claimed_cup
 
@@ -106,7 +106,7 @@ def test_r2t_hypothesis_errors():
         (lambda: cert_r2t(1, 1, 1), "arity must be >= 2"),
         (lambda: cert_proj(-1, 2), "t must be non-negative"),
         (lambda: cert_proj(1, 1), "arity must be >= 2"),
-        (lambda: cert_cat_topclass("rp:2", 0), "arity must be >= 1"),
+        (lambda: cert_cat_topclass(RealProj(2), 0), "arity must be >= 1"),
     ],
 )
 def test_generators_refuse_bad_inputs(build, message):
@@ -117,7 +117,7 @@ def test_generators_refuse_bad_inputs(build, message):
 def test_proj_certificates():
     for n, cup in ((2, 3), (3, 5)):
         cert = cert_proj(t=1, n=n)
-        assert cert.space == "rp:2"
+        assert cert.space == RealProj(2)
         assert cert.claimed_cup == cup
         report = verify_certificate(cert)
         assert report.verdict == "Verified"
@@ -142,16 +142,20 @@ def test_cat_topclass():
 
 
 def test_cat_topclass_from_string():
-    cert = cert_cat_topclass("ch:3,2", 1)
+    # the text of a space is parsed where it enters, by the CLI and the
+    # certificate-file reader; the builder takes only its descriptor
+    with pytest.raises(ValueError, match=r"^unknown space descriptor: 'ch:3,2'$"):
+        cert_cat_topclass("ch:3,2", 1)
+    cert = cert_cat_topclass(parse_space("ch:3,2"), 1)
     assert cert.claimed_cup == 4
     assert verify_certificate(cert).verdict == "Verified"
 
 
 def test_cat_topclass_any_space():
-    cert = cert_cat_topclass("prod:rp3,rp2", 2)
+    cert = cert_cat_topclass(parse_space("prod:rp3,rp2"), 2)
     assert cert.factors == (("x.1.1", 3), ("x.2.1", 2), ("x.1.2", 3), ("x.2.2", 2))
     for space, n, cup in (("rp:5", 2, 10), ("cp:2", 3, 6), ("rp:0", 2, 0)):
-        cert = cert_cat_topclass(space, n)
+        cert = cert_cat_topclass(parse_space(space), n)
         assert cert.cat_witness and cert.claimed_cup == cup
         assert verify_certificate(cert).verdict == "Verified"
 
@@ -190,7 +194,8 @@ def test_certificates_for_offers_case2_unchecked(monkeypatch, space, n, p1, p2):
 
 @pytest.mark.parametrize("space,n", [("rh:3,2", 3), ("rh:9,4", 4), ("ch:9,4", 4)])
 def test_tc_bounds_verifies_each_offered_certificate_once(monkeypatch, space, n):
-    rows = certificates_for(parse_space(space), n)
+    space = parse_space(space)
+    rows = certificates_for(space, n)
     seen = _verifier_spy(monkeypatch, bounds)
     report = tc_bounds(space, n)
     assert [cert for cert, _ in seen] == [cert for _, cert in rows] + [
@@ -254,7 +259,7 @@ def _case2_search_by_combination(p1, p2, n):
             if ok and not product(combo).is_zero:
                 claimed = n * (s + r - 1) - 2
                 factors = base + tuple((expr, 2) for expr in combo)
-                return Certificate(f"rh:{r},{s}", n, factors, claimed)
+                return Certificate(RealMilnor(r, s), n, factors, claimed)
     return SearchFailure("no bridging classes gave a nonzero product")
 
 

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnortc.certgen import GENERATORS, cert_case1, cert_proj
+from milnortc.certgen import GENERATORS, cert_case1, cert_cat_topclass, cert_proj
 from milnortc.cli import (
     _COMMANDS,
     certificate_from_json,
@@ -22,6 +22,14 @@ from milnortc.cli import (
 )
 from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
 from milnortc.cuplength import Certificate
+from milnortc.spaces import (
+    ComplexMilnor,
+    ComplexProj,
+    ProductSpace,
+    RealMilnor,
+    RealProj,
+    parse_space,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -34,10 +42,25 @@ def _certificate(space, n, factors, note, cat_witness):
     return Certificate(space, n, tuple(factors), claimed, note, cat_witness)
 
 
+def _milnor(family):
+    return st.integers(min_value=1).flatmap(
+        lambda r: st.builds(family, st.just(r), st.integers(min_value=0, max_value=r)))
+
+
+_FACTOR_SPACES = st.one_of(
+    _milnor(RealMilnor),
+    _milnor(ComplexMilnor),
+    st.builds(RealProj, st.integers(min_value=0)),
+    st.builds(ComplexProj, st.integers(min_value=0)),
+)
+# every space descriptor
+_SPACES = _FACTOR_SPACES | st.builds(
+    ProductSpace, st.lists(_FACTOR_SPACES, min_size=1, max_size=3).map(tuple))
+
 # every record the constructor accepts, whether or not it verifies
 _CERTIFICATES = st.builds(
     _certificate,
-    st.text(),
+    _SPACES,
     st.integers(min_value=1),
     st.lists(st.tuples(st.text(), st.integers(min_value=1)), max_size=4),
     st.none() | st.text(),
@@ -129,6 +152,44 @@ def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
         assert captured.err == f"error: factors must be a JSON array, got {doc['factors']!r}\n"
 
 
+@pytest.mark.parametrize(
+    "space, message",
+    [
+        (7, "space must be a JSON string, got 7"),
+        (None, "space must be a JSON string, got None"),
+        ("xx:1", "space 'xx:1': unknown space family 'xx'"),
+        ("rh:2,3", "space 'rh:2,3': Milnor manifold requires r >= 1 and 0 <= s <= r, "
+                   "got r=2, s=3"),
+        ("RH:2,1", "space 'RH:2,1' is not in canonical form 'rh:2,1'"),
+        (" rp:2", "space ' rp:2' is not in canonical form 'rp:2'"),
+        ("rp:02", "space 'rp:02' is not in canonical form 'rp:2'"),
+        ("prod:rp2,cp01", "space 'prod:rp2,cp01' is not in canonical form 'prod:rp2,cp1'"),
+    ],
+)
+def test_verify_refuses_a_space_that_is_not_canonical_text(space, message, tmp_path,
+                                                            capsys):
+    # the reader parses the space, which must be the text the writer writes
+    # for it, so every file it accepts is written back byte for byte
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(dict(_RP2, space=space)), encoding="utf-8")
+    assert main(["verify", "--cert", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, space", [("ch:3,2", ComplexMilnor(3, 2)),
+                                         ("prod:rh2.1,cp1", ProductSpace((RealMilnor(2, 1),
+                                                                         ComplexProj(1))))])
+def test_gen_cert_writes_a_space_that_reads_back(text, space, tmp_path, capsys):
+    path = tmp_path / "cat.json"
+    assert main(["gen-cert", "--method", "cat", "--params", f"space={text}", "--n", "3",
+                 "--out", str(path)]) == 0
+    cert = certificate_from_json(path.read_text(encoding="utf-8"))
+    assert cert == cert_cat_topclass(space, 3)
+    assert cert.space == space
+    assert json.loads(path.read_text(encoding="utf-8"))["space"] == text
+    assert capsys.readouterr() == ("", "")
+
+
 def test_verify_names_the_generators_of_the_ring(tmp_path, capsys):
     path = tmp_path / "cert.json"
     doc = dict(_RP2, space="rh:2,1", factors=[{"expr": "(c1+c2)", "multiplicity": 3}])
@@ -190,7 +251,7 @@ def test_verify_prints_the_degrees_of_complex_generators(space, tmp_path, capsys
 
 
 def test_emit_md_main_row():
-    report = tc_bounds("rh:4,3", 2)
+    report = tc_bounds(parse_space("rh:4,3"), 2)
     text = emit_report(report, "md")
     assert "| rh:4,3 | 2 | TC | 11 | 13 |" in text
 
@@ -207,7 +268,7 @@ def test_emit_md_marks_an_inconsistent_report():
 
 
 def test_emit_json_stable_keys():
-    report = tc_bounds("rp:2", 2)
+    report = tc_bounds(parse_space("rp:2"), 2)
     doc = json.loads(emit_report(report, "json"))
     assert list(doc) == [
         "space",
@@ -224,7 +285,7 @@ def test_emit_json_stable_keys():
 
 
 def test_emit_csv_header_and_rows():
-    report = tc_bounds("rp:2", 2)
+    report = tc_bounds(parse_space("rp:2"), 2)
     lines = emit_report(report, "csv").splitlines()
     assert lines[0] == "space,n,quantity,group,lower,upper,rule,bound,value,status"
     assert len(lines) == 1 + len(report.trace)
@@ -247,7 +308,7 @@ def test_csv_fields_survive_commas_in_space_names(capsys):
 
 
 def test_emit_deterministic():
-    report = tc_bounds("rh:4,3", 2)
+    report = tc_bounds(parse_space("rh:4,3"), 2)
     for fmt in ("md", "csv", "json"):
         assert emit_report(report, fmt) == emit_report(report, fmt)
 
@@ -262,7 +323,7 @@ def test_emit_empty_table_header_only():
 
 
 def test_emit_table_sorted():
-    reports = [tc_bounds("rp:2", 3), tc_bounds("rp:1", 2)]
+    reports = [tc_bounds(parse_space("rp:2"), 3), tc_bounds(parse_space("rp:1"), 2)]
     lines = emit_table(reports, "md").splitlines()
     assert lines[2].startswith("| rp:1 |")
     assert lines[3].startswith("| rp:2 |")
@@ -446,6 +507,24 @@ def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
     )
 
 
+def test_lucas_runs_no_layer_but_f2algebra():
+    # lucas reads its integers by the CLI's own rule, so that a number it
+    # refuses runs no space parser either
+    proc = _fresh_python(
+        "-c",
+        "import sys\n"
+        "from milnortc.cli import main\n"
+        "assert main(['lucas', '--n', '\\uff17', '--k', '3']) == 2\n"
+        "assert main(['lucas', '--n', '7', '--k', '3']) == 0\n"
+        "names = {'spaces': 'parse_space', 'f2algebra': 'binom_mod2'}\n"
+        "print({m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
+        "'__dict__') for m, name in names.items()})\n",
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1\n{'spaces': False, 'f2algebra': True}\n"
+    assert proc.stderr == "error: --n: '\uff17' is not an integer\n"
+
+
 def test_package_names_resolve_to_their_submodules():
     import importlib
 
@@ -586,6 +665,19 @@ _USAGE_ERRORS = [
     (["table", "--family", "rh", "--r", "2", "--s", "a..1", "--n", "2"], "--s"),
     (["gen-cert", "--method", "proj", "--params", "t=x", "--n", "2", "--out", "f"],
      "--params key 't'"),
+    # an integer is ASCII digits with an optional minus sign, as in a space
+    (["cup", "--space", "rp:2", "--n", "\uff12"], "error: --n: '\uff12' is not an integer"),
+    (["cup", "--space", "rp:2", "--n", "+2"], "error: --n: '+2' is not an integer"),
+    (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "1_000"],
+     "error: --max-slice: '1_000' is not an integer"),
+    (["lucas", "--n", "\uff17", "--k", "3"], "error: --n: '\uff17' is not an integer"),
+    (["lucas", "--n", "7", "--k", " 3"], "error: --k: ' 3' is not an integer"),
+    (["table", "--family", "rp", "--r", "1_0", "--n", "2"],
+     "error: --r range '1_0': '1_0' is not an integer"),
+    (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "-"],
+     "error: --n: '-' is not an integer"),
+    (["gen-cert", "--method", "proj", "--params", "t=+1", "--n", "2", "--out", "f"],
+     "error: --params key 't': '+1' is not an integer"),
 ]
 
 
@@ -595,7 +687,9 @@ _USAGE_ERRORS = [
          "value-is-an-option", "non-int", "bad-choice", "bad-choice-after-equals",
          "missing-required", "repeated-option", "repeated-flag", "abbreviation",
          "flag-with-value", "stray-argument", "non-int-range", "open-range",
-         "non-int-range-end", "non-int-param"],
+         "non-int-range-end", "non-int-param", "fullwidth-n", "plus-n",
+         "underscore-cap", "fullwidth-lucas-n", "space-lucas-k", "underscore-range",
+         "bare-minus-n", "plus-param"],
 )
 def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,
                                                capsys):
@@ -783,7 +877,7 @@ def test_gen_cert_skips_empty_params_pieces(tmp_path):
 
 @pytest.mark.parametrize("emit", [emit_report, emit_table])
 def test_emitters_refuse_an_unknown_format(emit):
-    report = tc_bounds("rp:2", 2)
+    report = tc_bounds(parse_space("rp:2"), 2)
     with pytest.raises(ValueError, match="^unknown format 'xml'$"):
         emit(report if emit is emit_report else [report], "xml")
 

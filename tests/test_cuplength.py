@@ -20,7 +20,7 @@ from milnortc.cuplength import (
 from milnortc.errors import ResourceLimitError
 from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr, sum_text
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import parse_space
+from milnortc.spaces import cohomology_of, parse_space
 from milnortc.tensorpower import TensorPower, tensor_power, tensor_slice
 from reference import kernel_basis, rank, ring
 
@@ -37,15 +37,15 @@ def test_zero_divisor_predicate():
 
 def test_certificate_rejects_bad_claims():
     # the claimed TC lower bound is claimed cup + 1 by construction
-    assert Certificate("rp:2", 2, (("(x1+x2)", 3),), 3).claimed_tc_lower == 4
+    assert Certificate(parse_space("rp:2"), 2, (("(x1+x2)", 3),), 3).claimed_tc_lower == 4
     with pytest.raises(ValueError, match="factor count"):
-        Certificate("rp:2", 2, (("(x1+x2)", 2),), 3)
+        Certificate(parse_space("rp:2"), 2, (("(x1+x2)", 2),), 3)
     with pytest.raises(ValueError, match="positive"):
-        Certificate("rp:2", 2, (("(x1+x2)", 0),), 0)
+        Certificate(parse_space("rp:2"), 2, (("(x1+x2)", 0),), 0)
 
 
 def test_verify_projective_plane():
-    cert = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3)
+    cert = Certificate(parse_space("rp:2"), 2, (("(x1+x2)", 3),), 3)
     report = verify_certificate(cert)
     assert report.verdict == "Verified"
     assert report.verified_cup == 3
@@ -54,7 +54,7 @@ def test_verify_projective_plane():
 
 
 def test_verify_rejects_non_zero_divisor():
-    cert = Certificate("rp:2", 2, (("x1", 1), ("(x1+x2)", 2)), 3)
+    cert = Certificate(parse_space("rp:2"), 2, (("x1", 1), ("(x1+x2)", 2)), 3)
     report = verify_certificate(cert)
     assert report.verdict == "FactorNotZeroDivisor"
     assert report.verified_cup is None
@@ -64,14 +64,14 @@ def test_verify_rejects_non_zero_divisor():
 
 def test_verify_vanishing_product():
     # Klein-bottle ring: (a1+a2)(b1+b2)^3 reduces to zero
-    cert = Certificate("rh:2,1", 2, (("(a1+a2)", 1), ("(b1+b2)", 3)), 4)
+    cert = Certificate(parse_space("rh:2,1"), 2, (("(a1+a2)", 1), ("(b1+b2)", 3)), 4)
     report = verify_certificate(cert)
     assert report.verdict == "ProductVanishes"
     assert all(c.is_zero_divisor for c in report.per_factor)
 
 
 def test_cat_witness_skips_zero_divisor_requirement():
-    cert = Certificate("rp:2", 2, (("x1", 2), ("x2", 2)), 4, cat_witness=True)
+    cert = Certificate(parse_space("rp:2"), 2, (("x1", 2), ("x2", 2)), 4, cat_witness=True)
     report = verify_certificate(cert)
     assert report.verdict == "Verified"
     assert report.verified_cup == 4
@@ -81,7 +81,7 @@ def test_cat_witness_skips_zero_divisor_requirement():
 
 def test_verdict_never_consults_claims():
     # same factors, inflated-but-consistent claim: verdict is unchanged
-    good = Certificate("rp:2", 2, (("(x1+x2)", 3),), 3)
+    good = Certificate(parse_space("rp:2"), 2, (("(x1+x2)", 3),), 3)
     assert verify_certificate(good).verified_cup == 3
 
 
@@ -117,7 +117,7 @@ def test_overlap_order_gives_the_certificate_order_report():
     certs = list(family_certificates())
     verdicts = set()
     for cert in certs:
-        P = ring(cert.space)
+        P = cohomology_of(cert.space)
         report = verify_certificate(cert)
         got = (
             report.verdict,
@@ -135,7 +135,7 @@ def test_overlap_order_gives_the_certificate_order_report():
     "run, expected",
     [
         (lambda: verify_certificate(cert_r2t(5, 3, 8)).verdict, "ProductVanishes"),
-        (lambda: tc_bounds("rh:16,9", 8).verified_lower, 169),
+        (lambda: tc_bounds(parse_space("rh:16,9"), 8).verified_lower, 169),
     ],
     ids=["verify-r2t-5.3-n8", "bounds-rh16.9-n8"],
 )
@@ -171,7 +171,7 @@ def test_verification_never_multiplies_by_the_unit(monkeypatch):
         return mul_supports(self, xs, ys)
 
     monkeypatch.setattr(TensorPower, "mul_supports", spy)
-    assert tc_bounds("rh:16,9", 8).verified_lower == 169
+    assert tc_bounds(parse_space("rh:16,9"), 8).verified_lower == 169
     assert operands
     unit_operands = [
         (xs, ys) for one, xs, ys in operands if {one} in (set(xs), set(ys))
@@ -188,7 +188,7 @@ def test_power_and_the_empty_product_keep_their_values():
         for _ in range(e):
             expected = multiply(expected, x)
         assert power(x, e) == expected, e
-    cert = Certificate("rp:2", 2, (), 0)
+    cert = Certificate(parse_space("rp:2"), 2, (), 0)
     report = verify_certificate(cert)
     assert report.verdict == "Verified" and report.product_nonzero
 
@@ -483,7 +483,7 @@ def test_oracle_witness_verifies():
     for space, n in ORACLE_BOX:
         P = ring(space)
         value = cup_exact(P, n)
-        cert = Certificate(space, n, cup_witness(P, n), value)
+        cert = Certificate(parse_space(space), n, cup_witness(P, n), value)
         report = verify_certificate(cert)
         assert report.verdict == "Verified", (space, n)
         assert report.verified_cup == value
@@ -504,7 +504,7 @@ def test_oracle_box_values_and_witnesses():
         assert cup_exact(P, n) == value, (space, n)
         factors = cup_witness(P, n)
         assert sum(mult for _, mult in factors) == value, (space, n)
-        cert = Certificate(space, n, factors, value)
+        cert = Certificate(parse_space(space), n, factors, value)
         assert verify_certificate(cert).verdict == "Verified", (space, n)
 
 

@@ -65,7 +65,10 @@ def test_syntax_errors_carry_position():
 
 
 # the position is that of the character, after any spaces before it
-@pytest.mark.parametrize("text, char, position", [("a1 & a2", "&", 3), ("$", "$", 0)])
+# a name with no position is named by its first letter
+@pytest.mark.parametrize(
+    "text, char, position", [("a1 & a2", "&", 3), ("$", "$", 0), ("a1+ab+a2", "a", 3)]
+)
 def test_unexpected_character_is_refused_at_its_position(text, char, position):
     message = f"unexpected character {char!r} (at position {position})"
     with pytest.raises(ExprSyntaxError, match=f"^{re.escape(message)}$") as exc:
@@ -73,11 +76,13 @@ def test_unexpected_character_is_refused_at_its_position(text, char, position):
     assert exc.value.position == position
 
 
-# numbers are ASCII digits: int() and \\d also read other scripts' digits
+# numbers are ASCII digits: int() and \\d also read other scripts' digits.
+# The digit is named, also where it follows a generator's name
 @pytest.mark.parametrize(
     "text, char, position",
-    [("(a\uff11+a\uff12)^\uff13", "a", 1), ("a1^\uff13", "\uff13", 3),
-     ("x.\u0661.1", "x", 0), ("a\u0661", "a", 0)],
+    [("(a\uff11+a\uff12)^\uff13", "\uff11", 2), ("a1^\uff13", "\uff13", 3),
+     ("x.\u0661.1", "\u0661", 2), ("a\u0661", "\u0661", 1), ("a\uff11", "\uff11", 1),
+     ("x.2\u0661", "\u0661", 3)],
 )
 def test_non_ascii_digits_are_refused(text, char, position):
     message = f"unexpected character {char!r} (at position {position})"

@@ -19,6 +19,7 @@ from milnortc.spaces import (
 from reference import KernelBasis, kernel_basis, ring
 
 P = ring("rp:2")
+RP2 = RealProj(2)
 g, h = Gen("a", 1), Gen("b", 2)
 
 
@@ -33,7 +34,7 @@ RECORDS = {
     "Group": lambda: Group("x", 3),
     "RuleTrace": lambda: RuleTrace("r", "a source", "lower", 3, "claimed"),
     "BoundReport": lambda: BoundReport("rp:2", "tc", 2, trace=rows(3, 5)),
-    "Certificate": lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3),
+    "Certificate": lambda: Certificate(RP2, 2, (("(x1+x2)", 3),), 3),
     "FactorCheck": lambda: FactorCheck("x1", False, 1),
     "VerificationReport": lambda: VerificationReport((), True, 3, "Verified"),
     "SearchFailure": lambda: SearchFailure("no product"),
@@ -84,11 +85,11 @@ def test_equality_needs_the_same_type():
 
 
 def test_defaults_and_keyword_construction():
-    cert = Certificate(space="rp:2", n=2, factors=(("(x1+x2)", 3),), claimed_cup=3)
+    cert = Certificate(space=RP2, n=2, factors=(("(x1+x2)", 3),), claimed_cup=3)
     assert cert.note is None and cert.cat_witness is False
     assert cert.claimed_tc_lower == 4
-    assert cert == Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, None, False)
-    assert Certificate("rp:2", 2, (("x1", 1),), 1, cat_witness=True).cat_witness
+    assert cert == Certificate(RP2, 2, (("(x1+x2)", 3),), 3, None, False)
+    assert Certificate(RP2, 2, (("x1", 1),), 1, cat_witness=True).cat_witness
     report = BoundReport("rp:2", "tc", 2)
     assert (report.group, report.trace, report.lower, report.verified_lower) == (
         None, (), 1, None)
@@ -123,19 +124,20 @@ def test_replace_changes_fields_and_validates_again():
 @pytest.mark.parametrize(
     "build, message",
     [
-        (lambda: Certificate("rp:2", 2, (("x1", 2),), 3), "total factor count 2"),
-        (lambda: Certificate("rp:2", 2, (("x1", 3), ("x2", 0)), 3), "positive"),
-        (lambda: Certificate("rp:2", 0, (), 0), "arity must be >= 1"),
+        (lambda: Certificate(RP2, 2, (("x1", 2),), 3), "total factor count 2"),
+        (lambda: Certificate(RP2, 2, (("x1", 3), ("x2", 0)), 3), "positive"),
+        (lambda: Certificate(RP2, 0, (), 0), "arity must be >= 1"),
         # a claimed TC lower bound passed where the note goes, which the
         # file reader would refuse
-        (lambda: Certificate("rp:2", 2, (("(x1+x2)", 3),), 3, 4),
+        (lambda: Certificate(RP2, 2, (("(x1+x2)", 3),), 3, 4),
          "note must be None or of type str, got 4"),
-        (lambda: Certificate("rp:2", 2, (("x1", 1),), 1, cat_witness="yes"),
+        (lambda: Certificate(RP2, 2, (("x1", 1),), 1, cat_witness="yes"),
          "cat_witness must be of type bool"),
-        (lambda: Certificate("rp:2", 2, (("x1", 3.0),), 3), r"factor \('x1', 3.0\)"),
-        (lambda: Certificate("rp:2", 2, [("x1", 3)], 3), "factors must be of type tuple"),
-        (lambda: Certificate("rp:2", True, (), 0), "n must be of type int, got True"),
-        (lambda: Certificate(7, 2, (), 0), "space must be of type str"),
+        (lambda: Certificate(RP2, 2, (("x1", 3.0),), 3), r"factor \('x1', 3.0\)"),
+        (lambda: Certificate(RP2, 2, [("x1", 3)], 3), "factors must be of type tuple"),
+        (lambda: Certificate(RP2, True, (), 0), "n must be of type int, got True"),
+        (lambda: Certificate(7, 2, (), 0), "unknown space descriptor: 7"),
+        (lambda: Certificate("rh:2,1", 2, (), 0), "unknown space descriptor: 'rh:2,1'"),
         (lambda: RealMilnor(2, 3), "requires r >= 1 and 0 <= s <= r"),
         (lambda: ComplexMilnor(0, 0), "requires r >= 1"),
         (lambda: RealMilnor(2.0, 1), "must be integers"),
@@ -181,4 +183,4 @@ def test_repr_names_each_field():
     assert repr(generator(P, "x")) == "Element(x)"
     assert repr(evaluate_text("(x1+x2)^2", P, 2)) == "Element((1⊗x^2) + (x^2⊗1))"
     with pytest.raises(ValueError, match=r"unsupported group Group\(name='x', dim=3\)"):
-        eqtc_bounds("rh:5,3", Group("x", 3), 2)
+        eqtc_bounds(RealMilnor(5, 3), Group("x", 3), 2)

@@ -3,7 +3,9 @@
 descriptor is refused with its own message.  A descriptor's check is the
 only check of a space's fields, and the descriptor keys its ring."""
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
 
@@ -168,3 +170,29 @@ def test_unknown_descriptors_are_refused(function, space):
     message = f"unknown space descriptor: {space!r}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         function(space)
+
+
+def _names_parse_space(tree) -> bool:
+    """True when the module's syntax tree names parse_space: a call, an
+    attribute read or an import of it."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "parse_space":
+            return True
+        if isinstance(node, ast.Attribute) and node.attr == "parse_space":
+            return True
+        if isinstance(node, ast.ImportFrom) and "parse_space" in {a.name for a in node.names}:
+            return True
+    return False
+
+
+def test_only_the_cli_and_spaces_parse_a_space():
+    # below the CLI a space is a descriptor: its text is parsed where it
+    # enters, by the command-line options and the certificate-file reader
+    package = Path(__file__).resolve().parents[1] / "src" / "milnortc"
+    parsers = {
+        path.stem
+        for path in sorted(package.glob("*.py"))
+        if _names_parse_space(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    # spaces defines it and may call it; the CLI must, to read its options
+    assert parsers - {"spaces"} == {"cli"}
