@@ -6,7 +6,11 @@ Importing the package runs none of its layers.  Every submodule but
 package, through :class:`importlib.util.LazyLoader`: it runs on the first
 access to one of its attributes, a ``from .x import y`` of it included.
 So a CLI command runs only the modules it calls, which matters when no
-bytecode is cached and every module that runs is compiled first.
+bytecode is cached and every module that runs is compiled first.  Two
+layers serve only the CLI's output: ``certfile``, the certificate-file
+reader and writer, and ``emit``, the report formatting.  ``cup`` runs
+neither, ``bounds`` and ``table`` run only ``emit``, and ``verify`` and
+``gen-cert`` only ``certfile``.
 
 That every layer is in ``sys.modules`` after ``import milnortc.cli`` is a
 contract: the benchmark's tracer (``perfbench/tracer.py``) looks each
@@ -25,7 +29,7 @@ __version__ = "1.0.0"
 
 # every submodule but cli
 _LAYERS = ("record", "errors", "gf2", "f2algebra", "tensorpower", "spaces",
-           "exprs", "cuplength", "certgen", "bounds")
+           "exprs", "cuplength", "certgen", "bounds", "certfile", "emit")
 
 # submodule -> the public names it defines
 _PUBLIC = {

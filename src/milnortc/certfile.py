@@ -1,0 +1,112 @@
+"""Certificate files: the canonical JSON form of a :class:`Certificate`.
+
+The writer fixes the key order, a two-space indent and one trailing
+newline, so parse -> print round-trips byte-identically.  The reader is
+strict, with no coercion: it refuses an unknown key, a missing one, a null
+``note`` or ``catWitness``, and a ``space`` that is not in the writer's
+canonical form, and it leaves the check of every field to the record.
+This is the one place besides the command-line options where space text
+is parsed.  The CLI registers this module lazily, so a command that reads
+and writes no certificate file never compiles it.
+"""
+
+from __future__ import annotations
+
+import json
+
+from . import cuplength, spaces
+
+SCHEMA_VERSION = 1
+
+
+def _json_text(doc) -> str:
+    """The JSON text of doc as the CLI writes it for a certificate: the
+    file itself and the report of ``verify --format json``."""
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def certificate_to_json(cert: cuplength.Certificate) -> str:
+    """Canonical serialization: fixed key order, two-space indent, one
+    trailing newline.  parse -> print round-trips byte-identically."""
+    doc = {
+        "schemaVersion": SCHEMA_VERSION,
+        "space": spaces.format_space(cert.space),
+        "n": cert.n,
+        "factors": [
+            {"expr": expr, "multiplicity": mult} for expr, mult in cert.factors
+        ],
+        "claimedCup": cert.claimed_cup,
+        "claimedTcLower": cert.claimed_tc_lower,
+    }
+    if cert.note is not None:
+        doc["note"] = cert.note
+    if cert.cat_witness:
+        doc["catWitness"] = True
+    return _json_text(doc)
+
+
+# every key a certificate file may hold, and every key of one of its factors
+_CERT_KEYS = ("schemaVersion", "space", "n", "factors", "claimedCup",
+              "claimedTcLower", "note", "catWitness")
+_FACTOR_KEYS = ("expr", "multiplicity")
+
+
+def _known_keys(doc, keys: tuple, what: str) -> dict:
+    """doc, which must be a JSON object holding no key outside keys."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in doc:
+        if key not in keys:
+            raise ValueError(f"{what} has an unknown key {key!r}")
+    return doc
+
+
+def _space_of(text):
+    """The descriptor of a file's space, a string in the writer's form."""
+    if type(text) is not str:
+        raise ValueError(f"space must be a JSON string, got {text!r}")
+    try:
+        space = spaces.parse_space(text)
+    except ValueError as exc:
+        raise ValueError(f"space {text!r}: {exc}") from None
+    canonical = spaces.format_space(space)
+    if canonical != text:
+        raise ValueError(f"space {text!r} is not in canonical form {canonical!r}")
+    return space
+
+
+def certificate_from_json(text: str) -> cuplength.Certificate:
+    """Check the file format (schema version 1, known keys, none missing, no
+    null note or catWitness, factors an array, claimedTcLower the int
+    claimedCup + 1), parse the space and map the keys to the fields of the
+    record, which checks them."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed certificate file: {exc}") from None
+    doc = _known_keys(doc, _CERT_KEYS, "certificate file")
+    if doc.get("schemaVersion") != SCHEMA_VERSION or type(doc["schemaVersion"]) is not int:
+        raise ValueError(f"unsupported schema version {doc.get('schemaVersion')!r}")
+    if None in (doc.get("note", ""), doc.get("catWitness", False)):
+        raise ValueError("a certificate's note or catWitness may be left out but not null")
+    if type(doc.get("factors", [])) is not list:
+        raise ValueError(f"factors must be a JSON array, got {doc['factors']!r}")
+    try:
+        factors = []
+        for f in doc["factors"]:
+            f = _known_keys(f, _FACTOR_KEYS, "a factor")
+            factors.append((f["expr"], f["multiplicity"]))
+        cert = cuplength.Certificate(
+            space=_space_of(doc["space"]),
+            n=doc["n"],
+            factors=tuple(factors),
+            claimed_cup=doc["claimedCup"],
+            note=doc.get("note"),
+            cat_witness=doc.get("catWitness", False),
+        )
+        tc_lower = doc["claimedTcLower"]
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"certificate file missing or bad field: {exc}") from None
+    if type(tc_lower) is not int or tc_lower != cert.claimed_tc_lower:
+        raise ValueError("claimedTcLower must be claimedCup + 1")
+    return cert

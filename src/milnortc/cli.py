@@ -1,5 +1,6 @@
-"""Command-line surface: bound reports, the exact oracle, certificate
-files, table emission, and binomial parity.
+"""Command-line surface: the options of each command and the calls they
+make.  Certificate files are read and written by :mod:`milnortc.certfile`
+and reports are formatted by :mod:`milnortc.emit`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource limit.  All outputs are deterministic: identical invocations
@@ -15,15 +16,11 @@ from types import SimpleNamespace
 
 # a layer that some command does not call is reached through its module
 # object, which runs on first use (see the package docstring), so that each
-# command runs only the modules it calls; json, csv and io are imported
-# where they are used, for the same reason
-from . import bounds, certgen, cuplength, f2algebra, spaces
+# command runs only the modules it calls: cup runs neither certfile nor
+# emit, and json and csv are imported only by those two
+from . import bounds, certfile, certgen, cuplength, emit, f2algebra, spaces
 from .errors import ExprSyntaxError, NoFreeActionError, ResourceLimitError
 from .tensorpower import DEFAULT_MAX_SLICE
-
-SCHEMA_VERSION = 1
-
-_QUANTITY_LABEL = {"cat": "cat", "tc": "TC", "eqtc": "TC_G"}
 
 # the gen-cert methods: those of certgen.GENERATORS, in its order, then cat.
 # Written out so that the option table does not run certgen; a test keeps
@@ -33,185 +30,6 @@ _METHODS = ("case1", "case2", "r2t", "proj", "cat")
 # at exit, move every object to the permanent generation, so that the
 # collections run while the interpreter tears its modules down skip them
 atexit.register(gc.freeze)
-
-
-# --- certificate files -------------------------------------------------------
-
-
-def _json_text(doc) -> str:
-    import json
-
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def certificate_to_json(cert: cuplength.Certificate) -> str:
-    """Canonical serialization: fixed key order, two-space indent, one
-    trailing newline.  parse -> print round-trips byte-identically."""
-    doc = {
-        "schemaVersion": SCHEMA_VERSION,
-        "space": spaces.format_space(cert.space),
-        "n": cert.n,
-        "factors": [
-            {"expr": expr, "multiplicity": mult} for expr, mult in cert.factors
-        ],
-        "claimedCup": cert.claimed_cup,
-        "claimedTcLower": cert.claimed_tc_lower,
-    }
-    if cert.note is not None:
-        doc["note"] = cert.note
-    if cert.cat_witness:
-        doc["catWitness"] = True
-    return _json_text(doc)
-
-
-# every key a certificate file may hold, and every key of one of its factors
-_CERT_KEYS = ("schemaVersion", "space", "n", "factors", "claimedCup",
-              "claimedTcLower", "note", "catWitness")
-_FACTOR_KEYS = ("expr", "multiplicity")
-
-
-def _known_keys(doc, keys: tuple, what: str) -> dict:
-    """doc, which must be a JSON object holding no key outside keys."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    for key in doc:
-        if key not in keys:
-            raise ValueError(f"{what} has an unknown key {key!r}")
-    return doc
-
-
-def _space_of(text):
-    """The descriptor of a file's space, a string in the writer's form."""
-    if type(text) is not str:
-        raise ValueError(f"space must be a JSON string, got {text!r}")
-    try:
-        space = spaces.parse_space(text)
-    except ValueError as exc:
-        raise ValueError(f"space {text!r}: {exc}") from None
-    canonical = spaces.format_space(space)
-    if canonical != text:
-        raise ValueError(f"space {text!r} is not in canonical form {canonical!r}")
-    return space
-
-
-def certificate_from_json(text: str) -> cuplength.Certificate:
-    """Check the file format (schema version 1, known keys, none missing, no
-    null note or catWitness, factors an array, claimedTcLower the int
-    claimedCup + 1), parse the space and map the keys to the fields of the
-    record, which checks them."""
-    import json
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed certificate file: {exc}") from None
-    doc = _known_keys(doc, _CERT_KEYS, "certificate file")
-    if doc.get("schemaVersion") != SCHEMA_VERSION or type(doc["schemaVersion"]) is not int:
-        raise ValueError(f"unsupported schema version {doc.get('schemaVersion')!r}")
-    if None in (doc.get("note", ""), doc.get("catWitness", False)):
-        raise ValueError("a certificate's note or catWitness may be left out but not null")
-    if type(doc.get("factors", [])) is not list:
-        raise ValueError(f"factors must be a JSON array, got {doc['factors']!r}")
-    try:
-        factors = []
-        for f in doc["factors"]:
-            f = _known_keys(f, _FACTOR_KEYS, "a factor")
-            factors.append((f["expr"], f["multiplicity"]))
-        cert = cuplength.Certificate(
-            space=_space_of(doc["space"]),
-            n=doc["n"],
-            factors=tuple(factors),
-            claimed_cup=doc["claimedCup"],
-            note=doc.get("note"),
-            cat_witness=doc.get("catWitness", False),
-        )
-        tc_lower = doc["claimedTcLower"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"certificate file missing or bad field: {exc}") from None
-    if type(tc_lower) is not int or tc_lower != cert.claimed_tc_lower:
-        raise ValueError("claimedTcLower must be claimedCup + 1")
-    return cert
-
-
-# --- report emission ---------------------------------------------------------
-
-
-def _report_dict(report: bounds.BoundReport) -> dict:
-    return {
-        "space": report.space,
-        "quantity": report.quantity,
-        "n": report.n,
-        "group": report.group,
-        "lower": report.lower,
-        "upper": report.upper,
-        "verifiedLower": report.verified_lower,
-        "inconsistent": report.inconsistent,
-        "trace": [
-            {
-                "rule": t.rule,
-                "source": t.source,
-                "bound": t.bound,
-                "value": t.value,
-                "status": t.status,
-            }
-            for t in report.trace
-        ],
-    }
-
-
-_MAIN_HEADER = "| space | n | quantity | lower | upper |\n|---|---|---|---|---|"
-_TRACE_HEADER = "| rule | bound | value | status |\n|---|---|---|---|"
-_CSV_HEADER = ("space", "n", "quantity", "group", "lower", "upper",
-               "rule", "bound", "value", "status")
-
-
-def _main_row(report: bounds.BoundReport) -> str:
-    label = _QUANTITY_LABEL[report.quantity]
-    return f"| {report.space} | {report.n} | {label} | {report.lower} | {report.upper} |"
-
-
-def _csv_text(reports) -> str:
-    """The header and one row per trace entry, quoted where a field holds
-    a comma (space strings such as rh:5,3 do)."""
-    import csv
-    import io
-
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
-    for r in reports:
-        label = _QUANTITY_LABEL[r.quantity]
-        base = [r.space, r.n, label, r.group or "", r.lower, r.upper]
-        writer.writerows(base + [t.rule, t.bound, t.value, t.status] for t in r.trace)
-    return out.getvalue()
-
-
-def emit_report(report: bounds.BoundReport, fmt: str = "md") -> str:
-    if fmt == "md":
-        lines = [_MAIN_HEADER, _main_row(report), "", _TRACE_HEADER]
-        for t in report.trace:
-            lines.append(f"| {t.rule} | {t.bound} | {t.value} | {t.status} |")
-        if report.inconsistent:
-            lines.append("")
-            lines.append("**inconsistent: lower exceeds upper**")
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        return _csv_text([report])
-    if fmt == "json":
-        return _json_text(_report_dict(report))
-    raise ValueError(f"unknown format {fmt!r}")
-
-
-def emit_table(reports, fmt: str = "md") -> str:
-    reports = sorted(reports, key=lambda r: (r.space, r.n, r.quantity))
-    if fmt == "md":
-        lines = [_MAIN_HEADER] + [_main_row(r) for r in reports]
-        return "\n".join(lines) + "\n"
-    if fmt == "csv":
-        return _csv_text(reports)
-    if fmt == "json":
-        return _json_text([_report_dict(r) for r in reports])
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 # --- argument plumbing -------------------------------------------------------
@@ -255,6 +73,14 @@ def _parse_range(text: str, flag: str):
     if not values:
         raise ValueError(f"{what} is empty")
     return values
+
+
+def _space(text: str, what: str = "--space"):
+    """The descriptor of the space text, refused naming what."""
+    try:
+        return spaces.parse_space(text)
+    except ValueError as exc:
+        raise ValueError(f"{what}: {exc}") from None
 
 
 def _slice_cap(text: str) -> int:
@@ -474,20 +300,20 @@ def _cmd_bounds(args) -> int:
         ):
             if given:
                 raise ValueError(f"{flag} does not apply to --quantity cat")
-        report = bounds.cat_bounds(spaces.parse_space(args.space), args.n)
+        report = bounds.cat_bounds(_space(args.space), args.n)
     elif args.quantity == "tc":
-        report = bounds.tc_bounds(spaces.parse_space(args.space), args.n, **options)
+        report = bounds.tc_bounds(_space(args.space), args.n, **options)
     else:
         if not args.group:
             raise ValueError("--group is required for eqtc")
-        space, group = spaces.parse_space(args.space), bounds.resolve_group(args.group)
+        space, group = _space(args.space), bounds.resolve_group(args.group)
         report = bounds.eqtc_bounds(space, group, args.n, **options)
-    _write_out(emit_report(report, args.format), args.out)
+    _write_out(emit.emit_report(report, args.format), args.out)
     return 0
 
 
 def _cmd_cup(args) -> int:
-    P = spaces.cohomology_of(spaces.parse_space(args.space))
+    P = spaces.cohomology_of(_space(args.space))
     value = cuplength.cup_exact(P, args.n, max_slice=args.max_slice)
     _write_out(f"{value}\n", args.out)
     return 0
@@ -495,7 +321,7 @@ def _cmd_cup(args) -> int:
 
 def _cmd_verify(args) -> int:
     with open(args.cert, encoding="utf-8") as fh:
-        cert = certificate_from_json(fh.read())
+        cert = certfile.certificate_from_json(fh.read())
     report = cuplength.verify_certificate(cert)
     if args.format == "json":
         doc = {
@@ -514,7 +340,7 @@ def _cmd_verify(args) -> int:
                 for c in report.per_factor
             ],
         }
-        text = _json_text(doc)
+        text = certfile._json_text(doc)
     else:
         lines = [f"verdict: {report.verdict}"]
         if report.verified_cup is not None:
@@ -546,7 +372,7 @@ def _cmd_gen_cert(args) -> int:
     params = _parse_params(args.params)
     if args.method == "cat":
         (space,) = _require_params(params, "cat", "space")
-        cert = certgen.cert_cat_topclass(spaces.parse_space(space), args.n)
+        cert = certgen.cert_cat_topclass(_space(space, "--params key 'space'"), args.n)
     else:
         build, names = certgen.GENERATORS[args.method]
         texts = _require_params(params, args.method, *names)
@@ -555,7 +381,7 @@ def _cmd_gen_cert(args) -> int:
     if isinstance(cert, cuplength.SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1
-    _write_out(certificate_to_json(cert), args.out)
+    _write_out(certfile.certificate_to_json(cert), args.out)
     return 0
 
 
@@ -586,7 +412,7 @@ def _cmd_table(args) -> int:
         for space in map(spaces.parse_space, space_names)
         for n in n_range
     ]
-    _write_out(emit_table(reports, args.format), args.out)
+    _write_out(emit.emit_table(reports, args.format), args.out)
     return 0
 
 

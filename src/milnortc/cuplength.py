@@ -27,7 +27,10 @@ once, applied to every level that reads it, and dropped, and at most
 Each z's degree and its products with the basic monomials of the one slot
 each of its monomials occupies are computed once per run, and so are the
 degree slices, kept in a dict of the run's own: the oracle's only lasting
-state is its cache of (value, witness) per ring and n.
+state is its cache of (value, witness) per ring and n.  A product of spaces
+is never run on its own ring: its value is the sum of its factors' and its
+witness their witnesses renamed (see :func:`_product_run`), so what a
+product leaves behind is the cached run of each factor.
 The z commute, so the oracle forms only the products z_j1 ... z_jm with
 j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
 at most j.  Products are appended generator by generator and rows are kept
@@ -52,7 +55,7 @@ from . import exprs, gf2
 from .errors import ResourceLimitError
 from .f2algebra import Element, Presentation, multiply, power, unit
 from .record import Record
-from .spaces import _family, cohomology_of
+from .spaces import ProductSpace, _family, cohomology_of, format_space
 from .tensorpower import (
     DEFAULT_MAX_SLICE,
     diagonal_eval,
@@ -319,11 +322,46 @@ def _oracle(P: Presentation, n: int):
     return value, factors
 
 
+def _product_run(space: ProductSpace, n: int, max_slice: int) -> tuple:
+    """The oracle's (value, factors) for the ring of a product, from its
+    factors' runs: the sum of their values, and their factors with the
+    idx-th one's generator g renamed g.idx, as the product ring names it.
+    A factor's refusal names that factor.  No slice of the product's own
+    tensor power is built, and its slices are never checked against the
+    cap, which bounds each factor's slices instead.
+
+    Why the sum: over a field, the n-fold tensor power of A ⊗ B is
+    A' ⊗ B' with A' = A^(⊗n) and B' = B^(⊗n), and the diagonal map is
+    Δ_A ⊗ Δ_B.  Both maps are onto, so the kernel of their tensor product
+    is K = K_A ⊗ B' + A' ⊗ K_B, and K^m is the sum over i + j = m of
+    K_A^i ⊗ K_B^j, which is nonzero exactly when some K_A^i and K_B^j are.
+    So zcl_n(A ⊗ B) = zcl_n(A) + zcl_n(B), and a nonzero product of
+    zcl_n(A) generators of K_A times one of zcl_n(B) generators of K_B is
+    a nonzero product in A' ⊗ B': the factors' witnesses, renamed, are a
+    witness for the product."""
+    value, factors = 0, []
+    for idx, factor in enumerate(space.factors, start=1):
+        try:
+            v, fs = _run(cohomology_of(factor), n, max_slice)
+        except ResourceLimitError as exc:
+            raise ResourceLimitError(
+                f"factor {format_space(factor)}: {exc}",
+                dimension=exc.dimension,
+                cap=exc.cap,
+            ) from None
+        value += v
+        factors += [((f"{g}.{idx}", i), mult) for (g, i), mult in fs]
+    return value, tuple(factors)
+
+
 def _run(P: Presentation, n: int, max_slice: int) -> tuple:
     """The oracle's (value, factors) for P and n, from its cache or a new
-    run, refused when a slice is over max_slice."""
+    run, refused when a slice is over max_slice; a product's comes from
+    its factors' (see :func:`_product_run`)."""
     if n < 1:
         raise ValueError("arity must be >= 1")
+    if type(P.cache_key) is ProductSpace:
+        return _product_run(P.cache_key, n, max_slice)
     # refuse before reading the cache, so that a value cached under a
     # larger cap does not answer this call, and before building any slice:
     # slices grow towards the middle degree, so those below the first one

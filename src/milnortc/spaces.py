@@ -4,7 +4,8 @@ Canonical string forms (used in certificate files and CLI flags):
 ``rh:4,3`` and ``ch:4,3`` for real/complex Milnor manifolds with (r, s),
 ``rp:2`` / ``cp:2`` for projective spaces, and ``prod:rp3,rp2`` for
 products (factors written compactly, e.g. ``rh4.3``, ``rp3``).  Numbers
-are written in ASCII digits.
+are written in ASCII digits, and family prefixes in lower case, with no
+space around the text.
 
 Each family states its mod-2 cohomology ring as ``generators``: one
 ``(name, degree, bound, terms)`` per generator g, meaning ``g^bound =
@@ -154,8 +155,8 @@ def _parse_factor(text: str):
 
 
 def parse_space(text: str):
-    """Parse the canonical space string form."""
-    text = text.strip().lower()
+    """Parse the space string form, as written: nothing is stripped or
+    lower-cased, so ``' RH:5,3'`` is refused."""
     if ":" not in text:
         raise ValueError(f"cannot parse space {text!r}")
     head, _, rest = text.partition(":")
@@ -164,11 +165,16 @@ def parse_space(text: str):
         raise ValueError(f"unknown space family {head!r}")
     if cls is ProductSpace:
         return ProductSpace(tuple(_parse_factor(p) for p in rest.split(",")))
-    # a one-field family reads the whole rest as its number
-    parts = rest.split(",") if len(cls.__slots__) > 1 else [rest]
+    # a wrong count of fields, or a field that is no number at all, gets
+    # the family's form; one that int() reads gets the digit rule below
+    expected = f"expected '{head}:{','.join(cls.__slots__)}', got {text!r}"
+    parts = rest.split(",")
     if len(parts) != len(cls.__slots__):
-        raise ValueError(f"expected '{head}:{','.join(cls.__slots__)}', got {text!r}")
-    values = tuple(map(int, parts))  # with int()'s message for what it refuses
+        raise ValueError(expected)
+    try:
+        values = tuple(map(int, parts))
+    except ValueError:
+        raise ValueError(expected) from None
     if not _FIELDS_RE.fullmatch(rest):
         raise ValueError(f"numbers must be written in ASCII digits, got {text!r}")
     return cls(*values)

@@ -15,7 +15,7 @@ import json
 import pathlib
 
 from milnortc.certgen import cert_case1, cert_case2, cert_proj, cert_r2t
-from milnortc.cli import certificate_to_json
+from milnortc.certfile import certificate_to_json
 
 ARTIFACT = pathlib.Path(__file__).parent / "artifacts" / "certificates.json"
 

@@ -12,14 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from milnortc.certgen import GENERATORS, cert_case1, cert_cat_topclass, cert_proj
-from milnortc.cli import (
-    _COMMANDS,
-    certificate_from_json,
-    certificate_to_json,
-    emit_report,
-    emit_table,
-    main,
-)
+from milnortc.certfile import certificate_from_json, certificate_to_json
+from milnortc.cli import _COMMANDS, main
+from milnortc.emit import emit_report, emit_table
 from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
 from milnortc.cuplength import Certificate
 from milnortc.spaces import (
@@ -160,8 +155,8 @@ def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
         ("xx:1", "space 'xx:1': unknown space family 'xx'"),
         ("rh:2,3", "space 'rh:2,3': Milnor manifold requires r >= 1 and 0 <= s <= r, "
                    "got r=2, s=3"),
-        ("RH:2,1", "space 'RH:2,1' is not in canonical form 'rh:2,1'"),
-        (" rp:2", "space ' rp:2' is not in canonical form 'rp:2'"),
+        ("RH:2,1", "space 'RH:2,1': unknown space family 'RH'"),
+        (" rp:2", "space ' rp:2': unknown space family ' rp'"),
         ("rp:02", "space 'rp:02' is not in canonical form 'rp:2'"),
         ("prod:rp2,cp01", "space 'prod:rp2,cp01' is not in canonical form 'prod:rp2,cp1'"),
     ],
@@ -484,27 +479,55 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
-    # every layer is registered when the CLI is imported, but runs only on
-    # first use; the oracle command uses none of these, and without a
-    # bytecode cache each module run is compiled first.  A module that has
-    # run has its names in its namespace; reading the namespace through
-    # object.__getattribute__ does not run it
-    proc = _fresh_python(
+def _modules_run(argv, names) -> subprocess.CompletedProcess:
+    """A new interpreter that runs the command argv in process and prints
+    its stdout, then which of the modules in names ran and which of json
+    and csv it imported.  Every layer is registered when the CLI is
+    imported, but runs only on first use; a module that has run has its
+    names in its namespace (each module's value in names is one of them),
+    and reading the namespace through object.__getattribute__ does not run
+    it."""
+    return _fresh_python(
         "-c",
         "import sys\n"
         "from milnortc.cli import main\n"
-        "assert main(['cup', '--space', 'rh:4,2', '--n', '3']) == 0\n"
-        "names = {'bounds': 'tc_bounds', 'certgen': 'GENERATORS', "
-        "'exprs': 'evaluate_text', 'cuplength': 'cup_exact'}\n"
+        f"assert main({argv!r}) == 0\n"
+        f"names = {names!r}\n"
         "ran = {m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
         "'__dict__') for m, name in names.items()}\n"
         "print(ran, sorted({'json', 'csv', 'argparse', 'gettext'} & set(sys.modules)))\n",
     )
+
+
+def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
+    # the oracle command uses none of these, and without a bytecode cache
+    # each module run is compiled first.  Nor does it run the certificate
+    # files or the report formatting
+    names = {"bounds": "tc_bounds", "certgen": "GENERATORS", "exprs": "evaluate_text",
+             "certfile": "certificate_from_json", "emit": "emit_report",
+             "cuplength": "cup_exact"}
+    proc = _modules_run(["cup", "--space", "rh:4,2", "--n", "3"], names)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (
-        "15\n{'bounds': False, 'certgen': False, 'exprs': False, 'cuplength': True} []\n"
+        "15\n{'bounds': False, 'certgen': False, 'exprs': False, 'certfile': False, "
+        "'emit': False, 'cuplength': True} []\n"
     )
+
+
+def test_table_runs_the_report_formatting_and_no_certificate_file():
+    names = {"certfile": "certificate_from_json", "emit": "emit_table"}
+    proc = _modules_run(["table", "--family", "rp", "--r", "2", "--n", "2"], names)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n{'certfile': False, 'emit': True} []\n")
+
+
+def test_verify_runs_the_certificate_reader_and_no_report_formatting(tmp_path):
+    cert = tmp_path / "c.json"
+    cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
+    names = {"certfile": "certificate_from_json", "emit": "emit_report"}
+    proc = _modules_run(["verify", "--cert", str(cert)], names)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.endswith("\n{'certfile': True, 'emit': False} ['json']\n")
 
 
 def test_lucas_runs_no_layer_but_f2algebra():
@@ -641,6 +664,50 @@ def test_invalid_input_exit_2(capsys):
     assert main(["bounds", "--space", "rh:4,3", "--quantity", "eqtc", "--n", "2",
                  "--group", "s1"]) == 2  # refusal: no free action
     capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["cup", "--space", "rp:1,2", "--n", "2"],
+         "error: --space: expected 'rp:m', got 'rp:1,2'\n"),
+        (["cup", "--space", "rh:4,x", "--n", "2"],
+         "error: --space: expected 'rh:r,s', got 'rh:4,x'\n"),
+        # the text is read as written, as the certificate-file reader reads it
+        (["bounds", "--space", " RH:5,3", "--quantity", "tc", "--n", "2"],
+         "error: --space: unknown space family ' RH'\n"),
+        (["gen-cert", "--method", "cat", "--params", "space=rp:x", "--n", "2",
+          "--out", "c.json"],
+         "error: --params key 'space': expected 'rp:m', got 'rp:x'\n"),
+    ],
+    ids=["rp-two-fields", "rh-not-a-number", "padded-capitals", "gen-cert-cat"],
+)
+def test_space_refusals_name_the_option_and_the_space(argv, err, tmp_path, monkeypatch,
+                                                      capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cup_on_a_product_over_the_cap_runs_its_factors(capsys):
+    # the Klein bottle squared at n = 5: the product ring's largest slice
+    # (184,756) is over the default cap, but each factor's is not, and the
+    # oracle's value is that of each factor, 10, twice
+    assert main(["cup", "--space", "prod:rh2.1,rh2.1", "--n", "5"]) == 0
+    assert capsys.readouterr() == ("20\n", "")
+
+
+def test_bounds_verifies_a_products_oracle_witness_in_the_product_ring(capsys):
+    # the factors' witnesses, renamed, verify in the product ring, and the
+    # machine-verified row 21 = 5 * 4 + 1 meets the dimension upper bound
+    argv = ["bounds", "--space", "prod:rh2.1,rh2.1", "--quantity", "tc", "--n", "5",
+            "--use-oracle", "--format", "json"]
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    (row,) = [t for t in report["trace"] if t["rule"] == "ideal-power-oracle"]
+    assert (row["value"], row["status"]) == (21, "machine-verified")
+    assert report["verifiedLower"] == report["lower"] == report["upper"] == 21
 
 
 _USAGE_ERRORS = [

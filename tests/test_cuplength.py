@@ -1,5 +1,6 @@
 import json
 import random
+from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
@@ -20,8 +21,8 @@ from milnortc.cuplength import (
 from milnortc.errors import ResourceLimitError
 from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr, sum_text
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import TensorPower, tensor_power, tensor_slice
+from milnortc.spaces import ProductSpace, cohomology_of, parse_space
+from milnortc.tensorpower import TensorPower, slice_dimensions, tensor_power, tensor_slice
 from reference import kernel_basis, rank, ring
 
 
@@ -316,10 +317,14 @@ def test_each_mult_map_is_built_once_per_run(monkeypatch):
     import milnortc.cuplength as cuplength
 
     requests = []
+    # a product makes one run per factor: each run's slot products are kept
+    # alive, so that a later run's cannot take over their id
+    alive = []
     mult_map = cuplength._mult_map
 
     def spy(source, slot_products, *rest):
         requests.append((id(slot_products), source))
+        alive.append(slot_products)
         return mult_map(source, slot_products, *rest)
 
     monkeypatch.setattr(cuplength, "_mult_map", spy)
@@ -558,3 +563,86 @@ def test_oracle_cache_respects_the_cap():
 def test_oracle_caches():
     P = ring("rp:3")
     assert cup_exact(P, 2) == cup_exact(P, 2)
+
+
+# --- a product from its factors ----------------------------------------------
+
+# every two-factor product of these, at n = 2 and 3, where the product
+# ring's largest slice has at most 3000 monomials: 268 cases
+PRODUCT_FACTORS = (
+    *(f"rp:{m}" for m in range(6)),
+    *(f"rh:{r},{s}" for r in range(1, 4) for s in range(r + 1)),
+    "cp:2",
+    "ch:3,2",
+)
+
+
+def test_a_products_oracle_is_the_sum_of_its_factors():
+    # the product ring's own chain is the reference; the oracle answers a
+    # product from its factors' runs, and their witnesses, renamed, verify
+    # in the product ring
+    import milnortc.cuplength as cuplength
+
+    cases = [
+        (space, n)
+        for pair in combinations_with_replacement(PRODUCT_FACTORS, 2)
+        for space in [ProductSpace(tuple(map(parse_space, pair)))]
+        for n in (2, 3)
+        if max(slice_dimensions(cohomology_of(space), n)) <= 3000
+    ]
+    assert len(cases) == 268
+    for space, n in cases:
+        P = cohomology_of(space)
+        value = cup_exact(P, n)
+        assert value == cuplength._oracle(P, n)[0], (space, n)
+        factors = cup_witness(P, n)
+        cert = Certificate(space, n, factors, value)
+        assert verify_certificate(cert).verdict == "Verified", (space, n)
+
+
+def test_a_products_witness_is_its_factors_renamed():
+    # RP^1 has zcl_2 = 1, witnessed by x1+x2; the idx-th factor's x is x.idx
+    P = ring("prod:rp1,rp1")
+    assert cup_exact(ring("rp:1"), 2) == 1
+    assert cup_exact(P, 2) == 2
+    assert cup_witness(P, 2) == (("(x.1.1+x.1.2)", 1), ("(x.2.1+x.2.2)", 1))
+
+
+def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
+    # the Klein bottle squared at n = 5: the product ring's largest slice
+    # (184,756) is over the default cap, and neither the cap check nor the
+    # run reads a slice of it; each factor's run reads its own
+    import milnortc.cuplength as cuplength
+    import milnortc.tensorpower as tensorpower
+
+    P, factor = ring("prod:rh2.1,rh2.1"), ring("rh:2,1")
+    assert max(slice_dimensions(P, 5)) == 184_756
+    rings = []
+    dims, tensor_slice_ = cuplength.slice_dimensions, tensorpower.tensor_slice
+
+    def dims_spy(Q, n):
+        rings.append(Q)
+        return dims(Q, n)
+
+    def slice_spy(Q, n, d, slices):
+        rings.append(Q)
+        return tensor_slice_(Q, n, d, slices)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "slice_dimensions", dims_spy)
+    monkeypatch.setattr(cuplength, "tensor_slice", slice_spy)
+    monkeypatch.setattr(tensorpower, "tensor_slice", slice_spy)
+    assert cup_exact(P, 5) == 20
+    assert rings and set(rings) == {factor}
+    assert cuplength._CUP_CACHE.keys() == {(factor.cache_key, 5)}
+
+
+def test_a_products_refusal_names_its_factor(monkeypatch):
+    # rp:2 fits and runs; rh:16,9 at n = 3 is refused by its own slices
+    _fresh_oracle(monkeypatch)
+    with pytest.raises(ResourceLimitError) as err:
+        cup_exact(ring("prod:rp2,rh16.9"), 3)
+    assert str(err.value) == (
+        "factor rh:16,9: degree-23 slice has dimension 70368, above the cap 65536"
+    )
+    assert (err.value.dimension, err.value.cap) == (70368, 65536)

@@ -45,11 +45,18 @@ def test_canonical_strings_round_trip(text, space):
     assert format_space(parse_space(text)) == text
 
 
-def test_parse_space_strips_and_lowercases():
-    assert parse_space(" RH:4,3 ") == RealMilnor(4, 3)
-    assert parse_space("Prod:RP3,Ch2.1") == ProductSpace(
-        (RealProj(3), ComplexMilnor(2, 1))
-    )
+def test_parse_space_refuses_padding_and_capitals():
+    # the text is read as written, by the one rule of the CLI's --space and
+    # the certificate-file reader: nothing is stripped or lower-cased
+    for text, message in (
+        (" RH:4,3", "unknown space family ' RH'"),
+        ("RH:4,3", "unknown space family 'RH'"),
+        ("rh:4,3 ", "numbers must be written in ASCII digits, got 'rh:4,3 '"),
+        ("Prod:rp3,ch2.1", "unknown space family 'Prod'"),
+        ("prod:RP3,Ch2.1", "cannot parse product factor 'RP3'"),
+    ):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_space(text)
 
 
 _MILNOR_FIELDS = {"gen_names": ("a", "b")}
@@ -103,9 +110,9 @@ def test_cohomology_of_a_product_takes_its_factors_rings():
         ("foo", "cannot parse space 'foo'"),
         ("rh:4", "expected 'rh:r,s', got 'rh:4'"),
         ("ch:4,3,1", "expected 'ch:r,s', got 'ch:4,3,1'"),
-        ("rh:4,x", "invalid literal for int() with base 10: 'x'"),
-        ("rp:1,2", "invalid literal for int() with base 10: '1,2'"),
-        ("cp:x", "invalid literal for int() with base 10: 'x'"),
+        ("rh:4,x", "expected 'rh:r,s', got 'rh:4,x'"),
+        ("rp:1,2", "expected 'rp:m', got 'rp:1,2'"),
+        ("cp:x", "expected 'cp:m', got 'cp:x'"),
         ("xx:1", "unknown space family 'xx'"),
         ("prod:rp3,foo", "cannot parse product factor 'foo'"),
         ("prod:", "cannot parse product factor ''"),
@@ -187,12 +194,13 @@ def _names_parse_space(tree) -> bool:
 
 def test_only_the_cli_and_spaces_parse_a_space():
     # below the CLI a space is a descriptor: its text is parsed where it
-    # enters, by the command-line options and the certificate-file reader
+    # enters, by the command-line options (cli) and the certificate-file
+    # reader (certfile)
     package = Path(__file__).resolve().parents[1] / "src" / "milnortc"
     parsers = {
         path.stem
         for path in sorted(package.glob("*.py"))
         if _names_parse_space(ast.parse(path.read_text(encoding="utf-8")))
     }
-    # spaces defines it and may call it; the CLI must, to read its options
-    assert parsers - {"spaces"} == {"cli"}
+    # spaces defines it and may call it
+    assert parsers - {"spaces"} == {"cli", "certfile"}

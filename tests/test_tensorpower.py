@@ -210,7 +210,8 @@ def test_tensor_slice_matches_the_brute_force_slice(space):
 def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
     # a first slot of degree deg leaves d - deg for the other n - 1 slots,
     # which is empty above (n - 1) * top degree: that lower slice is never
-    # built, so the run's slices hold no empty one
+    # built, so the run's slices hold no empty one.  A product makes one run
+    # per factor, each with slices of its own, and every run is checked
     import milnortc.cuplength as cuplength
     import milnortc.tensorpower as tensorpower
 
@@ -224,10 +225,12 @@ def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
     monkeypatch.setattr(tensorpower, "tensor_slice", spy)
     monkeypatch.setattr(cuplength, "tensor_slice", spy)
-    cuplength.cup_exact(ring(space), 3)
-    (cached,) = runs.values()
-    assert {n for n, _ in cached} == {0, 1, 2, 3}
-    assert [key for key, slc in cached.items() if not slc] == []
+    P = ring(space)
+    cuplength.cup_exact(P, 3)
+    assert len(runs) == len(getattr(P.cache_key, "factors", (P.cache_key,)))
+    for cached in runs.values():
+        assert {n for n, _ in cached} == {0, 1, 2, 3}
+        assert [key for key, slc in cached.items() if not slc] == []
 
 
 def test_multiplication_commutes_and_distributes(P):
