@@ -6,7 +6,12 @@ Importing the package runs none of its layers.  Every submodule but
 package, through :class:`importlib.util.LazyLoader`: it runs on the first
 access to one of its attributes, a ``from .x import y`` of it included.
 So a CLI command runs only the modules it calls, which matters when no
-bytecode is cached and every module that runs is compiled first.  Two
+bytecode is cached and every module that runs is compiled first, and
+``import milnortc.cli`` runs only ``errors``.  The exact oracle is
+``cuplength`` over ``tensorpower``'s degree slices, and ``cup`` runs
+nothing else but the ring layers below them.  Factor expressions, the
+elements of tensor powers and the certificate records are in ``exprs``,
+which only the commands that build or check a certificate run.  Two
 layers serve only the CLI's output: ``certfile``, the certificate-file
 reader and writer, and ``emit``, the report formatting.  ``cup`` runs
 neither, ``bounds`` and ``table`` run only ``emit``, and ``verify`` and
@@ -38,14 +43,14 @@ _PUBLIC = {
                "eqtc_bounds", "tc_bounds"),
     "certgen": ("cert_case1", "cert_case2", "cert_cat_topclass", "cert_proj",
                 "cert_r2t"),
-    "cuplength": ("Certificate", "SearchFailure", "VerificationReport", "cup_exact",
-                  "cup_witness", "is_zero_divisor", "verify_certificate"),
+    "cuplength": ("cup_exact", "cup_witness", "verify_certificate"),
     "errors": ("ExprSyntaxError", "NoFreeActionError", "ResourceLimitError"),
-    "exprs": ("evaluate_text", "parse_factor_expr", "to_string"),
+    "exprs": ("Certificate", "SearchFailure", "VerificationReport", "diagonal_eval",
+              "evaluate_text", "inject", "is_zero_divisor", "parse_factor_expr",
+              "tensor_power", "to_string"),
     "f2algebra": ("Element", "Presentation", "binom_mod2", "generator"),
     "spaces": ("ComplexMilnor", "ComplexProj", "ProductSpace", "RealMilnor",
                "RealProj", "cohomology_of", "format_space", "parse_space"),
-    "tensorpower": ("diagonal_eval", "inject", "tensor_power"),
 }
 # public name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -19,11 +19,11 @@ from __future__ import annotations
 import enum
 
 from .certgen import cert_cat_topclass, certificates_for
-from .cuplength import Certificate, cup_witness, verify_certificate
-from .errors import NoFreeActionError, ResourceLimitError
+from .cuplength import cup_witness, verify_certificate
+from .errors import DEFAULT_MAX_SLICE, NoFreeActionError, ResourceLimitError
+from .exprs import Certificate
 from .record import Record
 from .spaces import ComplexMilnor, RealMilnor, RealProj, _family, cohomology_of, format_space
-from .tensorpower import DEFAULT_MAX_SLICE
 
 
 class FreeAction(enum.Enum):

@@ -3,8 +3,10 @@
 The writer fixes the key order, a two-space indent and one trailing
 newline, so parse -> print round-trips byte-identically.  The reader is
 strict, with no coercion: it refuses an unknown key, a missing one, a null
-``note`` or ``catWitness``, and a ``space`` that is not in the writer's
-canonical form, and it leaves the check of every field to the record.
+``note`` or ``catWitness``, and a ``space`` that
+:func:`milnortc.spaces.parse_space` refuses, which is every text but the
+writer's canonical form, and it leaves the check of every field to the
+record.
 This is the one place besides the command-line options where space text
 is parsed.  The CLI registers this module lazily, so a command that reads
 and writes no certificate file never compiles it.
@@ -14,7 +16,7 @@ from __future__ import annotations
 
 import json
 
-from . import cuplength, spaces
+from . import exprs, spaces
 
 SCHEMA_VERSION = 1
 
@@ -25,7 +27,7 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def certificate_to_json(cert: cuplength.Certificate) -> str:
+def certificate_to_json(cert: exprs.Certificate) -> str:
     """Canonical serialization: fixed key order, two-space indent, one
     trailing newline.  parse -> print round-trips byte-identically."""
     doc = {
@@ -66,16 +68,12 @@ def _space_of(text):
     if type(text) is not str:
         raise ValueError(f"space must be a JSON string, got {text!r}")
     try:
-        space = spaces.parse_space(text)
+        return spaces.parse_space(text)
     except ValueError as exc:
         raise ValueError(f"space {text!r}: {exc}") from None
-    canonical = spaces.format_space(space)
-    if canonical != text:
-        raise ValueError(f"space {text!r} is not in canonical form {canonical!r}")
-    return space
 
 
-def certificate_from_json(text: str) -> cuplength.Certificate:
+def certificate_from_json(text: str) -> exprs.Certificate:
     """Check the file format (schema version 1, known keys, none missing, no
     null note or catWitness, factors an array, claimedTcLower the int
     claimedCup + 1), parse the space and map the keys to the fields of the
@@ -96,7 +94,7 @@ def certificate_from_json(text: str) -> cuplength.Certificate:
         for f in doc["factors"]:
             f = _known_keys(f, _FACTOR_KEYS, "a factor")
             factors.append((f["expr"], f["multiplicity"]))
-        cert = cuplength.Certificate(
+        cert = exprs.Certificate(
             space=_space_of(doc["space"]),
             n=doc["n"],
             factors=tuple(factors),

@@ -18,8 +18,8 @@ table does not run this module; a test keeps the two lists equal.
 
 from __future__ import annotations
 
-from .cuplength import Certificate, SearchFailure, verify_certificate
-from .exprs import Gen, sum_text, to_string
+from .cuplength import verify_certificate
+from .exprs import Certificate, Gen, SearchFailure, sum_text, to_string
 from .spaces import ComplexMilnor, RealMilnor, RealProj, cohomology_of
 
 

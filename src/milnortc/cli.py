@@ -16,11 +16,15 @@ from types import SimpleNamespace
 
 # a layer that some command does not call is reached through its module
 # object, which runs on first use (see the package docstring), so that each
-# command runs only the modules it calls: cup runs neither certfile nor
-# emit, and json and csv are imported only by those two
-from . import bounds, certfile, certgen, cuplength, emit, f2algebra, spaces
-from .errors import ExprSyntaxError, NoFreeActionError, ResourceLimitError
-from .tensorpower import DEFAULT_MAX_SLICE
+# command runs only the modules it calls: cup runs none of certfile, emit
+# and exprs, and json and csv are imported only by the first two
+from . import bounds, certfile, certgen, cuplength, emit, exprs, f2algebra, spaces
+from .errors import (
+    DEFAULT_MAX_SLICE,
+    ExprSyntaxError,
+    NoFreeActionError,
+    ResourceLimitError,
+)
 
 # the gen-cert methods: those of certgen.GENERATORS, in its order, then cat.
 # Written out so that the option table does not run certgen; a test keeps
@@ -378,7 +382,7 @@ def _cmd_gen_cert(args) -> int:
         texts = _require_params(params, args.method, *names)
         values = [_int(v, f"--params key {k!r}") for k, v in zip(names, texts)]
         cert = build(*values, args.n)
-    if isinstance(cert, cuplength.SearchFailure):
+    if isinstance(cert, exprs.SearchFailure):
         sys.stderr.write(f"certificate search failed: {cert.reason}\n")
         return 1
     _write_out(certfile.certificate_to_json(cert), args.out)
@@ -390,13 +394,13 @@ def _cmd_table(args) -> int:
     if args.family in ("rh", "ch"):
         if not args.r or not args.s:
             raise ValueError("--r and --s ranges are required for Milnor families")
-        space_names = [
-            f"{args.family}:{r},{s}"
+        cells = [
+            _space(f"{args.family}:{r},{s}", f"--r {r}, --s {s}")
             for r in _parse_range(args.r, "--r")
             for s in _parse_range(args.s, "--s")
             if 0 <= s <= r
         ]
-        if not space_names:
+        if not cells:
             raise ValueError(
                 f"--s range {args.s!r} has no s with 0 <= s <= r for --r {args.r!r}"
             )
@@ -405,11 +409,11 @@ def _cmd_table(args) -> int:
             raise ValueError("--r (dimension range) is required for rp")
         if args.s is not None:
             raise ValueError("--s does not apply to --family rp")
-        space_names = [f"rp:{m}" for m in _parse_range(args.r, "--r")]
+        cells = [_space(f"rp:{m}", f"--r {m}") for m in _parse_range(args.r, "--r")]
     max_slice = _oracle_cap(args)
     reports = [
         bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
-        for space in map(spaces.parse_space, space_names)
+        for space in cells
         for n in n_range
     ]
     _write_out(emit.emit_table(reports, args.format), args.out)

@@ -1,4 +1,9 @@
-"""Zero-divisor cup-length: certificates, verification, and the exact oracle.
+"""Zero-divisor cup-length: the check of a certificate, and the exact oracle.
+
+The certificate records, and the tensor-power elements that a check
+multiplies, are in :mod:`milnortc.exprs`.  This module reaches them only
+through its module object, when a check runs, so the oracle never runs
+that module.
 
 A certificate holds the descriptor of the space whose ring it is checked
 in and lists factors with multiplicities.  :func:`verify_certificate`
@@ -51,93 +56,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
+# exprs runs on the first use of one of its names (see the package
+# docstring), so that cup_exact never runs it
 from . import exprs, gf2
-from .errors import ResourceLimitError
-from .f2algebra import Element, Presentation, multiply, power, unit
-from .record import Record
-from .spaces import ProductSpace, _family, cohomology_of, format_space
-from .tensorpower import (
-    DEFAULT_MAX_SLICE,
-    diagonal_eval,
-    slice_dimensions,
-    tensor_power,
-    tensor_slice,
-)
+from .errors import DEFAULT_MAX_SLICE, ResourceLimitError
+from .f2algebra import Presentation, multiply, power, unit
+from .spaces import ProductSpace, cohomology_of, format_space
+from .tensorpower import slice_dimensions, tensor_slice
 
 
-def is_zero_divisor(u: Element) -> bool:
-    """True iff u lies in the kernel of the diagonal map."""
-    return diagonal_eval(u).is_zero
-
-
-class Certificate(Record):
-    """A claimed cup-length witness: factors with multiplicities, checked
-    in the ring of space, a space descriptor.  Construction is the one
-    check of its fields, and admits exactly what a certificate file holds,
-    so every record the writer writes reads back equal."""
-
-    __slots__ = (
-        "space",
-        "n",
-        "factors",  # ((expression string, multiplicity), ...)
-        "claimed_cup",
-        "note",
-        "cat_witness",
-    )
-    _defaults = {"note": None, "cat_witness": False}
-
-    @property
-    def claimed_tc_lower(self) -> int:
-        return self.claimed_cup + 1
-
-    def _check(self):
-        _family(self.space)
-        # nothing is coerced, and a bool is not an int
-        for field, kind in (("n", int), ("claimed_cup", int), ("cat_witness", bool)):
-            value = getattr(self, field)
-            if type(value) is not kind:
-                raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
-        if not (self.note is None or type(self.note) is str):
-            raise ValueError(f"note must be None or of type str, got {self.note!r}")
-        if self.n < 1:
-            raise ValueError("arity must be >= 1")
-        if type(self.factors) is not tuple:
-            raise ValueError(f"factors must be of type tuple, got {self.factors!r}")
-        for f in self.factors:
-            if type(f) is not tuple or tuple(map(type, f)) != (str, int) or f[1] < 1:
-                raise ValueError(f"factor {f!r} is not a (str, positive int) pair")
-        total = sum(mult for _, mult in self.factors)
-        if total != self.claimed_cup:
-            raise ValueError(
-                f"total factor count {total} != claimed cup {self.claimed_cup}"
-            )
-
-
-class FactorCheck(Record):
-    __slots__ = ("expression", "is_zero_divisor", "degree")
-
-
-class VerificationReport(Record):
-    __slots__ = (
-        "per_factor",
-        "product_nonzero",
-        "verified_cup",
-        "verdict",  # Verified | FactorNotZeroDivisor | ProductVanishes
-    )
-
-    @property
-    def verified_tc_lower(self) -> int | None:
-        return None if self.verified_cup is None else self.verified_cup + 1
-
-
-def _slots(el: Element) -> set:
-    """The slots in which some monomial of the tensor element el is not
-    the unit."""
-    one, support = el.algebra.base.one, el.support
-    return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
-
-
-def verify_certificate(cert: Certificate) -> VerificationReport:
+def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
     """Check every factor, in the order given, and the full product of
     their powers in the ring of cert.space; never consults the claims.
     This is the one loop that multiplies a certificate's factors.
@@ -155,13 +83,13 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     checks, pending = [], []
     for text, mult in cert.factors:
         el = exprs.evaluate_text(text, P, n)
-        checks.append(FactorCheck(text, is_zero_divisor(el), el.degree))
-        pending.append((_slots(el), el, mult))
+        checks.append(exprs.FactorCheck(text, exprs.is_zero_divisor(el), el.degree))
+        pending.append((exprs._slots(el), el, mult))
     if pending:
         slots, el, mult = pending.pop(0)
         product, covered = power(el, mult), slots
     else:
-        product = unit(tensor_power(P, n))
+        product = unit(exprs.tensor_power(P, n))
     while pending and not product.is_zero:
         i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
         slots, el, mult = pending.pop(i)
@@ -174,18 +102,12 @@ def verify_certificate(cert: Certificate) -> VerificationReport:
     else:
         verdict = "Verified"
     verified = sum(m for _, m in cert.factors) if verdict == "Verified" else None
-    return VerificationReport(
+    return exprs.VerificationReport(
         per_factor=tuple(checks),
         product_nonzero=not product.is_zero,
         verified_cup=verified,
         verdict=verdict,
     )
-
-
-class SearchFailure(Record):
-    """A certificate family gave no certificate: its product vanishes."""
-
-    __slots__ = ("reason",)
 
 
 # --- exact ideal-power oracle ------------------------------------------------

@@ -1,4 +1,5 @@
-"""Factor-expression DSL: parser, printer, and evaluation.
+"""Factor expressions and the tensor-power elements they denote, and the
+certificate records that hold them.
 
 Grammar (whitespace insensitive, single-token lookahead):
 
@@ -14,16 +15,34 @@ is read: its position must lie in 1..arity and, given a presentation, its
 name must be one of the ring's.
 
 ``parse -> print -> parse`` is the identity on the AST.
+
+An expression is evaluated in the n-fold Künneth tensor power of a
+presentation: :func:`tensor_power` gives it as an algebra that
+:class:`~milnortc.f2algebra.Element` and the f2algebra arithmetic accept.
+Its monomials are n-tuples of basic monomials of the base presentation,
+and its basis is never enumerated whole (the oracle's degree slices are
+built by :mod:`milnortc.tensorpower`).  Its products are not memoised: a
+pair of tensor monomials is multiplied in the base ring only in the slots
+where the sparser operand is not the unit, which for a certificate factor
+(a sum of classes injected in one or two slots) is one or two of the n
+slots.  The diagonal map evaluates a tensor monomial to the product of its
+components in the base ring.
+
+A :class:`Certificate` lists such expressions as factors with
+multiplicities; :func:`milnortc.cuplength.verify_certificate` checks it and
+returns a :class:`VerificationReport`.  None of this is on the exact
+oracle's path, so a ``cup`` command never runs this module.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import product as iproduct
 
 from .errors import ExprSyntaxError
 from .f2algebra import Element, Presentation, generator, multiply, power, unit
 from .record import Record
-from .tensorpower import inject, tensor_power
+from .spaces import _family
 
 
 class Gen(Record):
@@ -214,3 +233,188 @@ def evaluate(node, P: Presentation, n: int) -> Element:
 
 def evaluate_text(text: str, P: Presentation, n: int) -> Element:
     return evaluate(parse_factor_expr(text, n, P), P, n)
+
+
+# --- elements of tensor powers -----------------------------------------------
+
+_POWER_CACHE: dict = {}
+
+
+class TensorPower:
+    """The n-fold tensor power of a base presentation.
+
+    Construct via :func:`tensor_power`, which interns instances so equal
+    (presentation, n) pairs share one object.
+    """
+
+    def __init__(self, base: Presentation, n: int):
+        self.base = base
+        self.n = n
+        self.one = (base.one,) * n
+
+    def monomial_degree(self, tup) -> int:
+        return sum(self.base.monomial_degree(c) for c in tup)
+
+    def is_basic(self, tup) -> bool:
+        return (
+            isinstance(tup, tuple)
+            and len(tup) == self.n
+            and all(self.base.is_basic(c) for c in tup)
+        )
+
+    def format_monomial(self, tup) -> str:
+        return "(" + "⊗".join(map(self.base.format_monomial, tup)) + ")"
+
+    def mul_supports(self, xs, ys) -> set:
+        """Product of two supports.  A pair of tensor monomials multiplies
+        in the base ring only in the slots where the sparser side (the one
+        with more unit slots per monomial) is not the unit; every other
+        slot keeps the other side's monomial, since the unit times m is m.
+        Each slot product is looked up once per value it meets, and the
+        tensor of the slot supports is expanded only over the slots whose
+        product has several terms."""
+        P, one = self.base, self.base.one
+        if sum(mu.count(one) for mu in xs) * len(ys) < sum(
+            mv.count(one) for mv in ys
+        ) * len(xs):
+            xs, ys = ys, xs
+        mono_mul = P.mono_mul
+        out: set = set()
+        for mu in xs:
+            # (slot, factor, its products by the values met in that slot)
+            slots = [(k, c, {}) for k, c in enumerate(mu) if c != one]
+            for mv in ys:
+                prod = list(mv)
+                multi = []
+                for k, c, seen in slots:
+                    sup = seen.get(mv[k])
+                    if sup is None:
+                        sup = seen[mv[k]] = mono_mul(c, mv[k])
+                    if len(sup) == 1:
+                        (prod[k],) = sup
+                    elif sup:
+                        multi.append((k, sup))
+                    else:
+                        break
+                else:
+                    if not multi:
+                        out ^= {tuple(prod)}
+                        continue
+                    ks = [k for k, _ in multi]
+                    for terms in iproduct(*(sup for _, sup in multi)):
+                        for k, c in zip(ks, terms):
+                            prod[k] = c
+                        out ^= {tuple(prod)}
+        return out
+
+
+def tensor_power(P: Presentation, n: int) -> TensorPower:
+    """The interned n-fold tensor power of P."""
+    T = _POWER_CACHE.get((P, n))
+    if T is None:
+        T = _POWER_CACHE[(P, n)] = TensorPower(P, n)
+    return T
+
+
+def inject(P: Presentation, n: int, i: int, x: Element) -> Element:
+    """Image of x under the i-th projection pullback: units in all other slots."""
+    if not 1 <= i <= n:
+        raise ValueError(f"position {i} out of range 1..{n}")
+    if x.algebra is not P:
+        raise ValueError("element is not over the given presentation")
+    support = frozenset(
+        tuple(mono if k == i - 1 else P.one for k in range(n)) for mono in x.support
+    )
+    return Element.computed(tensor_power(P, n), support)
+
+
+def diagonal_eval(u: Element) -> Element:
+    """Ring homomorphism replacing each tensor monomial by the product of
+    its components in the base ring."""
+    P = u.algebra.base
+    out: set = set()
+    for tup in u.support:
+        total = tuple(sum(col) for col in zip(*tup))
+        out ^= P.reduce(total)
+    return Element(P, frozenset(out))
+
+
+# --- certificate records -----------------------------------------------------
+
+
+def is_zero_divisor(u: Element) -> bool:
+    """True iff u lies in the kernel of the diagonal map."""
+    return diagonal_eval(u).is_zero
+
+
+class Certificate(Record):
+    """A claimed cup-length witness: factors with multiplicities, checked
+    in the ring of space, a space descriptor.  Construction is the one
+    check of its fields, and admits exactly what a certificate file holds,
+    so every record the writer writes reads back equal."""
+
+    __slots__ = (
+        "space",
+        "n",
+        "factors",  # ((expression string, multiplicity), ...)
+        "claimed_cup",
+        "note",
+        "cat_witness",
+    )
+    _defaults = {"note": None, "cat_witness": False}
+
+    @property
+    def claimed_tc_lower(self) -> int:
+        return self.claimed_cup + 1
+
+    def _check(self):
+        _family(self.space)
+        # nothing is coerced, and a bool is not an int
+        for field, kind in (("n", int), ("claimed_cup", int), ("cat_witness", bool)):
+            value = getattr(self, field)
+            if type(value) is not kind:
+                raise ValueError(f"{field} must be of type {kind.__name__}, got {value!r}")
+        if not (self.note is None or type(self.note) is str):
+            raise ValueError(f"note must be None or of type str, got {self.note!r}")
+        if self.n < 1:
+            raise ValueError("arity must be >= 1")
+        if type(self.factors) is not tuple:
+            raise ValueError(f"factors must be of type tuple, got {self.factors!r}")
+        for f in self.factors:
+            if type(f) is not tuple or tuple(map(type, f)) != (str, int) or f[1] < 1:
+                raise ValueError(f"factor {f!r} is not a (str, positive int) pair")
+        total = sum(mult for _, mult in self.factors)
+        if total != self.claimed_cup:
+            raise ValueError(
+                f"total factor count {total} != claimed cup {self.claimed_cup}"
+            )
+
+
+class FactorCheck(Record):
+    __slots__ = ("expression", "is_zero_divisor", "degree")
+
+
+class VerificationReport(Record):
+    __slots__ = (
+        "per_factor",
+        "product_nonzero",
+        "verified_cup",
+        "verdict",  # Verified | FactorNotZeroDivisor | ProductVanishes
+    )
+
+    @property
+    def verified_tc_lower(self) -> int | None:
+        return None if self.verified_cup is None else self.verified_cup + 1
+
+
+def _slots(el: Element) -> set:
+    """The slots in which some monomial of the tensor element el is not
+    the unit."""
+    one, support = el.algebra.base.one, el.support
+    return {k for k in range(el.algebra.n) if any(m[k] != one for m in support)}
+
+
+class SearchFailure(Record):
+    """A certificate family gave no certificate: its product vanishes."""
+
+    __slots__ = ("reason",)

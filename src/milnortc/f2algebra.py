@@ -1,7 +1,7 @@
 """Exact arithmetic in finite-dimensional graded mod-2 algebras.
 
 An algebra here is a :class:`Presentation` or a tensor power of one
-(:class:`milnortc.tensorpower.TensorPower`); :class:`Element`,
+(:class:`milnortc.exprs.TensorPower`); :class:`Element`,
 :func:`multiply`, :func:`power`, :func:`unit` and :func:`zero` serve both.
 Each algebra supplies ``one`` (its unit monomial), ``is_basic``,
 ``monomial_degree``, ``format_monomial`` and ``mul_supports``, its loop

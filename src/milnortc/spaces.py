@@ -4,8 +4,10 @@ Canonical string forms (used in certificate files and CLI flags):
 ``rh:4,3`` and ``ch:4,3`` for real/complex Milnor manifolds with (r, s),
 ``rp:2`` / ``cp:2`` for projective spaces, and ``prod:rp3,rp2`` for
 products (factors written compactly, e.g. ``rh4.3``, ``rp3``).  Numbers
-are written in ASCII digits, and family prefixes in lower case, with no
-space around the text.
+are written in ASCII digits, with no leading zero and no ``-0``, and
+family prefixes in lower case, with no space around the text, so that
+:func:`parse_space` accepts exactly the texts that :func:`format_space`
+writes.
 
 Each family states its mod-2 cohomology ring as ``generators``: one
 ``(name, degree, bound, terms)`` per generator g, meaning ``g^bound =
@@ -19,8 +21,6 @@ one ``_FAMILIES`` table, from prefix to class.
 """
 
 from __future__ import annotations
-
-import re
 
 from .f2algebra import _PRESENTATION_CACHE, Presentation
 from .record import Record
@@ -138,18 +138,21 @@ def cohomology_of(space) -> Presentation:
     return P
 
 
-# a product factor: the family prefix, then its fields joined by "."
-_FACTOR_RE = re.compile(r"([a-z]+)([0-9]+(?:\.[0-9]+)*)")
-# the fields of a family other than prod; int() alone also reads "4_3",
-# "+2", spaces and other scripts' digits
-_FIELDS_RE = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
+def _is_digits(text: str) -> bool:
+    # int() alone also reads "4_3", "+2", spaces and other scripts' digits
+    return text.isascii() and text.isdigit()
 
 
 def _parse_factor(text: str):
-    mo = _FACTOR_RE.fullmatch(text)
-    cls = _FAMILIES.get(mo.group(1)) if mo else None
-    values = mo.group(2).split(".") if mo else ()
-    if cls in (None, ProductSpace) or len(values) != len(cls.__slots__):
+    # the family prefix, then its fields, in digits, joined by "."
+    head = text.rstrip("0123456789.")
+    cls = _FAMILIES.get(head)
+    values = text[len(head) :].split(".")
+    if (
+        cls in (None, ProductSpace)
+        or len(values) != len(cls.__slots__)
+        or not all(_is_digits(v) and str(int(v)) == v for v in values)
+    ):
         raise ValueError(f"cannot parse product factor {text!r}")
     return cls(*map(int, values))
 
@@ -175,8 +178,14 @@ def parse_space(text: str):
         values = tuple(map(int, parts))
     except ValueError:
         raise ValueError(expected) from None
-    if not _FIELDS_RE.fullmatch(rest):
+    if not all(_is_digits(p.removeprefix("-")) for p in parts):
         raise ValueError(f"numbers must be written in ASCII digits, got {text!r}")
+    # as format_space writes them, so that the text names one descriptor;
+    # a negative field is left to the descriptor's check
+    if any(str(v) != p for v, p in zip(values, parts)):
+        raise ValueError(
+            f"numbers must be written with no leading zero and no -0, got {text!r}"
+        )
     return cls(*values)
 
 

@@ -10,17 +10,13 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from milnortc.errors import ResourceLimitError
+from milnortc.errors import DEFAULT_MAX_SLICE, ResourceLimitError
+from milnortc.exprs import tensor_power
 from milnortc.f2algebra import Element, Presentation
 from milnortc.gf2 import independent_rows
 from milnortc.record import Record
 from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import (
-    DEFAULT_MAX_SLICE,
-    slice_dimensions,
-    tensor_power,
-    tensor_slice,
-)
+from milnortc.tensorpower import slice_dimensions, tensor_slice
 
 
 def ring(text: str) -> Presentation:

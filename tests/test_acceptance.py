@@ -43,7 +43,7 @@ from milnortc import (
     verify_certificate,
 )
 from milnortc.errors import NoFreeActionError
-from milnortc.exprs import parse_factor_expr, to_string
+from milnortc.exprs import diagonal_eval, inject, parse_factor_expr, tensor_power, to_string
 from milnortc.f2algebra import (
     Element,
     generator,
@@ -53,7 +53,6 @@ from milnortc.f2algebra import (
     unit,
     zero,
 )
-from milnortc.tensorpower import diagonal_eval, inject, tensor_power
 from reference import normal_form, ring
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"

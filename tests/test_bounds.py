@@ -17,8 +17,9 @@ from milnortc.bounds import (
     tc_bounds,
 )
 from milnortc.certgen import cert_case2, cert_cat_topclass
-from milnortc.cuplength import VerificationReport, cup_exact
+from milnortc.cuplength import cup_exact
 from milnortc.errors import NoFreeActionError
+from milnortc.exprs import VerificationReport
 from milnortc.spaces import (
     ComplexMilnor,
     RealMilnor,

@@ -13,16 +13,18 @@ from milnortc.certgen import (
     cert_r2t,
     certificates_for,
 )
-from milnortc.cuplength import (
+from milnortc.cuplength import verify_certificate
+from milnortc.exprs import (
     Certificate,
     SearchFailure,
+    TensorPower,
+    evaluate_text,
     is_zero_divisor,
-    verify_certificate,
+    sum_text,
+    tensor_power,
 )
-from milnortc.exprs import evaluate_text, sum_text
 from milnortc.f2algebra import multiply, power, unit
 from milnortc.spaces import RealMilnor, RealProj, cohomology_of, parse_space
-from milnortc.tensorpower import TensorPower, tensor_power
 
 
 def total_factors(cert):

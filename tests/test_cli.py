@@ -16,7 +16,7 @@ from milnortc.certfile import certificate_from_json, certificate_to_json
 from milnortc.cli import _COMMANDS, main
 from milnortc.emit import emit_report, emit_table
 from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
-from milnortc.cuplength import Certificate
+from milnortc.exprs import Certificate
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,
@@ -157,8 +157,9 @@ def test_verify_refuses_mistyped_certificate_fields(doc, tmp_path, capsys):
                    "got r=2, s=3"),
         ("RH:2,1", "space 'RH:2,1': unknown space family 'RH'"),
         (" rp:2", "space ' rp:2': unknown space family ' rp'"),
-        ("rp:02", "space 'rp:02' is not in canonical form 'rp:2'"),
-        ("prod:rp2,cp01", "space 'prod:rp2,cp01' is not in canonical form 'prod:rp2,cp1'"),
+        ("rp:02", "space 'rp:02': numbers must be written with no leading zero and no -0, "
+                  "got 'rp:02'"),
+        ("prod:rp2,cp01", "space 'prod:rp2,cp01': cannot parse product factor 'cp01'"),
     ],
 )
 def test_verify_refuses_a_space_that_is_not_canonical_text(space, message, tmp_path,
@@ -479,73 +480,101 @@ def test_cli_import_loads_no_numpy():
     assert proc.returncode == 0, proc.stderr
 
 
-def _modules_run(argv, names) -> subprocess.CompletedProcess:
-    """A new interpreter that runs the command argv in process and prints
-    its stdout, then which of the modules in names ran and which of json
-    and csv it imported.  Every layer is registered when the CLI is
-    imported, but runs only on first use; a module that has run has its
-    names in its namespace (each module's value in names is one of them),
-    and reading the namespace through object.__getattribute__ does not run
-    it."""
+def _modules_run(commands) -> subprocess.CompletedProcess:
+    """A new interpreter that imports the CLI and runs each (argv, exit
+    code) of commands in process, printing their stdout, then which layers
+    ran, in the package's order, and which of json, csv, argparse and
+    gettext it imported.  Every layer is registered when the CLI is
+    imported, but runs only on first use, and a layer that has not run is
+    still of its lazy module type, which type() reads without running it."""
     return _fresh_python(
         "-c",
         "import sys\n"
+        "import milnortc\n"
         "from milnortc.cli import main\n"
-        f"assert main({argv!r}) == 0\n"
-        f"names = {names!r}\n"
-        "ran = {m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
-        "'__dict__') for m, name in names.items()}\n"
+        f"for argv, code in {commands!r}:\n"
+        "    assert main(argv) == code, argv\n"
+        "ran = [m for m in milnortc._LAYERS if type(sys.modules['milnortc.' + m]) "
+        "is type(sys)]\n"
         "print(ran, sorted({'json', 'csv', 'argparse', 'gettext'} & set(sys.modules)))\n",
     )
 
 
-def test_cup_runs_neither_bounds_certgen_exprs_json_nor_csv():
-    # the oracle command uses none of these, and without a bytecode cache
-    # each module run is compiled first.  Nor does it run the certificate
-    # files or the report formatting
-    names = {"bounds": "tc_bounds", "certgen": "GENERATORS", "exprs": "evaluate_text",
-             "certfile": "certificate_from_json", "emit": "emit_report",
-             "cuplength": "cup_exact"}
-    proc = _modules_run(["cup", "--space", "rh:4,2", "--n", "3"], names)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == (
-        "15\n{'bounds': False, 'certgen': False, 'exprs': False, 'certfile': False, "
-        "'emit': False, 'cuplength': True} []\n"
-    )
+# importing the CLI runs only errors; a command that reads a space runs the
+# rings, the oracle adds its degree slices and GF(2) rows, and a
+# certificate's check adds the expressions and the oracle's module (for
+# verify_certificate), but no GF(2) linear algebra
+_RINGS = {"record", "errors", "f2algebra", "spaces"}
+_ORACLE = _RINGS | {"gf2", "tensorpower", "cuplength"}
+_CHECKS = _RINGS | {"tensorpower", "exprs", "cuplength"}
+_REPORTS = _CHECKS | {"certgen", "bounds", "emit"}
 
-
-def test_table_runs_the_report_formatting_and_no_certificate_file():
-    names = {"certfile": "certificate_from_json", "emit": "emit_table"}
-    proc = _modules_run(["table", "--family", "rp", "--r", "2", "--n", "2"], names)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\n{'certfile': False, 'emit': True} []\n")
-
-
-def test_verify_runs_the_certificate_reader_and_no_report_formatting(tmp_path):
-    cert = tmp_path / "c.json"
-    cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
-    names = {"certfile": "certificate_from_json", "emit": "emit_report"}
-    proc = _modules_run(["verify", "--cert", str(cert)], names)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.endswith("\n{'certfile': True, 'emit': False} ['json']\n")
-
-
-def test_lucas_runs_no_layer_but_f2algebra():
+# (commands, their stdout or None where it is long, their stderr, the
+# layers they run, the modules of json, csv, argparse and gettext they
+# import); {cert} is a certificate file of cert_proj(1, 2)
+_CENSUS = [
+    ([], "", "", {"errors"}, []),
+    ([(["--help"], 0)], None, "", {"errors"}, []),
     # lucas reads its integers by the CLI's own rule, so that a number it
     # refuses runs no space parser either
-    proc = _fresh_python(
-        "-c",
-        "import sys\n"
-        "from milnortc.cli import main\n"
-        "assert main(['lucas', '--n', '\\uff17', '--k', '3']) == 2\n"
-        "assert main(['lucas', '--n', '7', '--k', '3']) == 0\n"
-        "names = {'spaces': 'parse_space', 'f2algebra': 'binom_mod2'}\n"
-        "print({m: name in object.__getattribute__(sys.modules['milnortc.' + m], "
-        "'__dict__') for m, name in names.items()})\n",
-    )
+    ([(["lucas", "--n", "\uff17", "--k", "3"], 2), (["lucas", "--n", "7", "--k", "3"], 0)],
+     "1\n", "error: --n: '\uff17' is not an integer\n", {"record", "errors", "f2algebra"},
+     []),
+    # the oracle builds no certificate and writes no report or file, so it
+    # runs none of exprs, certgen, bounds, emit and certfile; without a
+    # bytecode cache each module run is compiled first
+    ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE, []),
+    ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "", _ORACLE, []),
+    ([(["verify", "--cert", "{cert}"], 0)], None, "", _CHECKS | {"certfile"}, ["json"]),
+    ([(["gen-cert", "--method", "proj", "--params", "t=1", "--n", "2", "--out",
+        "{cert}"], 0)], "", "", _CHECKS | {"certgen", "certfile"}, ["json"]),
+    ([(["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2"], 0)], None, "",
+     _REPORTS, []),
+    ([(["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2", "--use-oracle"],
+       0)], None, "", _REPORTS | _ORACLE, []),
+    ([(["table", "--family", "rp", "--r", "2", "--n", "2"], 0)], None, "", _REPORTS, []),
+]
+
+
+@pytest.mark.parametrize(
+    "commands, out, err, layers, modules", _CENSUS,
+    ids=["import-runs-only-errors", "help", "lucas", "cup", "cup-product", "verify",
+         "gen-cert", "bounds", "bounds-oracle", "table"],
+)
+def test_each_command_runs_only_the_layers_it_calls(commands, out, err, layers, modules,
+                                                    tmp_path):
+    import milnortc
+
+    cert = tmp_path / "c.json"
+    cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
+    commands = [([a.format(cert=cert) for a in argv], code) for argv, code in commands]
+    proc = _modules_run(commands)
+    census = f"{[m for m in milnortc._LAYERS if m in layers]!r} {modules!r}\n"
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n{'spaces': False, 'f2algebra': True}\n"
-    assert proc.stderr == "error: --n: '\uff17' is not an integer\n"
+    assert proc.stderr == err
+    assert proc.stdout.endswith(census)
+    if out is not None:
+        assert proc.stdout == out + census
+
+
+def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
+    # the oracle's modules hold only the oracle, so cup, which runs no exprs
+    # (see the census above), compiles none of these
+    from milnortc import cuplength, exprs, tensorpower
+
+    moved = {
+        tensorpower: ("TensorPower", "tensor_power", "inject", "diagonal_eval"),
+        cuplength: ("Certificate", "FactorCheck", "VerificationReport", "SearchFailure",
+                    "is_zero_divisor", "_slots"),
+    }
+    for module, names in moved.items():
+        for name in names:
+            assert not hasattr(module, name), (module.__name__, name)
+            assert getattr(exprs, name).__module__ == "milnortc.exprs", name
+    assert "_POWER_CACHE" in vars(exprs) and not hasattr(tensorpower, "_POWER_CACHE")
+    assert (tensorpower.slice_dimensions.__module__, tensorpower.tensor_slice.__module__,
+            cuplength.verify_certificate.__module__) == (
+        "milnortc.tensorpower", "milnortc.tensorpower", "milnortc.cuplength")
 
 
 def test_package_names_resolve_to_their_submodules():
@@ -745,6 +774,15 @@ _USAGE_ERRORS = [
      "error: --n: '-' is not an integer"),
     (["gen-cert", "--method", "proj", "--params", "t=+1", "--n", "2", "--out", "f"],
      "error: --params key 't': '+1' is not an integer"),
+    # a cell of a table that its space's descriptor refuses names the options
+    (["table", "--family", "rh", "--r", "0", "--s", "0", "--n", "2"],
+     "error: --r 0, --s 0: Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0\n"),
+    (["table", "--family", "rp", "--r", "-1", "--n", "2"],
+     "error: --r -1: projective space dimension must be >= 0\n"),
+    # a space's numbers are written as format_space writes them
+    (["cup", "--space", "rp:02", "--n", "2"],
+     "error: --space: numbers must be written with no leading zero and no -0, "
+     "got 'rp:02'\n"),
 ]
 
 
@@ -756,7 +794,8 @@ _USAGE_ERRORS = [
          "flag-with-value", "stray-argument", "non-int-range", "open-range",
          "non-int-range-end", "non-int-param", "fullwidth-n", "plus-n",
          "underscore-cap", "fullwidth-lucas-n", "space-lucas-k", "underscore-range",
-         "bare-minus-n", "plus-param"],
+         "bare-minus-n", "plus-param", "table-milnor-cell", "table-rp-cell",
+         "leading-zero-space"],
 )
 def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,
                                                capsys):

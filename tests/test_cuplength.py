@@ -9,20 +9,27 @@ from milnortc import gf2
 from milnortc.bounds import tc_bounds
 from milnortc.certgen import cert_r2t, certificates_for
 from milnortc.cuplength import (
-    Certificate,
-    FactorCheck,
     _ideal_generators,
     _mult_map,
     cup_exact,
     cup_witness,
-    is_zero_divisor,
     verify_certificate,
 )
 from milnortc.errors import ResourceLimitError
-from milnortc.exprs import evaluate, evaluate_text, parse_factor_expr, sum_text
+from milnortc.exprs import (
+    Certificate,
+    FactorCheck,
+    TensorPower,
+    evaluate,
+    evaluate_text,
+    is_zero_divisor,
+    parse_factor_expr,
+    sum_text,
+    tensor_power,
+)
 from milnortc.f2algebra import multiply, power, unit
 from milnortc.spaces import ProductSpace, cohomology_of, parse_space
-from milnortc.tensorpower import TensorPower, slice_dimensions, tensor_power, tensor_slice
+from milnortc.tensorpower import slice_dimensions, tensor_slice
 from reference import kernel_basis, rank, ring
 
 
@@ -366,10 +373,10 @@ def _fresh_oracle(monkeypatch):
     """Empty the oracle's value cache and the interned tensor powers, so
     that a run builds every slice it reads."""
     import milnortc.cuplength as cuplength
-    import milnortc.tensorpower as tensorpower
+    import milnortc.exprs as exprs
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(tensorpower, "_POWER_CACHE", {})
+    monkeypatch.setattr(exprs, "_POWER_CACHE", {})
 
 
 def test_cup_exact_raises_the_poincare_series_once(monkeypatch):

@@ -12,12 +12,12 @@ from milnortc.exprs import (
     Sum,
     Unit,
     evaluate_text,
+    inject,
     parse_factor_expr,
     sum_text,
     to_string,
 )
 from milnortc.f2algebra import generator, power
-from milnortc.tensorpower import inject
 from reference import ring
 
 

@@ -5,8 +5,18 @@ refused assignment and the ``Name(field=value, ...)`` repr."""
 import pytest
 
 from milnortc.bounds import BoundReport, Group, RuleTrace, eqtc_bounds
-from milnortc.cuplength import Certificate, FactorCheck, SearchFailure, VerificationReport
-from milnortc.exprs import Gen, Pow, Prod, Sum, Unit, evaluate_text
+from milnortc.exprs import (
+    Certificate,
+    FactorCheck,
+    Gen,
+    Pow,
+    Prod,
+    SearchFailure,
+    Sum,
+    Unit,
+    VerificationReport,
+    evaluate_text,
+)
 from milnortc.f2algebra import Element, generator
 from milnortc.spaces import (
     ComplexMilnor,

@@ -4,6 +4,7 @@ descriptor is refused with its own message.  A descriptor's check is the
 only check of a space's fields, and the descriptor keys its ring."""
 
 import ast
+import itertools
 import re
 from pathlib import Path
 
@@ -43,6 +44,32 @@ def test_canonical_strings_round_trip(text, space):
     assert parse_space(text) == space
     assert format_space(space) == text
     assert format_space(parse_space(text)) == text
+
+
+_NUMBERS = ["0", "1", "2", "10", "02", "00", "-0", "-1", "-01", "+2", "1_0", " 2", "2 ",
+            "\uff12", "\u0662", "\u00b2"]
+
+
+def test_parse_space_accepts_only_the_text_format_space_writes():
+    # one text per descriptor: each near miss of a number is refused, so
+    # every text parse_space accepts is the one that format_space writes
+    forms = ["rh:{},{}", "ch:{},{}", "rp:{}", "cp:{}", "prod:rp{},rh{}.{}",
+             "prod:ch{}.{},cp{}"]
+    accepted = set()
+    for form in forms:
+        arity = form.count("{}")
+        for numbers in itertools.product(_NUMBERS, repeat=arity):
+            text = form.format(*numbers)
+            try:
+                space = parse_space(text)
+            except ValueError:
+                continue
+            assert format_space(space) == text
+            accepted.add(text)
+            assert set(numbers) <= {"0", "1", "2", "10", "-1"}
+    for text in ("rh:10,2", "ch:1,0", "rp:0", "cp:10", "prod:rp0,rh2.1", "prod:ch10.2,cp1"):
+        assert text in accepted
+    assert not {"rp:02", "rp:-0", "prod:rp02,rh1.0", "rh:1,-0"} & accepted
 
 
 def test_parse_space_refuses_padding_and_capitals():
@@ -131,6 +158,10 @@ def test_cohomology_of_a_product_takes_its_factors_rings():
         ("cp:\uff13", "numbers must be written in ASCII digits, got 'cp:\uff13'"),
         ("prod:rp\uff13,rp2", "cannot parse product factor 'rp\uff13'"),
         ("prod:rp3_1", "cannot parse product factor 'rp3_1'"),
+        # numbers are written as format_space writes them
+        ("rp:02", "numbers must be written with no leading zero and no -0, got 'rp:02'"),
+        ("rh:1,-0", "numbers must be written with no leading zero and no -0, got 'rh:1,-0'"),
+        ("prod:rp02,rp1", "cannot parse product factor 'rp02'"),
     ],
 )
 def test_parse_space_refusals(text, message):

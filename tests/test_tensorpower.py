@@ -13,13 +13,8 @@ from milnortc.f2algebra import (
     unit,
     zero,
 )
-from milnortc.tensorpower import (
-    diagonal_eval,
-    inject,
-    slice_dimensions,
-    tensor_power,
-    tensor_slice,
-)
+from milnortc.exprs import diagonal_eval, inject, tensor_power
+from milnortc.tensorpower import slice_dimensions, tensor_slice
 from reference import kernel_basis, ring
 
 
