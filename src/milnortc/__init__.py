@@ -11,9 +11,11 @@ bytecode is cached and every module that runs is compiled first, and
 ``cuplength`` over ``tensorpower``'s degree slices, and ``cup`` runs
 nothing else but the ring layers below them.  Factor expressions, the
 elements of tensor powers and the certificate records are in ``exprs``,
-which only the commands that build or check a certificate run.  Two
-layers serve only the CLI's output: ``certfile``, the certificate-file
-reader and writer, and ``emit``, the report formatting.  ``cup`` runs
+which only the commands that build or check a certificate run; the check
+is in ``cuplength`` too, but builds no degree slice, so only an oracle
+run runs ``tensorpower``.  Two layers serve only the CLI's output:
+``certfile``, the certificate-file reader and writer and the ``verify``
+report, and ``emit``, the bound reports' formatting.  ``cup`` runs
 neither, ``bounds`` and ``table`` run only ``emit``, and ``verify`` and
 ``gen-cert`` only ``certfile``.
 

@@ -1,4 +1,5 @@
-"""Certificate files: the canonical JSON form of a :class:`Certificate`.
+"""Certificate files: the canonical JSON form of a :class:`Certificate`,
+and the report of ``verify`` on one (:func:`verification_text`).
 
 The writer fixes the key order, a two-space indent and one trailing
 newline, so parse -> print round-trips byte-identically.  The reader is
@@ -45,6 +46,35 @@ def certificate_to_json(cert: exprs.Certificate) -> str:
     if cert.cat_witness:
         doc["catWitness"] = True
     return _json_text(doc)
+
+
+def verification_text(
+    cert: exprs.Certificate, report: exprs.VerificationReport, fmt: str
+) -> str:
+    """The report of ``verify`` on cert: its verdict, verified values and
+    per-factor checks, as md lines or, for fmt ``json``, a JSON object."""
+    if fmt == "json":
+        return _json_text({
+            "space": spaces.format_space(cert.space),
+            "n": cert.n,
+            "verdict": report.verdict,
+            "productNonzero": report.product_nonzero,
+            "verifiedCup": report.verified_cup,
+            "verifiedTcLower": report.verified_tc_lower,
+            "perFactor": [
+                {"expr": c.expression, "isZeroDivisor": c.is_zero_divisor,
+                 "degree": c.degree}
+                for c in report.per_factor
+            ],
+        })
+    lines = [f"verdict: {report.verdict}"]
+    if report.verified_cup is not None:
+        lines.append(f"verifiedCup: {report.verified_cup}")
+        lines.append(f"verifiedTcLower: {report.verified_tc_lower}")
+    for c in report.per_factor:
+        tag = "zero-divisor" if c.is_zero_divisor else "NOT a zero divisor"
+        lines.append(f"factor {c.expression}: degree {c.degree}, {tag}")
+    return "\n".join(lines) + "\n"
 
 
 # every key a certificate file may hold, and every key of one of its factors

@@ -1,6 +1,7 @@
 """Command-line surface: the options of each command and the calls they
-make.  Certificate files are read and written by :mod:`milnortc.certfile`
-and reports are formatted by :mod:`milnortc.emit`.
+make.  Certificate files are read and written, and the report of
+``verify`` formatted, by :mod:`milnortc.certfile`; bound reports are
+formatted by :mod:`milnortc.emit`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource limit.  All outputs are deterministic: identical invocations
@@ -327,34 +328,7 @@ def _cmd_verify(args) -> int:
     with open(args.cert, encoding="utf-8") as fh:
         cert = certfile.certificate_from_json(fh.read())
     report = cuplength.verify_certificate(cert)
-    if args.format == "json":
-        doc = {
-            "space": spaces.format_space(cert.space),
-            "n": cert.n,
-            "verdict": report.verdict,
-            "productNonzero": report.product_nonzero,
-            "verifiedCup": report.verified_cup,
-            "verifiedTcLower": report.verified_tc_lower,
-            "perFactor": [
-                {
-                    "expr": c.expression,
-                    "isZeroDivisor": c.is_zero_divisor,
-                    "degree": c.degree,
-                }
-                for c in report.per_factor
-            ],
-        }
-        text = certfile._json_text(doc)
-    else:
-        lines = [f"verdict: {report.verdict}"]
-        if report.verified_cup is not None:
-            lines.append(f"verifiedCup: {report.verified_cup}")
-            lines.append(f"verifiedTcLower: {report.verified_tc_lower}")
-        for c in report.per_factor:
-            tag = "zero-divisor" if c.is_zero_divisor else "NOT a zero divisor"
-            lines.append(f"factor {c.expression}: degree {c.degree}, {tag}")
-        text = "\n".join(lines) + "\n"
-    _write_out(text, args.out)
+    _write_out(certfile.verification_text(cert, report, args.format), args.out)
     return 0 if report.verdict == "Verified" else 1
 
 

@@ -1,9 +1,10 @@
 """Zero-divisor cup-length: the check of a certificate, and the exact oracle.
 
 The certificate records, and the tensor-power elements that a check
-multiplies, are in :mod:`milnortc.exprs`.  This module reaches them only
-through its module object, when a check runs, so the oracle never runs
-that module.
+multiplies, are in :mod:`milnortc.exprs`, and the oracle's degree slices
+in :mod:`milnortc.tensorpower`.  This module reaches each only through its
+module object, when a check or an oracle run needs it, so the oracle never
+runs exprs and a check never runs tensorpower.
 
 A certificate holds the descriptor of the space whose ring it is checked
 in and lists factors with multiplicities.  :func:`verify_certificate`
@@ -26,16 +27,15 @@ W_m = span(z * W_(m-1)) over those z up to the last W_m != 0.  Its rows
 are :mod:`milnortc.gf2` int bitsets over the monomials of one degree
 slice, and multiplication by each z is a map holding the bitset of the
 targets of each source monomial, so a product row is a XOR of target rows.
-The chain is graded, so the oracle walks it by degree: each map is built
-once, applied to every level that reads it, and dropped, and at most
-(largest generator degree + 1) degrees of the chain are held at a time.
-Each z's degree and its products with the basic monomials of the one slot
-each of its monomials occupies are computed once per run, and so are the
-degree slices, kept in a dict of the run's own: the oracle's only lasting
-state is its cache of (value, witness) per ring and n.  A product of spaces
-is never run on its own ring: its value is the sum of its factors' and its
-witness their witnesses renamed (see :func:`_product_run`), so what a
-product leaves behind is the cached run of each factor.
+The oracle runs only the ring of one family, whose generators share one
+degree d (1 for rh and rp, 2 for ch and cp), so W_m lies in the degree-m*d
+slice and the oracle walks the chain one level at a time.  A product of
+spaces is never run on its own ring: its value is the sum of its factors'
+and its witness their witnesses renamed (see :func:`_product_run`).  Each
+z's products with the basic monomials of the one slot each of its
+monomials occupies are computed once per run, and so are the degree
+slices, kept in a dict of the run's own: the oracle's only lasting state
+is its cache of (value, witness) per ring and n.
 The z commute, so the oracle forms only the products z_j1 ... z_jm with
 j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
 at most j.  Products are appended generator by generator and rows are kept
@@ -56,13 +56,12 @@ from __future__ import annotations
 
 from bisect import bisect_right
 
-# exprs runs on the first use of one of its names (see the package
-# docstring), so that cup_exact never runs it
-from . import exprs, gf2
+# exprs and tensorpower run on the first use of one of their names (see the
+# package docstring): cup_exact never runs exprs, nor a check tensorpower
+from . import exprs, gf2, tensorpower
 from .errors import DEFAULT_MAX_SLICE, ResourceLimitError
 from .f2algebra import Presentation, multiply, power, unit
 from .spaces import ProductSpace, cohomology_of, format_space
-from .tensorpower import slice_dimensions, tensor_slice
 
 
 def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
@@ -117,14 +116,14 @@ _CUP_CACHE: dict = {}
 
 def _ideal_generators(P: Presentation, n: int):
     """The nonzero adjacent slot differences z = g_i + g_{i+1}, each as
-    (label (g, i), degree of z, slot products), read off the support
-    and degree of each generator g in P.  Every monomial of z is the unit
-    in all slots but one, k, where it holds a monomial c of g; its slot
-    products pair k with the product of each basic monomial by c.  The
-    tables are computed once per c and shared by every z it occurs in."""
+    (label (g, i), slot products), read off the support of each generator
+    g in P.  Every monomial of z is the unit in all slots but one, k, where
+    it holds a monomial c of g; its slot products pair k with the product
+    of each basic monomial by c.  The tables are computed once per c and
+    shared by every z it occurs in."""
     tables: dict = {}
     gens = []
-    for idx, (name, degree) in enumerate(zip(P.gen_names, P.gen_degrees)):
+    for idx, name in enumerate(P.gen_names):
         support = P.reduce(tuple(int(k == idx) for k in range(P.ngens)))
         if not support:
             continue  # g = 0, and so is every z
@@ -135,7 +134,7 @@ def _ideal_generators(P: Presentation, n: int):
                 if products is None:
                     products = tables[c] = {m: P.mono_mul(m, c) for m in P.basis}
                 slot_products += [(i - 1, products), (i, products)]
-            gens.append(((name, i), degree, tuple(slot_products)))
+            gens.append(((name, i), tuple(slot_products)))
     return gens
 
 
@@ -175,13 +174,13 @@ def _oracle(P: Presentation, n: int):
     factors collapse the generators of one nonzero product in W_value into
     (label, multiplicity) pairs, each label as in :func:`_ideal_generators`.
 
-    The chain is walked by degree: the degree-dt part of every W_m is
-    spanned by the z times the degree-(dt - deg z) part of W_(m-1), so each
-    map (z, dt - deg z) is built once, applied to the rows of every m and
-    dropped, and a degree is dropped once no later degree reads it.  The
-    degree and slot products of each z come from :func:`_ideal_generators`,
-    computed once per run, so building a map multiplies nothing in the
-    base ring.
+    Every generator of P, and so every z, has one degree d, so W_m lies in
+    the degree-m*d slice: the chain is walked one level at a time, up to
+    the first W_m = 0 or to m = n * top / d.  A ring whose generators differ
+    in degree, such as a product's, is refused; :func:`_run` answers a
+    product from its factors.  The slot products of each z come from
+    :func:`_ideal_generators`, computed once per run, so building a map
+    multiplies nothing in the base ring.
 
     Products are taken in sorted order.  The z commute, so W_m is spanned
     by the products z_j1 ... z_jm with j1 <= ... <= jm; let W_m^(<=j) be
@@ -191,56 +190,40 @@ def _oracle(P: Presentation, n: int):
     and span W_(m-1)^(<=j): each level's products are appended generator by
     generator, and gf2.independent_rows keeps rows greedily in input order,
     so the kept rows of any prefix of the products span that prefix."""
-    nd = n * P.top_degree
+    degrees = set(P.gen_degrees)
+    if len(degrees) != 1:
+        raise ValueError(
+            f"the oracle needs generators of one degree, got degrees {sorted(degrees)}; "
+            "a product's value comes from its factors"
+        )
+    (d,) = degrees
     gens = _ideal_generators(P, n)
     slices: dict = {}
-    # per degree, per m: independent rows of W_m in that degree, each tagged
-    # with the indices of the generators it is a product of, in ascending
-    # order of the tags' last generator
-    spans = {0: {0: ([1], [()])}}
+    # independent rows of W_m, each tagged with the indices of the
+    # generators it is a product of, in ascending order of the last one
+    rows, tags = [1], [()]
     value, witness = 0, ()
-    for dt in range(1, nd + 1):
-        index = None
-        products: dict = {}
-        for j, (_, degree, slot_products) in enumerate(gens):
-            # per m: the kept rows of W_m that z_j multiplies
-            prefixes = []
-            mask = 0
-            for m, (rows, tags) in spans.get(dt - degree, {}).items():
-                k = bisect_right(tags, j, key=_last_generator)
-                if k:
-                    rows, tags = rows[:k], tags[:k]
-                    prefixes.append((m, rows, tags))
-                    for row in rows:
-                        mask |= row
-            if not prefixes:
+    for m in range(1, n * P.top_degree // d + 1):
+        source = tensorpower.tensor_slice(P, n, (m - 1) * d, slices)
+        index = {t: i for i, t in enumerate(tensorpower.tensor_slice(P, n, m * d, slices))}
+        prod_rows, prod_tags = [], []
+        for j, (_, slot_products) in enumerate(gens):
+            # the kept rows of W_(m-1) that z_j multiplies
+            k = bisect_right(tags, j, key=_last_generator)
+            if not k:
                 continue
-            if index is None:
-                index = {tup: i for i, tup in enumerate(tensor_slice(P, n, dt, slices))}
-            source = tensor_slice(P, n, dt - degree, slices)
+            mask = 0
+            for row in rows[:k]:
+                mask |= row
             targets = _mult_map(source, slot_products, index, mask)
-            for m, rows, tags in prefixes:
-                prod_rows, prod_tags = products.setdefault(m + 1, ([], []))
-                prod_rows.extend(gf2.image(targets, rows))
-                prod_tags.extend(t + (j,) for t in tags)
-        spans.pop(dt - max(P.gen_degrees), None)
-        level = spans[dt] = {}
-        for m, (rows, tags) in products.items():
-            keep = gf2.independent_rows(rows)
-            if keep:
-                level[m] = ([rows[i] for i in keep], [tags[i] for i in keep])
-                # dt ascends, so this is the lowest degree of W_m
-                if m > value:
-                    value, witness = m, tags[keep[0]]
-
-    degree_bound = nd // min(P.gen_degrees)
-    if value > degree_bound:
-        raise RuntimeError(
-            f"cup-length {value} exceeds the degree bound {degree_bound}"
-        )
-    factors = tuple(
-        (gens[j][0], witness.count(j)) for j in sorted(set(witness))
-    )
+            prod_rows += gf2.image(targets, rows[:k])
+            prod_tags += [t + (j,) for t in tags[:k]]
+        keep = gf2.independent_rows(prod_rows)
+        if not keep:
+            break
+        rows, tags = [prod_rows[i] for i in keep], [prod_tags[i] for i in keep]
+        value, witness = m, tags[0]
+    factors = tuple((gens[j][0], witness.count(j)) for j in sorted(set(witness)))
     return value, factors
 
 
@@ -288,7 +271,7 @@ def _run(P: Presentation, n: int, max_slice: int) -> tuple:
     # larger cap does not answer this call, and before building any slice:
     # slices grow towards the middle degree, so those below the first one
     # over the cap can be huge too
-    for d, dim in enumerate(slice_dimensions(P, n)):
+    for d, dim in enumerate(tensorpower.slice_dimensions(P, n)):
         if dim > max_slice:
             raise ResourceLimitError(
                 f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",

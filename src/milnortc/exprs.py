@@ -67,15 +67,17 @@ class Pow(Record):
 
 # digits are ASCII only: \d would also match other scripts' digits
 _TOKEN_RE = re.compile(
-    r"\s*(?:(?P<gen>[a-z]+(?:\.[0-9]+\.)?[0-9]+)|(?P<int>[0-9]+)|(?P<op>[+*^()]))"
+    r"\s*(?:(?P<gen>(?P<name>[a-z]+)(?:\.(?P<factor>[0-9]+)\.)?(?P<position>[0-9]+))"
+    r"|(?P<int>[0-9]+)|(?P<op>[+*^()]))"
 )
-_GEN_RE = re.compile(r"([a-z]+)(?:\.([0-9]+)\.)?([0-9]+)")
 # a generator's name and factor before a digit of another script, or nothing
 _NAME_BEFORE_DIGIT_RE = re.compile(r"(?:[a-z]+(?:\.[0-9]*\.?)?(?=\d)(?![0-9]))?")
 
 
 def _tokenize(text: str):
-    # lazy, so that the first error in reading order is the one reported
+    # lazy, so that the first error in reading order is the one reported.
+    # A token is (kind, text, offset); a generator's also holds the texts of
+    # its name, factor (None outside a product ring) and position
     pos = 0
     while pos < len(text):
         mo = _TOKEN_RE.match(text, pos)
@@ -88,7 +90,7 @@ def _tokenize(text: str):
             pos = len(text) - len(rest) + _NAME_BEFORE_DIGIT_RE.match(rest).end()
             raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
         if mo.group("gen"):
-            yield ("gen", mo.group("gen"), pos)
+            yield ("gen", mo.group("gen"), pos, mo.group("name", "factor", "position"))
         elif mo.group("int"):
             yield ("int", mo.group("int"), pos)
         else:
@@ -142,7 +144,7 @@ class _Parser:
     def atom(self):
         tok = self.tok
         if tok[0] == "gen":
-            name, factor, position = _GEN_RE.fullmatch(tok[1]).groups()
+            name, factor, position = tok[3]
             if factor is not None:
                 name = f"{name}.{int(factor)}"
             node = Gen(name, int(position))

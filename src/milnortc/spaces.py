@@ -144,22 +144,19 @@ def _is_digits(text: str) -> bool:
 
 
 def _parse_factor(text: str):
-    # the family prefix, then its fields, in digits, joined by "."
+    # format_space writes the factor rh:4,3 as rh4.3; this reads it back.
+    # A product is refused too: its factors here would be bare numbers
     head = text.rstrip("0123456789.")
-    cls = _FAMILIES.get(head)
-    values = text[len(head) :].split(".")
-    if (
-        cls in (None, ProductSpace)
-        or len(values) != len(cls.__slots__)
-        or not all(_is_digits(v) and str(int(v)) == v for v in values)
-    ):
-        raise ValueError(f"cannot parse product factor {text!r}")
-    return cls(*map(int, values))
+    try:
+        cls, values = _read(f"{head}:{text[len(head):].replace('.', ',')}")
+    except ValueError:
+        raise ValueError(f"cannot parse product factor {text!r}") from None
+    return cls(*values)
 
 
-def parse_space(text: str):
-    """Parse the space string form, as written: nothing is stripped or
-    lower-cased, so ``' RH:5,3'`` is refused."""
+def _read(text: str) -> tuple:
+    """The descriptor class of the space text and the values of its
+    fields, which that class checks; a product's fields are its factors."""
     if ":" not in text:
         raise ValueError(f"cannot parse space {text!r}")
     head, _, rest = text.partition(":")
@@ -167,7 +164,7 @@ def parse_space(text: str):
     if cls is None:
         raise ValueError(f"unknown space family {head!r}")
     if cls is ProductSpace:
-        return ProductSpace(tuple(_parse_factor(p) for p in rest.split(",")))
+        return cls, (tuple(map(_parse_factor, rest.split(","))),)
     # a wrong count of fields, or a field that is no number at all, gets
     # the family's form; one that int() reads gets the digit rule below
     expected = f"expected '{head}:{','.join(cls.__slots__)}', got {text!r}"
@@ -186,6 +183,13 @@ def parse_space(text: str):
         raise ValueError(
             f"numbers must be written with no leading zero and no -0, got {text!r}"
         )
+    return cls, values
+
+
+def parse_space(text: str):
+    """Parse the space string form, as written: nothing is stripped or
+    lower-cased, so ``' RH:5,3'`` is refused."""
+    cls, values = _read(text)
     return cls(*values)
 
 

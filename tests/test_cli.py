@@ -503,10 +503,10 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
 # importing the CLI runs only errors; a command that reads a space runs the
 # rings, the oracle adds its degree slices and GF(2) rows, and a
 # certificate's check adds the expressions and the oracle's module (for
-# verify_certificate), but no GF(2) linear algebra
+# verify_certificate), but neither degree slices nor GF(2) linear algebra
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
 _ORACLE = _RINGS | {"gf2", "tensorpower", "cuplength"}
-_CHECKS = _RINGS | {"tensorpower", "exprs", "cuplength"}
+_CHECKS = _RINGS | {"exprs", "cuplength"}
 _REPORTS = _CHECKS | {"certgen", "bounds", "emit"}
 
 # (commands, their stdout or None where it is long, their stderr, the
@@ -675,10 +675,10 @@ def test_the_default_cap_refuses_rh_16_9_at_n_3_from_sizes_alone(monkeypatch, ca
     # its largest slice (168,256 monomials) is above the default 2^16, and
     # the degree-23 slice is the first one over it; the refusal reads the
     # slice dimensions only, so no slice is built
-    from milnortc import cuplength
+    from milnortc import tensorpower
 
     calls = []
-    monkeypatch.setattr(cuplength, "tensor_slice", lambda *a: calls.append(a))
+    monkeypatch.setattr(tensorpower, "tensor_slice", lambda *a: calls.append(a))
     assert main(["cup", "--space", "rh:16,9", "--n", "3"]) == 3
     assert capsys.readouterr().err == (
         "resource limit: degree-23 slice has dimension 70368, above the cap 65536\n"

@@ -28,7 +28,15 @@ from milnortc.exprs import (
     tensor_power,
 )
 from milnortc.f2algebra import multiply, power, unit
-from milnortc.spaces import ProductSpace, cohomology_of, parse_space
+from milnortc.spaces import (
+    ComplexMilnor,
+    ComplexProj,
+    ProductSpace,
+    RealMilnor,
+    RealProj,
+    cohomology_of,
+    parse_space,
+)
 from milnortc.tensorpower import slice_dimensions, tensor_slice
 from reference import kernel_basis, rank, ring
 
@@ -229,6 +237,37 @@ def test_oracle_klein_bottle():
     assert cup_exact(P, 3) == 6
 
 
+def test_the_klein_bottle_witness_at_n_3_is_the_readmes():
+    # (a2+a3)(b1+b2)^3(b2+b3)^2 gives TC_3 >= 7 = 3 * dim + 1
+    text = "".join(
+        f"{expr}^{mult}" if mult > 1 else expr for expr, mult in cup_witness(ring("rh:2,1"), 3)
+    )
+    assert text == "(a2+a3)(b1+b2)^3(b2+b3)^2"
+
+
+@pytest.mark.parametrize("space, twin", [("ch:2,1", "rh:2,1"), ("cp:3", "rp:3")])
+def test_a_complex_ring_has_its_real_twins_witness(space, twin):
+    # ch and cp state the generators and rules of rh and rp in degree 2, so
+    # the oracle walks the same chain, one level per degree-2 step
+    for n in (2, 3):
+        assert cup_witness(ring(space), n) == cup_witness(ring(twin), n), n
+
+
+def test_the_oracle_refuses_a_ring_of_mixed_degrees():
+    # a product's generators may differ in degree; cup_exact answers it from
+    # its factors, and the oracle's own walk refuses its ring
+    import milnortc.cuplength as cuplength
+
+    P = ring("prod:rp1,cp1")
+    with pytest.raises(ValueError) as err:
+        cuplength._oracle(P, 2)
+    assert str(err.value) == (
+        "the oracle needs generators of one degree, got degrees [1, 2]; "
+        "a product's value comes from its factors"
+    )
+    assert cup_exact(P, 2) == 2
+
+
 def per_monomial_map(P, n, el, d_from, d_to):
     """Reference for cuplength._mult_map: the general product of el with
     each source monomial of slice(d_from), as the int bitset of its targets
@@ -301,9 +340,8 @@ def test_mult_maps_match_the_per_monomial_product():
         P = ring(space)
         nd = n * P.top_degree
         slices = {}
-        for (name, slot), degree, slot_products in _ideal_generators(P, n):
+        for (name, slot), slot_products in _ideal_generators(P, n):
             z = evaluate_text(sum_text(name, slot, slot + 1), P, n)
-            assert z.degree == degree, (space, n, name, slot)
             for d in range(nd - z.degree + 1):
                 expected = per_monomial_map(P, n, z, d, d + z.degree)
                 source = tensor_slice(P, n, d, slices)
@@ -318,9 +356,9 @@ def test_mult_maps_match_the_per_monomial_product():
 
 
 def test_each_mult_map_is_built_once_per_run(monkeypatch):
-    # the oracle walks the chain by degree and applies each map (generator,
-    # source degree) to every level that reads it, so no map is built
-    # twice; the box's mixed-degree products would request some again
+    # the oracle walks the chain one level at a time, and builds the map of
+    # each generator once per level, from that level's one source degree,
+    # so no map (generator, source slice) is built twice
     import milnortc.cuplength as cuplength
 
     requests = []
@@ -424,7 +462,6 @@ def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
     # counts, not times: a slice reads the next-lower power's slice once
     # per degree of its first slot; reading it once per basis monomial made
     # 540 tensor_slice calls for rh:4,2 at n = 3
-    import milnortc.cuplength as cuplength
     import milnortc.tensorpower as tensorpower
 
     calls = []
@@ -436,7 +473,6 @@ def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
 
     _fresh_oracle(monkeypatch)
     monkeypatch.setattr(tensorpower, "tensor_slice", spy)
-    monkeypatch.setattr(cuplength, "tensor_slice", spy)
     assert cup_exact(ring("rh:4,2"), 3) == 15
     assert len(calls) <= 300
 
@@ -547,7 +583,6 @@ def test_oracle_resource_limit(monkeypatch):
         raise AssertionError("a slice was built before the cap check")
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "tensor_slice", forbidden)
     monkeypatch.setattr(tensorpower, "tensor_slice", forbidden)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:4"), 3, max_slice=6)
@@ -584,10 +619,23 @@ PRODUCT_FACTORS = (
 )
 
 
+_REAL_TWIN = {ComplexMilnor: RealMilnor, ComplexProj: RealProj}
+
+
+def real_twin(space: ProductSpace) -> ProductSpace:
+    """The product with each ch or cp factor replaced by its rh or rp twin:
+    the same generators and rules in degree 1, so the same chain of
+    generator products, and a ring whose generators share one degree."""
+    return ProductSpace(
+        tuple(_REAL_TWIN.get(type(f), type(f))(*f._values()) for f in space.factors)
+    )
+
+
 def test_a_products_oracle_is_the_sum_of_its_factors():
-    # the product ring's own chain is the reference; the oracle answers a
-    # product from its factors' runs, and their witnesses, renamed, verify
-    # in the product ring
+    # the chain of the product's degree-1 twin, walked on the twin's own
+    # ring, is the reference; the oracle answers a product from its
+    # factors' runs, and their witnesses, renamed, verify in the product
+    # ring
     import milnortc.cuplength as cuplength
 
     cases = [
@@ -601,7 +649,8 @@ def test_a_products_oracle_is_the_sum_of_its_factors():
     for space, n in cases:
         P = cohomology_of(space)
         value = cup_exact(P, n)
-        assert value == cuplength._oracle(P, n)[0], (space, n)
+        twin = cohomology_of(real_twin(space))
+        assert value == cuplength._oracle(twin, n)[0], (space, n)
         factors = cup_witness(P, n)
         cert = Certificate(space, n, factors, value)
         assert verify_certificate(cert).verdict == "Verified", (space, n)
@@ -625,7 +674,7 @@ def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
     P, factor = ring("prod:rh2.1,rh2.1"), ring("rh:2,1")
     assert max(slice_dimensions(P, 5)) == 184_756
     rings = []
-    dims, tensor_slice_ = cuplength.slice_dimensions, tensorpower.tensor_slice
+    dims, tensor_slice_ = tensorpower.slice_dimensions, tensorpower.tensor_slice
 
     def dims_spy(Q, n):
         rings.append(Q)
@@ -636,8 +685,7 @@ def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
         return tensor_slice_(Q, n, d, slices)
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "slice_dimensions", dims_spy)
-    monkeypatch.setattr(cuplength, "tensor_slice", slice_spy)
+    monkeypatch.setattr(tensorpower, "slice_dimensions", dims_spy)
     monkeypatch.setattr(tensorpower, "tensor_slice", slice_spy)
     assert cup_exact(P, 5) == 20
     assert rings and set(rings) == {factor}

@@ -219,7 +219,6 @@ def test_oracle_run_caches_no_empty_slice(space, monkeypatch):
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
     monkeypatch.setattr(tensorpower, "tensor_slice", spy)
-    monkeypatch.setattr(cuplength, "tensor_slice", spy)
     P = ring(space)
     cuplength.cup_exact(P, 3)
     assert len(runs) == len(getattr(P.cache_key, "factors", (P.cache_key,)))
