@@ -13,11 +13,10 @@ nothing else but the ring layers below them.  Factor expressions, the
 elements of tensor powers and the certificate records are in ``exprs``,
 which only the commands that build or check a certificate run; the check
 is in ``cuplength`` too, but builds no degree slice, so only an oracle
-run runs ``tensorpower``.  Two layers serve only the CLI's output:
-``certfile``, the certificate-file reader and writer and the ``verify``
-report, and ``emit``, the bound reports' formatting.  ``cup`` runs
-neither, ``bounds`` and ``table`` run only ``emit``, and ``verify`` and
-``gen-cert`` only ``certfile``.
+run runs ``tensorpower``.  ``bounds`` builds the bound reports and writes
+their text.  ``certfile``, the certificate-file reader and writer and the
+``verify`` report, serves only the CLI's output: ``verify`` and
+``gen-cert`` run it, and ``cup``, ``bounds`` and ``table`` do not.
 
 That every layer is in ``sys.modules`` after ``import milnortc.cli`` is a
 contract: the benchmark's tracer (``perfbench/tracer.py``) looks each
@@ -36,7 +35,7 @@ __version__ = "1.0.0"
 
 # every submodule but cli
 _LAYERS = ("record", "errors", "gf2", "f2algebra", "tensorpower", "spaces",
-           "exprs", "cuplength", "certgen", "bounds", "certfile", "emit")
+           "exprs", "cuplength", "certgen", "bounds", "certfile")
 
 # submodule -> the public names it defines
 _PUBLIC = {

@@ -1,7 +1,7 @@
 """Command-line surface: the options of each command and the calls they
 make.  Certificate files are read and written, and the report of
 ``verify`` formatted, by :mod:`milnortc.certfile`; bound reports are
-formatted by :mod:`milnortc.emit`.
+built and formatted by :mod:`milnortc.bounds`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource limit.  All outputs are deterministic: identical invocations
@@ -17,9 +17,9 @@ from types import SimpleNamespace
 
 # a layer that some command does not call is reached through its module
 # object, which runs on first use (see the package docstring), so that each
-# command runs only the modules it calls: cup runs none of certfile, emit
+# command runs only the modules it calls: cup runs none of bounds, certfile
 # and exprs, and json and csv are imported only by the first two
-from . import bounds, certfile, certgen, cuplength, emit, exprs, f2algebra, spaces
+from . import bounds, certfile, certgen, cuplength, exprs, f2algebra, spaces
 from .errors import (
     DEFAULT_MAX_SLICE,
     ExprSyntaxError,
@@ -62,12 +62,16 @@ def _parse_params(items) -> dict:
 
 
 def _int(text: str, what: str | None = None) -> int:
-    """The integer text writes as -?[0-9]+, as in a space, where int() also
-    reads "1_000", "+2" and other scripts' digits; refused naming what."""
-    digits = text.removeprefix("-")
-    if not (digits.isascii() and digits.isdigit()):
+    """The integer text, read only where str() writes it back as text, the
+    rule of a space's numbers: int() also reads "02", "-0", "1_000", "+2"
+    and other scripts' digits.  Refused naming what."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or str(value) != text:
         raise ValueError(f"{what + ': ' if what else ''}{text!r} is not an integer")
-    return int(text)
+    return value
 
 
 def _parse_range(text: str, flag: str):
@@ -313,7 +317,7 @@ def _cmd_bounds(args) -> int:
             raise ValueError("--group is required for eqtc")
         space, group = _space(args.space), bounds.resolve_group(args.group)
         report = bounds.eqtc_bounds(space, group, args.n, **options)
-    _write_out(emit.emit_report(report, args.format), args.out)
+    _write_out(bounds.emit_report(report, args.format), args.out)
     return 0
 
 
@@ -390,7 +394,7 @@ def _cmd_table(args) -> int:
         for space in cells
         for n in n_range
     ]
-    _write_out(emit.emit_table(reports, args.format), args.out)
+    _write_out(bounds.emit_table(reports, args.format), args.out)
     return 0
 
 

@@ -270,7 +270,8 @@ def _run(P: Presentation, n: int, max_slice: int) -> tuple:
     # refuse before reading the cache, so that a value cached under a
     # larger cap does not answer this call, and before building any slice:
     # slices grow towards the middle degree, so those below the first one
-    # over the cap can be huge too
+    # over the cap can be huge too.  The sizes come in degree order, and
+    # none past the first one over the cap is computed
     for d, dim in enumerate(tensorpower.slice_dimensions(P, n)):
         if dim > max_slice:
             raise ResourceLimitError(

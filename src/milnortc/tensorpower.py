@@ -2,10 +2,10 @@
 
 The n-fold tensor power of a presentation has n-tuples of basic monomials
 as its monomials.  The oracle never enumerates that basis whole:
-:func:`slice_dimensions` gives the size of every degree slice from the
-Poincaré series alone, and :func:`tensor_slice` builds one slice on demand
-into a dict the caller owns, so an oracle run's slices go with the run.
-Elements of a tensor power, and the diagonal map, are in
+:func:`slice_dimensions` gives the size of each degree slice, in degree
+order, from the Poincaré series alone, and :func:`tensor_slice` builds one
+slice on demand into a dict the caller owns, so an oracle run's slices go
+with the run.  Elements of a tensor power, and the diagonal map, are in
 :mod:`milnortc.exprs`, which the oracle does not run.
 """
 
@@ -14,19 +14,24 @@ from __future__ import annotations
 from .f2algebra import Presentation, poincare_series
 
 
-def slice_dimensions(P: Presentation, n: int) -> list:
-    """Dimensions of the degree slices 0..n * top degree of the n-th power:
-    the coefficients of the n-th power of the Poincaré series, computed
-    once for all degrees."""
+def slice_dimensions(P: Presentation, n: int):
+    """Dimensions of the degree slices 0..n * top degree of the n-th power,
+    yielded in degree order: the coefficients c_d of a^n, for a the
+    Poincaré series (a_0 = 1, the unit).  From a * (a^n)' = n * a' * a^n,
+    d * c_d is the sum over 1 <= k <= min(d, top) of
+    ((n + 1) * k - d) * a_k * c_(d-k), so each size costs at most top
+    products of the ones before it, and a caller that stops at a size
+    never computes the rest."""
     series = poincare_series(P)
     dims = [1]
-    for _ in range(n):
-        nxt = [0] * (len(dims) + len(series) - 1)
-        for i, a in enumerate(dims):
-            for j, b in enumerate(series):
-                nxt[i + j] += a * b
-        dims = nxt
-    return dims
+    yield 1
+    for d in range(1, n * P.top_degree + 1):
+        total = sum(
+            ((n + 1) * k - d) * series[k] * dims[d - k]
+            for k in range(1, min(d, P.top_degree) + 1)
+        )
+        dims.append(total // d)
+        yield dims[-1]
 
 
 def tensor_slice(P: Presentation, n: int, d: int, slices: dict):

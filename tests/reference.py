@@ -119,7 +119,7 @@ def kernel_basis(
     """Exact mod-2 nullspace of the diagonal map on the degree-d slice."""
     if d < 0:
         raise ValueError("degree must be non-negative")
-    dim = slice_dimensions(P, n)[d]
+    dim = list(slice_dimensions(P, n))[d]
     if dim > max_slice:
         raise ResourceLimitError(
             f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 from milnortc.certgen import GENERATORS, cert_case1, cert_cat_topclass, cert_proj
 from milnortc.certfile import certificate_from_json, certificate_to_json
 from milnortc.cli import _COMMANDS, main
-from milnortc.emit import emit_report, emit_table
-from milnortc.bounds import BoundReport, RuleTrace, tc_bounds
+from milnortc.bounds import BoundReport, RuleTrace, emit_report, emit_table, tc_bounds
 from milnortc.exprs import Certificate
 from milnortc.spaces import (
     ComplexMilnor,
@@ -507,7 +506,7 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
 _ORACLE = _RINGS | {"gf2", "tensorpower", "cuplength"}
 _CHECKS = _RINGS | {"exprs", "cuplength"}
-_REPORTS = _CHECKS | {"certgen", "bounds", "emit"}
+_REPORTS = _CHECKS | {"certgen", "bounds"}
 
 # (commands, their stdout or None where it is long, their stderr, the
 # layers they run, the modules of json, csv, argparse and gettext they
@@ -521,7 +520,7 @@ _CENSUS = [
      "1\n", "error: --n: '\uff17' is not an integer\n", {"record", "errors", "f2algebra"},
      []),
     # the oracle builds no certificate and writes no report or file, so it
-    # runs none of exprs, certgen, bounds, emit and certfile; without a
+    # runs none of exprs, certgen, bounds and certfile; without a
     # bytecode cache each module run is compiled first
     ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE, []),
     ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "", _ORACLE, []),
@@ -653,6 +652,19 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 
 
+def test_benchmark_tracer_spans_the_report_text(tmp_path):
+    # the report is written by the bounds layer, which the tracer wraps, so
+    # its formatting time is the writer's span, not the CLI's self time
+    mark, trace = tmp_path / "mark", tmp_path / "trace.json"
+    proc = _fresh_python(str(ROOT / "perfbench" / "tracer.py"), str(mark), str(trace),
+                         "bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("| space | n | quantity | lower | upper |\n")
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    for name in ("bounds.tc_bounds", "bounds.emit_report"):
+        assert doc["functions"][name]["calls"] == 1, name
+
+
 def test_benchmark_tracer_traces_a_verify_run(tmp_path):
     # tensor products run in f2algebra.multiply; the traced certify run
     # relies on the tracer wrapping it and dumping the trace afterwards
@@ -774,6 +786,16 @@ _USAGE_ERRORS = [
      "error: --n: '-' is not an integer"),
     (["gen-cert", "--method", "proj", "--params", "t=+1", "--n", "2", "--out", "f"],
      "error: --params key 't': '+1' is not an integer"),
+    # and is written as str() writes it: no leading zero and no -0
+    (["cup", "--space", "rp:2", "--n", "02"], "error: --n: '02' is not an integer\n"),
+    (["cup", "--space", "rp:2", "--n", "-0"], "error: --n: '-0' is not an integer\n"),
+    (["lucas", "--n", "07", "--k", "3"], "error: --n: '07' is not an integer\n"),
+    (["table", "--family", "rp", "--r", "2..03", "--n", "2"],
+     "error: --r range '2..03': '03' is not an integer\n"),
+    (["gen-cert", "--method", "proj", "--params", "t=01", "--n", "2", "--out", "f"],
+     "error: --params key 't': '01' is not an integer\n"),
+    (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "010"],
+     "error: --max-slice: '010' is not an integer\n"),
     # a cell of a table that its space's descriptor refuses names the options
     (["table", "--family", "rh", "--r", "0", "--s", "0", "--n", "2"],
      "error: --r 0, --s 0: Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0\n"),
@@ -794,7 +816,9 @@ _USAGE_ERRORS = [
          "flag-with-value", "stray-argument", "non-int-range", "open-range",
          "non-int-range-end", "non-int-param", "fullwidth-n", "plus-n",
          "underscore-cap", "fullwidth-lucas-n", "space-lucas-k", "underscore-range",
-         "bare-minus-n", "plus-param", "table-milnor-cell", "table-rp-cell",
+         "bare-minus-n", "plus-param", "leading-zero-n", "minus-zero-n",
+         "leading-zero-lucas-n", "leading-zero-range-end", "leading-zero-param",
+         "leading-zero-cap", "table-milnor-cell", "table-rp-cell",
          "leading-zero-space"],
 )
 def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,

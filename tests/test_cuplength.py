@@ -602,6 +602,15 @@ def test_oracle_cache_respects_the_cap():
     assert cup_exact(P, 3, max_slice=19) == 12  # the largest slice
 
 
+def test_a_large_arity_is_refused_at_its_first_slice_over_the_cap():
+    # the sizes come in degree order and none past the first one over the
+    # cap is computed, so rp:1 at n = 10^6, whose degree-1 slice has 10^6
+    # monomials, is refused without sizing the 10^6 slices above it
+    with pytest.raises(ResourceLimitError) as err:
+        cup_exact(ring("rp:1"), 10**6)
+    assert str(err.value) == "degree-1 slice has dimension 1000000, above the cap 65536"
+
+
 def test_oracle_caches():
     P = ring("rp:3")
     assert cup_exact(P, 2) == cup_exact(P, 2)

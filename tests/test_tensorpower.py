@@ -9,6 +9,7 @@ from milnortc.f2algebra import (
     Presentation,
     generator,
     multiply,
+    poincare_series,
     power,
     unit,
     zero,
@@ -152,11 +153,26 @@ def test_diagonal_eval_multiplicative(P):
 
 def test_slice_dimensions_sum_to_total(P):
     for n in (1, 2, 3):
-        dims = slice_dimensions(P, n)
+        dims = list(slice_dimensions(P, n))
         assert len(dims) == n * P.top_degree + 1
         assert sum(dims) == len(P.basis) ** n
         for d, dim in enumerate(dims):
             assert dim == len(tensor_slice(P, n, d, {}))
+
+
+def test_slice_dimensions_are_the_coefficients_of_the_series_power():
+    # against the n-fold product of the Poincaré series, convolved term by term
+    for space in ("rh:4,3", "ch:3,2", "rp:5", "cp:3", "prod:rp2,rh2.1"):
+        P = ring(space)
+        series = poincare_series(P)
+        coefficients = [1]
+        for n in range(9):
+            assert list(slice_dimensions(P, n)) == coefficients, (space, n)
+            coefficients = [
+                sum(c * series[d - i] for i, c in enumerate(coefficients)
+                    if 0 <= d - i < len(series))
+                for d in range(len(coefficients) + len(series) - 1)
+            ]
 
 
 def test_tensor_slice_sorted_and_graded(P):
@@ -193,7 +209,7 @@ def test_tensor_slice_matches_the_brute_force_slice(space):
     P = ring(space)
     slices = {}
     for n in range(5):
-        dims = slice_dimensions(P, n)
+        dims = list(slice_dimensions(P, n))
         for d in range(n * P.top_degree + 2):
             slc = tensor_slice(P, n, d, slices)
             assert slc == brute_force_slice(P, n, d), (n, d)
@@ -283,7 +299,7 @@ def test_kernel_trivial_in_degree_zero(P):
 
 def test_degree_zero_slice_is_unit(P):
     assert tensor_slice(P, 2, 0, {}) == ((P.basis[0],) * 2,)
-    assert slice_dimensions(P, 2)[0] == 1
+    assert list(slice_dimensions(P, 2))[0] == 1
 
 
 def test_resource_limit_fires(P):
