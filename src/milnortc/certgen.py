@@ -8,12 +8,12 @@ one code that multiplies a certificate's factors, verifies it.  Every
 other construction, and every certificate :func:`certificates_for` offers,
 is checked by the caller.  Identical parameters give identical output.
 
-This module alone knows the families: :data:`GENERATORS` maps each
-``gen-cert`` method to its builder and parameter names, and
-:func:`certificates_for` maps a space to the families whose hypotheses it
-satisfies, for :func:`milnortc.bounds.tc_bounds`.  Only the method names
-are written out again, in :mod:`milnortc.cli`'s option table, so that the
-table does not run this module; a test keeps the two lists equal.
+This module alone knows the families' hypotheses: :func:`certificates_for`
+maps a space to the families whose hypotheses it satisfies, for
+:func:`milnortc.bounds.tc_bounds`.  Each ``gen-cert`` method names its
+builder here, with the builder's parameters before n, in
+:mod:`milnortc.cli`'s method table, so that the table does not run this
+module; a test keeps each entry's names equal to its builder's parameters.
 """
 
 from __future__ import annotations
@@ -147,15 +147,6 @@ def cert_proj(t: int, n: int) -> Certificate:
     )
     claimed = n * 2**t - 1
     return Certificate(RealProj(2**t), n, factors, claimed)
-
-
-# method name of gen-cert -> (builder, names of its parameters before n)
-GENERATORS = {
-    "case1": (cert_case1, ("t1", "t2")),
-    "case2": (cert_case2, ("p1", "p2")),
-    "r2t": (cert_r2t, ("s", "t")),
-    "proj": (cert_proj, ("t",)),
-}
 
 
 def certificates_for(space, n: int) -> list:

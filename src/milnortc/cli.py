@@ -1,7 +1,8 @@
-"""Command-line surface: the options of each command and the calls they
-make.  Certificate files are read and written, and the report of
-``verify`` formatted, by :mod:`milnortc.certfile`; bound reports are
-built and formatted by :mod:`milnortc.bounds`.
+"""Command-line surface: one table holds the options and the handler of
+each command, and one the certgen builder and parameters of each
+``gen-cert`` method.  Certificate files are read and written, and the
+report of ``verify`` formatted, by :mod:`milnortc.certfile`; bound
+reports are built and formatted by :mod:`milnortc.bounds`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource limit.  All outputs are deterministic: identical invocations
@@ -20,17 +21,19 @@ from types import SimpleNamespace
 # command runs only the modules it calls: cup runs none of bounds, certfile
 # and exprs, and json and csv are imported only by the first two
 from . import bounds, certfile, certgen, cuplength, exprs, f2algebra, spaces
-from .errors import (
-    DEFAULT_MAX_SLICE,
-    ExprSyntaxError,
-    NoFreeActionError,
-    ResourceLimitError,
-)
+from .errors import DEFAULT_MAX_SLICE, ResourceLimitError
 
-# the gen-cert methods: those of certgen.GENERATORS, in its order, then cat.
-# Written out so that the option table does not run certgen; a test keeps
-# the two equal
-_METHODS = ("case1", "case2", "r2t", "proj", "cat")
+# gen-cert method -> (the name of its certgen builder, the --params keys it
+# takes, which are the builder's parameters before n).  A builder is named,
+# not held, so that the option table does not run certgen, and is called
+# through the module
+_METHODS = {
+    "case1": ("cert_case1", ("t1", "t2")),
+    "case2": ("cert_case2", ("p1", "p2")),
+    "r2t": ("cert_r2t", ("s", "t")),
+    "proj": ("cert_proj", ("t",)),
+    "cat": ("cert_cat_topclass", ("space",)),
+}
 
 # at exit, move every object to the permanent generation, so that the
 # collections run while the interpreter tears its modules down skip them
@@ -40,7 +43,10 @@ atexit.register(gc.freeze)
 # --- argument plumbing -------------------------------------------------------
 
 
-def _parse_params(items) -> dict:
+def _params(items, method: str, names) -> list:
+    """The --params values of exactly the keys names, read as written: a
+    missing key, a key the method does not take and a key given twice are
+    refused."""
     params = {}
     last = None
     for item in items:
@@ -49,16 +55,24 @@ def _parse_params(items) -> dict:
                 continue
             key, sep, value = piece.partition("=")
             if sep:
-                last = key.strip()
+                last = key
                 if last in params:
                     raise ValueError(f"--params key {last!r} is given more than once")
-                params[last] = value.strip()
+                params[last] = value
             elif last is not None:
                 # commas inside a value (e.g. space=rh:2,1) reattach here
-                params[last] += "," + piece.strip()
+                params[last] += "," + piece
             else:
                 raise ValueError(f"bad parameter {piece!r}; expected key=value")
-    return params
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ValueError(f"missing --params keys: {', '.join(missing)}")
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise ValueError(
+            f"--params keys not taken by --method {method}: {', '.join(unknown)}"
+        )
+    return [params[k] for k in names]
 
 
 def _int(text: str, what: str | None = None) -> int:
@@ -107,13 +121,124 @@ def _write_out(text: str, out: str | None):
         sys.stdout.write(text)
 
 
+# --- subcommand bodies -------------------------------------------------------
+
+
+def _oracle_cap(args) -> int:
+    """--max-slice, refused without --use-oracle as nothing else reads it."""
+    if args.max_slice is None:
+        return DEFAULT_MAX_SLICE
+    if not args.use_oracle:
+        raise ValueError("--max-slice applies only with --use-oracle")
+    return args.max_slice
+
+
+def _cmd_bounds(args) -> int:
+    options = dict(
+        use_oracle=args.use_oracle,
+        use_certs=not args.no_certs,
+        use_monotonicity=not args.no_monotonicity,
+        max_slice=_oracle_cap(args),
+    )
+    if args.group and args.quantity != "eqtc":
+        raise ValueError(f"--group does not apply to --quantity {args.quantity}")
+    if args.quantity == "cat":
+        # --max-slice, which needs --use-oracle, is refused with it
+        for flag, given in (
+            ("--no-certs", args.no_certs),
+            ("--no-monotonicity", args.no_monotonicity),
+            ("--use-oracle", args.use_oracle),
+        ):
+            if given:
+                raise ValueError(f"{flag} does not apply to --quantity cat")
+        report = bounds.cat_bounds(_space(args.space), args.n)
+    elif args.quantity == "tc":
+        report = bounds.tc_bounds(_space(args.space), args.n, **options)
+    else:
+        if not args.group:
+            raise ValueError("--group is required for eqtc")
+        space, group = _space(args.space), bounds.resolve_group(args.group)
+        report = bounds.eqtc_bounds(space, group, args.n, **options)
+    _write_out(bounds.emit_report(report, args.format), args.out)
+    return 0
+
+
+def _cmd_cup(args) -> int:
+    P = spaces.cohomology_of(_space(args.space))
+    value = cuplength.cup_exact(P, args.n, max_slice=args.max_slice)
+    _write_out(f"{value}\n", args.out)
+    return 0
+
+
+def _cmd_verify(args) -> int:
+    with open(args.cert, encoding="utf-8") as fh:
+        cert = certfile.certificate_from_json(fh.read())
+    report = cuplength.verify_certificate(cert)
+    _write_out(certfile.verification_text(cert, report, args.format), args.out)
+    return 0 if report.verdict == "Verified" else 1
+
+
+def _cmd_gen_cert(args) -> int:
+    name, keys = _METHODS[args.method]
+    values = [
+        (_space if key == "space" else _int)(text, f"--params key {key!r}")
+        for key, text in zip(keys, _params(args.params, args.method, keys))
+    ]
+    cert = getattr(certgen, name)(*values, args.n)
+    if isinstance(cert, exprs.SearchFailure):
+        sys.stderr.write(f"certificate search failed: {cert.reason}\n")
+        return 1
+    _write_out(certfile.certificate_to_json(cert), args.out)
+    return 0
+
+
+def _cmd_table(args) -> int:
+    n_range = _parse_range(args.n, "--n")
+    if args.family in ("rh", "ch"):
+        if not args.r or not args.s:
+            raise ValueError("--r and --s ranges are required for Milnor families")
+        cells = [
+            _space(f"{args.family}:{r},{s}", f"--r {r}, --s {s}")
+            for r in _parse_range(args.r, "--r")
+            for s in _parse_range(args.s, "--s")
+            if 0 <= s <= r
+        ]
+        if not cells:
+            raise ValueError(
+                f"--s range {args.s!r} has no s with 0 <= s <= r for --r {args.r!r}"
+            )
+    else:
+        if not args.r:
+            raise ValueError("--r (dimension range) is required for rp")
+        if args.s is not None:
+            raise ValueError("--s does not apply to --family rp")
+        cells = [_space(f"rp:{m}", f"--r {m}") for m in _parse_range(args.r, "--r")]
+    max_slice = _oracle_cap(args)
+    reports = [
+        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
+        for space in cells
+        for n in n_range
+    ]
+    _write_out(bounds.emit_table(reports, args.format), args.out)
+    return 0
+
+
+def _cmd_lucas(args) -> int:
+    if args.n < 0 or args.k < 0:
+        raise ValueError("n and k must be non-negative")
+    sys.stdout.write(f"{f2algebra.binom_mod2(args.n, args.k)}\n")
+    return 0
+
+
 # --- the command line --------------------------------------------------------
 
-# An option's kind is a converter, a tuple of its choices, _FLAG (it takes
-# no value and sets True) or _REPEAT (a string that may be given again; the
-# values are kept in order).  Its default is _REQUIRED when it must be
-# given.  _parse_args and the --help text both read this table, and nothing
-# else describes the options
+# Each command's entry is (summary, options, handler): main calls the
+# handler with the values _parse_args gives.  An option's kind is a
+# converter, a tuple of its choices, _FLAG (it takes no value and sets True)
+# or _REPEAT (a string that may be given again; the values are kept in
+# order).  Its default is _REQUIRED when it must be given.  _parse_args and
+# the --help text both read this table, and nothing else describes the
+# commands or their options
 _FLAG, _REPEAT, _REQUIRED = "flag", "repeat", "required"
 _FORMATS = ("md", "csv", "json")
 _SPACE_HELP = "the space, such as rh:4,3, cp:2 or prod:rp3,rp2"
@@ -134,24 +259,24 @@ _COMMANDS = {
         "--max-slice": _ORACLE_CAP,
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }),
+    }, _cmd_bounds),
     "cup": ("exact zero-divisor cup-length oracle", {
         "--space": (str, _REQUIRED, _SPACE_HELP),
         "--n": (_int, _REQUIRED, "the number of tensor factors"),
         "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
         "--out": (str, None, _OUT_HELP),
-    }),
+    }, _cmd_cup),
     "verify": ("verify a certificate file", {
         "--cert": (str, _REQUIRED, "the certificate file"),
         "--format": (("md", "json"), "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }),
+    }, _cmd_verify),
     "gen-cert": ("generate a certificate file", {
-        "--method": (_METHODS, _REQUIRED, "the certificate family"),
+        "--method": (tuple(_METHODS), _REQUIRED, "the certificate family"),
         "--params": (_REPEAT, (), "key=value pairs, comma-separated"),
         "--n": (_int, _REQUIRED, "n of TC_n"),
         "--out": (str, _REQUIRED, "the certificate file to write"),
-    }),
+    }, _cmd_gen_cert),
     "table": ("batch bound reports over a family", {
         "--family": (("rh", "ch", "rp"), _REQUIRED, "the family of spaces"),
         "--r": (str, None, "range A..B (r for Milnor, m for rp)"),
@@ -161,11 +286,11 @@ _COMMANDS = {
         "--max-slice": _ORACLE_CAP,
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }),
+    }, _cmd_table),
     "lucas": ("binomial coefficient parity", {
         "--n": (_int, _REQUIRED, "the top of the binomial coefficient"),
         "--k": (_int, _REQUIRED, "the bottom of the binomial coefficient"),
-    }),
+    }, _cmd_lucas),
 }
 
 _HELP = ("-h", "--help")
@@ -181,12 +306,12 @@ def _usage(command: str | None = None) -> str:
             "of Milnor manifolds and projective spaces.",
             "",
             "commands:",
-            *(f"  {name:<10}{summary}" for name, (summary, _) in _COMMANDS.items()),
+            *(f"  {name:<10}{summary}" for name, (summary, _, _) in _COMMANDS.items()),
             "",
             "Run 'milnortc <command> --help' for the options of a command.",
         ]
         return "\n".join(lines) + "\n"
-    summary, options = _COMMANDS[command]
+    summary, options, _ = _COMMANDS[command]
     lines = [f"usage: milnortc {command} [options]", "", summary, "", "options:"]
     for name, (kind, default, text) in options.items():
         if kind is _FLAG:
@@ -279,150 +404,14 @@ def _parse_args(argv) -> SimpleNamespace | None:
     )
 
 
-# --- subcommand bodies -------------------------------------------------------
-
-
-def _oracle_cap(args) -> int:
-    """--max-slice, refused without --use-oracle as nothing else reads it."""
-    if args.max_slice is None:
-        return DEFAULT_MAX_SLICE
-    if not args.use_oracle:
-        raise ValueError("--max-slice applies only with --use-oracle")
-    return args.max_slice
-
-
-def _cmd_bounds(args) -> int:
-    options = dict(
-        use_oracle=args.use_oracle,
-        use_certs=not args.no_certs,
-        use_monotonicity=not args.no_monotonicity,
-        max_slice=_oracle_cap(args),
-    )
-    if args.group and args.quantity != "eqtc":
-        raise ValueError(f"--group does not apply to --quantity {args.quantity}")
-    if args.quantity == "cat":
-        # --max-slice, which needs --use-oracle, is refused with it
-        for flag, given in (
-            ("--no-certs", args.no_certs),
-            ("--no-monotonicity", args.no_monotonicity),
-            ("--use-oracle", args.use_oracle),
-        ):
-            if given:
-                raise ValueError(f"{flag} does not apply to --quantity cat")
-        report = bounds.cat_bounds(_space(args.space), args.n)
-    elif args.quantity == "tc":
-        report = bounds.tc_bounds(_space(args.space), args.n, **options)
-    else:
-        if not args.group:
-            raise ValueError("--group is required for eqtc")
-        space, group = _space(args.space), bounds.resolve_group(args.group)
-        report = bounds.eqtc_bounds(space, group, args.n, **options)
-    _write_out(bounds.emit_report(report, args.format), args.out)
-    return 0
-
-
-def _cmd_cup(args) -> int:
-    P = spaces.cohomology_of(_space(args.space))
-    value = cuplength.cup_exact(P, args.n, max_slice=args.max_slice)
-    _write_out(f"{value}\n", args.out)
-    return 0
-
-
-def _cmd_verify(args) -> int:
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = certfile.certificate_from_json(fh.read())
-    report = cuplength.verify_certificate(cert)
-    _write_out(certfile.verification_text(cert, report, args.format), args.out)
-    return 0 if report.verdict == "Verified" else 1
-
-
-def _require_params(params: dict, method: str, *names) -> list:
-    """The values of exactly the keys names: a missing key and a key the
-    method does not take are both refused."""
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ValueError(f"missing --params keys: {', '.join(missing)}")
-    unknown = [k for k in params if k not in names]
-    if unknown:
-        raise ValueError(
-            f"--params keys not taken by --method {method}: {', '.join(unknown)}"
-        )
-    return [params[k] for k in names]
-
-
-def _cmd_gen_cert(args) -> int:
-    params = _parse_params(args.params)
-    if args.method == "cat":
-        (space,) = _require_params(params, "cat", "space")
-        cert = certgen.cert_cat_topclass(_space(space, "--params key 'space'"), args.n)
-    else:
-        build, names = certgen.GENERATORS[args.method]
-        texts = _require_params(params, args.method, *names)
-        values = [_int(v, f"--params key {k!r}") for k, v in zip(names, texts)]
-        cert = build(*values, args.n)
-    if isinstance(cert, exprs.SearchFailure):
-        sys.stderr.write(f"certificate search failed: {cert.reason}\n")
-        return 1
-    _write_out(certfile.certificate_to_json(cert), args.out)
-    return 0
-
-
-def _cmd_table(args) -> int:
-    n_range = _parse_range(args.n, "--n")
-    if args.family in ("rh", "ch"):
-        if not args.r or not args.s:
-            raise ValueError("--r and --s ranges are required for Milnor families")
-        cells = [
-            _space(f"{args.family}:{r},{s}", f"--r {r}, --s {s}")
-            for r in _parse_range(args.r, "--r")
-            for s in _parse_range(args.s, "--s")
-            if 0 <= s <= r
-        ]
-        if not cells:
-            raise ValueError(
-                f"--s range {args.s!r} has no s with 0 <= s <= r for --r {args.r!r}"
-            )
-    else:
-        if not args.r:
-            raise ValueError("--r (dimension range) is required for rp")
-        if args.s is not None:
-            raise ValueError("--s does not apply to --family rp")
-        cells = [_space(f"rp:{m}", f"--r {m}") for m in _parse_range(args.r, "--r")]
-    max_slice = _oracle_cap(args)
-    reports = [
-        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
-        for space in cells
-        for n in n_range
-    ]
-    _write_out(bounds.emit_table(reports, args.format), args.out)
-    return 0
-
-
-def _cmd_lucas(args) -> int:
-    if args.n < 0 or args.k < 0:
-        raise ValueError("n and k must be non-negative")
-    sys.stdout.write(f"{f2algebra.binom_mod2(args.n, args.k)}\n")
-    return 0
-
-
-_DISPATCH = {
-    "bounds": _cmd_bounds,
-    "cup": _cmd_cup,
-    "verify": _cmd_verify,
-    "gen-cert": _cmd_gen_cert,
-    "table": _cmd_table,
-    "lucas": _cmd_lucas,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return 0 if args is None else _DISPATCH[args.command](args)
+        return 0 if args is None else _COMMANDS[args.command][2](args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 3
-    except (ValueError, ExprSyntaxError, NoFreeActionError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from milnortc.certgen import GENERATORS, cert_case1, cert_cat_topclass, cert_proj
+from milnortc import certgen
+from milnortc.certgen import cert_case1, cert_cat_topclass, cert_proj
 from milnortc.certfile import certificate_from_json, certificate_to_json
-from milnortc.cli import _COMMANDS, main
+from milnortc.cli import _COMMANDS, _METHODS, main
 from milnortc.bounds import BoundReport, RuleTrace, emit_report, emit_table, tc_bounds
 from milnortc.exprs import Certificate
 from milnortc.spaces import (
@@ -628,11 +629,14 @@ def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, capsys):
     assert "verdict: Verified" in in_process[1][1]
 
 
-def test_gen_cert_method_choices_are_the_generators_and_cat():
-    # the CLI writes the methods out, so that its option table does not run
-    # certgen
-    kind, _, _ = _COMMANDS["gen-cert"][1]["--method"]
-    assert kind == (*GENERATORS, "cat")
+def test_each_gen_cert_method_names_a_builder_of_its_keys_and_n():
+    # the method table names each builder, so that the option table does not
+    # run certgen; its --params keys are the builder's parameters before n
+    import inspect
+
+    for method, (name, keys) in _METHODS.items():
+        params = inspect.signature(getattr(certgen, name)).parameters
+        assert list(params) == [*keys, "n"], method
 
 
 def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
@@ -663,6 +667,22 @@ def test_benchmark_tracer_spans_the_report_text(tmp_path):
     doc = json.loads(trace.read_text(encoding="utf-8"))
     for name in ("bounds.tc_bounds", "bounds.emit_report"):
         assert doc["functions"][name]["calls"] == 1, name
+
+
+def test_benchmark_tracer_spans_the_gen_cert_builder(tmp_path):
+    # gen-cert calls its builder through the certgen module, where the
+    # tracer binds its wrapper, so the builder has a span and the verified
+    # case-2 certificate counts as one search attempt
+    mark, trace, out = tmp_path / "mark", tmp_path / "trace.json", tmp_path / "c.json"
+    proc = _fresh_python(str(ROOT / "perfbench" / "tracer.py"), str(mark), str(trace),
+                         "gen-cert", "--method", "case2", "--params", "p1=1,p2=1",
+                         "--n", "3", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert certificate_from_json(out.read_text(encoding="utf-8")).n == 3
+    doc = json.loads(trace.read_text(encoding="utf-8"))
+    assert doc["functions"]["certgen.cert_case2"]["calls"] == 1
+    assert doc["counts"]["certgen.search_attempts"] == 1
 
 
 def test_benchmark_tracer_traces_a_verify_run(tmp_path):
@@ -796,6 +816,13 @@ _USAGE_ERRORS = [
      "error: --params key 't': '01' is not an integer\n"),
     (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "010"],
      "error: --max-slice: '010' is not an integer\n"),
+    # --params keys and values are read as written, a space as --space reads it
+    (["gen-cert", "--method", "proj", "--params", "t= 1", "--n", "2", "--out", "f"],
+     "error: --params key 't': ' 1' is not an integer\n"),
+    (["gen-cert", "--method", "proj", "--params", " t=1", "--n", "2", "--out", "f"],
+     "error: missing --params keys: t\n"),
+    (["gen-cert", "--method", "cat", "--params", "space= rp:2", "--n", "2",
+      "--out", "f"], "error: --params key 'space': unknown space family ' rp'\n"),
     # a cell of a table that its space's descriptor refuses names the options
     (["table", "--family", "rh", "--r", "0", "--s", "0", "--n", "2"],
      "error: --r 0, --s 0: Milnor manifold requires r >= 1 and 0 <= s <= r, got r=0, s=0\n"),
@@ -818,7 +845,8 @@ _USAGE_ERRORS = [
          "underscore-cap", "fullwidth-lucas-n", "space-lucas-k", "underscore-range",
          "bare-minus-n", "plus-param", "leading-zero-n", "minus-zero-n",
          "leading-zero-lucas-n", "leading-zero-range-end", "leading-zero-param",
-         "leading-zero-cap", "table-milnor-cell", "table-rp-cell",
+         "leading-zero-cap", "padded-param-value", "padded-param-key",
+         "padded-space-param", "table-milnor-cell", "table-rp-cell",
          "leading-zero-space"],
 )
 def test_usage_errors_exit_2_naming_the_option(argv, named, tmp_path, monkeypatch,
@@ -838,7 +866,7 @@ def test_help_lists_the_commands(capsys):
         assert main([flag]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
-        for command, (summary, _) in _COMMANDS.items():
+        for command, (summary, _, _) in _COMMANDS.items():
             assert f"  {command}" in captured.out and summary in captured.out
 
 
@@ -929,6 +957,16 @@ def test_verify_command_exit_codes(tmp_path, capsys):
     assert main(["verify", "--cert", str(tmp_path / "missing.json")]) == 2
 
 
+def test_verify_refuses_a_factor_that_does_not_parse(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    cert = Certificate(RealProj(2), 2, (("(x1+x2", 1),), 1)
+    path.write_text(certificate_to_json(cert), encoding="utf-8")
+    assert main(["verify", "--cert", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: expected ')', found 'end' (at position 6)\n"
+
+
 def test_verify_json_format(tmp_path, capsys):
     ok = tmp_path / "ok.json"
     ok.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
@@ -964,21 +1002,25 @@ def test_gen_cert_round_trip(tmp_path):
     assert certificate_to_json(certificate_from_json(text)) == text
 
 
-# one value for each parameter name of the table, inside every hypothesis;
-# the builders are called by keyword, so a name or an order the table gets
-# wrong writes a different file
-GENERATOR_PARAMS = {"t1": 1, "t2": 2, "p1": 0, "p2": 1, "s": 3, "t": 2}
+# one --params value for each key of the method table, inside every
+# hypothesis; the builders are called by keyword, so a name or an order the
+# table gets wrong writes a different file
+GENERATOR_PARAMS = {"t1": "1", "t2": "2", "p1": "0", "p2": "1", "s": "3", "t": "2",
+                    "space": "prod:rp3,cp1"}
 
 
-@pytest.mark.parametrize("method", list(GENERATORS))
+@pytest.mark.parametrize("method", list(_METHODS))
 def test_gen_cert_writes_each_table_generator(method, tmp_path):
-    build, names = GENERATORS[method]
-    kwargs = {name: GENERATOR_PARAMS[name] for name in names}
-    params = ",".join(f"{name}={v}" for name, v in kwargs.items())
+    name, keys = _METHODS[method]
+    texts = {key: GENERATOR_PARAMS[key] for key in keys}
+    params = ",".join(f"{key}={text}" for key, text in texts.items())
     out = tmp_path / "c.json"
     assert main(["gen-cert", "--method", method, "--params", params,
                  "--n", "3", "--out", str(out)]) == 0
-    assert out.read_text(encoding="utf-8") == certificate_to_json(build(**kwargs, n=3))
+    kwargs = {key: parse_space(text) if key == "space" else int(text)
+              for key, text in texts.items()}
+    cert = getattr(certgen, name)(**kwargs, n=3)
+    assert out.read_text(encoding="utf-8") == certificate_to_json(cert)
 
 
 def test_gen_cert_cat_method(tmp_path, capsys):
