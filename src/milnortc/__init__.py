@@ -8,12 +8,13 @@ access to one of its attributes, a ``from .x import y`` of it included.
 So a CLI command runs only the modules it calls, which matters when no
 bytecode is cached and every module that runs is compiled first, and
 ``import milnortc.cli`` runs only ``errors``.  The exact oracle is
-``cuplength`` over ``tensorpower``'s degree slices, and ``cup`` runs
-nothing else but the ring layers below them.  Factor expressions, the
-elements of tensor powers and the certificate records are in ``exprs``,
-which only the commands that build or check a certificate run; the check
-is in ``cuplength`` too, but builds no degree slice, so only an oracle
-run runs ``tensorpower``.  ``bounds`` builds the bound reports and writes
+``cuplength``, with ``tensorpower`` sizing the degree slices for its cap
+and ``gf2`` the echelon forms of its states, and ``cup`` runs nothing else
+but the ring layers below them.  Factor expressions, the elements of
+tensor powers and the certificate records are in ``exprs``, which only the
+commands that build or check a certificate run; the check is in
+``cuplength`` too, but sizes no slice, so only an oracle run runs
+``tensorpower``.  ``bounds`` builds the bound reports and writes
 their text.  ``certfile``, the certificate-file reader and writer and the
 ``verify`` report, serves only the CLI's output: ``verify`` and
 ``gen-cert`` run it, and ``cup``, ``bounds`` and ``table`` do not.

@@ -1,10 +1,11 @@
 """Zero-divisor cup-length: the check of a certificate, and the exact oracle.
 
 The certificate records, and the tensor-power elements that a check
-multiplies, are in :mod:`milnortc.exprs`, and the oracle's degree slices
-in :mod:`milnortc.tensorpower`.  This module reaches each only through its
-module object, when a check or an oracle run needs it, so the oracle never
-runs exprs and a check never runs tensorpower.
+multiplies, are in :mod:`milnortc.exprs`, and the sizes of the degree
+slices that the oracle's cap reads in :mod:`milnortc.tensorpower`.  This
+module reaches each only through its module object, when a check or an
+oracle run needs it, so the oracle never runs exprs and a check never
+runs tensorpower.
 
 A certificate holds the descriptor of the space whose ring it is checked
 in and lists factors with multiplicities.  :func:`verify_certificate`
@@ -17,44 +18,47 @@ the bridges that link them; multiplied in that order the blocks form their
 whole tensor product, with nothing to cancel, before a bridge can make it
 vanish.
 
-The oracle computes the largest m with K^m != 0 where K is the kernel of
-the diagonal ring map on the n-fold tensor power -- the exact mod-2
-zero-divisor cup-length.  K is generated as an ideal by the adjacent slot
-differences z = g_i + g_{i+1} of the algebra generators (the quotient by
-those differences is the base ring itself), so K^m != 0 exactly when some
-product of m such z is nonzero.  The oracle follows the chain W_0 = span{1},
-W_m = span(z * W_(m-1)) over those z up to the last W_m != 0.  Its rows
-are :mod:`milnortc.gf2` int bitsets over the monomials of one degree
-slice, and multiplication by each z is a map holding the bitset of the
-targets of each source monomial, so a product row is a XOR of target rows.
-The oracle runs only the ring of one family, whose generators share one
-degree d (1 for rh and rp, 2 for ch and cp), so W_m lies in the degree-m*d
-slice and the oracle walks the chain one level at a time.  A product of
-spaces is never run on its own ring: its value is the sum of its factors'
-and its witness their witnesses renamed (see :func:`_product_run`).  Each
-z's products with the basic monomials of the one slot each of its
-monomials occupies are computed once per run, and so are the degree
-slices, kept in a dict of the run's own: the oracle's only lasting state
-is its cache of (value, witness) per ring and n.
-The z commute, so the oracle forms only the products z_j1 ... z_jm with
-j1 <= ... <= jm: z_j multiplies only the kept rows whose last generator is
-at most j.  Products are appended generator by generator and rows are kept
-greedily in that order, so those rows are a prefix of the kept rows, and
-they span every sorted product that ends at or below j.  Each map is built
-only on the source columns that the rows it multiplies have set.
+The oracle computes zcl_n, the largest m with K^m != 0 for K the kernel
+of the diagonal map on the n-fold tensor power of A.  K is generated as an
+ideal by the z = g_k + g_(k+1) over the generators g of A and the slots
+k < n, so K^m != 0 exactly when some product of m of them is.  Grouped by
+slot pair, such a product is B_1 ... B_(n-1): B_k is
+B_e = prod_g (g x 1 + 1 x g)^(e_g) in A x A, for an exponent vector e,
+placed on slots k and k + 1.
 
-Each level keeps an independent subset of the actual product rows, each
-tagged with the generators it is a product of, so a row that survives the
-last level is a nonzero product of ``value`` zero divisors: the witness
-that :func:`cup_witness` returns and :func:`verify_certificate` checks by
-a route that shares nothing with the oracle's GF(2) linear algebra.  The
-tests keep a slower route that multiplies full kernel bases as the
-reference this oracle is checked against.
+Contracting the slots from the left is exact.  Let U_k be the span of the
+last slot of X_k = B_1 ... B_k under every functional on the slots before
+it, so U_0 = span{1}.  If X_k = sum_i a_i x x_i and B_(k+1) =
+sum_l b_l x r_l over the basic monomials b_l, a functional phi x psi on
+the first k + 1 slots of X_(k+1) = sum_(i,l) a_i x x_i b_l x r_l leaves
+sum_l psi(u b_l) r_l, with u = sum_i phi(a_i) x_i in U_k.  So U_(k+1) is
+spanned by these sums over a basis u of U_k and the coordinate
+functionals psi, and the product is nonzero exactly when U_(n-1) is.
+zcl_n is the largest sum of |e| over n - 1 steps, each choosing an e with
+B_e != 0 (e = 0 included), that ends at a nonzero U.  Every step offers
+the same choices, and none reads a degree, so any ring runs.
+
+Pruning is sound.  A step is linear in U, so if W contains U, each choice
+maps W onto a space containing U's image.  So the same choices from W end
+at least as high at a nonzero space whenever U's do, and U may be dropped
+when another state W contains it with a value at least as large.  That
+is a strict partial order, so each dropped state lies below a kept one.
+The frontier maps the reduced echelon form of each U, over A's monomial
+basis, to the best value reaching it.  The last step keeps no state: it
+tries states by falling value and choices by falling |e|, and stops once
+no pair can beat the best nonzero image.
+
+The back-pointers of the best path give the witness, which
+:func:`cup_witness` returns and :func:`verify_certificate` checks by
+multiplying it out in the tensor power, a route that shares nothing with
+the contraction.  A product of spaces is never run on its own ring: its
+value is the sum of its factors' and its witness their witnesses renamed
+(see :func:`_product_run`).  The oracle's only lasting state is its cache
+of (value, witness) per ring and n.  The tests check it against a slower
+route that multiplies full kernel bases.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 # exprs and tensorpower run on the first use of one of their names (see the
 # package docstring): cup_exact never runs exprs, nor a check tensorpower
@@ -109,122 +113,120 @@ def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
     )
 
 
-# --- exact ideal-power oracle ------------------------------------------------
+# --- exact slot-chain oracle -------------------------------------------------
 
 _CUP_CACHE: dict = {}
 
 
-def _ideal_generators(P: Presentation, n: int):
-    """The nonzero adjacent slot differences z = g_i + g_{i+1}, each as
-    (label (g, i), slot products), read off the support of each generator
-    g in P.  Every monomial of z is the unit in all slots but one, k, where
-    it holds a monomial c of g; its slot products pair k with the product
-    of each basic monomial by c.  The tables are computed once per c and
-    shared by every z it occurs in."""
-    tables: dict = {}
-    gens = []
-    for idx, name in enumerate(P.gen_names):
-        support = P.reduce(tuple(int(k == idx) for k in range(P.ngens)))
-        if not support:
-            continue  # g = 0, and so is every z
-        for i in range(1, n):
-            slot_products = []
-            for c in support:
-                products = tables.get(c)
-                if products is None:
-                    products = tables[c] = {m: P.mono_mul(m, c) for m in P.basis}
-                slot_products += [(i - 1, products), (i, products)]
-            gens.append(((name, i), tuple(slot_products)))
-    return gens
+def _apply(images, row) -> int:
+    """The XOR of images[i] over the set bits i of row."""
+    acc = 0
+    while row:
+        low = row & -row
+        acc ^= images[low.bit_length() - 1]
+        row ^= low
+    return acc
 
 
-def _mult_map(source, slot_products, index, mask):
-    """Multiplication by an ideal generator, given by its slot products
-    (see :func:`_ideal_generators`), from the source slice into the target
-    slice whose monomials index numbers: for each source monomial whose
-    bit is set in mask, the int bitset of its targets, and 0 for every
-    other one.  The mask is the OR of the rows the map will multiply, and
-    :func:`milnortc.gf2.image` reads a target only for a set bit of a row,
-    so no product sees a missing column.  A source monomial goes to the
-    monomials with slot k replaced by each term of its slot-k product, for
-    each slot k of the generator."""
-    targets = [0] * len(source)
-    digits = bin(mask)[:1:-1]  # bit 0 first
-    i = digits.find("1")
-    while i >= 0:
-        tup = source[i]
-        bits = 0
-        for k, products in slot_products:
-            head, tail = tup[:k], tup[k + 1 :]
-            for mono in products[tup[k]]:
-                bits ^= 1 << index[head + (mono,) + tail]
-        targets[i] = bits
-        i = digits.find("1", i + 1)
-    return targets
+def _choices(P: Presentation):
+    """The choices (e, |e|, B) of a step, by falling |e|, B listing the
+    (l, R_l != 0) of B_e = sum_l b_l x R_l, and right[l][i], the row of
+    b_i * b_l.  Each exponent is raised in turn up to the first zero.  P
+    multiplies only by generators: each b_l but 1 is some basic b_l' * g."""
+    rank, dim = P.rank_of, len(P.basis)
+    by_gen = [
+        [sum(1 << rank[m] for m in P.mono_mul(b, g)) for b in P.basis]
+        for g in (tuple(int(k == j) for k in range(P.ngens)) for j in range(P.ngens))
+    ]
+    right = [[1 << i for i in range(dim)]]
+    for mono in P.basis[1:]:
+        j = next(k for k, x in enumerate(mono) if x)
+        lower = rank[mono[:j] + (mono[j] - 1,) + mono[j + 1 :]]
+        right.append([_apply(by_gen[j], row) for row in right[lower]])
+    grown = [((), [1] + [0] * (dim - 1))]  # 1 x 1
+    for by_g in by_gen:
+        # row l of B (g x 1 + 1 x g) sums R_m over the m in into[l], those
+        # with b_l in b_m * g, and adds R_l * g
+        into = [sum((row >> l & 1) << m for m, row in enumerate(by_g)) for l in range(dim)]
+        shorter, grown = grown, []
+        for e, B in shorter:
+            k = 0
+            while any(B):
+                grown.append((e + (k,), B))
+                B, k = [_apply(B, i) ^ _apply(by_g, R) for i, R in zip(into, B)], k + 1
+    choices = [(e, sum(e), [(l, R) for l, R in enumerate(B) if R]) for e, B in grown]
+    return sorted(choices, key=lambda c: -c[1]), right
 
 
-def _last_generator(tag) -> int:
-    """The index of a row's last generator; -1 for the unit of W_0."""
-    return tag[-1] if tag else -1
+def _contract(products, B) -> list:
+    """Rows spanning a state's image under B, from products[u][l] = u * b_l
+    for its rows u: per u and bit c, the sum of R_l over the l with c set."""
+    rows = []
+    for by_l in products:
+        at: dict = {}
+        for l, R in B:
+            p = by_l[l]
+            while p:
+                low = p & -p
+                at[low] = at.get(low, 0) ^ R
+                p ^= low
+        rows += at.values()
+    return rows
+
+
+def _within(U, W) -> bool:
+    """Whether the rows U lie in the span of W, a reduced echelon form."""
+    for u in U:
+        for w in W:
+            if u >> (w.bit_length() - 1) & 1:
+                u ^= w
+        if u:
+            return False
+    return True
+
+
+def _prune(states: dict) -> dict:
+    """The states {echelon form: (value, path)}, in their order, but for
+    each one that another state contains with a value at least as large."""
+    return {
+        U: (value, path)
+        for U, (value, path) in states.items()
+        if not any(
+            len(W) > len(U) and best >= value and _within(U, W)
+            for W, (best, _) in states.items()
+        )
+    }
 
 
 def _oracle(P: Presentation, n: int):
-    """(value, factors) of the chain W_0 = span{1}, W_m = span(z * W_(m-1))
-    over the ideal generators z: value is the largest m with W_m != 0, and
-    factors collapse the generators of one nonzero product in W_value into
-    (label, multiplicity) pairs, each label as in :func:`_ideal_generators`.
-
-    Every generator of P, and so every z, has one degree d, so W_m lies in
-    the degree-m*d slice: the chain is walked one level at a time, up to
-    the first W_m = 0 or to m = n * top / d.  A ring whose generators differ
-    in degree, such as a product's, is refused; :func:`_run` answers a
-    product from its factors.  The slot products of each z come from
-    :func:`_ideal_generators`, computed once per run, so building a map
-    multiplies nothing in the base ring.
-
-    Products are taken in sorted order.  The z commute, so W_m is spanned
-    by the products z_j1 ... z_jm with j1 <= ... <= jm; let W_m^(<=j) be
-    the span of those with jm <= j.  Then W_m^(<=j) is the sum over j' <= j
-    of z_j' * W_(m-1)^(<=j'), so z_j multiplies only the kept rows whose
-    last generator is at most j.  Those rows are a prefix of the kept rows
-    and span W_(m-1)^(<=j): each level's products are appended generator by
-    generator, and gf2.independent_rows keeps rows greedily in input order,
-    so the kept rows of any prefix of the products span that prefix."""
-    degrees = set(P.gen_degrees)
-    if len(degrees) != 1:
-        raise ValueError(
-            f"the oracle needs generators of one degree, got degrees {sorted(degrees)}; "
-            "a product's value comes from its factors"
-        )
-    (d,) = degrees
-    gens = _ideal_generators(P, n)
-    slices: dict = {}
-    # independent rows of W_m, each tagged with the indices of the
-    # generators it is a product of, in ascending order of the last one
-    rows, tags = [1], [()]
-    value, witness = 0, ()
-    for m in range(1, n * P.top_degree // d + 1):
-        source = tensorpower.tensor_slice(P, n, (m - 1) * d, slices)
-        index = {t: i for i, t in enumerate(tensorpower.tensor_slice(P, n, m * d, slices))}
-        prod_rows, prod_tags = [], []
-        for j, (_, slot_products) in enumerate(gens):
-            # the kept rows of W_(m-1) that z_j multiplies
-            k = bisect_right(tags, j, key=_last_generator)
-            if not k:
-                continue
-            mask = 0
-            for row in rows[:k]:
-                mask |= row
-            targets = _mult_map(source, slot_products, index, mask)
-            prod_rows += gf2.image(targets, rows[:k])
-            prod_tags += [t + (j,) for t in tags[:k]]
-        keep = gf2.independent_rows(prod_rows)
-        if not keep:
+    """(zcl_n, witness) by the slot chain of the module docstring.  The
+    witness lists ((g, k), e_g) for each nonzero exponent of each step k,
+    by generator and then k; (g, k) names g_k + g_(k+1)."""
+    if n == 1:
+        return 0, ()
+    choices, right = _choices(P)
+    frontier = {(1,): (0, ())}  # the e of each step so far
+    for _ in range(n - 2):
+        reached: dict = {}
+        for U, (value, path) in frontier.items():
+            products = [[_apply(r, u) for r in right] for u in U]
+            for e, size, B in choices:
+                W = gf2.echelon(_contract(products, B))
+                if W and (W not in reached or reached[W][0] < value + size):
+                    reached[W] = (value + size, path + (e,))
+        frontier = _prune(reached)
+    best, path = -1, ()
+    for U, (value, tail) in sorted(frontier.items(), key=lambda s: -s[1][0]):
+        if value + choices[0][1] <= best:
             break
-        rows, tags = [prod_rows[i] for i in keep], [prod_tags[i] for i in keep]
-        value, witness = m, tags[0]
-    factors = tuple((gens[j][0], witness.count(j)) for j in sorted(set(witness)))
-    return value, factors
+        products = [[_apply(r, u) for r in right] for u in U]
+        for e, size, B in choices:
+            if value + size <= best:
+                break
+            if any(_contract(products, B)):
+                best, path = value + size, tail + (e,)
+    gens = enumerate(P.gen_names)
+    return best, tuple(((g, k), e[j]) for j, g in gens for k, e in enumerate(path, 1) if e[j])
 
 
 def _product_run(space: ProductSpace, n: int, max_slice: int) -> tuple:
@@ -268,10 +270,8 @@ def _run(P: Presentation, n: int, max_slice: int) -> tuple:
     if type(P.cache_key) is ProductSpace:
         return _product_run(P.cache_key, n, max_slice)
     # refuse before reading the cache, so that a value cached under a
-    # larger cap does not answer this call, and before building any slice:
-    # slices grow towards the middle degree, so those below the first one
-    # over the cap can be huge too.  The sizes come in degree order, and
-    # none past the first one over the cap is computed
+    # larger cap does not answer this call.  The sizes come in degree
+    # order, and none past the first one over the cap is computed
     for d, dim in enumerate(tensorpower.slice_dimensions(P, n)):
         if dim > max_slice:
             raise ResourceLimitError(

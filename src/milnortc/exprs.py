@@ -20,8 +20,7 @@ An expression is evaluated in the n-fold Künneth tensor power of a
 presentation: :func:`tensor_power` gives it as an algebra that
 :class:`~milnortc.f2algebra.Element` and the f2algebra arithmetic accept.
 Its monomials are n-tuples of basic monomials of the base presentation,
-and its basis is never enumerated whole (the oracle's degree slices are
-built by :mod:`milnortc.tensorpower`).  Its products are not memoised: a
+and its basis is never enumerated whole.  Its products are not memoised: a
 pair of tensor monomials is multiplied in the base ring only in the slots
 where the sparser operand is not the unit, which for a certificate factor
 (a sum of classes injected in one or two slots) is one or two of the n

@@ -11,35 +11,20 @@ from __future__ import annotations
 BACKEND = "python-int"
 
 
-def independent_rows(rows) -> list:
-    """Indices of a maximal linearly independent subset of the rows, each
-    row kept when it is independent of the rows before it."""
-    basis: dict = {}  # leading bit -> reduced row with that leading bit
-    keep = []
-    for i, row in enumerate(rows):
-        while row:
-            lead = row.bit_length() - 1
-            pivot = basis.get(lead)
-            if pivot is None:
-                basis[lead] = row
-                keep.append(i)
-                break
-            row ^= pivot
-    return keep
-
-
-def image(targets, rows) -> list:
-    """Images of the rows under the linear map that sends column ``i`` to
-    the row ``targets[i]``: each row becomes the XOR of ``targets[i]``
-    over its set bits."""
-    out = []
+def echelon(rows) -> tuple:
+    """The reduced row echelon form of the rows' span: each row's highest
+    set bit is its pivot, no other row has that bit set, and the rows come
+    in descending order.  Two lists of rows span the same space exactly
+    when their forms are equal; the zero space's is ``()``."""
+    basis: dict = {}  # pivot -> the one row with that bit set
     for row in rows:
-        acc = 0
-        digits = bin(row)[:1:-1]  # bit 0 first
-        i = digits.find("1")
-        while i >= 0:
-            acc ^= targets[i]
-            i = digits.find("1", i + 1)
-        out.append(acc)
-    return out
-
+        for lead, pivot in basis.items():
+            if row >> lead & 1:
+                row ^= pivot
+        if row:
+            lead = row.bit_length() - 1
+            for other, pivot in basis.items():
+                if pivot >> lead & 1:
+                    basis[other] = pivot ^ row
+            basis[lead] = row
+    return tuple(sorted(basis.values(), reverse=True))

@@ -1,9 +1,10 @@
 """Slow, independent references that only the tests use.
 
 The package never calls these: the oracle in :mod:`milnortc.cuplength`
-multiplies ideal generators and keeps independent rows, and never needs a
-nullspace, a rank or a kernel basis.  The tests check it against the
-kernel of the diagonal map computed here by plain row reduction.
+contracts tensor slots one at a time and never builds a degree slice of a
+tensor power, a nullspace or a kernel basis.  The tests check it against
+the kernel of the diagonal map computed here, on degree slices, by plain
+row reduction.
 """
 
 from __future__ import annotations
@@ -11,12 +12,11 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from milnortc.errors import DEFAULT_MAX_SLICE, ResourceLimitError
-from milnortc.exprs import tensor_power
-from milnortc.f2algebra import Element, Presentation
-from milnortc.gf2 import independent_rows
+from milnortc.exprs import inject, tensor_power
+from milnortc.f2algebra import Element, Presentation, generator
 from milnortc.record import Record
 from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import slice_dimensions, tensor_slice
+from milnortc.tensorpower import slice_dimensions
 
 
 def ring(text: str) -> Presentation:
@@ -25,6 +25,39 @@ def ring(text: str) -> Presentation:
 
 
 # --- GF(2) rows held as Python ints ------------------------------------------
+
+
+def independent_rows(rows) -> list:
+    """Indices of a maximal linearly independent subset of the rows, each
+    row kept when it is independent of the rows before it."""
+    basis: dict = {}  # leading bit -> reduced row with that leading bit
+    keep = []
+    for i, row in enumerate(rows):
+        while row:
+            lead = row.bit_length() - 1
+            pivot = basis.get(lead)
+            if pivot is None:
+                basis[lead] = row
+                keep.append(i)
+                break
+            row ^= pivot
+    return keep
+
+
+def image(targets, rows) -> list:
+    """Images of the rows under the linear map that sends column ``i`` to
+    the row ``targets[i]``: each row becomes the XOR of ``targets[i]``
+    over its set bits."""
+    out = []
+    for row in rows:
+        acc = 0
+        digits = bin(row)[:1:-1]  # bit 0 first
+        i = digits.find("1")
+        while i >= 0:
+            acc ^= targets[i]
+            i = digits.find("1", i + 1)
+        out.append(acc)
+    return out
 
 
 def rank(rows) -> int:
@@ -86,13 +119,42 @@ def product_normal_form(space, raw_exps) -> frozenset:
     )
 
 
-# --- the kernel of the diagonal map ------------------------------------------
+# --- degree slices and the kernel of the diagonal map -------------------------
+
+
+def tensor_slice(P: Presentation, n: int, d: int, slices: dict):
+    """All degree-d tensor monomials, sorted componentwise by basis rank:
+    the first slot runs over the basis in rank order (so by ascending
+    degree), and the other n - 1 slots over the degree-(d - deg) slice of
+    the next-lower power, read once per degree of the first slot that
+    leaves them at most (n - 1) * top degree, so no empty slice is built.
+    Every slice built, of this power and the lower ones, is kept in slices
+    under (power, degree) and read from there again.  The n = 0 power has
+    the empty tuple in degree 0."""
+    cached = slices.get((n, d))
+    if cached is not None:
+        return cached
+    if n == 0:
+        result = ((),) if d == 0 else ()
+    else:
+        monomials = []
+        low = d - (n - 1) * P.top_degree
+        for deg in sorted(P.degree_slices):
+            if not low <= deg <= d:
+                continue
+            lower = tensor_slice(P, n - 1, d - deg, slices)
+            for r in P.degree_slices[deg]:
+                head = (P.basis[r],)
+                monomials.extend(head + rest for rest in lower)
+        result = tuple(monomials)
+    slices[n, d] = result
+    return result
 
 
 class KernelBasis(Record):
     """Nullspace basis of the diagonal map on one degree slice, as int rows
     whose bit j is the j-th tensor monomial of the slice in
-    :func:`milnortc.tensorpower.tensor_slice` order.  Equal only to
+    :func:`tensor_slice` order.  Equal only to
     itself."""
 
     __slots__ = ("presentation", "n", "degree", "rows", "slice_dim")
@@ -136,3 +198,72 @@ def kernel_basis(
         for mono in P.reduce(total):
             rows[target_pos[P.rank_of[mono]]] ^= 1 << col
     return KernelBasis(P, n, d, nullspace(rows, len(slc)), len(slc))
+
+
+def per_monomial_map(P, n, el, d_from, d_to, slices):
+    """Multiplication by el, an element of the n-th tensor power, from the
+    degree-d_from slice to the degree-d_to slice: for each source monomial
+    the int bitset of the targets of its product with el.  The slices are
+    read from and kept in slices (see :func:`tensor_slice`)."""
+    index = {t: i for i, t in enumerate(tensor_slice(P, n, d_to, slices))}
+    targets = []
+    for tup in tensor_slice(P, n, d_from, slices):
+        bits = 0
+        for out in el.algebra.mul_supports(el.support, (tup,)):
+            bits ^= 1 << index[out]
+        targets.append(bits)
+    return targets
+
+
+def kernel_powers(P, n):
+    """The chain [K^1, K^2, ...] of the nonzero powers of K, the kernel of
+    the diagonal map on the n-th tensor power T, each a dict degree -> basis
+    rows (int bitsets over the slice).
+
+    K^(m+1) = K^m K = K^m T G = K^m G for any G that generates K as an
+    ideal, since K^m is an ideal.  G is read off the kernel bases alone: in
+    each degree, the kernel elements independent of the products x k of a
+    generator x of a slot with a kernel element k of lower degree (graded
+    Nakayama), not the slot differences g_i + g_(i+1) of the oracle."""
+    nd = n * P.top_degree
+    T, slices, maps = tensor_power(P, n), {}, {}
+    kernels = {d: kernel_basis(P, n, d).rows for d in range(1, nd + 1)}
+
+    def times(el, d, rows):
+        if (el, d) not in maps:
+            maps[el, d] = per_monomial_map(P, n, el, d, d + el.degree, slices)
+        return image(maps[el, d], rows)
+
+    slot_gens = [inject(P, n, i, generator(P, g)) for i in range(1, n + 1)
+                 for g in P.gen_names]
+    slot_gens = [x for x in slot_gens if not x.is_zero]
+    ideal_gens = []
+    for d, rows in kernels.items():
+        lower = [r for x in slot_gens if 0 < d - x.degree
+                 for r in times(x, d - x.degree, kernels[d - x.degree])]
+        slc = tensor_slice(P, n, d, slices)
+        for i in independent_rows(lower + rows):
+            if i >= len(lower):
+                row = rows[i - len(lower)]
+                support = frozenset(m for j, m in enumerate(slc) if row >> j & 1)
+                ideal_gens.append(Element.computed(T, support))
+    V = {d: rows for d, rows in kernels.items() if rows}
+    chain = []
+    while V:
+        chain.append(V)
+        products = {}
+        for z in ideal_gens:
+            for d, rows in V.items():
+                if d + z.degree <= nd:
+                    products.setdefault(d + z.degree, []).extend(times(z, d, rows))
+        V = {}
+        for d, rows in products.items():
+            keep = independent_rows(rows)
+            if keep:
+                V[d] = [rows[i] for i in keep]
+    return chain
+
+
+def cup_by_kernel_basis(P, n) -> int:
+    """zcl_n by the kernel-basis route: the number of nonzero powers of K."""
+    return len(kernel_powers(P, n))

@@ -501,11 +501,12 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
 
 
 # importing the CLI runs only errors; a command that reads a space runs the
-# rings, the oracle adds its degree slices and GF(2) rows, and a
-# certificate's check adds the expressions and the oracle's module (for
-# verify_certificate), but neither degree slices nor GF(2) linear algebra
+# rings, the oracle adds the slice sizes of its cap, and from n = 3 on, where
+# it keeps a frontier of states, their GF(2) echelon forms; a certificate's
+# check adds the expressions and the oracle's module (for
+# verify_certificate), but neither slice sizes nor GF(2) linear algebra
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
-_ORACLE = _RINGS | {"gf2", "tensorpower", "cuplength"}
+_ORACLE = _RINGS | {"tensorpower", "cuplength"}
 _CHECKS = _RINGS | {"exprs", "cuplength"}
 _REPORTS = _CHECKS | {"certgen", "bounds"}
 
@@ -523,8 +524,9 @@ _CENSUS = [
     # the oracle builds no certificate and writes no report or file, so it
     # runs none of exprs, certgen, bounds and certfile; without a
     # bytecode cache each module run is compiled first
-    ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE, []),
-    ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "", _ORACLE, []),
+    ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE | {"gf2"}, []),
+    ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "",
+     _ORACLE | {"gf2"}, []),
     ([(["verify", "--cert", "{cert}"], 0)], None, "", _CHECKS | {"certfile"}, ["json"]),
     ([(["gen-cert", "--method", "proj", "--params", "t=1", "--n", "2", "--out",
         "{cert}"], 0)], "", "", _CHECKS | {"certgen", "certfile"}, ["json"]),
@@ -572,9 +574,9 @@ def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
             assert not hasattr(module, name), (module.__name__, name)
             assert getattr(exprs, name).__module__ == "milnortc.exprs", name
     assert "_POWER_CACHE" in vars(exprs) and not hasattr(tensorpower, "_POWER_CACHE")
-    assert (tensorpower.slice_dimensions.__module__, tensorpower.tensor_slice.__module__,
+    assert (tensorpower.slice_dimensions.__module__,
             cuplength.verify_certificate.__module__) == (
-        "milnortc.tensorpower", "milnortc.tensorpower", "milnortc.cuplength")
+        "milnortc.tensorpower", "milnortc.cuplength")
 
 
 def test_package_names_resolve_to_their_submodules():
@@ -646,12 +648,11 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     # tracer also reads.
     mark, trace = tmp_path / "mark", tmp_path / "trace.json"
     proc = _fresh_python(str(ROOT / "perfbench" / "tracer.py"), str(mark), str(trace),
-                         "cup", "--space", "rp:2", "--n", "2")
+                         "cup", "--space", "rp:2", "--n", "3")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "3\n"
+    assert proc.stdout == "6\n"
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    for name in ("cuplength.cup_exact", "gf2.image", "gf2.independent_rows",
-                 "tensorpower.tensor_slice"):
+    for name in ("cuplength.cup_exact", "gf2.echelon", "tensorpower.slice_dimensions"):
         assert name in doc["functions"]
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 
@@ -706,11 +707,11 @@ def test_cup_resource_limit_exit_3():
 def test_the_default_cap_refuses_rh_16_9_at_n_3_from_sizes_alone(monkeypatch, capsys):
     # its largest slice (168,256 monomials) is above the default 2^16, and
     # the degree-23 slice is the first one over it; the refusal reads the
-    # slice dimensions only, so no slice is built
-    from milnortc import tensorpower
+    # slice dimensions only, so the oracle never runs
+    from milnortc import cuplength
 
     calls = []
-    monkeypatch.setattr(tensorpower, "tensor_slice", lambda *a: calls.append(a))
+    monkeypatch.setattr(cuplength, "_oracle", lambda *a: calls.append(a))
     assert main(["cup", "--space", "rh:16,9", "--n", "3"]) == 3
     assert capsys.readouterr().err == (
         "resource limit: degree-23 slice has dimension 70368, above the cap 65536\n"

