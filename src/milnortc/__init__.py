@@ -8,16 +8,15 @@ access to one of its attributes, a ``from .x import y`` of it included.
 So a CLI command runs only the modules it calls, which matters when no
 bytecode is cached and every module that runs is compiled first, and
 ``import milnortc.cli`` runs only ``errors``.  The exact oracle is
-``cuplength``, with ``tensorpower`` sizing the degree slices for its cap
-and ``gf2`` the echelon forms of its states, and ``cup`` runs nothing else
-but the ring layers below them.  Factor expressions, the elements of
-tensor powers and the certificate records are in ``exprs``, which only the
-commands that build or check a certificate run; the check is in
-``cuplength`` too, but sizes no slice, so only an oracle run runs
-``tensorpower``.  ``bounds`` builds the bound reports and writes
-their text.  ``certfile``, the certificate-file reader and writer and the
-``verify`` report, serves only the CLI's output: ``verify`` and
-``gen-cert`` run it, and ``cup``, ``bounds`` and ``table`` do not.
+``cuplength``, with ``gf2`` the echelon forms of its states, and ``cup``
+runs nothing else but the ring layers below them.  Factor expressions, the
+elements of tensor powers and the certificate records are in ``exprs``,
+which only the commands that build or check a certificate run; the check
+is in ``cuplength`` too.  ``tensorpower`` is empty, and no command runs
+it.  ``bounds`` builds the bound reports and writes their text.
+``certfile``, the certificate-file reader and writer and the ``verify``
+report, serves only the CLI's output: ``verify`` and ``gen-cert`` run it,
+and ``cup``, ``bounds`` and ``table`` do not.
 
 That every layer is in ``sys.modules`` after ``import milnortc.cli`` is a
 contract: the benchmark's tracer (``perfbench/tracer.py``) looks each
@@ -50,7 +49,7 @@ _PUBLIC = {
     "exprs": ("Certificate", "SearchFailure", "VerificationReport", "diagonal_eval",
               "evaluate_text", "inject", "is_zero_divisor", "parse_factor_expr",
               "tensor_power", "to_string"),
-    "f2algebra": ("Element", "Presentation", "binom_mod2", "generator"),
+    "f2algebra": ("Element", "Presentation", "generator"),
     "spaces": ("ComplexMilnor", "ComplexProj", "ProductSpace", "RealMilnor",
                "RealProj", "cohomology_of", "format_space", "parse_space"),
 }

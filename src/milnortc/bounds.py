@@ -8,7 +8,7 @@ report carries both the overall lower bound and the best machine-verified
 one.  A report stores only its rows, and every number of it is read off
 them.  An equivariant report holds the lower rows of TC_n, which bound it
 too, and the orbit-dimension row as its only upper row.  A source asked
-for that gave nothing, such as the oracle refused by its slice cap, shows
+for that gave nothing, such as the oracle refused by its row budget, shows
 as a ``skipped`` row whose value is None and whose source is the reason.
 Spaces are descriptors of :mod:`milnortc.spaces` and groups are
 :class:`Group` records; a report, which is output, holds the space's text.
@@ -23,7 +23,7 @@ import enum
 
 from .certgen import cert_cat_topclass, certificates_for
 from .cuplength import cup_witness, verify_certificate
-from .errors import DEFAULT_MAX_SLICE, NoFreeActionError, ResourceLimitError
+from .errors import NoFreeActionError, ResourceLimitError
 from .exprs import Certificate
 from .record import Record
 from .spaces import ComplexMilnor, RealMilnor, RealProj, _family, cohomology_of, format_space
@@ -243,7 +243,6 @@ def tc_bounds(
     use_oracle: bool = False,
     use_certs: bool = True,
     use_monotonicity: bool = True,
-    max_slice: int = DEFAULT_MAX_SLICE,
 ) -> BoundReport:
     """Interval for the n-th topological complexity.
 
@@ -253,8 +252,11 @@ def tc_bounds(
     claimed closed-form monotonicity rules.  Upper bound sources (min):
     dimension, category of the n-th power, and the free circle action
     improvement.  A failing source never blocks the others; an oracle
-    refused by max_slice gives a skipped row, and an oracle witness that
-    does not verify is a fault and raises RuntimeError.
+    run past its row budget (:data:`milnortc.cuplength.BUDGET`) gives a
+    skipped row, and an oracle witness that does not verify is a fault and
+    raises RuntimeError.  The budget bounds the oracle run only: the
+    witness is then verified by multiplying it out, at a cost it does not
+    bound.
     """
     _family(space)
     if n < 2:
@@ -276,7 +278,7 @@ def tc_bounds(
 
     if use_oracle:
         try:
-            factors = cup_witness(cohomology_of(space), n, max_slice=max_slice)
+            factors = cup_witness(cohomology_of(space), n)
         except ResourceLimitError as exc:
             trace.append(
                 RuleTrace("ideal-power-oracle", str(exc), "lower", None, "skipped")

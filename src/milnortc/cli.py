@@ -5,8 +5,8 @@ report of ``verify`` formatted, by :mod:`milnortc.certfile`; bound
 reports are built and formatted by :mod:`milnortc.bounds`.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
-3 resource limit.  All outputs are deterministic: identical invocations
-produce byte-identical text.
+3 resource limit (the oracle's row budget).  All outputs are
+deterministic: identical invocations produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from types import SimpleNamespace
 # object, which runs on first use (see the package docstring), so that each
 # command runs only the modules it calls: cup runs none of bounds, certfile
 # and exprs, and json and csv are imported only by the first two
-from . import bounds, certfile, certgen, cuplength, exprs, f2algebra, spaces
-from .errors import DEFAULT_MAX_SLICE, ResourceLimitError
+from . import bounds, certfile, certgen, cuplength, exprs, spaces
+from .errors import ResourceLimitError
 
 # gen-cert method -> (the name of its certgen builder, the --params keys it
 # takes, which are the builder's parameters before n).  A builder is named,
@@ -106,13 +106,6 @@ def _space(text: str, what: str = "--space"):
         raise ValueError(f"{what}: {exc}") from None
 
 
-def _slice_cap(text: str) -> int:
-    cap = _int(text)
-    if cap < 0:
-        raise ValueError(f"must be non-negative, got {cap}")
-    return cap
-
-
 def _write_out(text: str, out: str | None):
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -124,26 +117,15 @@ def _write_out(text: str, out: str | None):
 # --- subcommand bodies -------------------------------------------------------
 
 
-def _oracle_cap(args) -> int:
-    """--max-slice, refused without --use-oracle as nothing else reads it."""
-    if args.max_slice is None:
-        return DEFAULT_MAX_SLICE
-    if not args.use_oracle:
-        raise ValueError("--max-slice applies only with --use-oracle")
-    return args.max_slice
-
-
 def _cmd_bounds(args) -> int:
     options = dict(
         use_oracle=args.use_oracle,
         use_certs=not args.no_certs,
         use_monotonicity=not args.no_monotonicity,
-        max_slice=_oracle_cap(args),
     )
     if args.group and args.quantity != "eqtc":
         raise ValueError(f"--group does not apply to --quantity {args.quantity}")
     if args.quantity == "cat":
-        # --max-slice, which needs --use-oracle, is refused with it
         for flag, given in (
             ("--no-certs", args.no_certs),
             ("--no-monotonicity", args.no_monotonicity),
@@ -165,7 +147,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_cup(args) -> int:
     P = spaces.cohomology_of(_space(args.space))
-    value = cuplength.cup_exact(P, args.n, max_slice=args.max_slice)
+    value = cuplength.cup_exact(P, args.n)
     _write_out(f"{value}\n", args.out)
     return 0
 
@@ -213,20 +195,12 @@ def _cmd_table(args) -> int:
         if args.s is not None:
             raise ValueError("--s does not apply to --family rp")
         cells = [_space(f"rp:{m}", f"--r {m}") for m in _parse_range(args.r, "--r")]
-    max_slice = _oracle_cap(args)
     reports = [
-        bounds.tc_bounds(space, n, use_oracle=args.use_oracle, max_slice=max_slice)
+        bounds.tc_bounds(space, n, use_oracle=args.use_oracle)
         for space in cells
         for n in n_range
     ]
     _write_out(bounds.emit_table(reports, args.format), args.out)
-    return 0
-
-
-def _cmd_lucas(args) -> int:
-    if args.n < 0 or args.k < 0:
-        raise ValueError("n and k must be non-negative")
-    sys.stdout.write(f"{f2algebra.binom_mod2(args.n, args.k)}\n")
     return 0
 
 
@@ -243,9 +217,7 @@ _FLAG, _REPEAT, _REQUIRED = "flag", "repeat", "required"
 _FORMATS = ("md", "csv", "json")
 _SPACE_HELP = "the space, such as rh:4,3, cp:2 or prod:rp3,rp2"
 _OUT_HELP = "write to this file instead of stdout"
-# no default where the oracle is optional, so that a cap given without it is refused
-_ORACLE_CAP = (_slice_cap, None,
-               f"the oracle's largest slice (default {DEFAULT_MAX_SLICE})")
+_ORACLE_HELP = "add the exact oracle's lower bound, skipped past its row budget"
 
 _COMMANDS = {
     "bounds": ("emit a bound report for one space", {
@@ -253,17 +225,15 @@ _COMMANDS = {
         "--quantity": (("cat", "tc", "eqtc"), _REQUIRED, "the invariant to bound"),
         "--n": (_int, _REQUIRED, "n of TC_n, or the n-fold power for cat"),
         "--group": (("z2", "s1"), None, "the freely acting group; eqtc only"),
-        "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
+        "--use-oracle": (_FLAG, False, _ORACLE_HELP),
         "--no-certs": (_FLAG, False, "leave out the generated certificates"),
         "--no-monotonicity": (_FLAG, False, "leave out the monotonicity rules"),
-        "--max-slice": _ORACLE_CAP,
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
     }, _cmd_bounds),
-    "cup": ("exact zero-divisor cup-length oracle", {
+    "cup": ("exact zero-divisor cup-length oracle; exit 3 past its row budget", {
         "--space": (str, _REQUIRED, _SPACE_HELP),
         "--n": (_int, _REQUIRED, "the number of tensor factors"),
-        "--max-slice": (_slice_cap, DEFAULT_MAX_SLICE, "the oracle's largest slice"),
         "--out": (str, None, _OUT_HELP),
     }, _cmd_cup),
     "verify": ("verify a certificate file", {
@@ -282,15 +252,10 @@ _COMMANDS = {
         "--r": (str, None, "range A..B (r for Milnor, m for rp)"),
         "--s": (str, None, "range C..D"),
         "--n": (str, _REQUIRED, "range E..F"),
-        "--use-oracle": (_FLAG, False, "add the exact oracle's lower bound"),
-        "--max-slice": _ORACLE_CAP,
+        "--use-oracle": (_FLAG, False, _ORACLE_HELP),
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
     }, _cmd_table),
-    "lucas": ("binomial coefficient parity", {
-        "--n": (_int, _REQUIRED, "the top of the binomial coefficient"),
-        "--k": (_int, _REQUIRED, "the bottom of the binomial coefficient"),
-    }, _cmd_lucas),
 }
 
 _HELP = ("-h", "--help")

@@ -1,11 +1,9 @@
 """Zero-divisor cup-length: the check of a certificate, and the exact oracle.
 
 The certificate records, and the tensor-power elements that a check
-multiplies, are in :mod:`milnortc.exprs`, and the sizes of the degree
-slices that the oracle's cap reads in :mod:`milnortc.tensorpower`.  This
-module reaches each only through its module object, when a check or an
-oracle run needs it, so the oracle never runs exprs and a check never
-runs tensorpower.
+multiplies, are in :mod:`milnortc.exprs`.  This module reaches it only
+through its module object, when a check needs it, so the oracle never
+runs exprs.
 
 A certificate holds the descriptor of the space whose ring it is checked
 in and lists factors with multiplicities.  :func:`verify_certificate`
@@ -48,6 +46,17 @@ basis, to the best value reaching it.  The last step keeps no state: it
 tries states by falling value and choices by falling |e|, and stops once
 no pair can beat the best nonzero image.
 
+A run is bounded by its own work, the rows it forms, and past
+:data:`BUDGET` rows in all it raises ResourceLimitError.  Its product
+table has dim^2 rows, for a ring of dimension dim, and contracting a
+state of r rows by a choice B forms r * len(B).  The tables of the B,
+up to about 1.3 dim^2 rows on a projective space and 3.3 dim^2 on a
+Milnor manifold, are not counted.  The count refuses a run as early as it can:
+before the tables when the product table is over the budget, and before
+the first step when the table and n - 2 steps are, since each middle
+step contracts at least one state, of at least one row, by every choice.
+The budget bounds the oracle, not the check of its witness.
+
 The back-pointers of the best path give the witness, which
 :func:`cup_witness` returns and :func:`verify_certificate` checks by
 multiplying it out in the tensor power, a route that shares nothing with
@@ -60,10 +69,10 @@ route that multiplies full kernel bases.
 
 from __future__ import annotations
 
-# exprs and tensorpower run on the first use of one of their names (see the
-# package docstring): cup_exact never runs exprs, nor a check tensorpower
-from . import exprs, gf2, tensorpower
-from .errors import DEFAULT_MAX_SLICE, ResourceLimitError
+# exprs runs on the first use of one of its names (see the package
+# docstring): cup_exact never runs it
+from . import exprs, gf2
+from .errors import ResourceLimitError
 from .f2algebra import Presentation, multiply, power, unit
 from .spaces import ProductSpace, cohomology_of, format_space
 
@@ -116,6 +125,14 @@ def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
 # --- exact slot-chain oracle -------------------------------------------------
 
 _CUP_CACHE: dict = {}
+
+# the rows that one oracle run may form: rh:16,9 at n = 3 forms 629,768
+# and rh:16,16 at n = 3 1,440,836
+BUDGET = 1 << 21
+
+
+def _over_budget() -> ResourceLimitError:
+    return ResourceLimitError(f"the oracle needs more than its budget of {BUDGET} rows")
 
 
 def _apply(images, row) -> int:
@@ -199,21 +216,33 @@ def _prune(states: dict) -> dict:
 
 
 def _oracle(P: Presentation, n: int):
-    """(zcl_n, witness) by the slot chain of the module docstring.  The
-    witness lists ((g, k), e_g) for each nonzero exponent of each step k,
-    by generator and then k; (g, k) names g_k + g_(k+1)."""
+    """(zcl_n, witness) by the slot chain of the module docstring, within
+    BUDGET rows.  The witness lists ((g, k), e_g) for each nonzero exponent
+    of each step k, by generator and then k; (g, k) names g_k + g_(k+1)."""
     if n == 1:
         return 0, ()
+    rows = len(P.basis) ** 2  # right, the product table
+    if rows > BUDGET:
+        raise _over_budget()
     choices, right = _choices(P)
-    frontier = {(1,): (0, ())}  # the e of each step so far
+    # the rows that contracting one row forms, over every choice
+    per_row = sum(len(B) for _, _, B in choices)
+    if rows + (n - 2) * per_row > BUDGET:
+        raise _over_budget()
+    # a path is () or (the path before, the e of its last step), so that a
+    # step extends its states' paths without copying them
+    frontier = {(1,): (0, ())}
     for _ in range(n - 2):
         reached: dict = {}
         for U, (value, path) in frontier.items():
+            rows += len(U) * per_row
+            if rows > BUDGET:
+                raise _over_budget()
             products = [[_apply(r, u) for r in right] for u in U]
             for e, size, B in choices:
                 W = gf2.echelon(_contract(products, B))
                 if W and (W not in reached or reached[W][0] < value + size):
-                    reached[W] = (value + size, path + (e,))
+                    reached[W] = (value + size, (path, e))
         frontier = _prune(reached)
     best, path = -1, ()
     for U, (value, tail) in sorted(frontier.items(), key=lambda s: -s[1][0]):
@@ -223,19 +252,28 @@ def _oracle(P: Presentation, n: int):
         for e, size, B in choices:
             if value + size <= best:
                 break
+            rows += len(U) * len(B)
+            if rows > BUDGET:
+                raise _over_budget()
             if any(_contract(products, B)):
-                best, path = value + size, tail + (e,)
+                best, path = value + size, (tail, e)
+    steps = []
+    while path:
+        path, e = path
+        steps.append(e)
+    steps.reverse()
     gens = enumerate(P.gen_names)
-    return best, tuple(((g, k), e[j]) for j, g in gens for k, e in enumerate(path, 1) if e[j])
+    return best, tuple(
+        ((g, k), e[j]) for j, g in gens for k, e in enumerate(steps, 1) if e[j]
+    )
 
 
-def _product_run(space: ProductSpace, n: int, max_slice: int) -> tuple:
+def _product_run(space: ProductSpace, n: int) -> tuple:
     """The oracle's (value, factors) for the ring of a product, from its
     factors' runs: the sum of their values, and their factors with the
     idx-th one's generator g renamed g.idx, as the product ring names it.
-    A factor's refusal names that factor.  No slice of the product's own
-    tensor power is built, and its slices are never checked against the
-    cap, which bounds each factor's slices instead.
+    A factor's refusal names that factor.  The product's own ring is never
+    run, and the budget bounds each factor's run.
 
     Why the sum: over a field, the n-fold tensor power of A ⊗ B is
     A' ⊗ B' with A' = A^(⊗n) and B' = B^(⊗n), and the diagonal map is
@@ -249,53 +287,36 @@ def _product_run(space: ProductSpace, n: int, max_slice: int) -> tuple:
     value, factors = 0, []
     for idx, factor in enumerate(space.factors, start=1):
         try:
-            v, fs = _run(cohomology_of(factor), n, max_slice)
+            v, fs = _run(cohomology_of(factor), n)
         except ResourceLimitError as exc:
-            raise ResourceLimitError(
-                f"factor {format_space(factor)}: {exc}",
-                dimension=exc.dimension,
-                cap=exc.cap,
-            ) from None
+            raise ResourceLimitError(f"factor {format_space(factor)}: {exc}") from None
         value += v
         factors += [((f"{g}.{idx}", i), mult) for (g, i), mult in fs]
     return value, tuple(factors)
 
 
-def _run(P: Presentation, n: int, max_slice: int) -> tuple:
+def _run(P: Presentation, n: int) -> tuple:
     """The oracle's (value, factors) for P and n, from its cache or a new
-    run, refused when a slice is over max_slice; a product's comes from
-    its factors' (see :func:`_product_run`)."""
+    run, which raises ResourceLimitError past the budget and then caches
+    nothing; a product's comes from its factors' (see :func:`_product_run`)."""
     if n < 1:
         raise ValueError("arity must be >= 1")
     if type(P.cache_key) is ProductSpace:
-        return _product_run(P.cache_key, n, max_slice)
-    # refuse before reading the cache, so that a value cached under a
-    # larger cap does not answer this call.  The sizes come in degree
-    # order, and none past the first one over the cap is computed
-    for d, dim in enumerate(tensorpower.slice_dimensions(P, n)):
-        if dim > max_slice:
-            raise ResourceLimitError(
-                f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
-                dimension=dim,
-                cap=max_slice,
-            )
+        return _product_run(P.cache_key, n)
     key = (P.cache_key, n)
     if key not in _CUP_CACHE:
         _CUP_CACHE[key] = _oracle(P, n)
     return _CUP_CACHE[key]
 
 
-def cup_exact(P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE) -> int:
+def cup_exact(P: Presentation, n: int) -> int:
     """Largest m with K^m != 0 for K the kernel of the diagonal map."""
-    return _run(P, n, max_slice)[0]
+    return _run(P, n)[0]
 
 
-def cup_witness(
-    P: Presentation, n: int, *, max_slice: int = DEFAULT_MAX_SLICE
-) -> tuple:
+def cup_witness(P: Presentation, n: int) -> tuple:
     """Factors ((expression, multiplicity), ...) of a nonzero product of
     cup_exact(P, n) ideal generators, from the same cached oracle run."""
     return tuple(
-        (exprs.sum_text(name, i, i + 1), mult)
-        for (name, i), mult in _run(P, n, max_slice)[1]
+        (exprs.sum_text(name, i, i + 1), mult) for (name, i), mult in _run(P, n)[1]
     )

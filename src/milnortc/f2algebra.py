@@ -205,16 +205,3 @@ def power(x: Element, e: int) -> Element:
             x = multiply(x, x)
     return result
 
-
-def poincare_series(P: Presentation) -> list:
-    """Per-degree basis counts, degree 0 through the top degree."""
-    return [len(P.degree_slices.get(d, ())) for d in range(P.top_degree + 1)]
-
-
-def binom_mod2(n: int, k: int) -> int:
-    """Parity of C(n, k) via bitwise containment (Lucas)."""
-    if n < 0 or k < 0:
-        raise ValueError("binom_mod2 requires non-negative arguments")
-    if k > n:
-        return 0
-    return 1 if (n & k) == k else 0

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 from itertools import product as iproduct
 
-from milnortc.errors import DEFAULT_MAX_SLICE, ResourceLimitError
+from milnortc.errors import ResourceLimitError
 from milnortc.exprs import inject, tensor_power
 from milnortc.f2algebra import Element, Presentation, generator
 from milnortc.record import Record
 from milnortc.spaces import cohomology_of, parse_space
-from milnortc.tensorpower import slice_dimensions
+
+# the largest slice that kernel_basis builds, 2^16 monomials
+MAX_SLICE = 1 << 16
 
 
 def ring(text: str) -> Presentation:
@@ -122,6 +124,31 @@ def product_normal_form(space, raw_exps) -> frozenset:
 # --- degree slices and the kernel of the diagonal map -------------------------
 
 
+def poincare_series(P: Presentation) -> list:
+    """Per-degree basis counts, degree 0 through the top degree."""
+    return [len(P.degree_slices.get(d, ())) for d in range(P.top_degree + 1)]
+
+
+def slice_dimensions(P: Presentation, n: int):
+    """Dimensions of the degree slices 0..n * top degree of the n-th power,
+    yielded in degree order: the coefficients c_d of a^n, for a the
+    Poincaré series (a_0 = 1, the unit).  From a * (a^n)' = n * a' * a^n,
+    d * c_d is the sum over 1 <= k <= min(d, top) of
+    ((n + 1) * k - d) * a_k * c_(d-k), so each size costs at most top
+    products of the ones before it, and a caller that stops at a size
+    never computes the rest."""
+    series = poincare_series(P)
+    dims = [1]
+    yield 1
+    for d in range(1, n * P.top_degree + 1):
+        total = sum(
+            ((n + 1) * k - d) * series[k] * dims[d - k]
+            for k in range(1, min(d, P.top_degree) + 1)
+        )
+        dims.append(total // d)
+        yield dims[-1]
+
+
 def tensor_slice(P: Presentation, n: int, d: int, slices: dict):
     """All degree-d tensor monomials, sorted componentwise by basis rank:
     the first slot runs over the basis in rank order (so by ascending
@@ -176,17 +203,16 @@ class KernelBasis(Record):
 
 
 def kernel_basis(
-    P: Presentation, n: int, d: int, *, max_slice: int = DEFAULT_MAX_SLICE
+    P: Presentation, n: int, d: int, *, max_slice: int = MAX_SLICE
 ) -> KernelBasis:
-    """Exact mod-2 nullspace of the diagonal map on the degree-d slice."""
+    """Exact mod-2 nullspace of the diagonal map on the degree-d slice,
+    refused when that slice has more than max_slice monomials."""
     if d < 0:
         raise ValueError("degree must be non-negative")
     dim = list(slice_dimensions(P, n))[d]
     if dim > max_slice:
         raise ResourceLimitError(
-            f"degree-{d} slice has dimension {dim}, above the cap {max_slice}",
-            dimension=dim,
-            cap=max_slice,
+            f"degree-{d} slice has dimension {dim}, above the cap {max_slice}"
         )
     slc = tensor_slice(P, n, d, {})
     target_pos = {r: i for i, r in enumerate(P.degree_slices.get(d, ()))}

@@ -28,7 +28,6 @@ from milnortc import (
     Certificate,
     RealMilnor,
     RealProj,
-    binom_mod2,
     cat_bounds,
     cert_case1,
     cert_proj,
@@ -48,12 +47,11 @@ from milnortc.f2algebra import (
     Element,
     generator,
     multiply,
-    poincare_series,
     power,
     unit,
     zero,
 )
-from reference import normal_form, ring
+from reference import normal_form, poincare_series, ring
 
 ARTIFACTS = pathlib.Path(__file__).parent / "artifacts"
 
@@ -95,14 +93,19 @@ def test_criterion_1_ring_presentations():
 
 
 def test_criterion_2_lucas():
+    # the engine's own expansion of (x1+x2)^n in the tensor square of
+    # H*(RP^64), where no term is truncated, has the term x1^k x2^(n-k)
+    # exactly when C(n, k) is odd, which by Lucas is when the bits of k lie
+    # in those of n; so a row n = 2^i - 1 has every term
     with timed(1.0, "criterion 2"):
-        for i in range(7):
-            n = 2**i - 1
-            assert all(binom_mod2(n, j) == 1 for j in range(n + 1))
+        z = evaluate_text("x1+x2", ring("rp:64"), 2)
         for n in range(65):
-            for k in range(n + 1):
-                assert binom_mod2(n, k) == math.comb(n, k) % 2
-    report(2, True, "Mersenne rows odd; agreement with Pascal mod 2 up to n=64")
+            odd = [k for k in range(n + 1) if math.comb(n, k) % 2]
+            assert odd == [k for k in range(n + 1) if k & n == k]
+            assert power(z, n).support == {((k,), (n - k,)) for k in odd}, n
+            if n & (n + 1) == 0:
+                assert len(odd) == n + 1
+    report(2, True, "Mersenne rows odd; (x1+x2)^n agrees with Pascal mod 2 up to n=64")
 
 
 def test_criterion_3_cat_exactness():

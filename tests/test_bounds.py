@@ -27,7 +27,6 @@ from milnortc.spaces import (
     cohomology_of,
     parse_space,
 )
-from milnortc.tensorpower import slice_dimensions
 
 
 # -- free-action predicates ---------------------------------------------------
@@ -153,21 +152,23 @@ def test_tc_klein_bottle_maximal_from_n3(n):
     assert report.lower == report.upper == report.verified_lower == 2 * n + 1
 
 
-def test_tc_oracle_over_the_slice_cap_adds_a_skipped_row():
-    # rh:3,2 at n = 3 has a largest slice of 141 monomials; under a cap of 140
-    # the oracle refuses, and the report is the one without the oracle plus
-    # one skipped row that gives the refusal and bounds nothing
-    P = cohomology_of(RealMilnor(3, 2))
-    cap = max(slice_dimensions(P, 3)) - 1
-    assert cap == 140
-    report = tc_bounds(parse_space("rh:3,2"), 3, use_oracle=True, max_slice=cap)
+def test_tc_oracle_over_the_budget_adds_a_skipped_row(monkeypatch):
+    # counts, not times: the oracle forms 160 rows on rh:3,2 at n = 3, so a
+    # budget of 159 refuses it, and the report is the one without the oracle
+    # plus one skipped row that gives the refusal and bounds nothing
+    import milnortc.cuplength as cuplength
+
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(cuplength, "BUDGET", 159)
+    report = tc_bounds(RealMilnor(3, 2), 3, use_oracle=True)
     skipped = RuleTrace("ideal-power-oracle",
-                        "degree-6 slice has dimension 141, above the cap 140",
+                        "the oracle needs more than its budget of 159 rows",
                         "lower", None, "skipped")
     assert [t for t in report.trace if t.rule == "ideal-power-oracle"] == [skipped]
     kept = tuple(t for t in report.trace if t != skipped)
-    assert report.replace(trace=kept) == tc_bounds(parse_space("rh:3,2"), 3, use_oracle=False)
-    ran = tc_bounds(parse_space("rh:3,2"), 3, use_oracle=True, max_slice=cap + 1)
+    assert report.replace(trace=kept) == tc_bounds(RealMilnor(3, 2), 3, use_oracle=False)
+    monkeypatch.setattr(cuplength, "BUDGET", 160)
+    ran = tc_bounds(RealMilnor(3, 2), 3, use_oracle=True)
     assert [t.status for t in ran.trace if t.rule == "ideal-power-oracle"] == [
         "machine-verified"]
 

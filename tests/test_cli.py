@@ -328,13 +328,6 @@ def test_emit_table_sorted():
 # -- command surface ----------------------------------------------------------
 
 
-def test_lucas_command(capsys):
-    assert main(["lucas", "--n", "7", "--k", "3"]) == 0
-    assert capsys.readouterr().out == "1\n"
-    assert main(["lucas", "--n", "4", "--k", "2"]) == 0
-    assert capsys.readouterr().out == "0\n"
-
-
 def test_bounds_command_deterministic(capsys):
     argv = ["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2"]
     assert main(argv) == 0
@@ -363,7 +356,9 @@ def test_cup_command(capsys):
 )
 def test_cat_refuses_the_tc_source_flags(flag, capsys):
     # cat has one lower-bound source and no oracle: these flags would be
-    # silently ignored, so they are refused
+    # silently ignored, so they are refused; --max-slice, the option of the
+    # slice cap that the oracle's row budget replaced, is refused by every
+    # command
     argv = ["bounds", "--space", "rp:2", "--quantity", "cat", "--n", "2", flag]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -386,8 +381,8 @@ def test_cat_refuses_the_tc_source_flags(flag, capsys):
     ],
 )
 def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
-    # tc takes no group, the rp family no s range, and only the oracle
-    # reads --max-slice; cat's refusals are checked above
+    # tc takes no group, the rp family no s range, and no command takes
+    # --max-slice any more; cat's refusals are checked above
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -415,7 +410,8 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
           "--out", "x.json"], "bad parameter '1'"),
         (["table", "--family", "rh", "--r", "2", "--n", "2"], "--r and --s"),
         (["table", "--family", "rp", "--n", "2"], "--r"),
-        (["lucas", "--n", "-1", "--k", "2"], "non-negative"),
+        (["gen-cert", "--method", "proj", "--params", "t=-1", "--n", "2",
+          "--out", "x.json"], "non-negative"),
         (["gen-cert", "--method", "case2", "--params", "p1=2,p2=3,p1=1", "--n", "2",
           "--out", "x.json"], "--params key 'p1' is given more than once"),
         (["bounds", "--space", "rh:2,0", "--quantity", "eqtc", "--group", "s1",
@@ -426,9 +422,9 @@ def test_flags_the_mode_ignores_are_refused(argv, flag, capsys):
 def test_bad_keys_ranges_and_caps_are_refused(argv, flag, tmp_path, monkeypatch, capsys):
     # a key the method does not take, a parameter with no key, a key given
     # twice, an empty or missing range, an --r/--s pair with no cell s <= r,
-    # a negative slice cap, a negative binomial argument and a group action
-    # outside its predicate's hypotheses are invalid input: exit 2 naming
-    # it, with no output and no file
+    # the removed --max-slice, a negative certificate parameter and a group
+    # action outside its predicate's hypotheses are invalid input: exit 2
+    # naming it, with no output and no file
     monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -501,12 +497,12 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
 
 
 # importing the CLI runs only errors; a command that reads a space runs the
-# rings, the oracle adds the slice sizes of its cap, and from n = 3 on, where
-# it keeps a frontier of states, their GF(2) echelon forms; a certificate's
-# check adds the expressions and the oracle's module (for
-# verify_certificate), but neither slice sizes nor GF(2) linear algebra
+# rings, the oracle adds its module, and from n = 3 on, where it keeps a
+# frontier of states, their GF(2) echelon forms; a certificate's check adds
+# the expressions and the oracle's module (for verify_certificate), but no
+# GF(2) linear algebra.  No command runs the empty tensorpower
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
-_ORACLE = _RINGS | {"tensorpower", "cuplength"}
+_ORACLE = _RINGS | {"cuplength"}
 _CHECKS = _RINGS | {"exprs", "cuplength"}
 _REPORTS = _CHECKS | {"certgen", "bounds"}
 
@@ -516,11 +512,6 @@ _REPORTS = _CHECKS | {"certgen", "bounds"}
 _CENSUS = [
     ([], "", "", {"errors"}, []),
     ([(["--help"], 0)], None, "", {"errors"}, []),
-    # lucas reads its integers by the CLI's own rule, so that a number it
-    # refuses runs no space parser either
-    ([(["lucas", "--n", "\uff17", "--k", "3"], 2), (["lucas", "--n", "7", "--k", "3"], 0)],
-     "1\n", "error: --n: '\uff17' is not an integer\n", {"record", "errors", "f2algebra"},
-     []),
     # the oracle builds no certificate and writes no report or file, so it
     # runs none of exprs, certgen, bounds and certfile; without a
     # bytecode cache each module run is compiled first
@@ -540,7 +531,7 @@ _CENSUS = [
 
 @pytest.mark.parametrize(
     "commands, out, err, layers, modules", _CENSUS,
-    ids=["import-runs-only-errors", "help", "lucas", "cup", "cup-product", "verify",
+    ids=["import-runs-only-errors", "help", "cup", "cup-product", "verify",
          "gen-cert", "bounds", "bounds-oracle", "table"],
 )
 def test_each_command_runs_only_the_layers_it_calls(commands, out, err, layers, modules,
@@ -574,9 +565,8 @@ def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
             assert not hasattr(module, name), (module.__name__, name)
             assert getattr(exprs, name).__module__ == "milnortc.exprs", name
     assert "_POWER_CACHE" in vars(exprs) and not hasattr(tensorpower, "_POWER_CACHE")
-    assert (tensorpower.slice_dimensions.__module__,
-            cuplength.verify_certificate.__module__) == (
-        "milnortc.tensorpower", "milnortc.cuplength")
+    assert cuplength.verify_certificate.__module__ == "milnortc.cuplength"
+    assert [name for name in vars(tensorpower) if not name.startswith("_")] == []
 
 
 def test_package_names_resolve_to_their_submodules():
@@ -594,9 +584,9 @@ def test_package_names_resolve_to_their_submodules():
 
 def test_cli_module_runs_without_a_warning():
     # a cli registered before it runs as __main__ would make runpy warn
-    proc = _fresh_python("-W", "error", "-m", "milnortc.cli", "lucas", "--n", "5",
-                         "--k", "2")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+    proc = _fresh_python("-W", "error", "-m", "milnortc.cli", "cup", "--space", "rp:1",
+                         "--n", "2")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
 
 
 @pytest.mark.parametrize("module, frozen", [("milnortc.cli", True), ("milnortc", False)])
@@ -652,7 +642,7 @@ def test_benchmark_tracer_finds_the_layer_functions(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "6\n"
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    for name in ("cuplength.cup_exact", "gf2.echelon", "tensorpower.slice_dimensions"):
+    for name in ("cuplength.cup_exact", "gf2.echelon"):
         assert name in doc["functions"]
     assert doc["counts"]["f2algebra.mono_mul.calls"] > 0
 
@@ -700,23 +690,22 @@ def test_benchmark_tracer_traces_a_verify_run(tmp_path):
         assert name in doc["functions"]
 
 
-def test_cup_resource_limit_exit_3():
-    assert main(["cup", "--space", "rp:4", "--n", "3", "--max-slice", "4"]) == 3
-
-
-def test_the_default_cap_refuses_rh_16_9_at_n_3_from_sizes_alone(monkeypatch, capsys):
-    # its largest slice (168,256 monomials) is above the default 2^16, and
-    # the degree-23 slice is the first one over it; the refusal reads the
-    # slice dimensions only, so the oracle never runs
+def test_cup_resource_limit_exit_3(monkeypatch, capsys):
+    # counts, not times: rp:4 at n = 3 forms 58 rows, over a budget of 57
     from milnortc import cuplength
 
-    calls = []
-    monkeypatch.setattr(cuplength, "_oracle", lambda *a: calls.append(a))
-    assert main(["cup", "--space", "rh:16,9", "--n", "3"]) == 3
-    assert capsys.readouterr().err == (
-        "resource limit: degree-23 slice has dimension 70368, above the cap 65536\n"
-    )
-    assert calls == []
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(cuplength, "BUDGET", 57)
+    assert main(["cup", "--space", "rp:4", "--n", "3"]) == 3
+    assert capsys.readouterr() == (
+        "", "resource limit: the oracle needs more than its budget of 57 rows\n")
+
+
+def test_cup_answers_rh_16_9_at_n_3_within_the_budget(capsys):
+    # 629,768 rows; its largest degree slice, 168,256 monomials, was over
+    # the 2^16 slice cap that the row budget replaced
+    assert main(["cup", "--space", "rh:16,9", "--n", "3"]) == 0
+    assert capsys.readouterr() == ("72\n", "")
 
 
 def test_invalid_input_exit_2(capsys):
@@ -752,10 +741,15 @@ def test_space_refusals_name_the_option_and_the_space(argv, err, tmp_path, monke
     assert list(tmp_path.iterdir()) == []
 
 
-def test_cup_on_a_product_over_the_cap_runs_its_factors(capsys):
-    # the Klein bottle squared at n = 5: the product ring's largest slice
-    # (184,756) is over the default cap, but each factor's is not, and the
-    # oracle's value is that of each factor, 10, twice
+def test_cup_on_a_product_over_the_cap_runs_its_factors(monkeypatch, capsys):
+    # the Klein bottle squared at n = 5: run on its own ring, the oracle
+    # would form 42,374 rows, over a budget of 1,000, but it runs each
+    # factor, which forms 322, and its value is that of each factor, 10,
+    # twice
+    from milnortc import cuplength
+
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(cuplength, "BUDGET", 1000)
     assert main(["cup", "--space", "prod:rh2.1,rh2.1", "--n", "5"]) == 0
     assert capsys.readouterr() == ("20\n", "")
 
@@ -778,7 +772,7 @@ _USAGE_ERRORS = [
     (["cup", "--space", "rp:2", "--n", "2", "--bogus"], "--bogus"),
     (["cup", "--space", "rp:2", "--n"], "--n"),
     (["gen-cert", "--method", "proj", "--params", "t=1", "--out", "--n", "2"], "--out"),
-    (["lucas", "--n", "x", "--k", "1"], "--n"),
+    (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "x"], "--n"),
     (["bounds", "--space", "rp:2", "--quantity", "xx", "--n", "2"], "--quantity"),
     (["verify", "--cert", "c.json", "--format=csv"], "--format"),
     (["cup", "--space", "rp:2"], "--n"),
@@ -797,10 +791,8 @@ _USAGE_ERRORS = [
     # an integer is ASCII digits with an optional minus sign, as in a space
     (["cup", "--space", "rp:2", "--n", "\uff12"], "error: --n: '\uff12' is not an integer"),
     (["cup", "--space", "rp:2", "--n", "+2"], "error: --n: '+2' is not an integer"),
-    (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "1_000"],
-     "error: --max-slice: '1_000' is not an integer"),
-    (["lucas", "--n", "\uff17", "--k", "3"], "error: --n: '\uff17' is not an integer"),
-    (["lucas", "--n", "7", "--k", " 3"], "error: --k: ' 3' is not an integer"),
+    (["cup", "--space", "rp:2", "--n", "1_000"], "error: --n: '1_000' is not an integer"),
+    (["cup", "--space", "rp:2", "--n", " 3"], "error: --n: ' 3' is not an integer"),
     (["table", "--family", "rp", "--r", "1_0", "--n", "2"],
      "error: --r range '1_0': '1_0' is not an integer"),
     (["bounds", "--space", "rp:2", "--quantity", "tc", "--n", "-"],
@@ -810,13 +802,10 @@ _USAGE_ERRORS = [
     # and is written as str() writes it: no leading zero and no -0
     (["cup", "--space", "rp:2", "--n", "02"], "error: --n: '02' is not an integer\n"),
     (["cup", "--space", "rp:2", "--n", "-0"], "error: --n: '-0' is not an integer\n"),
-    (["lucas", "--n", "07", "--k", "3"], "error: --n: '07' is not an integer\n"),
     (["table", "--family", "rp", "--r", "2..03", "--n", "2"],
      "error: --r range '2..03': '03' is not an integer\n"),
     (["gen-cert", "--method", "proj", "--params", "t=01", "--n", "2", "--out", "f"],
      "error: --params key 't': '01' is not an integer\n"),
-    (["cup", "--space", "rp:2", "--n", "2", "--max-slice", "010"],
-     "error: --max-slice: '010' is not an integer\n"),
     # --params keys and values are read as written, a space as --space reads it
     (["gen-cert", "--method", "proj", "--params", "t= 1", "--n", "2", "--out", "f"],
      "error: --params key 't': ' 1' is not an integer\n"),
@@ -843,10 +832,10 @@ _USAGE_ERRORS = [
          "missing-required", "repeated-option", "repeated-flag", "abbreviation",
          "flag-with-value", "stray-argument", "non-int-range", "open-range",
          "non-int-range-end", "non-int-param", "fullwidth-n", "plus-n",
-         "underscore-cap", "fullwidth-lucas-n", "space-lucas-k", "underscore-range",
+         "underscore-n", "space-n", "underscore-range",
          "bare-minus-n", "plus-param", "leading-zero-n", "minus-zero-n",
-         "leading-zero-lucas-n", "leading-zero-range-end", "leading-zero-param",
-         "leading-zero-cap", "padded-param-value", "padded-param-key",
+         "leading-zero-range-end", "leading-zero-param",
+         "padded-param-value", "padded-param-key",
          "padded-space-param", "table-milnor-cell", "table-rp-cell",
          "leading-zero-space"],
 )
@@ -882,46 +871,53 @@ def test_command_help_lists_its_options(command, capsys):
 
 
 def test_no_argv_reads_the_process_arguments(monkeypatch, capsys):
-    monkeypatch.setattr(sys, "argv", ["milnortc", "lucas", "--n", "7", "--k", "3"])
+    monkeypatch.setattr(sys, "argv", ["milnortc", "cup", "--space", "rp:2", "--n", "2"])
     assert main() == 0
-    assert capsys.readouterr().out == "1\n"
+    assert capsys.readouterr().out == "3\n"
 
 
 @pytest.mark.parametrize(
     "argv",
-    [["cup", "--space", "rp:4", "--n", "3"],
-     ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--n", "3", "--use-oracle",
-      "--format", "json"],
-     ["table", "--family", "rp", "--r", "3..4", "--n", "3", "--use-oracle",
-      "--format", "csv"]],
+    [["cup", "--space", "rp:4"],
+     ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--use-oracle", "--format", "json"],
+     ["table", "--family", "rp", "--r", "3..4", "--use-oracle", "--format", "csv"]],
 )
-@pytest.mark.parametrize("cap", [5, 140])
-def test_an_option_and_its_value_may_be_joined_by_equals(argv, cap, capsys):
-    # --max-slice=5 is --max-slice 5: same exit code, output and error
+@pytest.mark.parametrize("budget", [5, 140])
+def test_an_option_and_its_value_may_be_joined_by_equals(argv, budget, monkeypatch, capsys):
+    # --n=3 is --n 3: same exit code, output and error, whether the oracle
+    # runs or is refused by its row budget (rp:4 at n = 3 forms 58 rows)
+    from milnortc import cuplength
+
+    monkeypatch.setattr(cuplength, "BUDGET", budget)
     results = []
-    for tail in (["--max-slice", str(cap)], [f"--max-slice={cap}"]):
+    for tail in (["--n", "3"], ["--n=3"]):
+        monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
         code = main(argv + tail)
         results.append((code, *capsys.readouterr()))
     assert results[0] == results[1]
-    assert results[0][0] == (3 if argv[0] == "cup" and cap == 5 else 0)
+    assert results[0][0] == (3 if argv[0] == "cup" and budget == 5 else 0)
 
 
 @pytest.mark.parametrize("fmt", ["md", "csv", "json"])
-def test_bounds_shows_an_oracle_over_its_cap_as_a_skipped_row(fmt, capsys):
-    # rh:3,2 at n = 3 has a largest slice of 141 monomials: under a cap of
-    # 140 the report is the one without the oracle plus one skipped row
+def test_bounds_shows_an_oracle_over_its_cap_as_a_skipped_row(fmt, monkeypatch, capsys):
+    # rh:3,2 at n = 3 takes 160 rows: under a row budget of 159 the report
+    # is the one without the oracle plus one skipped row
+    from milnortc import cuplength
+
     argv = ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--n", "3",
             "--format", fmt]
     assert main(argv) == 0
     plain = capsys.readouterr().out
-    assert main(argv + ["--use-oracle", "--max-slice", "140"]) == 0
+    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
+    monkeypatch.setattr(cuplength, "BUDGET", 159)
+    assert main(argv + ["--use-oracle"]) == 0
     capped = capsys.readouterr().out
     if fmt == "json":
         doc = json.loads(capped)
         skipped = [t for t in doc["trace"] if t["status"] == "skipped"]
         assert skipped == [{
             "rule": "ideal-power-oracle",
-            "source": "degree-6 slice has dimension 141, above the cap 140",
+            "source": "the oracle needs more than its budget of 159 rows",
             "bound": "lower", "value": None, "status": "skipped"}]
         doc["trace"].remove(skipped[0])
         assert doc == json.loads(plain)

