@@ -9,14 +9,18 @@ So a CLI command runs only the modules it calls, which matters when no
 bytecode is cached and every module that runs is compiled first, and
 ``import milnortc.cli`` runs only ``errors``.  The exact oracle is
 ``cuplength``, with ``gf2`` the echelon forms of its states, and ``cup``
-runs nothing else but the ring layers below them.  Factor expressions, the
-elements of tensor powers and the certificate records are in ``exprs``,
-which only the commands that build or check a certificate run; the check
-is in ``cuplength`` too.  ``tensorpower`` is empty, and no command runs
-it.  ``bounds`` builds the bound reports and writes their text.
-``certfile``, the certificate-file reader and writer and the ``verify``
-report, serves only the CLI's output: ``verify`` and ``gen-cert`` run it,
-and ``cup``, ``bounds`` and ``table`` do not.
+runs nothing else but the ring layers below them and ``cli``, which holds
+``cup``'s body and names the other commands' bodies, in ``commands``.
+Elements and their arithmetic, factor expressions, the elements of tensor
+powers and the certificate records are in ``exprs``, which only the
+commands that build or check a certificate run; the check is in
+``cuplength`` too.  ``tensorpower`` is empty, and no command runs it.
+``bounds`` builds the bound reports and writes their text.  ``certfile``,
+the certificate-file reader and writer and the ``verify`` report, serves
+only the CLI's output: ``verify`` and ``gen-cert`` run it, and ``cup``,
+``bounds`` and ``table`` do not.  No module imports ``__future__``, and an
+annotation that names a lazily run layer is quoted, so that defining a
+function never runs another layer.
 
 That every layer is in ``sys.modules`` after ``import milnortc.cli`` is a
 contract: the benchmark's tracer (``perfbench/tracer.py``) looks each
@@ -35,7 +39,7 @@ __version__ = "1.0.0"
 
 # every submodule but cli
 _LAYERS = ("record", "errors", "gf2", "f2algebra", "tensorpower", "spaces",
-           "exprs", "cuplength", "certgen", "bounds", "certfile")
+           "exprs", "cuplength", "certgen", "bounds", "certfile", "commands")
 
 # submodule -> the public names it defines
 _PUBLIC = {
@@ -46,10 +50,10 @@ _PUBLIC = {
                 "cert_r2t"),
     "cuplength": ("cup_exact", "cup_witness", "verify_certificate"),
     "errors": ("ExprSyntaxError", "NoFreeActionError", "ResourceLimitError"),
-    "exprs": ("Certificate", "SearchFailure", "VerificationReport", "diagonal_eval",
-              "evaluate_text", "inject", "is_zero_divisor", "parse_factor_expr",
-              "tensor_power", "to_string"),
-    "f2algebra": ("Element", "Presentation", "generator"),
+    "exprs": ("Certificate", "Element", "SearchFailure", "VerificationReport",
+              "diagonal_eval", "evaluate_text", "generator", "inject",
+              "is_zero_divisor", "parse_factor_expr", "tensor_power", "to_string"),
+    "f2algebra": ("Presentation",),
     "spaces": ("ComplexMilnor", "ComplexProj", "ProductSpace", "RealMilnor",
                "RealProj", "cohomology_of", "format_space", "parse_space"),
 }

@@ -17,8 +17,6 @@ json text, the same bytes for the same reports; only the csv and json
 writers import their standard modules.
 """
 
-from __future__ import annotations
-
 import enum
 
 from .certgen import cert_cat_topclass, certificates_for

@@ -13,8 +13,6 @@ is parsed.  The CLI registers this module lazily, so a command that reads
 and writes no certificate file never compiles it.
 """
 
-from __future__ import annotations
-
 import json
 
 from . import exprs, spaces
@@ -28,7 +26,7 @@ def _json_text(doc) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def certificate_to_json(cert: exprs.Certificate) -> str:
+def certificate_to_json(cert: "exprs.Certificate") -> str:
     """Canonical serialization: fixed key order, two-space indent, one
     trailing newline.  parse -> print round-trips byte-identically."""
     doc = {
@@ -49,7 +47,7 @@ def certificate_to_json(cert: exprs.Certificate) -> str:
 
 
 def verification_text(
-    cert: exprs.Certificate, report: exprs.VerificationReport, fmt: str
+    cert: "exprs.Certificate", report: "exprs.VerificationReport", fmt: str
 ) -> str:
     """The report of ``verify`` on cert: its verdict, verified values and
     per-factor checks, as md lines or, for fmt ``json``, a JSON object."""
@@ -103,7 +101,7 @@ def _space_of(text):
         raise ValueError(f"space {text!r}: {exc}") from None
 
 
-def certificate_from_json(text: str) -> exprs.Certificate:
+def certificate_from_json(text: str) -> "exprs.Certificate":
     """Check the file format (schema version 1, known keys, none missing, no
     null note or catWitness, factors an array, claimedTcLower the int
     claimedCup + 1), parse the space and map the keys to the fields of the

@@ -16,8 +16,6 @@ builder here, with the builder's parameters before n, in
 module; a test keeps each entry's names equal to its builder's parameters.
 """
 
-from __future__ import annotations
-
 from .cuplength import verify_certificate
 from .exprs import Certificate, Gen, SearchFailure, sum_text, to_string
 from .spaces import ComplexMilnor, RealMilnor, RealProj, cohomology_of

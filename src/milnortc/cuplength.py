@@ -1,9 +1,9 @@
 """Zero-divisor cup-length: the check of a certificate, and the exact oracle.
 
-The certificate records, and the tensor-power elements that a check
-multiplies, are in :mod:`milnortc.exprs`.  This module reaches it only
-through its module object, when a check needs it, so the oracle never
-runs exprs.
+The certificate records, the tensor-power elements that a check
+multiplies and their arithmetic are in :mod:`milnortc.exprs`.  This module
+reaches it only through its module object, when a check needs it, and
+quotes the annotations that name it, so the oracle never runs exprs.
 
 A certificate holds the descriptor of the space whose ring it is checked
 in and lists factors with multiplicities.  :func:`verify_certificate`
@@ -67,17 +67,15 @@ of (value, witness) per ring and n.  The tests check it against a slower
 route that multiplies full kernel bases.
 """
 
-from __future__ import annotations
-
 # exprs runs on the first use of one of its names (see the package
 # docstring): cup_exact never runs it
 from . import exprs, gf2
 from .errors import ResourceLimitError
-from .f2algebra import Presentation, multiply, power, unit
+from .f2algebra import Presentation
 from .spaces import ProductSpace, cohomology_of, format_space
 
 
-def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
+def verify_certificate(cert: "exprs.Certificate") -> "exprs.VerificationReport":
     """Check every factor, in the order given, and the full product of
     their powers in the ring of cert.space; never consults the claims.
     This is the one loop that multiplies a certificate's factors.
@@ -99,13 +97,13 @@ def verify_certificate(cert: exprs.Certificate) -> exprs.VerificationReport:
         pending.append((exprs._slots(el), el, mult))
     if pending:
         slots, el, mult = pending.pop(0)
-        product, covered = power(el, mult), slots
+        product, covered = exprs.power(el, mult), slots
     else:
-        product = unit(exprs.tensor_power(P, n))
+        product = exprs.unit(exprs.tensor_power(P, n))
     while pending and not product.is_zero:
         i = max(range(len(pending)), key=lambda i: len(pending[i][0] & covered))
         slots, el, mult = pending.pop(i)
-        product = multiply(product, power(el, mult))
+        product = exprs.multiply(product, exprs.power(el, mult))
         covered |= slots
     if not (cert.cat_witness or all(c.is_zero_divisor for c in checks)):
         verdict = "FactorNotZeroDivisor"

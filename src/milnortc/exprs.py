@@ -1,5 +1,9 @@
-"""Factor expressions and the tensor-power elements they denote, and the
-certificate records that hold them.
+"""Elements and their arithmetic, factor expressions and the tensor-power
+elements they denote, and the certificate records that hold them.
+
+An :class:`Element` is an immutable mod-2 sum of basic monomials of a
+:class:`~milnortc.f2algebra.Presentation` or of a tensor power of one;
+:func:`multiply`, :func:`power`, :func:`unit` and :func:`zero` serve both.
 
 Grammar (whitespace insensitive, single-token lookahead):
 
@@ -18,9 +22,9 @@ name must be one of the ring's.
 
 An expression is evaluated in the n-fold Künneth tensor power of a
 presentation: :func:`tensor_power` gives it as an algebra that
-:class:`~milnortc.f2algebra.Element` and the f2algebra arithmetic accept.
-Its monomials are n-tuples of basic monomials of the base presentation,
-and its basis is never enumerated whole.  Its products are not memoised: a
+:class:`Element` and its arithmetic accept.  Its monomials are n-tuples
+of basic monomials of the base presentation, and its basis is never
+enumerated whole.  Its products are not memoised: a
 pair of tensor monomials is multiplied in the base ring only in the slots
 where the sparser operand is not the unit, which for a certificate factor
 (a sum of classes injected in one or two slots) is one or two of the n
@@ -33,15 +37,105 @@ returns a :class:`VerificationReport`.  None of this is on the exact
 oracle's path, so a ``cup`` command never runs this module.
 """
 
-from __future__ import annotations
-
 import re
 from itertools import product as iproduct
 
 from .errors import ExprSyntaxError
-from .f2algebra import Element, Presentation, generator, multiply, power, unit
+from .f2algebra import Presentation
 from .record import Record
 from .spaces import _family
+
+
+# --- elements and their arithmetic -------------------------------------------
+
+
+class Element(Record):
+    """Mod-2 sum of basic monomials of one algebra: a presentation or a
+    tensor power of one."""
+
+    __slots__ = ("algebra", "support")
+
+    def _check(self):
+        for mono in self.support:
+            if not self.algebra.is_basic(mono):
+                raise ValueError(f"non-basic monomial in support: {mono}")
+
+    @classmethod
+    def computed(cls, algebra, support: frozenset) -> "Element":
+        """An element whose support the engine computed from basic
+        monomials, so it is not checked again."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "algebra", algebra)
+        object.__setattr__(el, "support", support)
+        return el
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.support
+
+    @property
+    def degree(self):
+        """Common degree of the support, or None if zero/inhomogeneous."""
+        degs = {self.algebra.monomial_degree(m) for m in self.support}
+        return degs.pop() if len(degs) == 1 else None
+
+    def __add__(self, other: "Element") -> "Element":
+        _check_same(self, other)
+        return Element.computed(self.algebra, self.support ^ other.support)
+
+    def __mul__(self, other: "Element") -> "Element":
+        return multiply(self, other)
+
+    def __repr__(self):
+        terms = map(self.algebra.format_monomial, sorted(self.support))
+        return "Element(" + (" + ".join(terms) or "0") + ")"
+
+
+def _check_same(x: Element, y: Element):
+    if x.algebra is not y.algebra:
+        raise ValueError("elements belong to different algebras")
+
+
+def zero(A) -> Element:
+    return Element.computed(A, frozenset())
+
+
+def unit(A) -> Element:
+    """The multiplicative unit."""
+    return Element.computed(A, frozenset((A.one,)))
+
+
+def generator(P: Presentation, name: str) -> Element:
+    if name not in P.gen_names:
+        raise ValueError(f"unknown generator {name!r}; have {P.gen_names}")
+    idx = P.gen_names.index(name)
+    exps = tuple(1 if k == idx else 0 for k in range(P.ngens))
+    return Element(P, P.reduce(exps))
+
+
+def multiply(x: Element, y: Element) -> Element:
+    _check_same(x, y)
+    A = x.algebra
+    return Element.computed(A, frozenset(A.mul_supports(x.support, y.support)))
+
+
+def power(x: Element, e: int) -> Element:
+    if e < 0:
+        raise ValueError("exponent must be non-negative")
+    if e == 0:
+        return unit(x.algebra)
+    # start from the first power of x taken, never from the unit
+    result = None
+    while e:
+        if e & 1:
+            result = x if result is None else multiply(result, x)
+        e >>= 1
+        if e:
+            x = multiply(x, x)
+    return result
+
+
+# --- factor expressions ------------------------------------------------------
 
 
 class Gen(Record):

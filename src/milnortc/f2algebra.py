@@ -1,11 +1,10 @@
-"""Exact arithmetic in finite-dimensional graded mod-2 algebras.
+"""Exact arithmetic of monomials in finite-dimensional graded mod-2 algebras.
 
-An algebra here is a :class:`Presentation` or a tensor power of one
-(:class:`milnortc.exprs.TensorPower`); :class:`Element`,
-:func:`multiply`, :func:`power`, :func:`unit` and :func:`zero` serve both.
-Each algebra supplies ``one`` (its unit monomial), ``is_basic``,
+A :class:`Presentation` supplies ``one`` (its unit monomial), ``is_basic``,
 ``monomial_degree``, ``format_monomial`` and ``mul_supports``, its loop
-multiplying two supports.
+multiplying two supports, as a tensor power of one
+(:class:`milnortc.exprs.TensorPower`) does too.  Their elements and the
+arithmetic of those are in :mod:`milnortc.exprs`, which ``cup`` never runs.
 
 A presentation is the ring of one checked space descriptor of
 :mod:`milnortc.spaces`, read off the descriptor's ``generators``: one
@@ -20,17 +19,11 @@ generators before g: a rewrite keeps the later exponents and lowers g's,
 so, read from the last generator back, the exponent vectors of one degree
 strictly descend, and there are finitely many of them.
 
-Elements are mod-2 sums of basic monomials; addition is symmetric
-difference of supports.  All values are immutable after construction and
-every operation is pure, so presentations and elements can be shared
-freely across workers.
+A presentation is immutable after construction and every operation is
+pure, so presentations can be shared freely across workers.
 """
 
-from __future__ import annotations
-
 from itertools import product as iproduct
-
-from .record import Record
 
 _PRESENTATION_CACHE: dict = {}
 
@@ -118,90 +111,3 @@ class Presentation:
 
     def __repr__(self):
         return f"Presentation({self.cache_key!r})"
-
-
-class Element(Record):
-    """Mod-2 sum of basic monomials of one algebra: a presentation or a
-    tensor power of one."""
-
-    __slots__ = ("algebra", "support")
-
-    def _check(self):
-        for mono in self.support:
-            if not self.algebra.is_basic(mono):
-                raise ValueError(f"non-basic monomial in support: {mono}")
-
-    @classmethod
-    def computed(cls, algebra, support: frozenset) -> "Element":
-        """An element whose support the engine computed from basic
-        monomials, so it is not checked again."""
-        el = object.__new__(cls)
-        object.__setattr__(el, "algebra", algebra)
-        object.__setattr__(el, "support", support)
-        return el
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.support
-
-    @property
-    def degree(self):
-        """Common degree of the support, or None if zero/inhomogeneous."""
-        degs = {self.algebra.monomial_degree(m) for m in self.support}
-        return degs.pop() if len(degs) == 1 else None
-
-    def __add__(self, other: "Element") -> "Element":
-        _check_same(self, other)
-        return Element.computed(self.algebra, self.support ^ other.support)
-
-    def __mul__(self, other: "Element") -> "Element":
-        return multiply(self, other)
-
-    def __repr__(self):
-        terms = map(self.algebra.format_monomial, sorted(self.support))
-        return "Element(" + (" + ".join(terms) or "0") + ")"
-
-
-def _check_same(x: Element, y: Element):
-    if x.algebra is not y.algebra:
-        raise ValueError("elements belong to different algebras")
-
-
-def zero(A) -> Element:
-    return Element.computed(A, frozenset())
-
-
-def unit(A) -> Element:
-    """The multiplicative unit."""
-    return Element.computed(A, frozenset((A.one,)))
-
-
-def generator(P: Presentation, name: str) -> Element:
-    if name not in P.gen_names:
-        raise ValueError(f"unknown generator {name!r}; have {P.gen_names}")
-    idx = P.gen_names.index(name)
-    exps = tuple(1 if k == idx else 0 for k in range(P.ngens))
-    return Element(P, P.reduce(exps))
-
-
-def multiply(x: Element, y: Element) -> Element:
-    _check_same(x, y)
-    A = x.algebra
-    return Element.computed(A, frozenset(A.mul_supports(x.support, y.support)))
-
-
-def power(x: Element, e: int) -> Element:
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    if e == 0:
-        return unit(x.algebra)
-    # start from the first power of x taken, never from the unit
-    result = None
-    while e:
-        if e & 1:
-            result = x if result is None else multiply(result, x)
-        e >>= 1
-        if e:
-            x = multiply(x, x)
-    return result
-

@@ -6,8 +6,6 @@ A matrix is a list of rows.  ``perfbench/README.md`` describes how the
 speed of this module is measured.
 """
 
-from __future__ import annotations
-
 BACKEND = "python-int"
 
 

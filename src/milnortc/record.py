@@ -9,8 +9,6 @@ assignment.  They give the package's value classes these semantics
 without generating and compiling source for each class at import.
 """
 
-from __future__ import annotations
-
 
 class Record:
     __slots__ = ()

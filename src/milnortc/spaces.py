@@ -20,8 +20,6 @@ by the descriptor.  Parsing, formatting and :func:`cohomology_of` read the
 one ``_FAMILIES`` table, from prefix to class.
 """
 
-from __future__ import annotations
-
 from .f2algebra import _PRESENTATION_CACHE, Presentation
 from .record import Record
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from itertools import product as iproduct
 
 from milnortc.errors import ResourceLimitError
-from milnortc.exprs import inject, tensor_power
-from milnortc.f2algebra import Element, Presentation, generator
+from milnortc.exprs import Element, generator, inject, tensor_power
+from milnortc.f2algebra import Presentation
 from milnortc.record import Record
 from milnortc.spaces import cohomology_of, parse_space
 

@@ -42,12 +42,16 @@ from milnortc import (
     verify_certificate,
 )
 from milnortc.errors import NoFreeActionError
-from milnortc.exprs import diagonal_eval, inject, parse_factor_expr, tensor_power, to_string
-from milnortc.f2algebra import (
+from milnortc.exprs import (
     Element,
+    diagonal_eval,
     generator,
+    inject,
     multiply,
+    parse_factor_expr,
     power,
+    tensor_power,
+    to_string,
     unit,
     zero,
 )

@@ -20,10 +20,12 @@ from milnortc.exprs import (
     TensorPower,
     evaluate_text,
     is_zero_divisor,
+    multiply,
+    power,
     sum_text,
     tensor_power,
+    unit,
 )
-from milnortc.f2algebra import multiply, power, unit
 from milnortc.spaces import RealMilnor, RealProj, cohomology_of, parse_space
 
 

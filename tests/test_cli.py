@@ -446,11 +446,12 @@ def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
-def _fresh_python(*args) -> subprocess.CompletedProcess:
-    """A new interpreter run with args, importing milnortc from this tree."""
+def _fresh_python(*args, path=()) -> subprocess.CompletedProcess:
+    """A new interpreter run with args, importing milnortc from this tree,
+    and then from the directories path."""
     return subprocess.run(
         [sys.executable, *args],
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(ROOT / "src"), *map(str, path)])),
         capture_output=True,
         text=True,
         timeout=60,
@@ -479,8 +480,8 @@ def test_cli_import_loads_no_numpy():
 def _modules_run(commands) -> subprocess.CompletedProcess:
     """A new interpreter that imports the CLI and runs each (argv, exit
     code) of commands in process, printing their stdout, then which layers
-    ran, in the package's order, and which of json, csv, argparse and
-    gettext it imported.  Every layer is registered when the CLI is
+    ran, in the package's order, and which of json, csv, argparse, gettext
+    and __future__ it imported.  Every layer is registered when the CLI is
     imported, but runs only on first use, and a layer that has not run is
     still of its lazy module type, which type() reads without running it."""
     return _fresh_python(
@@ -492,29 +493,33 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
         "    assert main(argv) == code, argv\n"
         "ran = [m for m in milnortc._LAYERS if type(sys.modules['milnortc.' + m]) "
         "is type(sys)]\n"
-        "print(ran, sorted({'json', 'csv', 'argparse', 'gettext'} & set(sys.modules)))\n",
+        "print(ran, sorted({'json', 'csv', 'argparse', 'gettext', '__future__'} "
+        "& set(sys.modules)))\n",
     )
 
 
 # importing the CLI runs only errors; a command that reads a space runs the
 # rings, the oracle adds its module, and from n = 3 on, where it keeps a
 # frontier of states, their GF(2) echelon forms; a certificate's check adds
-# the expressions and the oracle's module (for verify_certificate), but no
-# GF(2) linear algebra.  No command runs the empty tensorpower
+# the expressions and the element arithmetic, and the oracle's module (for
+# verify_certificate), but no GF(2) linear algebra.  Every command but cup,
+# and --help, runs the bodies of commands.  No command runs the empty
+# tensorpower, and none imports __future__
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
 _ORACLE = _RINGS | {"cuplength"}
-_CHECKS = _RINGS | {"exprs", "cuplength"}
+_CHECKS = _RINGS | {"exprs", "cuplength", "commands"}
 _REPORTS = _CHECKS | {"certgen", "bounds"}
 
 # (commands, their stdout or None where it is long, their stderr, the
-# layers they run, the modules of json, csv, argparse and gettext they
-# import); {cert} is a certificate file of cert_proj(1, 2)
+# layers they run, the modules of json, csv, argparse, gettext and
+# __future__ they import); {cert} is a certificate file of cert_proj(1, 2)
 _CENSUS = [
     ([], "", "", {"errors"}, []),
-    ([(["--help"], 0)], None, "", {"errors"}, []),
-    # the oracle builds no certificate and writes no report or file, so it
-    # runs none of exprs, certgen, bounds and certfile; without a
-    # bytecode cache each module run is compiled first
+    ([(["--help"], 0)], None, "", {"errors", "commands"}, []),
+    # the oracle builds no certificate, multiplies no element and writes no
+    # report or file, so it runs none of commands, exprs, certgen, bounds
+    # and certfile; without a bytecode cache each module run is compiled
+    # first
     ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE | {"gf2"}, []),
     ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "",
      _ORACLE | {"gf2"}, []),
@@ -551,14 +556,17 @@ def test_each_command_runs_only_the_layers_it_calls(commands, out, err, layers, 
 
 
 def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
-    # the oracle's modules hold only the oracle, so cup, which runs no exprs
-    # (see the census above), compiles none of these
-    from milnortc import cuplength, exprs, tensorpower
+    # the oracle's modules hold only the oracle, and cli only what cup runs,
+    # so cup, which runs neither exprs nor commands (see the census above),
+    # compiles none of these
+    from milnortc import cli, cuplength, exprs, f2algebra, tensorpower
 
     moved = {
         tensorpower: ("TensorPower", "tensor_power", "inject", "diagonal_eval"),
         cuplength: ("Certificate", "FactorCheck", "VerificationReport", "SearchFailure",
                     "is_zero_divisor", "_slots"),
+        f2algebra: ("Element", "generator", "multiply", "power", "unit", "zero",
+                    "_check_same"),
     }
     for module, names in moved.items():
         for name in names:
@@ -567,6 +575,9 @@ def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
     assert "_POWER_CACHE" in vars(exprs) and not hasattr(tensorpower, "_POWER_CACHE")
     assert cuplength.verify_certificate.__module__ == "milnortc.cuplength"
     assert [name for name in vars(tensorpower) if not name.startswith("_")] == []
+    for name in ("_cmd_bounds", "_cmd_table", "_cmd_verify", "_cmd_gen_cert", "_usage",
+                 "_params", "_parse_range"):
+        assert not hasattr(cli, name), name
 
 
 def test_package_names_resolve_to_their_submodules():
@@ -582,24 +593,60 @@ def test_package_names_resolve_to_their_submodules():
         milnortc.bogus
 
 
-def test_cli_module_runs_without_a_warning():
-    # a cli registered before it runs as __main__ would make runpy warn
-    proc = _fresh_python("-W", "error", "-m", "milnortc.cli", "cup", "--space", "rp:1",
-                         "--n", "2")
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "1\n", "")
+# a sitecustomize module, which the interpreter imports before it runs
+# python -m milnortc.cli: it counts the exit freezes registered, and an exit
+# hook registered before any other, so run after all of them, writes to
+# stderr whether a module named milnortc.cli was imported, that count and
+# whether the heap is frozen
+_EXIT_CENSUS = """\
+import atexit, gc, sys
+
+_freezes = []
+_register = atexit.register
+
+
+def _counting(fn, *args, **kwargs):
+    _freezes.append(fn is gc.freeze)
+    return _register(fn, *args, **kwargs)
+
+
+atexit.register = _counting
+_register(lambda: sys.stderr.write(
+    f"{'milnortc.cli' in sys.modules} {sum(_freezes)} {gc.get_freeze_count() > 0}\\n"))
+"""
+
+
+def test_cli_module_runs_without_a_warning(tmp_path, capsys, monkeypatch):
+    # a cli registered before it runs as __main__ would make runpy warn, and
+    # a cli imported by name, as by commands, would run a second time beside
+    # __main__ and register a second exit freeze.  Each command, run so,
+    # writes what main() writes in process
+    (tmp_path / "sitecustomize.py").write_text(_EXIT_CENSUS, encoding="utf-8")
+    cert = str(tmp_path / "c.json")
+    monkeypatch.chdir(tmp_path)
+    for argv in (["cup", "--space", "rp:1", "--n", "2"], ["--help"],
+                 ["table", "--family", "rp", "--r", "2", "--n", "2"],
+                 ["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2"],
+                 ["gen-cert", "--method", "proj", "--params", "t=1", "--n", "2",
+                  "--out", cert],
+                 ["verify", "--cert", cert]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        proc = _fresh_python("-W", "error", "-m", "milnortc.cli", *argv, path=[tmp_path])
+        assert (proc.returncode, proc.stdout, proc.stderr) == (
+            code, out, "False 1 True\n"), argv
+    assert code == 0 and "verdict: Verified" in out
 
 
 @pytest.mark.parametrize("module, frozen", [("milnortc.cli", True), ("milnortc", False)])
-def test_importing_the_cli_freezes_the_heap_at_exit(module, frozen):
+def test_importing_the_cli_freezes_the_heap_at_exit(module, frozen, tmp_path):
     # exit hooks run last in first out, so a hook registered before the
-    # import runs after the CLI's own; only the CLI registers the freeze
-    proc = _fresh_python(
-        "-c",
-        "import atexit, gc\n"
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))\n"
-        f"import {module}\n",
-    )
-    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"{frozen}\n", "")
+    # import runs after the CLI's own; only the CLI registers the freeze,
+    # and only once
+    (tmp_path / "sitecustomize.py").write_text(_EXIT_CENSUS, encoding="utf-8")
+    proc = _fresh_python("-c", f"import {module}\n", path=[tmp_path])
+    census = f"{module == 'milnortc.cli'} {int(frozen)} {frozen}\n"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", census)
 
 
 def test_a_cli_process_writes_what_main_writes_in_process(tmp_path, capsys):
@@ -677,7 +724,7 @@ def test_benchmark_tracer_spans_the_gen_cert_builder(tmp_path):
 
 
 def test_benchmark_tracer_traces_a_verify_run(tmp_path):
-    # tensor products run in f2algebra.multiply; the traced certify run
+    # tensor products run in exprs.multiply; the traced certify run
     # relies on the tracer wrapping it and dumping the trace afterwards
     mark, trace, cert = tmp_path / "mark", tmp_path / "trace.json", tmp_path / "c.json"
     cert.write_text(certificate_to_json(cert_proj(1, 2)), encoding="utf-8")
@@ -686,7 +733,7 @@ def test_benchmark_tracer_traces_a_verify_run(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "verdict: Verified" in proc.stdout
     doc = json.loads(trace.read_text(encoding="utf-8"))
-    for name in ("f2algebra.multiply", "cuplength.verify_certificate"):
+    for name in ("exprs.multiply", "cuplength.verify_certificate"):
         assert name in doc["functions"]
 
 

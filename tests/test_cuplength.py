@@ -18,10 +18,12 @@ from milnortc.exprs import (
     evaluate,
     evaluate_text,
     is_zero_divisor,
+    multiply,
     parse_factor_expr,
+    power,
     tensor_power,
+    unit,
 )
-from milnortc.f2algebra import multiply, power, unit
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,

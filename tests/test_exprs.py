@@ -12,12 +12,13 @@ from milnortc.exprs import (
     Sum,
     Unit,
     evaluate_text,
+    generator,
     inject,
     parse_factor_expr,
+    power,
     sum_text,
     to_string,
 )
-from milnortc.f2algebra import generator, power
 from reference import ring
 
 

@@ -4,15 +4,8 @@ from itertools import product as iproduct
 
 import pytest
 
-from milnortc.f2algebra import (
-    _PRESENTATION_CACHE,
-    Element,
-    generator,
-    multiply,
-    power,
-    unit,
-    zero,
-)
+from milnortc.exprs import Element, generator, multiply, power, unit, zero
+from milnortc.f2algebra import _PRESENTATION_CACHE
 from milnortc.spaces import ProductSpace, RealMilnor, RealProj, cohomology_of, parse_space
 from reference import normal_form, poincare_series, product_normal_form, ring
 

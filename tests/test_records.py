@@ -7,6 +7,7 @@ import pytest
 from milnortc.bounds import BoundReport, Group, RuleTrace, eqtc_bounds
 from milnortc.exprs import (
     Certificate,
+    Element,
     FactorCheck,
     Gen,
     Pow,
@@ -16,8 +17,8 @@ from milnortc.exprs import (
     Unit,
     VerificationReport,
     evaluate_text,
+    generator,
 )
-from milnortc.f2algebra import Element, generator
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,

@@ -4,16 +4,18 @@ from itertools import product as iproduct
 import pytest
 
 from milnortc.errors import ResourceLimitError
-from milnortc.f2algebra import (
+from milnortc.exprs import (
     Element,
-    Presentation,
+    diagonal_eval,
     generator,
+    inject,
     multiply,
     power,
+    tensor_power,
     unit,
     zero,
 )
-from milnortc.exprs import diagonal_eval, inject, tensor_power
+from milnortc.f2algebra import Presentation
 from reference import kernel_basis, poincare_series, ring, slice_dimensions, tensor_slice
 
 
