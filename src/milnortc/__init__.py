@@ -8,19 +8,24 @@ access to one of its attributes, a ``from .x import y`` of it included.
 So a CLI command runs only the modules it calls, which matters when no
 bytecode is cached and every module that runs is compiled first, and
 ``import milnortc.cli`` runs only ``errors``.  The exact oracle is
-``cuplength``, with ``gf2`` the echelon forms of its states, and ``cup``
-runs nothing else but the ring layers below them and ``cli``, which holds
-``cup``'s body and names the other commands' bodies, in ``commands``.
-Elements and their arithmetic, factor expressions, the elements of tensor
-powers and the certificate records are in ``exprs``, which only the
-commands that build or check a certificate run; the check is in
-``cuplength`` too.  ``tensorpower`` is empty, and no command runs it.
-``bounds`` builds the bound reports and writes their text.  ``certfile``,
-the certificate-file reader and writer and the ``verify`` report, serves
-only the CLI's output: ``verify`` and ``gen-cert`` run it, and ``cup``,
-``bounds`` and ``table`` do not.  No module imports ``__future__``, and an
-annotation that names a lazily run layer is quoted, so that defining a
-function never runs another layer.
+``cuplength``, its cache and witnesses, and ``slotchain``, its program,
+with ``gf2`` the echelon forms of its states.  ``cup`` runs nothing else
+but the ring layers below them and ``cli``, which holds ``cup``'s body and
+names each other command's body and its module.  Elements and their
+arithmetic, factor expressions, the elements of tensor powers and the
+certificate records are in ``exprs``, which only the commands that build
+or check a certificate run; the check is in ``cuplength``, which reaches
+``slotchain`` only when it runs the oracle, so ``verify`` never runs it.
+``tensorpower`` is empty, and no command runs it.  ``bounds`` builds the
+bound reports and writes their text, and ``commands`` holds the bodies
+of ``bounds`` and ``table`` and the ``--help`` text.  ``certfile``, the
+certificate-file reader and writer, the ``verify`` report and the bodies
+of ``verify`` and ``gen-cert``, serves only the CLI: those two commands
+run it, and ``cup``, ``bounds`` and ``table`` do not.  ``gen-cert`` runs
+``cuplength`` only for its ``case2`` method, whose certificate it checks.
+No module imports ``__future__``, and an annotation that names a lazily
+run layer is quoted, so that defining a function never runs another
+layer.
 
 That every layer is in ``sys.modules`` after ``import milnortc.cli`` is a
 contract: the benchmark's tracer (``perfbench/tracer.py``) looks each
@@ -39,7 +44,8 @@ __version__ = "1.0.0"
 
 # every submodule but cli
 _LAYERS = ("record", "errors", "gf2", "f2algebra", "tensorpower", "spaces",
-           "exprs", "cuplength", "certgen", "bounds", "certfile", "commands")
+           "exprs", "slotchain", "cuplength", "certgen", "bounds", "certfile",
+           "commands")
 
 # submodule -> the public names it defines
 _PUBLIC = {

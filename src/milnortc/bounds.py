@@ -250,7 +250,7 @@ def tc_bounds(
     claimed closed-form monotonicity rules.  Upper bound sources (min):
     dimension, category of the n-th power, and the free circle action
     improvement.  A failing source never blocks the others; an oracle
-    run past its row budget (:data:`milnortc.cuplength.BUDGET`) gives a
+    run past its row budget (:data:`milnortc.slotchain.BUDGET`) gives a
     skipped row, and an oracle witness that does not verify is a fault and
     raises RuntimeError.  The budget bounds the oracle run only: the
     witness is then verified by multiplying it out, at a cost it does not

@@ -1,5 +1,7 @@
-"""Certificate files: the canonical JSON form of a :class:`Certificate`,
-and the report of ``verify`` on one (:func:`verification_text`).
+"""The CLI's certificate side: certificate files, the canonical JSON form
+of a :class:`Certificate`, the report of ``verify`` on one
+(:func:`verification_text`), and the bodies of ``verify`` and
+``gen-cert``.
 
 The writer fixes the key order, a two-space indent and one trailing
 newline, so parse -> print round-trips byte-identically.  The reader is
@@ -11,11 +13,19 @@ record.
 This is the one place besides the command-line options where space text
 is parsed.  The CLI registers this module lazily, so a command that reads
 and writes no certificate file never compiles it.
+
+:mod:`milnortc.cli` names the two bodies in its option table and calls
+each with the running ``cli`` module, as it does the bodies in
+:mod:`milnortc.commands`, so neither command compiles those, nor the
+oracle's program in :mod:`milnortc.slotchain`.
 """
 
 import json
+import sys
 
-from . import exprs, spaces
+# certgen and cuplength run on first use (see the package docstring): verify
+# runs no certgen, and gen-cert cuplength only for case2
+from . import certgen, cuplength, exprs, spaces
 
 SCHEMA_VERSION = 1
 
@@ -136,3 +146,60 @@ def certificate_from_json(text: str) -> "exprs.Certificate":
     if type(tc_lower) is not int or tc_lower != cert.claimed_tc_lower:
         raise ValueError("claimedTcLower must be claimedCup + 1")
     return cert
+
+
+# --- the verify and gen-cert commands ----------------------------------------
+
+
+def _params(items, method: str, names) -> list:
+    """The --params values of exactly the keys names, read as written: a
+    missing key, a key the method does not take and a key given twice are
+    refused."""
+    params = {}
+    last = None
+    for item in items:
+        for piece in item.split(","):
+            if not piece:
+                continue
+            key, sep, value = piece.partition("=")
+            if sep:
+                last = key
+                if last in params:
+                    raise ValueError(f"--params key {last!r} is given more than once")
+                params[last] = value
+            elif last is not None:
+                # commas inside a value (e.g. space=rh:2,1) reattach here
+                params[last] += "," + piece
+            else:
+                raise ValueError(f"bad parameter {piece!r}; expected key=value")
+    missing = [k for k in names if k not in params]
+    if missing:
+        raise ValueError(f"missing --params keys: {', '.join(missing)}")
+    unknown = [k for k in params if k not in names]
+    if unknown:
+        raise ValueError(
+            f"--params keys not taken by --method {method}: {', '.join(unknown)}"
+        )
+    return [params[k] for k in names]
+
+
+def _cmd_verify(cli, args) -> int:
+    with open(args.cert, encoding="utf-8") as fh:
+        cert = certificate_from_json(fh.read())
+    report = cuplength.verify_certificate(cert)
+    cli._write_out(verification_text(cert, report, args.format), args.out)
+    return 0 if report.verdict == "Verified" else 1
+
+
+def _cmd_gen_cert(cli, args) -> int:
+    name, keys = cli._METHODS[args.method]
+    values = [
+        (cli._space if key == "space" else cli._int)(text, f"--params key {key!r}")
+        for key, text in zip(keys, _params(args.params, args.method, keys))
+    ]
+    cert = getattr(certgen, name)(*values, args.n)
+    if isinstance(cert, exprs.SearchFailure):
+        sys.stderr.write(f"certificate search failed: {cert.reason}\n")
+        return 1
+    cli._write_out(certificate_to_json(cert), args.out)
+    return 0

@@ -6,7 +6,9 @@ value.  Only :func:`cert_case2` asserts nonzeroness: it returns its
 certificate only when :func:`milnortc.cuplength.verify_certificate`, the
 one code that multiplies a certificate's factors, verifies it.  Every
 other construction, and every certificate :func:`certificates_for` offers,
-is checked by the caller.  Identical parameters give identical output.
+is checked by the caller, so :func:`cert_case2` alone runs
+:mod:`milnortc.cuplength`, which it reaches through its module object.
+Identical parameters give identical output.
 
 This module alone knows the families' hypotheses: :func:`certificates_for`
 maps a space to the families whose hypotheses it satisfies, for
@@ -16,7 +18,9 @@ builder here, with the builder's parameters before n, in
 module; a test keeps each entry's names equal to its builder's parameters.
 """
 
-from .cuplength import verify_certificate
+# cuplength runs on the first use of one of its names (see the package
+# docstring): of this module's builders only cert_case2 runs it
+from . import cuplength
 from .exprs import Certificate, Gen, SearchFailure, sum_text, to_string
 from .spaces import ComplexMilnor, RealMilnor, RealProj, cohomology_of
 
@@ -94,17 +98,17 @@ def _case2(p1: int, p2: int, n: int) -> Certificate:
 
 def cert_case2(p1: int, p2: int, n: int):
     """The case-2 certificate for s = 2^p1, r = 2^p2 + 1 (see
-    :func:`_case2`) when :func:`verify_certificate` verifies it, and a
-    SearchFailure otherwise.  Each factor is a sum g_i + g_j, sent by the
-    diagonal to 2g = 0, so the verdict fails exactly when the product
-    vanishes.
+    :func:`_case2`) when :func:`milnortc.cuplength.verify_certificate`
+    verifies it, and a SearchFailure otherwise.  Each factor is a sum
+    g_i + g_j, sent by the diagonal to 2g = 0, so the verdict fails exactly
+    when the product vanishes.
 
     These bridges are measured, not proven, to be the ones a search over
     every combination of squared sums g_i + g_j finds: on every p1, p2 <= 3
     with s <= r at n = 2..10, r = 2 at n = 11..14 and r = 17 at n = 2..6
     (132 cases), both give the same certificate, or both fail."""
     cert = _case2(p1, p2, n)
-    if verify_certificate(cert).verdict != "Verified":
+    if cuplength.verify_certificate(cert).verdict != "Verified":
         return SearchFailure("no bridging classes gave a nonzero product")
     return cert
 

@@ -1,7 +1,9 @@
 """Command-line surface: one table holds the options of each command and
-names its body, and one the certgen builder and parameters of each
-``gen-cert`` method.  ``cup``'s body is here; the other bodies and the
-``--help`` text are in :mod:`milnortc.commands`, which ``cup`` never runs.
+names the module and function of its body, and one the certgen builder
+and parameters of each ``gen-cert`` method.  ``cup``'s body is here; those
+of ``verify`` and ``gen-cert`` are in :mod:`milnortc.certfile`, and those
+of ``bounds`` and ``table``, with the ``--help`` text, in
+:mod:`milnortc.commands`.  ``cup`` runs neither module.
 
 Exit codes: 0 success, 1 verification failure, 2 invalid input,
 3 resource limit (the oracle's row budget).  All outputs are
@@ -15,9 +17,10 @@ from types import SimpleNamespace
 
 # a layer that some command does not call is reached through its module
 # object, which runs on first use (see the package docstring), so that each
-# command runs only the modules it calls: cup runs only spaces and
-# cuplength, with the rings below them, and none of commands
-from . import commands, cuplength, spaces
+# command runs only the modules it calls: cup runs only spaces, cuplength
+# and its slotchain, with the rings below them, and none of certfile and
+# commands
+from . import certfile, commands, cuplength, spaces
 from .errors import ResourceLimitError
 
 # gen-cert method -> (the name of its certgen builder, the --params keys it
@@ -78,10 +81,10 @@ def _cmd_cup(args) -> int:
 
 # --- the command line --------------------------------------------------------
 
-# Each command's entry is (summary, options, the name of its body): main
-# calls the body with the values _parse_args gives.  A body is named, not
-# held, so that the table does not run commands: cup's is _cmd_cup above,
-# every other is in commands.  An option's kind is a converter, a tuple
+# Each command's entry is (summary, options, (the module of its body, the
+# body's name)): main calls the body with the values _parse_args gives.  A
+# body is named, not held, so that the table runs neither certfile nor
+# commands: cup's is _cmd_cup above.  An option's kind is a converter, a tuple
 # of its choices, _FLAG (it takes no value and sets True) or _REPEAT (a
 # string that may be given again; the values are kept in order).  Its
 # default is _REQUIRED when it must be given.  _parse_args and the --help
@@ -104,23 +107,23 @@ _COMMANDS = {
         "--no-monotonicity": (_FLAG, False, "leave out the monotonicity rules"),
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }, "_cmd_bounds"),
+    }, ("commands", "_cmd_bounds")),
     "cup": ("exact zero-divisor cup-length oracle; exit 3 past its row budget", {
         "--space": (str, _REQUIRED, _SPACE_HELP),
         "--n": (_int, _REQUIRED, "the number of tensor factors"),
         "--out": (str, None, _OUT_HELP),
-    }, "_cmd_cup"),
+    }, ("cli", "_cmd_cup")),
     "verify": ("verify a certificate file", {
         "--cert": (str, _REQUIRED, "the certificate file"),
         "--format": (("md", "json"), "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }, "_cmd_verify"),
+    }, ("certfile", "_cmd_verify")),
     "gen-cert": ("generate a certificate file", {
         "--method": (tuple(_METHODS), _REQUIRED, "the certificate family"),
         "--params": (_REPEAT, (), "key=value pairs, comma-separated"),
         "--n": (_int, _REQUIRED, "n of TC_n"),
         "--out": (str, _REQUIRED, "the certificate file to write"),
-    }, "_cmd_gen_cert"),
+    }, ("certfile", "_cmd_gen_cert")),
     "table": ("batch bound reports over a family", {
         "--family": (("rh", "ch", "rp"), _REQUIRED, "the family of spaces"),
         "--r": (str, None, "range A..B (r for Milnor, m for rp)"),
@@ -129,7 +132,7 @@ _COMMANDS = {
         "--use-oracle": (_FLAG, False, _ORACLE_HELP),
         "--format": (_FORMATS, "md", "output format"),
         "--out": (str, None, _OUT_HELP),
-    }, "_cmd_table"),
+    }, ("commands", "_cmd_table")),
 }
 
 _HELP = ("-h", "--help")
@@ -209,11 +212,12 @@ def main(argv=None) -> int:
         args = _parse_args(argv)
         if args is None:
             return 0
-        body = _COMMANDS[args.command][2]
-        if body == "_cmd_cup":
+        module, body = _COMMANDS[args.command][2]
+        if module == "cli":
             return _cmd_cup(args)
-        # this module, which is __main__ under python -m milnortc.cli
-        return getattr(commands, body)(sys.modules[__name__], args)
+        # the body's module runs on this first use; it is handed this module,
+        # which is __main__ under python -m milnortc.cli
+        return getattr(globals()[module], body)(sys.modules[__name__], args)
     except ResourceLimitError as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return 3

@@ -1,46 +1,14 @@
-"""The bodies of the CLI commands but ``cup``, and the ``--help`` text.
+"""The bodies of ``bounds`` and ``table``, and the ``--help`` text.
 
 :mod:`milnortc.cli` names each body in its option table and calls it with
 the running ``cli`` module, whose table, option readers and writer it uses.
 This module never imports ``cli``: under ``python -m milnortc.cli`` that is
-``__main__``, and an import by name would run it a second time.
+``__main__``, and an import by name would run it a second time.  ``cup``'s
+body is in ``cli``, and those of ``verify`` and ``gen-cert`` are in
+:mod:`milnortc.certfile`, so that none of the three compiles this module.
 """
 
-import sys
-
-from . import bounds, certfile, certgen, cuplength, exprs, spaces
-
-
-def _params(items, method: str, names) -> list:
-    """The --params values of exactly the keys names, read as written: a
-    missing key, a key the method does not take and a key given twice are
-    refused."""
-    params = {}
-    last = None
-    for item in items:
-        for piece in item.split(","):
-            if not piece:
-                continue
-            key, sep, value = piece.partition("=")
-            if sep:
-                last = key
-                if last in params:
-                    raise ValueError(f"--params key {last!r} is given more than once")
-                params[last] = value
-            elif last is not None:
-                # commas inside a value (e.g. space=rh:2,1) reattach here
-                params[last] += "," + piece
-            else:
-                raise ValueError(f"bad parameter {piece!r}; expected key=value")
-    missing = [k for k in names if k not in params]
-    if missing:
-        raise ValueError(f"missing --params keys: {', '.join(missing)}")
-    unknown = [k for k in params if k not in names]
-    if unknown:
-        raise ValueError(
-            f"--params keys not taken by --method {method}: {', '.join(unknown)}"
-        )
-    return [params[k] for k in names]
+from . import bounds, spaces
 
 
 def _parse_range(cli, text: str, flag: str):
@@ -78,28 +46,6 @@ def _cmd_bounds(cli, args) -> int:
         space, group = cli._space(args.space), bounds.resolve_group(args.group)
         report = bounds.eqtc_bounds(space, group, args.n, **options)
     cli._write_out(bounds.emit_report(report, args.format), args.out)
-    return 0
-
-
-def _cmd_verify(cli, args) -> int:
-    with open(args.cert, encoding="utf-8") as fh:
-        cert = certfile.certificate_from_json(fh.read())
-    report = cuplength.verify_certificate(cert)
-    cli._write_out(certfile.verification_text(cert, report, args.format), args.out)
-    return 0 if report.verdict == "Verified" else 1
-
-
-def _cmd_gen_cert(cli, args) -> int:
-    name, keys = cli._METHODS[args.method]
-    values = [
-        (cli._space if key == "space" else cli._int)(text, f"--params key {key!r}")
-        for key, text in zip(keys, _params(args.params, args.method, keys))
-    ]
-    cert = getattr(certgen, name)(*values, args.n)
-    if isinstance(cert, exprs.SearchFailure):
-        sys.stderr.write(f"certificate search failed: {cert.reason}\n")
-        return 1
-    cli._write_out(certfile.certificate_to_json(cert), args.out)
     return 0
 
 

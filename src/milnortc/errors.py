@@ -7,7 +7,7 @@ running any other layer.
 
 class ResourceLimitError(RuntimeError):
     """The exact oracle needed more rows than its budget
-    (:data:`milnortc.cuplength.BUDGET`)."""
+    (:data:`milnortc.slotchain.BUDGET`)."""
 
 
 class ExprSyntaxError(ValueError):

@@ -1,6 +1,6 @@
 """Slow, independent references that only the tests use.
 
-The package never calls these: the oracle in :mod:`milnortc.cuplength`
+The package never calls these: the oracle in :mod:`milnortc.slotchain`
 contracts tensor slots one at a time and never builds a degree slice of a
 tensor power, a nullspace or a kernel basis.  The tests check it against
 the kernel of the diagonal map computed here, on degree slices, by plain
@@ -293,3 +293,39 @@ def kernel_powers(P, n):
 def cup_by_kernel_basis(P, n) -> int:
     """zcl_n by the kernel-basis route: the number of nonzero powers of K."""
     return len(kernel_powers(P, n))
+
+
+# --- the oracle's step tables ----------------------------------------------------
+
+
+def dense_choices(P: Presentation):
+    """The oracle's step tables, (choices, right) as
+    :func:`milnortc.slotchain._choices` gives them, built dense: each B_e is
+    the list of all dim rows R_l, zeros included, and a step adds R_m to
+    row l through the transpose of the generator's multiplication table."""
+
+    def apply(images, row):
+        return image(images, [row])[0]
+
+    rank, dim = P.rank_of, len(P.basis)
+    by_gen = [
+        [sum(1 << rank[m] for m in P.mono_mul(b, g)) for b in P.basis]
+        for g in (tuple(int(k == j) for k in range(P.ngens)) for j in range(P.ngens))
+    ]
+    right = [[1 << i for i in range(dim)]]
+    for mono in P.basis[1:]:
+        j = next(k for k, x in enumerate(mono) if x)
+        lower = rank[mono[:j] + (mono[j] - 1,) + mono[j + 1 :]]
+        right.append([apply(by_gen[j], row) for row in right[lower]])
+    grown = [((), [1] + [0] * (dim - 1))]  # 1 x 1
+    for by_g in by_gen:
+        # into[l] holds the m with b_l in b_m * g
+        into = [sum((row >> l & 1) << m for m, row in enumerate(by_g)) for l in range(dim)]
+        shorter, grown = grown, []
+        for e, B in shorter:
+            k = 0
+            while any(B):
+                grown.append((e + (k,), B))
+                B, k = [apply(B, i) ^ apply(by_g, R) for i, R in zip(into, B)], k + 1
+    choices = [(e, sum(e), [(l, R) for l, R in enumerate(B) if R]) for e, B in grown]
+    return sorted(choices, key=lambda c: -c[1]), right

@@ -157,9 +157,10 @@ def test_tc_oracle_over_the_budget_adds_a_skipped_row(monkeypatch):
     # budget of 159 refuses it, and the report is the one without the oracle
     # plus one skipped row that gives the refusal and bounds nothing
     import milnortc.cuplength as cuplength
+    import milnortc.slotchain as slotchain
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "BUDGET", 159)
+    monkeypatch.setattr(slotchain, "BUDGET", 159)
     report = tc_bounds(RealMilnor(3, 2), 3, use_oracle=True)
     skipped = RuleTrace("ideal-power-oracle",
                         "the oracle needs more than its budget of 159 rows",
@@ -167,7 +168,7 @@ def test_tc_oracle_over_the_budget_adds_a_skipped_row(monkeypatch):
     assert [t for t in report.trace if t.rule == "ideal-power-oracle"] == [skipped]
     kept = tuple(t for t in report.trace if t != skipped)
     assert report.replace(trace=kept) == tc_bounds(RealMilnor(3, 2), 3, use_oracle=False)
-    monkeypatch.setattr(cuplength, "BUDGET", 160)
+    monkeypatch.setattr(slotchain, "BUDGET", 160)
     ran = tc_bounds(RealMilnor(3, 2), 3, use_oracle=True)
     assert [t.status for t in ran.trace if t.rule == "ideal-power-oracle"] == [
         "machine-verified"]

@@ -499,16 +499,27 @@ def _modules_run(commands) -> subprocess.CompletedProcess:
 
 
 # importing the CLI runs only errors; a command that reads a space runs the
-# rings, the oracle adds its module, and from n = 3 on, where it keeps a
-# frontier of states, their GF(2) echelon forms; a certificate's check adds
-# the expressions and the element arithmetic, and the oracle's module (for
-# verify_certificate), but no GF(2) linear algebra.  Every command but cup,
-# and --help, runs the bodies of commands.  No command runs the empty
-# tensorpower, and none imports __future__
+# rings, the oracle adds its cache and its program, and from n = 3 on, where
+# it keeps a frontier of states, their GF(2) echelon forms; a certificate
+# file adds the expressions and the element arithmetic and certfile, which
+# holds the bodies of verify and gen-cert, and a certificate's check the
+# module that holds it, cuplength, but neither the oracle's program nor any
+# GF(2) linear algebra.  bounds, table and --help run the bodies of
+# commands.  No command runs the empty tensorpower, and none imports
+# __future__
 _RINGS = {"record", "errors", "f2algebra", "spaces"}
-_ORACLE = _RINGS | {"cuplength"}
-_CHECKS = _RINGS | {"exprs", "cuplength", "commands"}
-_REPORTS = _CHECKS | {"certgen", "bounds"}
+_ORACLE = _RINGS | {"slotchain", "cuplength"}
+_FILES = _RINGS | {"exprs", "certfile"}
+_REPORTS = _RINGS | {"exprs", "cuplength", "certgen", "bounds", "commands"}
+
+
+def _gen_cert(method, params, n="2"):
+    """A census row of gen-cert writing {cert}, which runs the builder's
+    module, and the check's too for case2, which verifies what it builds."""
+    layers = _FILES | {"certgen"} | ({"cuplength"} if method == "case2" else set())
+    argv = ["gen-cert", "--method", method, "--params", params, "--n", n, "--out", "{cert}"]
+    return [(argv, 0)], "", "", layers, ["json"]
+
 
 # (commands, their stdout or None where it is long, their stderr, the
 # layers they run, the modules of json, csv, argparse, gettext and
@@ -523,21 +534,27 @@ _CENSUS = [
     ([(["cup", "--space", "rh:4,2", "--n", "3"], 0)], "15\n", "", _ORACLE | {"gf2"}, []),
     ([(["cup", "--space", "prod:rp2,rh2.1", "--n", "3"], 0)], "12\n", "",
      _ORACLE | {"gf2"}, []),
-    ([(["verify", "--cert", "{cert}"], 0)], None, "", _CHECKS | {"certfile"}, ["json"]),
-    ([(["gen-cert", "--method", "proj", "--params", "t=1", "--n", "2", "--out",
-        "{cert}"], 0)], "", "", _CHECKS | {"certgen", "certfile"}, ["json"]),
+    ([(["verify", "--cert", "{cert}"], 0)], None, "", _FILES | {"cuplength"}, ["json"]),
+    _gen_cert("proj", "t=1"),
+    _gen_cert("case1", "t1=0,t2=1"),
+    _gen_cert("r2t", "s=1,t=1"),
+    _gen_cert("cat", "space=rh:2,1"),
+    _gen_cert("case2", "p1=1,p2=1", n="3"),
     ([(["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2"], 0)], None, "",
      _REPORTS, []),
     ([(["bounds", "--space", "rh:4,3", "--quantity", "tc", "--n", "2", "--use-oracle"],
        0)], None, "", _REPORTS | _ORACLE, []),
     ([(["table", "--family", "rp", "--r", "2", "--n", "2"], 0)], None, "", _REPORTS, []),
+    ([(["table", "--family", "rp", "--r", "2", "--n", "2", "--use-oracle"], 0)], None, "",
+     _REPORTS | _ORACLE, []),
 ]
 
 
 @pytest.mark.parametrize(
     "commands, out, err, layers, modules", _CENSUS,
     ids=["import-runs-only-errors", "help", "cup", "cup-product", "verify",
-         "gen-cert", "bounds", "bounds-oracle", "table"],
+         "gen-cert", "gen-cert-case1", "gen-cert-r2t", "gen-cert-cat", "gen-cert-case2",
+         "bounds", "bounds-oracle", "table", "table-oracle"],
 )
 def test_each_command_runs_only_the_layers_it_calls(commands, out, err, layers, modules,
                                                     tmp_path):
@@ -578,6 +595,36 @@ def test_certificate_records_and_tensor_power_elements_are_defined_in_exprs():
     for name in ("_cmd_bounds", "_cmd_table", "_cmd_verify", "_cmd_gen_cert", "_usage",
                  "_params", "_parse_range"):
         assert not hasattr(cli, name), name
+
+
+def test_the_oracle_program_is_in_slotchain_and_the_certificate_bodies_in_certfile():
+    # verify and gen-cert compile neither the oracle's program nor commands,
+    # and cup compiles neither certificate body (see the census above)
+    from milnortc import certfile, certgen, commands, cuplength, slotchain
+
+    for name in ("BUDGET", "_over_budget", "_apply", "_choices", "_contract", "_within",
+                 "_prune", "_oracle"):
+        assert not hasattr(cuplength, name), name
+        assert name in vars(slotchain), name
+    for name in ("verify_certificate", "_CUP_CACHE", "_product_run", "_run", "cup_exact",
+                 "cup_witness"):
+        assert name in vars(cuplength), name
+    assert not hasattr(certgen, "verify_certificate")
+    for name in ("_cmd_verify", "_cmd_gen_cert", "_params"):
+        assert getattr(certfile, name).__module__ == "milnortc.certfile", name
+        assert not hasattr(commands, name), name
+    for name in ("_cmd_bounds", "_cmd_table", "_usage"):
+        assert getattr(commands, name).__module__ == "milnortc.commands", name
+    # the program never runs the module that caches its runs
+    proc = _fresh_python(
+        "-c",
+        "import sys\n"
+        "from milnortc import slotchain, spaces\n"
+        "P = spaces.cohomology_of(spaces.RealProj(4))\n"
+        "value = slotchain._oracle(P, 3)[0]\n"
+        "print(value, type(sys.modules['milnortc.cuplength']) is type(sys))\n",
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "12 False\n", "")
 
 
 def test_package_names_resolve_to_their_submodules():
@@ -739,10 +786,10 @@ def test_benchmark_tracer_traces_a_verify_run(tmp_path):
 
 def test_cup_resource_limit_exit_3(monkeypatch, capsys):
     # counts, not times: rp:4 at n = 3 forms 58 rows, over a budget of 57
-    from milnortc import cuplength
+    from milnortc import cuplength, slotchain
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "BUDGET", 57)
+    monkeypatch.setattr(slotchain, "BUDGET", 57)
     assert main(["cup", "--space", "rp:4", "--n", "3"]) == 3
     assert capsys.readouterr() == (
         "", "resource limit: the oracle needs more than its budget of 57 rows\n")
@@ -793,10 +840,10 @@ def test_cup_on_a_product_over_the_cap_runs_its_factors(monkeypatch, capsys):
     # would form 42,374 rows, over a budget of 1,000, but it runs each
     # factor, which forms 322, and its value is that of each factor, 10,
     # twice
-    from milnortc import cuplength
+    from milnortc import cuplength, slotchain
 
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "BUDGET", 1000)
+    monkeypatch.setattr(slotchain, "BUDGET", 1000)
     assert main(["cup", "--space", "prod:rh2.1,rh2.1", "--n", "5"]) == 0
     assert capsys.readouterr() == ("20\n", "")
 
@@ -933,9 +980,9 @@ def test_no_argv_reads_the_process_arguments(monkeypatch, capsys):
 def test_an_option_and_its_value_may_be_joined_by_equals(argv, budget, monkeypatch, capsys):
     # --n=3 is --n 3: same exit code, output and error, whether the oracle
     # runs or is refused by its row budget (rp:4 at n = 3 forms 58 rows)
-    from milnortc import cuplength
+    from milnortc import cuplength, slotchain
 
-    monkeypatch.setattr(cuplength, "BUDGET", budget)
+    monkeypatch.setattr(slotchain, "BUDGET", budget)
     results = []
     for tail in (["--n", "3"], ["--n=3"]):
         monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
@@ -949,14 +996,14 @@ def test_an_option_and_its_value_may_be_joined_by_equals(argv, budget, monkeypat
 def test_bounds_shows_an_oracle_over_its_cap_as_a_skipped_row(fmt, monkeypatch, capsys):
     # rh:3,2 at n = 3 takes 160 rows: under a row budget of 159 the report
     # is the one without the oracle plus one skipped row
-    from milnortc import cuplength
+    from milnortc import cuplength, slotchain
 
     argv = ["bounds", "--space", "rh:3,2", "--quantity", "tc", "--n", "3",
             "--format", fmt]
     assert main(argv) == 0
     plain = capsys.readouterr().out
     monkeypatch.setattr(cuplength, "_CUP_CACHE", {})
-    monkeypatch.setattr(cuplength, "BUDGET", 159)
+    monkeypatch.setattr(slotchain, "BUDGET", 159)
     assert main(argv + ["--use-oracle"]) == 0
     capped = capsys.readouterr().out
     if fmt == "json":

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
+from milnortc import slotchain
 from milnortc.bounds import tc_bounds
 from milnortc.certgen import cert_r2t, certificates_for
-from milnortc.cuplength import _prune, cup_exact, cup_witness, verify_certificate
+from milnortc.cuplength import cup_exact, cup_witness, verify_certificate
 from milnortc.errors import ResourceLimitError
 from milnortc.exprs import (
     Certificate,
@@ -24,6 +25,7 @@ from milnortc.exprs import (
     tensor_power,
     unit,
 )
+from milnortc.slotchain import _prune
 from milnortc.spaces import (
     ComplexMilnor,
     ComplexProj,
@@ -33,7 +35,14 @@ from milnortc.spaces import (
     cohomology_of,
     parse_space,
 )
-from reference import cup_by_kernel_basis, kernel_powers, rank, ring, slice_dimensions
+from reference import (
+    cup_by_kernel_basis,
+    dense_choices,
+    kernel_powers,
+    rank,
+    ring,
+    slice_dimensions,
+)
 
 
 def test_zero_divisor_predicate():
@@ -252,11 +261,9 @@ def test_the_oracle_runs_a_ring_of_mixed_degrees():
     # a product's generators may differ in degree; cup_exact answers it from
     # its factors, and the slot chain, which reads no degree, runs its ring
     # to the same value
-    import milnortc.cuplength as cuplength
-
     P = ring("prod:rp1,cp1")
     for n in (2, 3):
-        assert cuplength._oracle(P, n)[0] == cup_exact(P, n) == 2 * (n - 1)
+        assert slotchain._oracle(P, n)[0] == cup_exact(P, n) == 2 * (n - 1)
 
 
 # every presentation kind at n = 2 and 3, where the reference is quick
@@ -311,6 +318,18 @@ def test_every_slot_chain_witness_on_the_box_verifies():
 def test_n_1_has_value_0_and_the_empty_witness():
     for space in ("rp:3", "rh:4,2", "prod:rp2,rh2.1"):
         assert (cup_exact(ring(space), 1), cup_witness(ring(space), 1)) == (0, ())
+
+
+def test_the_sparse_step_tables_are_the_dense_ones():
+    # each B_e is grown as its nonzero rows only; the dense construction
+    # gives the same choices, in the same order, so every value and witness
+    # is unchanged.  rh and ch with r <= 6 and every s, rp:0..12, and three
+    # larger Milnor manifolds
+    rings = [f"{f}:{r},{s}" for f in ("rh", "ch") for r in range(1, 7) for s in range(r + 1)]
+    rings += [f"rp:{m}" for m in range(13)] + ["rh:8,5", "rh:9,2", "rh:16,9"]
+    for space in rings:
+        P = ring(space)
+        assert slotchain._choices(P) == dense_choices(P), space
 
 
 # hand-built frontier states: echelon forms over four columns, each with a
@@ -507,16 +526,14 @@ def test_oracle_resource_limit(monkeypatch):
     # has 5 * 5; its one middle step contracts one row by each of its 8
     # choices, whose B hold 17 rows in all; the last step forms 16.  So a
     # budget of 57 refuses it and one of 58 does not
-    import milnortc.cuplength as cuplength
-
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "BUDGET", 57)
+    monkeypatch.setattr(slotchain, "BUDGET", 57)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:4"), 3)
     assert str(err.value) == "the oracle needs more than its budget of 57 rows"
     with pytest.raises(ResourceLimitError):
         cup_witness(ring("rp:4"), 3)
-    monkeypatch.setattr(cuplength, "BUDGET", 58)
+    monkeypatch.setattr(slotchain, "BUDGET", 58)
     assert cup_exact(ring("rp:4"), 3) == 12
 
 
@@ -524,29 +541,27 @@ def test_the_budget_counts_the_product_table_and_the_contracted_rows(monkeypatch
     # counts, not times: a run forms dim * dim rows for its product table
     # and len(products) * len(B) for each contraction; within a budget of
     # exactly that it ends, and a row short it is refused
-    import milnortc.cuplength as cuplength
-
     rows = [0]
-    contract = cuplength._contract
+    contract = slotchain._contract
 
     def spy(products, B):
         rows[0] += len(products) * len(B)
         return contract(products, B)
 
-    monkeypatch.setattr(cuplength, "_contract", spy)
-    budget = cuplength.BUDGET
+    monkeypatch.setattr(slotchain, "_contract", spy)
+    budget = slotchain.BUDGET
     for space, n in (("rh:2,1", 2), ("rh:3,2", 3), ("rp:5", 4), ("ch:2,2", 5)):
         P = ring(space)
         _fresh_oracle(monkeypatch)
-        monkeypatch.setattr(cuplength, "BUDGET", budget)
+        monkeypatch.setattr(slotchain, "BUDGET", budget)
         rows[0] = len(P.basis) ** 2
         value = cup_exact(P, n)
         used = rows[0]
         _fresh_oracle(monkeypatch)
-        monkeypatch.setattr(cuplength, "BUDGET", used)
+        monkeypatch.setattr(slotchain, "BUDGET", used)
         assert cup_exact(P, n) == value, (space, n)
         _fresh_oracle(monkeypatch)
-        monkeypatch.setattr(cuplength, "BUDGET", used - 1)
+        monkeypatch.setattr(slotchain, "BUDGET", used - 1)
         with pytest.raises(ResourceLimitError):
             cup_exact(P, n)
 
@@ -558,11 +573,11 @@ def test_oracle_cache_respects_the_cap(monkeypatch):
     import milnortc.cuplength as cuplength
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "BUDGET", 57)
+    monkeypatch.setattr(slotchain, "BUDGET", 57)
     with pytest.raises(ResourceLimitError):
         cup_exact(ring("rp:4"), 3)
     assert cuplength._CUP_CACHE == {}
-    monkeypatch.setattr(cuplength, "BUDGET", 58)
+    monkeypatch.setattr(slotchain, "BUDGET", 58)
     assert cup_exact(ring("rp:4"), 3) == 12
     assert list(cuplength._CUP_CACHE) == [(ring("rp:4").cache_key, 3)]
 
@@ -571,17 +586,15 @@ def test_a_large_arity_is_refused_before_any_contraction(monkeypatch):
     # rp:1 has three rows of B over its two choices, so its n - 2 = 999,998
     # middle steps form at least 2,999,994 rows, above the budget: the run
     # is refused before its first step
-    import milnortc.cuplength as cuplength
-
     calls = []
-    contract = cuplength._contract
+    contract = slotchain._contract
 
     def spy(products, B):
         calls.append(B)
         return contract(products, B)
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "_contract", spy)
+    monkeypatch.setattr(slotchain, "_contract", spy)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("rp:1"), 10**6)
     assert str(err.value) == "the oracle needs more than its budget of 2097152 rows"
@@ -592,17 +605,15 @@ def test_a_large_ring_is_refused_before_its_tables(monkeypatch):
     # rp:2000 has 2001 basic monomials, so its product table alone would
     # have 2001 * 2001 rows, above the budget: nothing is multiplied, at
     # any n, n = 2 included, where no middle step runs
-    import milnortc.cuplength as cuplength
-
     calls = []
-    apply = cuplength._apply
+    apply = slotchain._apply
 
     def spy(images, row):
         calls.append(row)
         return apply(images, row)
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "_apply", spy)
+    monkeypatch.setattr(slotchain, "_apply", spy)
     for n in (2, 3):
         with pytest.raises(ResourceLimitError):
             cup_exact(ring("rp:2000"), n)
@@ -663,8 +674,6 @@ def test_a_products_oracle_is_the_sum_of_its_factors():
     # ring, is the reference; the oracle answers a product from its
     # factors' runs, and their witnesses, renamed, verify in the product
     # ring
-    import milnortc.cuplength as cuplength
-
     cases = [
         (space, n)
         for pair in combinations_with_replacement(PRODUCT_FACTORS, 2)
@@ -677,7 +686,7 @@ def test_a_products_oracle_is_the_sum_of_its_factors():
         P = cohomology_of(space)
         value = cup_exact(P, n)
         twin = cohomology_of(real_twin(space))
-        assert value == cuplength._oracle(twin, n)[0], (space, n)
+        assert value == slotchain._oracle(twin, n)[0], (space, n)
         factors = cup_witness(P, n)
         cert = Certificate(space, n, factors, value)
         assert verify_certificate(cert).verdict == "Verified", (space, n)
@@ -700,14 +709,14 @@ def test_a_product_builds_no_slice_of_its_own_ring(monkeypatch):
     P, factor = ring("prod:rh2.1,rh2.1"), ring("rh:2,1")
     assert max(slice_dimensions(P, 5)) == 184_756
     rings = []
-    oracle = cuplength._oracle
+    oracle = slotchain._oracle
 
     def oracle_spy(Q, n):
         rings.append(Q)
         return oracle(Q, n)
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "_oracle", oracle_spy)
+    monkeypatch.setattr(slotchain, "_oracle", oracle_spy)
     assert cup_exact(P, 5) == 20
     assert rings == [factor]
     assert cuplength._CUP_CACHE.keys() == {(factor.cache_key, 5)}
@@ -719,7 +728,7 @@ def test_a_products_refusal_names_its_factor(monkeypatch):
     import milnortc.cuplength as cuplength
 
     _fresh_oracle(monkeypatch)
-    monkeypatch.setattr(cuplength, "BUDGET", 100)
+    monkeypatch.setattr(slotchain, "BUDGET", 100)
     with pytest.raises(ResourceLimitError) as err:
         cup_exact(ring("prod:rp2,rh16.9"), 3)
     assert str(err.value) == (
